@@ -23,6 +23,7 @@ from .linalg import (
     Projector,
     complement,
     join,
+    orthogonal,
 )
 from .pasted import PastedPBA, build_pasted_pba
 from .systems import DEFAULT_MAX_ELEMENTS, QuantumSystem, generate_system
@@ -225,7 +226,7 @@ class Observable:
                 f"observable {self.name!r}: spectral projectors do not resolve identity"
             )
         for p, q in combinations(self.projectors, 2):
-            if not p.mat.mul(q.mat).is_zero():
+            if not orthogonal(p, q):
                 raise OrthogonalityCheckFailed(
                     f"observable {self.name!r}: spectral projectors overlap"
                 )

@@ -113,7 +113,7 @@ class _Source:
         if self.builtin:
             return self.builtin.system(self.max_elements)
         if self.use_cache:
-            cached = load_cached_system(self.path)
+            cached = load_cached_system(self.path, self.max_elements)
             if cached is not None:
                 log.info("loaded system from cache beside %s", self.path)
                 return cached
@@ -124,7 +124,7 @@ class _Source:
             for name, proj in self.scenario.labels.items()
             if system.contains(proj) and system.index_of(proj) in atoms
         }
-        system = QuantumSystem(system.elements, system.generators, atom_labels=labels)
+        system = system.with_atom_labels(labels)
         if self.use_cache:
             store_cached_system(self.path, system)
         return system

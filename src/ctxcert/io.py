@@ -7,15 +7,18 @@ name the offending field.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
+import logging
+import os
 import re
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping, Sequence
 
-from .errors import ScenarioFormatError
+from .errors import ClosureBudgetExceeded, ScenarioFormatError
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
@@ -25,8 +28,10 @@ from .linalg import (
     FloatMatrix,
     Projector,
 )
-from .systems import QuantumSystem
+from .systems import DEFAULT_MAX_ELEMENTS, QuantumSystem
 from .vectorsets import Basis, VectorSet
+
+log = logging.getLogger(__name__)
 
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
 
@@ -348,7 +353,12 @@ def cache_path_for(scenario_path: Path) -> Path:
     return scenario_path.with_name(scenario_path.name + ".ctxcache")
 
 
-def load_cached_system(scenario_path: Path) -> QuantumSystem | None:
+def load_cached_system(
+    scenario_path: Path, max_elements: int = DEFAULT_MAX_ELEMENTS
+) -> QuantumSystem | None:
+    """The cached system beside ``scenario_path``, or None if there is no
+    valid cache.  A cached system larger than ``max_elements`` raises
+    ``ClosureBudgetExceeded``, as building it would."""
     cache = cache_path_for(scenario_path)
     if not cache.exists():
         return None
@@ -356,15 +366,26 @@ def load_cached_system(scenario_path: Path) -> QuantumSystem | None:
         doc = json.loads(cache.read_text(encoding="utf-8"))
         if doc.get("sha256") != content_hash(scenario_path.read_bytes()):
             return None
-        return system_from_payload(doc["system"])
+        system = system_from_payload(doc["system"])
     except (ScenarioFormatError, KeyError, ValueError, OSError):
         return None
+    if len(system) > max_elements:
+        raise ClosureBudgetExceeded(max_elements)
+    return system
 
 
 def store_cached_system(scenario_path: Path, system: QuantumSystem) -> None:
+    """Write the cache through a temporary file; a failed write is logged."""
     cache = cache_path_for(scenario_path)
+    tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
     doc = {
         "sha256": content_hash(scenario_path.read_bytes()),
         "system": system_to_payload(system),
     }
-    cache.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+    try:
+        tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
+        os.replace(tmp, cache)
+    except OSError as exc:
+        log.warning("could not write cache %s: %s", cache, exc)
+        with contextlib.suppress(OSError):
+            tmp.unlink()

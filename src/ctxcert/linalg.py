@@ -10,6 +10,7 @@ Everything is immutable; operations return fresh objects.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
@@ -37,6 +38,10 @@ def _as_pair(entry: ExactEntry) -> tuple[Fraction, Fraction]:
         re, im = entry
         return Fraction(re), Fraction(im)
     return Fraction(entry), Fraction(0)
+
+
+def _dot(xs: Sequence, ys: Sequence):
+    return sum(map(operator.mul, xs, ys))
 
 
 def _gcd_all(values: Iterable[int]) -> int:
@@ -107,30 +112,44 @@ class ExactMatrix:
 
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
         d = self.dim
-        a_re, a_im, b_re, b_im = self.re, self.im, other.re, other.im
-        out_re = [0] * (d * d)
-        if a_im is None and b_im is None:
-            for i in range(d):
-                base = i * d
-                row = a_re[base : base + d]
-                for j in range(d):
-                    out_re[base + j] = sum(row[k] * b_re[k * d + j] for k in range(d))
+        a_rows = [self.re[i * d : i * d + d] for i in range(d)]
+        b_cols = [other.re[j::d] for j in range(d)]
+        out_re = [_dot(row, col) for row in a_rows for col in b_cols]
+        if self.im is None and other.im is None:
             return ExactMatrix(d, self.den * other.den, tuple(out_re), None)
-        ai = a_im or (0,) * (d * d)
-        bi = b_im or (0,) * (d * d)
-        out_im = [0] * (d * d)
+        zero = (0,) * d
+        ai_rows = [self.im[i * d : i * d + d] for i in range(d)] if self.im else [zero] * d
+        bi_cols = [other.im[j::d] for j in range(d)] if other.im else [zero] * d
+        out_im = []
+        k = 0
         for i in range(d):
-            base = i * d
+            ar, ai = a_rows[i], ai_rows[i]
             for j in range(d):
-                sre = sim = 0
-                for k in range(d):
-                    p, q = a_re[base + k], ai[base + k]
-                    r, s = b_re[k * d + j], bi[k * d + j]
-                    sre += p * r - q * s
-                    sim += p * s + q * r
-                out_re[base + j] = sre
-                out_im[base + j] = sim
+                br, bi = b_cols[j], bi_cols[j]
+                out_re[k] -= _dot(ai, bi)
+                out_im.append(_dot(ar, bi) + _dot(ai, br))
+                k += 1
         return ExactMatrix(d, self.den * other.den, tuple(out_re), tuple(out_im))
+
+    def trace_num(self, other: "ExactMatrix") -> int:
+        """Numerator of tr(A B) over ``self.den * other.den`` for Hermitian B.
+
+        B_ji = conj(B_ij), so the trace is the real dot product of the
+        numerator grids: d^2 integer products, no allocation, no gcd.
+        """
+        num = _dot(self.re, other.re)
+        if self.im is not None and other.im is not None:
+            num += _dot(self.im, other.im)
+        return num
+
+    def is_hermitian(self) -> bool:
+        d = self.dim
+        re, im = self.re, self.im
+        if any(re[i * d + j] != re[j * d + i] for i in range(d) for j in range(i)):
+            return False
+        return im is None or all(
+            im[i * d + j] == -im[j * d + i] for i in range(d) for j in range(i + 1)
+        )
 
     def _combine(self, other: "ExactMatrix", sign: int) -> "ExactMatrix":
         g = math.gcd(self.den, other.den)
@@ -149,14 +168,6 @@ class ExactMatrix:
 
     def sub(self, other: "ExactMatrix") -> "ExactMatrix":
         return self._combine(other, -1)
-
-    def conj_transpose(self) -> "ExactMatrix":
-        d = self.dim
-        re = tuple(self.re[j * d + i] for i in range(d) for j in range(d))
-        im = None
-        if self.im is not None:
-            im = tuple(-self.im[j * d + i] for i in range(d) for j in range(d))
-        return ExactMatrix(d, self.den, re, im)
 
     def trace(self) -> tuple[Fraction, Fraction]:
         d = self.dim
@@ -221,12 +232,10 @@ class FloatMatrix:
     def mul(self, other: "FloatMatrix") -> "FloatMatrix":
         d = self.dim
         a, b = self.entries, other.entries
-        out = [0j] * (d * d)
-        for i in range(d):
-            base = i * d
-            for j in range(d):
-                out[base + j] = sum(a[base + k] * b[k * d + j] for k in range(d))
-        return FloatMatrix(d, tuple(out), max(self.tol, other.tol))
+        b_cols = [b[j::d] for j in range(d)]
+        rows = [a[i * d : i * d + d] for i in range(d)]
+        out = tuple(_dot(row, col) for row in rows for col in b_cols)
+        return FloatMatrix(d, out, max(self.tol, other.tol))
 
     def add(self, other: "FloatMatrix") -> "FloatMatrix":
         return FloatMatrix(
@@ -252,6 +261,17 @@ class FloatMatrix:
 
     def trace(self) -> complex:
         return sum(self.entries[i * self.dim + i] for i in range(self.dim))
+
+    def trace_mul(self, other: "FloatMatrix") -> complex:
+        """tr(A B) without forming A B.
+
+        Each diagonal entry is summed term for term as ``mul`` sums it, so the
+        result is the trace of the product ``mul`` would return, up to the
+        rounding of the final d-term sum.
+        """
+        d = self.dim
+        a, b = self.entries, other.entries
+        return sum(_dot(a[i * d : i * d + d], b[i::d]) for i in range(d))
 
     def max_diff(self, other: "FloatMatrix") -> float:
         return max(abs(x - y) for x, y in zip(self.entries, other.entries))
@@ -314,7 +334,7 @@ class Projector:
     def _validate(self) -> None:
         mat = self.mat
         if isinstance(mat, ExactMatrix):
-            if mat.conj_transpose() != mat:
+            if not mat.is_hermitian():
                 raise NotAProjector("matrix is not Hermitian")
             if mat.mul(mat) != mat:
                 raise NotAProjector("matrix is not idempotent")
@@ -412,10 +432,106 @@ def projector_from_vector(
     return Projector(FloatMatrix(d, ents, tol))
 
 
+# --- order, orthogonality and commutation from tr(PQ) ----------------------
+#
+# For projectors P and Q, tr(PQ) = ||PQ||_F^2 and rank P - tr(PQ) =
+# ||(I - Q)P||_F^2, so
+#   P <= Q  iff  tr(PQ) = rank P,      P _|_ Q  iff  tr(PQ) = 0,
+# and since (PQ)^dagger = QP,  PQ = QP iff PQ is Hermitian.  On the exact
+# backend tr(PQ) is one integer dot product of the numerator grids
+# (``ExactMatrix.trace_num``); it decides order and orthogonality outright,
+# and most commutation questions too (``exact_pair_relation``).
+#
+# On the float backend the trace only screens.  If PQ = P entrywise within
+# tol, then |tr(PQ) - tr P| < d*tol, and tr P lies within tol of rank P
+# (``Projector`` checks that), so |Re tr(PQ) - rank P| >= (d+1)*tol proves
+# PQ != P under the tolerance.  Likewise PQ = 0 within tol forces
+# |tr(PQ)| < d*tol.  ``FloatMatrix.trace_mul`` sums the very diagonal entries
+# ``mul`` would produce, so the bounds hold up to the rounding of one d-term
+# sum.  A pair the screen does not reject is confirmed by the same product
+# comparison as before, so float answers do not change.
+
+# What tr(PQ) and the two ranks decide about an exact pair.
+ORDERED = "ordered"  # P <= Q or Q <= P: the meet and join are P and Q
+ORTHOGONAL = "orthogonal"  # PQ = 0: the join is P + Q
+CO_ORTHOGONAL = "co-orthogonal"  # (I - P)(I - Q) = 0: the meet is P + Q - I
+INCOMPATIBLE = "incompatible"  # PQ != QP
+UNDECIDED = "undecided"  # only the product PQ can tell
+
+
+def matrix_leq(a: Matrix, b: Matrix, rank_a: int) -> bool:
+    """PQ = P for projector matrices a = P (of rank ``rank_a``) and b = Q.
+
+    Exact: tr(PQ) = rank P.  Float: a pair with |Re tr(PQ) - rank P| >=
+    (d+1)*tol is rejected without a product, since no PQ within tol of P
+    entrywise has such a trace; any other pair compares PQ with P.
+    """
+    if isinstance(a, ExactMatrix):
+        return a.trace_num(b) == rank_a * a.den * b.den
+    tol = max(a.tol, b.tol)
+    if abs(a.trace_mul(b).real - rank_a) >= (a.dim + 1) * tol:
+        return False
+    return a.mul(b).approx_equal(a)
+
+
+def matrix_orthogonal(a: Matrix, b: Matrix) -> bool:
+    """PQ = 0 for projector matrices a = P and b = Q.
+
+    Exact: tr(PQ) = 0.  Float: a pair with |Re tr(PQ)| >= d*tol is rejected
+    without a product, since PQ = 0 within tol bounds the trace by d*tol;
+    any other pair tests PQ = 0 within tol.
+    """
+    if isinstance(a, ExactMatrix):
+        return a.trace_num(b) == 0
+    if abs(a.trace_mul(b).real) >= a.dim * max(a.tol, b.tol):
+        return False
+    return a.mul(b).is_zero()
+
+
+def exact_pair_relation(p: Projector, q: Projector) -> str:
+    """Classify an exact pair by t = tr(PQ) alone.
+
+    tr((I - P)(I - Q)) = d - rank P - rank Q + t, so t = rank P + rank Q - d
+    means the complements are orthogonal: P v Q = I and P ^ Q = P + Q - I.
+    Commuting projectors multiply to a projector of rank t, so a pair with
+    a non-integer t cannot commute.  That settles every pair with a rank-1
+    member (0 <= t <= 1) and every pair with a co-rank-1 member P
+    (rank Q - 1 <= t <= rank Q) without a product.
+    """
+    a, b = p.mat, q.mat
+    den = a.den * b.den
+    num = a.trace_num(b)
+    if num == p.rank * den or num == q.rank * den:
+        return ORDERED
+    if num == 0:
+        return ORTHOGONAL
+    if num == (p.rank + q.rank - p.dim) * den:
+        return CO_ORTHOGONAL
+    if num % den:
+        return INCOMPATIBLE
+    return UNDECIDED
+
+
+def commuting_product(p: Projector, q: Projector) -> Matrix | None:
+    """PQ if P and Q commute, else None.
+
+    Exact: PQ = QP iff PQ is Hermitian, one product.  Float: PQ is compared
+    with QP within tolerance, two products as always.
+    """
+    pq = p.mat.mul(q.mat)
+    if isinstance(pq, ExactMatrix):
+        return pq if pq.is_hermitian() else None
+    return pq if pq.approx_equal(q.mat.mul(p.mat)) else None
+
+
 def commutes(p: Projector, q: Projector) -> bool:
     """True iff PQ = QP under the backend's equality."""
     _check_pair(p, q)
-    return _matrices_equal(p.mat.mul(q.mat), q.mat.mul(p.mat))
+    if p.backend == EXACT:
+        relation = exact_pair_relation(p, q)
+        if relation != UNDECIDED:
+            return relation != INCOMPATIBLE
+    return commuting_product(p, q) is not None
 
 
 def complement(p: Projector) -> Projector:
@@ -430,8 +546,8 @@ def complement(p: Projector) -> Projector:
 def meet(p: Projector, q: Projector) -> Projector:
     """P AND Q for commuting projectors; the product PQ."""
     _check_pair(p, q)
-    pq = p.mat.mul(q.mat)
-    if not _matrices_equal(pq, q.mat.mul(p.mat)):
+    pq = commuting_product(p, q)
+    if pq is None:
         raise Incompatible("meet is undefined for non-commuting projectors")
     return Projector(pq)
 
@@ -439,8 +555,8 @@ def meet(p: Projector, q: Projector) -> Projector:
 def join(p: Projector, q: Projector) -> Projector:
     """P OR Q for commuting projectors; equals P + Q - PQ."""
     _check_pair(p, q)
-    pq = p.mat.mul(q.mat)
-    if not _matrices_equal(pq, q.mat.mul(p.mat)):
+    pq = commuting_product(p, q)
+    if pq is None:
         raise Incompatible("join is undefined for non-commuting projectors")
     return Projector(p.mat.add(q.mat).sub(pq))
 
@@ -448,13 +564,13 @@ def join(p: Projector, q: Projector) -> Projector:
 def orthogonal(p: Projector, q: Projector) -> bool:
     """True iff PQ = 0; for projectors this forces QP = 0 as well."""
     _check_pair(p, q)
-    return p.mat.mul(q.mat).is_zero()
+    return matrix_orthogonal(p.mat, q.mat)
 
 
 def leq(p: Projector, q: Projector) -> bool:
     """Order of events: PQ = P (which already implies commutation)."""
     _check_pair(p, q)
-    return _matrices_equal(p.mat.mul(q.mat), p.mat)
+    return matrix_leq(p.mat, q.mat, p.rank)
 
 
 # --- determinants and positive semidefiniteness ---------------------------
@@ -551,7 +667,7 @@ class DensityMatrix:
     def _validate(self) -> None:
         mat = self.mat
         if isinstance(mat, ExactMatrix):
-            if mat.conj_transpose() != mat:
+            if not mat.is_hermitian():
                 raise NotADensityMatrix("matrix is not Hermitian")
             tre, tim = mat.trace()
             if tre != 1 or tim != 0:

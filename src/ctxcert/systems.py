@@ -24,14 +24,21 @@ from .errors import (
 )
 from .graphs import ExclusivityGraph, PBAState
 from .linalg import (
+    CO_ORTHOGONAL,
     DEFAULT_TOL,
     EXACT,
     FLOAT,
+    ORTHOGONAL,
+    UNDECIDED,
     DensityMatrix,
     ExactMatrix,
     FloatMatrix,
     Projector,
+    commuting_product,
+    exact_pair_relation,
     identity_projector,
+    matrix_leq,
+    matrix_orthogonal,
     quantum_state_eval,
     zero_projector,
 )
@@ -118,6 +125,17 @@ class QuantumSystem:
         self._labels: list[str] | None = None
         self._names: dict[int, str] = {}
 
+    def with_atom_labels(self, atom_labels: Mapping[str, Projector]) -> "QuantumSystem":
+        """The same system with its atoms named by ``atom_labels``.
+
+        The order table and the complement map do not depend on names, so the
+        copy shares them instead of building them again.
+        """
+        other = QuantumSystem(self.elements, self.generators, atom_labels)
+        other._leq_rows = self._leq_rows
+        other._comp = self._comp
+        return other
+
     # -- membership -----------------------------------------------------------
 
     def index_of(self, p: Projector) -> int:
@@ -135,28 +153,41 @@ class QuantumSystem:
     # -- order structure --------------------------------------------------------
 
     def _ensure_leq(self) -> list[int]:
+        """Bit rows of the order: bit j of row i is set iff element i <= j.
+
+        Exact: one integer dot product per pair of distinct ranks, since
+        P <= Q iff tr(PQ) = rank P and tr(PQ) = tr(QP); distinct elements of
+        equal rank are never ordered.  Float: every pair with rank i <= rank j
+        goes through ``matrix_leq``, whose trace screen rejects a pair only
+        when |Re tr(PQ) - rank P| >= (d+1)*tol, which an entrywise-approximate
+        PQ = P rules out; the rest is decided by the product as before.
+        """
         if self._leq_rows is not None:
             return self._leq_rows
         n = len(self.elements)
-        rows = [0] * n
+        rows = [1 << i for i in range(n)]
         mats = [p.mat for p in self.elements]
         ranks = [p.rank for p in self.elements]
         if self.backend == EXACT:
-            equal = lambda a, b: a == b  # noqa: E731
+            dens = [m.den for m in mats]
+            for i in range(n):
+                mi, ri, di = mats[i], ranks[i], dens[i]
+                for j in range(i + 1, n):
+                    rj = ranks[j]
+                    if ri == rj:
+                        continue
+                    num = mi.trace_num(mats[j])
+                    if ri < rj:
+                        if num == ri * di * dens[j]:
+                            rows[i] |= 1 << j
+                    elif num == rj * di * dens[j]:
+                        rows[j] |= 1 << i
         else:
-            equal = lambda a, b: a.approx_equal(b)  # noqa: E731
-        for i in range(n):
-            row = 0
-            mi, ri = mats[i], ranks[i]
-            for j in range(n):
-                if i == j:
-                    row |= 1 << j
-                    continue
-                if ri > ranks[j]:
-                    continue
-                if equal(mi.mul(mats[j]), mi):
-                    row |= 1 << j
-            rows[i] = row
+            for i in range(n):
+                mi, ri = mats[i], ranks[i]
+                for j in range(n):
+                    if i != j and ri <= ranks[j] and matrix_leq(mi, mats[j], ri):
+                        rows[i] |= 1 << j
         self._leq_rows = rows
         return rows
 
@@ -257,8 +288,7 @@ class QuantumSystem:
         return self._atom_graph
 
     def _orthogonal_idx(self, i: int, j: int) -> bool:
-        prod = self.elements[i].mat.mul(self.elements[j].mat)
-        return prod.is_zero()
+        return matrix_orthogonal(self.elements[i].mat, self.elements[j].mat)
 
     # -- naming ----------------------------------------------------------------
 
@@ -308,7 +338,7 @@ class QuantumSystem:
                 a = atoms[pos]
                 if rank + ranks[a] > target.rank:
                     continue
-                if any(not mats[a].mul(mats[b]).is_zero() for b in chosen):
+                if any(not matrix_orthogonal(mats[a], mats[b]) for b in chosen):
                     continue
                 chosen.append(a)
                 new_total = mats[a] if total is None else total.add(mats[a])
@@ -439,6 +469,22 @@ def generate_system(
     The worklist is processed in canonical order (complement of each element
     first, then pairs with all earlier elements), so the discovered set and
     the final sorted element list do not depend on generator order.
+
+    On the exact backend each pair is first classified by tr(PQ)
+    (``exact_pair_relation``): an ordered pair adds nothing, an orthogonal
+    pair adds only P + Q, a pair with orthogonal complements adds only
+    P + Q - I, and a pair with a non-integer trace cannot commute.  Only the
+    remaining pairs form PQ, and they commute iff PQ is Hermitian.  Every
+    skipped insertion is of an element already present, so new elements
+    arrive in the same order as with two products per pair and the budget
+    trips at the same point.
+
+    Float closure keeps both products and compares PQ with QP within
+    tolerance.  The float trace screens (reject order at
+    |Re tr(PQ) - rank P| >= (d+1)*tol, orthogonality at |Re tr(PQ)| >= d*tol)
+    are safe because an entrywise-approximate product cannot have such a
+    trace, but a tolerance-level PQ = QP has no bound that simple, so no
+    float pair is skipped here.
     """
     if not generators:
         raise NotAnElement("need at least one generator")
@@ -474,22 +520,24 @@ def generate_system(
         insert(g.mat)
 
     ident = elems[1].mat
-    if backend == EXACT:
-        equal = lambda a, b: a == b  # noqa: E731
-    else:
-        equal = lambda a, b: a.approx_equal(b)  # noqa: E731
-
     idx = 0
     while idx < len(elems):
-        p = elems[idx].mat
-        insert(ident.sub(p))
+        p = elems[idx]
+        insert(ident.sub(p.mat))
         for j in range(idx):
-            q = elems[j].mat
-            pq = p.mul(q)
-            qp = q.mul(p)
-            if equal(pq, qp):
+            q = elems[j]
+            if backend == EXACT:
+                relation = exact_pair_relation(p, q)
+                if relation == ORTHOGONAL:
+                    insert(p.mat.add(q.mat))
+                elif relation == CO_ORTHOGONAL:
+                    insert(p.mat.add(q.mat).sub(ident))
+                if relation != UNDECIDED:
+                    continue
+            pq = commuting_product(p, q)
+            if pq is not None:
                 insert(pq)
-                insert(p.add(q).sub(pq))
+                insert(p.mat.add(q.mat).sub(pq))
         idx += 1
 
     return QuantumSystem(elems, seeds, atom_labels)

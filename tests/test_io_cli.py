@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import logging
 import subprocess
 import sys
 from fractions import Fraction
@@ -12,7 +13,7 @@ import pytest
 
 from ctxcert.catalog import kcbs_system
 from ctxcert.cli import main
-from ctxcert.errors import ScenarioFormatError
+from ctxcert.errors import ClosureBudgetExceeded, ScenarioFormatError
 from ctxcert.io import (
     cache_path_for,
     load_cached_system,
@@ -115,6 +116,31 @@ def test_cache_roundtrip(tmp_path):
     scenario_path.write_text(json.dumps(dict(BOOLEAN_SCENARIO, dimension=3)) + " ", encoding="utf-8")
     store_hash_mismatch = load_cached_system(scenario_path)
     assert store_hash_mismatch is None
+
+
+def test_cached_system_honours_max_elements(tmp_path):
+    scenario_path = tmp_path / "boolean.json"
+    scenario_path.write_text(json.dumps(BOOLEAN_SCENARIO), encoding="utf-8")
+    scenario = scenario_from_dict(BOOLEAN_SCENARIO)
+    store_cached_system(scenario_path, generate_system(scenario.generators))
+    assert len(load_cached_system(scenario_path, max_elements=8)) == 8
+    with pytest.raises(ClosureBudgetExceeded):
+        load_cached_system(scenario_path, max_elements=7)
+
+
+def test_failed_cache_write_is_logged_not_raised(tmp_path, monkeypatch, caplog):
+    scenario_path = tmp_path / "boolean.json"
+    scenario_path.write_text(json.dumps(BOOLEAN_SCENARIO), encoding="utf-8")
+    system = generate_system(scenario_from_dict(BOOLEAN_SCENARIO).generators)
+
+    def refuse(self, *args, **kwargs):
+        raise OSError("read-only file system")
+
+    monkeypatch.setattr(Path, "write_text", refuse)
+    with caplog.at_level(logging.WARNING, logger="ctxcert.io"):
+        store_cached_system(scenario_path, system)
+    assert "could not write cache" in caplog.text
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["boolean.json"]
 
 
 # -- CLI ------------------------------------------------------------------------
@@ -265,6 +291,17 @@ def test_cli_closure_budget_surfaced(tmp_path, capsys):
     code, _, err = run_cli(["build", str(scenario_path), "--max-elements", "5"], capsys)
     assert code == 1
     assert "5" in err and "closure" in err
+
+
+def test_cli_cache_does_not_bypass_max_elements(tmp_path, capsys):
+    scenario_path = tmp_path / "boolean.json"
+    scenario_path.write_text(json.dumps(BOOLEAN_SCENARIO), encoding="utf-8")
+    code, _, _ = run_cli(["build", str(scenario_path)], capsys)
+    assert code == 0 and cache_path_for(scenario_path).exists()
+    code, _, err = run_cli(["build", str(scenario_path), "--max-elements", "5"], capsys)
+    assert code == 1
+    assert "5" in err and "closure" in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["boolean.json", "boolean.json.ctxcache"]
 
 
 def test_cli_zero_one_on_ceg_is_empty(capsys):

@@ -1,0 +1,373 @@
+"""The trace kernels against a product-based reference kept only here.
+
+The reference decides order, orthogonality and commutation by forming the
+products (PQ = P, PQ = 0, PQ = QP) and closes generators with two products per
+pair.  Order tables, atom-graph edges and closed element lists (in insertion
+order) must come out bit-identical to it.
+"""
+
+from __future__ import annotations
+
+import json
+from itertools import combinations
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import ctxcert.systems as systems_module
+from ctxcert.catalog import BUILTINS, ceg_set
+from ctxcert.cli import main
+from ctxcert.errors import ClosureBudgetExceeded
+from ctxcert.linalg import (
+    CO_ORTHOGONAL,
+    FLOAT,
+    INCOMPATIBLE,
+    ORDERED,
+    ORTHOGONAL,
+    UNDECIDED,
+    ExactMatrix,
+    FloatMatrix,
+    Projector,
+    commutes,
+    exact_pair_relation,
+    identity_projector,
+    join,
+    leq,
+    meet,
+    orthogonal,
+    projector_from_vector,
+    zero_projector,
+)
+from ctxcert.systems import DEFAULT_MAX_ELEMENTS, QuantumSystem, generate_system
+
+# -- product-based reference ----------------------------------------------------
+
+
+def _equal(a, b) -> bool:
+    return a == b if isinstance(a, ExactMatrix) else a.approx_equal(b)
+
+
+def ref_leq(p: Projector, q: Projector) -> bool:
+    return _equal(p.mat.mul(q.mat), p.mat)
+
+
+def ref_orthogonal(p: Projector, q: Projector) -> bool:
+    return p.mat.mul(q.mat).is_zero()
+
+
+def ref_commutes(p: Projector, q: Projector) -> bool:
+    return _equal(p.mat.mul(q.mat), q.mat.mul(p.mat))
+
+
+def _bits(mat) -> tuple:
+    return mat.key() if isinstance(mat, ExactMatrix) else (mat.dim, mat.entries)
+
+
+def ref_closure(generators, max_elements=DEFAULT_MAX_ELEMENTS) -> list:
+    """Closure with two products per pair; the inserted matrices in order."""
+    dim, backend = generators[0].dim, generators[0].backend
+    tol = max(g.tol for g in generators) or 1e-9
+    pool = systems_module._Pool(backend)
+    mats: list = []
+
+    def insert(mat):
+        if pool.lookup(mat) is not None:
+            return
+        if len(mats) >= max_elements:
+            raise ClosureBudgetExceeded(max_elements)
+        pool.insert(mat)
+        mats.append(mat)
+
+    insert(zero_projector(dim, backend, tol).mat)
+    insert(identity_projector(dim, backend, tol).mat)
+    for g in sorted({g.sort_key(): g for g in generators}.values(), key=lambda g: g.sort_key()):
+        insert(g.mat)
+    ident = mats[1]
+    idx = 0
+    while idx < len(mats):
+        p = mats[idx]
+        insert(ident.sub(p))
+        for q in mats[:idx]:
+            pq, qp = p.mul(q), q.mul(p)
+            if _equal(pq, qp):
+                insert(pq)
+                insert(p.add(q).sub(pq))
+        idx += 1
+    return mats
+
+
+def ref_leq_rows(system: QuantumSystem) -> list[int]:
+    els = system.elements
+    return [
+        sum(1 << j for j, q in enumerate(els) if i == j or ref_leq(p, q))
+        for i, p in enumerate(els)
+    ]
+
+
+def ref_edges(system: QuantumSystem) -> set:
+    labels = dict(zip(system.atom_indices(), system.atom_graph().vertices))
+    return {
+        frozenset((labels[i], labels[j]))
+        for i, j in combinations(system.atom_indices(), 2)
+        if ref_orthogonal(system.elements[i], system.elements[j])
+    }
+
+
+def closure_in_order(generators, monkeypatch, max_elements=DEFAULT_MAX_ELEMENTS):
+    """``generate_system`` plus the matrices it validated, in insertion order."""
+    inserted = []
+    real = systems_module.Projector
+
+    def recording(mat, *args, **kwargs):
+        inserted.append(_bits(mat))
+        return real(mat, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(systems_module, "Projector", recording)
+        system = generate_system(generators, max_elements)
+    return system, inserted
+
+
+def assert_matches_reference(system: QuantumSystem, inserted, generators) -> None:
+    assert inserted == [_bits(m) for m in ref_closure(generators)]
+    assert system._ensure_leq() == ref_leq_rows(system)
+    assert {frozenset(e) for e in system.atom_graph().edges} == ref_edges(system)
+
+
+def assert_pair_kernels_match(elements) -> None:
+    for p in elements:
+        for q in elements:
+            assert leq(p, q) == ref_leq(p, q)
+            assert orthogonal(p, q) == ref_orthogonal(p, q)
+            assert commutes(p, q) == ref_commutes(p, q)
+
+
+# -- builtins and float CEG -----------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_matches_product_reference(name, monkeypatch):
+    generators = BUILTINS[name].system(DEFAULT_MAX_ELEMENTS).generators
+    system, inserted = closure_in_order(generators, monkeypatch)
+    assert_matches_reference(system, inserted, generators)
+
+
+def test_float_ceg_matches_product_reference(monkeypatch):
+    generators = [projector_from_vector(v, backend=FLOAT) for v in ceg_set().vectors]
+    system, inserted = closure_in_order(generators, monkeypatch)
+    assert system.backend == FLOAT and len(system) == 140
+    assert_matches_reference(system, inserted, generators)
+
+
+def test_pair_kernels_match_on_ceg(q_ceg):
+    assert_pair_kernels_match(q_ceg.elements[::3])
+
+
+# -- hypothesis-generated exact systems -------------------------------------------
+
+
+# Mostly zeros, so that rays are often orthogonal: closures then hold planes
+# such as e1 v e2 and e2 v e3, a commuting pair the trace cannot decide.
+_entry = st.sampled_from([0, 0, 0, 1, -1, (0, 1), (1, -1)])
+
+
+@st.composite
+def exact_generators(draw):
+    d = draw(st.integers(min_value=2, max_value=4))
+    vectors = draw(
+        st.lists(
+            st.lists(_entry, min_size=d, max_size=d).filter(lambda v: any(e != 0 for e in v)),
+            min_size=1,
+            max_size=5,
+        )
+    )
+    rays = [projector_from_vector(v) for v in vectors]
+    # The join of two distinct commuting rays adds a rank-2 generator.
+    joins = [join(p, q) for p, q in combinations(rays, 2) if p != q and ref_commutes(p, q)]
+    return rays + joins[: draw(st.integers(min_value=0, max_value=1))]
+
+
+@given(exact_generators())
+@settings(
+    max_examples=60,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_generated_systems_match_product_reference(monkeypatch, generators):
+    try:
+        expected = [_bits(m) for m in ref_closure(generators, max_elements=200)]
+    except ClosureBudgetExceeded:
+        with pytest.raises(ClosureBudgetExceeded):
+            generate_system(generators, 200)
+        return
+    system, inserted = closure_in_order(generators, monkeypatch)
+    assert inserted == expected
+    assert system._ensure_leq() == ref_leq_rows(system)
+    assert {frozenset(e) for e in system.atom_graph().edges} == ref_edges(system)
+    assert_pair_kernels_match(system.elements)
+
+
+@st.composite
+def gaussian_grid_pairs(draw):
+    d = draw(st.integers(min_value=1, max_value=4))
+    pair = st.tuples(st.integers(-5, 5), st.integers(-5, 5))
+    grid = st.lists(st.lists(pair, min_size=d, max_size=d), min_size=d, max_size=d)
+    return draw(grid), draw(grid)
+
+
+@given(gaussian_grid_pairs())
+@settings(max_examples=60, deadline=None)
+def test_products_match_the_entry_formula(grids):
+    """The product kernels against (AB)_ij = sum_k A_ik B_kj, term by term."""
+    a, b = grids
+    d = len(a)
+    expected = [
+        [
+            (
+                sum(a[i][k][0] * b[k][j][0] - a[i][k][1] * b[k][j][1] for k in range(d)),
+                sum(a[i][k][0] * b[k][j][1] + a[i][k][1] * b[k][j][0] for k in range(d)),
+            )
+            for j in range(d)
+        ]
+        for i in range(d)
+    ]
+    product = ExactMatrix.from_entries(a).mul(ExactMatrix.from_entries(b))
+    assert product == ExactMatrix.from_entries(expected)
+
+    fa = FloatMatrix.from_entries([[complex(*e) / 3 for e in row] for row in a])
+    fb = FloatMatrix.from_entries([[complex(*e) / 7 for e in row] for row in b])
+    naive = tuple(
+        sum(fa.entry(i, k) * fb.entry(k, j) for k in range(d)) for i in range(d) for j in range(d)
+    )
+    assert fa.mul(fb).entries == naive
+    assert fa.trace_mul(fb) == sum(naive[i * d + i] for i in range(d))
+
+
+# -- one case per shortcut ---------------------------------------------------------
+
+
+def _projector(rows) -> Projector:
+    return Projector(ExactMatrix.from_entries(rows))
+
+
+def _count_products(monkeypatch) -> list:
+    calls = []
+    real = ExactMatrix.mul
+
+    def counting(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(ExactMatrix, "mul", counting)
+    return calls
+
+
+def test_rank_one_pair_decided_by_trace(monkeypatch):
+    ray = projector_from_vector([1, 0, 0])
+    skew = projector_from_vector([1, 1, 0])
+    plane = join(ray, projector_from_vector([0, 1, 0]))
+    axis = projector_from_vector([0, 0, 1])
+    calls = _count_products(monkeypatch)
+    assert exact_pair_relation(ray, skew) == INCOMPATIBLE  # tr = 1/2
+    assert exact_pair_relation(skew, plane) == ORDERED
+    assert exact_pair_relation(ray, axis) == ORTHOGONAL
+    assert not commutes(ray, skew) and commutes(skew, plane)
+    assert calls == []
+    assert not ref_commutes(ray, skew) and ref_commutes(skew, plane)
+
+
+def test_co_rank_one_meet_is_p_plus_q_minus_identity(monkeypatch):
+    p = _projector([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    q = join(projector_from_vector([0, 0, 1]), projector_from_vector([1, 1, 0]))
+    ident = identity_projector(3)
+    calls = _count_products(monkeypatch)
+    assert exact_pair_relation(p, q) == CO_ORTHOGONAL
+    assert commutes(p, q)
+    assert calls == []
+    expected = Projector(p.mat.add(q.mat).sub(ident.mat))
+    assert meet(p, q) == expected == projector_from_vector([1, 1, 0])
+    assert generate_system([p, q]).contains(expected)
+
+
+def test_commuting_rank_two_pair_needs_the_product(monkeypatch):
+    p = _projector([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
+    q = _projector([[0, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+    assert exact_pair_relation(p, q) == UNDECIDED  # tr = 1, an integer
+    calls = _count_products(monkeypatch)
+    assert commutes(p, q)
+    assert len(calls) == 1
+    assert meet(p, q) == projector_from_vector([0, 1, 0, 0])
+
+
+def test_integer_trace_does_not_imply_commutation():
+    # Both principal angles are 45 degrees: tr(PQ) = 1/2 + 1/2 = 1.
+    p = join(projector_from_vector([1, 0, 0, 0]), projector_from_vector([0, 1, 0, 0]))
+    q = join(projector_from_vector([1, 0, 1, 0]), projector_from_vector([0, 1, 0, 1]))
+    assert exact_pair_relation(p, q) == UNDECIDED
+    assert not commutes(p, q) and not ref_commutes(p, q)
+
+
+def test_float_screens_keep_tolerance_level_pairs():
+    """Entries off by less than tol still make an order or orthogonal pair,
+    though the trace then misses rank P or 0 by far more than rounding."""
+    noise = 3e-10  # below the default tolerance of 1e-9
+
+    def float_projector(rows):
+        return Projector(FloatMatrix.from_entries(rows))
+
+    p = float_projector([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    q = float_projector([[1 + noise, noise, 0], [noise, 1 + noise, 0], [0, 0, 0]])
+    r = float_projector([[noise, 0, 0], [0, 0, 0], [0, 0, 1]])
+    assert leq(p, q) and ref_leq(p, q)
+    assert orthogonal(p, r) and ref_orthogonal(p, r)
+
+
+# -- work counters ------------------------------------------------------------------
+
+# ExactMatrix.mul calls to close builtin ceg and find its atoms: one validation
+# per inserted element plus one product per pair the trace leaves undecided.
+# With two products per pair and a product per order test it was 33,887.
+CEG_PRODUCTS = 1796
+
+
+def test_ceg_closure_and_atoms_product_count(monkeypatch):
+    vs = ceg_set()
+    generators = vs.projectors()
+    labels = {name: vs.projector(name) for name in vs.names}
+    calls = _count_products(monkeypatch)
+    system = generate_system(generators, atom_labels=labels)
+    assert len(system.atom_indices()) == 24
+    assert len(calls) <= CEG_PRODUCTS
+
+
+def _count_order_builds(monkeypatch) -> list:
+    builds = []
+    real = QuantumSystem._ensure_leq
+
+    def counting(self):
+        if self._leq_rows is None:
+            builds.append(1)
+        return real(self)
+
+    monkeypatch.setattr(QuantumSystem, "_ensure_leq", counting)
+    return builds
+
+
+CEG17_DOC = {
+    "dimension": 4,
+    "vectors": [
+        {"name": f"v{i}", "entries": [str(x) for x in vec]}
+        for i, vec in enumerate(ceg_set().vectors[1:])
+    ],
+}
+
+
+@pytest.mark.parametrize("extra", [[], ["--backend", "float"]])
+def test_cold_file_build_builds_the_order_table_once(tmp_path, monkeypatch, capsys, extra):
+    path = tmp_path / "ceg17.json"
+    path.write_text(json.dumps(CEG17_DOC), encoding="utf-8")
+    builds = _count_order_builds(monkeypatch)
+    assert main(["build", str(path), "--format", "json", *extra]) == 0
+    assert json.loads(capsys.readouterr().out)["system"]["elements"] == 140
+    assert len(builds) == 1
