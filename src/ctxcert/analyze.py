@@ -225,10 +225,14 @@ def scenario_classical(
     s01: Sequence[ZeroOneState] | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> EmbeddingReport:
-    """Decide Boolean embeddability by separating elements with 0-1 states."""
+    """Decide Boolean embeddability by separating elements with 0-1 states.
+
+    An element's value on a 0-1 state is the number of its decomposition
+    atoms the state sets to 1, so each decomposition and each state's ones
+    become one bitmask over atom positions, and each value one bit count.
+    """
     if s01 is None:
         s01 = zero_one_states(system, budget)
-    n = len(system.elements)
     if not s01:
         return EmbeddingReport(
             embeddable=False,
@@ -236,11 +240,18 @@ def scenario_classical(
             reason="no deterministic state exists, so 0 and 1 get the same image",
             s01_count=0,
         )
-    fingerprints: list[tuple[int, ...]] = [() for _ in range(n)]
+    graph = system.atom_graph()
+    bit = {label: 1 << k for k, label in enumerate(graph.vertices)}
+    ones = []
     for lam in s01:
-        extended = system.extend_state(lam.as_state())
-        for i in range(n):
-            fingerprints[i] = fingerprints[i] + (int(extended.eval_index(i)),)
+        if lam.graph is not graph and lam.graph != graph:
+            raise NotAGraphState("state is defined on a different atom graph")
+        ones.append(sum(bit[v] for v in lam.ones))
+    masks = [
+        sum(bit[system.atom_label(a)] for a in system.decompose(i))
+        for i in range(len(system.elements))
+    ]
+    fingerprints = [tuple((mask & one).bit_count() for one in ones) for mask in masks]
     groups: dict[tuple[int, ...], list[int]] = {}
     for i, fp in enumerate(fingerprints):
         groups.setdefault(fp, []).append(i)

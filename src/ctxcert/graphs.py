@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingVertex, NotAGraphState, SearchBudgetExceeded
 from .linalg import DEFAULT_TOL, EXACT, FLOAT
@@ -191,100 +191,145 @@ class ZeroOneState:
         return PBAState(self.graph, vals, backend=backend, tol=tol)
 
 
+class ZeroOneSearch:
+    """Backtracking over 0/1 assignments to ``n`` variables.
+
+    A 1 zeroes its ``adjacency`` neighbours, and every group in ``groups``
+    holds exactly one 1.  Variables are decided in ``order``, trying 1 before
+    0; iterating yields each complete assignment (a tuple indexed by
+    variable) as it is found, and ``nodes`` counts the search nodes entered
+    so far.  More than ``budget`` nodes raises ``SearchBudgetExceeded``.  A
+    search is iterated once.
+
+    ``seed`` pins chosen variables before the search; when it conflicts with
+    the constraints nothing is yielded and ``nodes`` stays 0.
+
+    Propagation, to a fixpoint: a group with a 1 zeroes its other members, a
+    group with one undecided member and no 1 forces that member to 1, and a
+    group of 0s fails.  Each variable watches its groups, so after a change
+    only the groups of changed variables are examined again.  The first
+    propagation (of the seed, or of a decision at the root) examines every
+    group, since no earlier fixpoint exists for it to build on.
+    """
+
+    def __init__(
+        self,
+        n: int,
+        adjacency: Sequence[Sequence[int]],
+        groups: Sequence[Sequence[int]],
+        order: Sequence[int],
+        budget: int,
+        seed: Mapping[int, int] | None = None,
+    ):
+        self.adjacency = adjacency
+        self.groups = groups
+        self.watch: list[list[int]] = [[] for _ in range(n)]
+        for gi, group in enumerate(groups):
+            for v in group:
+                self.watch[v].append(gi)
+        self.order = order
+        self.budget = budget
+        self.seed = seed
+        self.assign = [-1] * n
+        self.nodes = 0
+
+    def _set(self, v: int, value: int, trail: list[int]) -> bool:
+        assign = self.assign
+        assign[v] = value
+        trail.append(v)
+        if value == 1:
+            for w in self.adjacency[v]:
+                if assign[w] == 1:
+                    return False
+                if assign[w] == -1:
+                    assign[w] = 0
+                    trail.append(w)
+        return True
+
+    def _examine(self, group: Sequence[int], trail: list[int]) -> bool:
+        assign = self.assign
+        ones = 0
+        free = []
+        for v in group:
+            if assign[v] == 1:
+                ones += 1
+            elif assign[v] == -1:
+                free.append(v)
+        if ones > 1:
+            return False
+        if ones == 1:
+            for v in free:
+                assign[v] = 0
+            trail.extend(free)
+            return True
+        if len(free) == 1:
+            return self._set(free[0], 1, trail)
+        return bool(free)
+
+    def _propagate(self, trail: list[int], everything: bool) -> bool:
+        if everything and not all(self._examine(g, trail) for g in self.groups):
+            return False
+        # The trail doubles as the queue: a vertex appended while it is being
+        # walked has its groups examined in turn.
+        for v in trail:
+            for gi in self.watch[v]:
+                if not self._examine(self.groups[gi], trail):
+                    return False
+        return True
+
+    def __iter__(self) -> Iterator[tuple[int, ...]]:
+        if self.seed:
+            trail: list[int] = []
+            for v, value in self.seed.items():
+                if not self._set(v, value, trail):
+                    return
+            if not self._propagate(trail, everything=True):
+                return
+        yield from self._descend(0, root=True)
+
+    def _descend(self, pos: int, root: bool = False) -> Iterator[tuple[int, ...]]:
+        self.nodes += 1
+        if self.nodes > self.budget:
+            raise SearchBudgetExceeded(self.nodes, self.budget)
+        assign, order = self.assign, self.order
+        while pos < len(order) and assign[order[pos]] != -1:
+            pos += 1
+        if pos == len(order):
+            yield tuple(assign)
+            return
+        v = order[pos]
+        for value in (1, 0):
+            trail: list[int] = []
+            if self._set(v, value, trail) and self._propagate(trail, everything=root):
+                yield from self._descend(pos + 1)
+            for w in trail:
+                assign[w] = -1
+
+
 def enumerate_zero_one_states(
     graph: ExclusivityGraph, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> list[ZeroOneState]:
-    """All 0-1 states by backtracking with clique propagation.
+    """All 0-1 states, by ``ZeroOneSearch`` over the maximal cliques.
 
     An empty result is meaningful: it is the defining property of a
-    Kochen-Specker scenario.  Output is sorted by the value tuple taken in
+    Kochen-Specker scenario.  Variables are decided by descending degree;
+    every node visits both values, so the node count does not depend on
+    which value comes first.  Output is sorted by the value tuple taken in
     vertex order.
     """
-    verts = list(graph.vertices)
+    verts = graph.vertices
     n = len(verts)
     if n == 0:
         return []
-    cliques = [tuple(graph._index[v] for v in c) for c in graph.maximal_cliques()]
-    member = [[] for _ in range(n)]
-    for ci, c in enumerate(cliques):
-        for v in c:
-            member[v].append(ci)
-    adj = [sorted(graph._index[w] for w in graph._adj[v]) for v in verts]
+    index = graph._index
+    cliques = [tuple(index[v] for v in c) for c in graph.maximal_cliques()]
+    adj = [sorted(index[w] for w in graph._adj[v]) for v in verts]
     order = sorted(range(n), key=lambda i: (-len(adj[i]), verts[i]))
-
-    assign: list[int] = [-1] * n
-    nodes = 0
-    results: list[frozenset[str]] = []
-
-    def propagate(trail: list[int]) -> bool:
-        # Fixpoint: a 1 zeroes its neighbors; a clique with all but one vertex
-        # at 0 forces the survivor to 1; an all-zero clique is contradictory.
-        changed = True
-        while changed:
-            changed = False
-            for ci, c in enumerate(cliques):
-                ones = sum(1 for v in c if assign[v] == 1)
-                if ones > 1:
-                    return False
-                unassigned = [v for v in c if assign[v] == -1]
-                if ones == 1:
-                    for v in unassigned:
-                        assign[v] = 0
-                        trail.append(v)
-                        changed = True
-                elif not unassigned:
-                    return False
-                elif len(unassigned) == 1:
-                    v = unassigned[0]
-                    assign[v] = 1
-                    trail.append(v)
-                    for w in adj[v]:
-                        if assign[w] == 1:
-                            return False
-                        if assign[w] == -1:
-                            assign[w] = 0
-                            trail.append(w)
-                    changed = True
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for v in trail:
-            assign[v] = -1
-
-    def backtrack(pos: int) -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(nodes, budget)
-        while pos < n and assign[order[pos]] != -1:
-            pos += 1
-        if pos == n:
-            ones = frozenset(verts[i] for i in range(n) if assign[i] == 1)
-            results.append(ones)
-            return
-        v = order[pos]
-        for value in (0, 1):
-            trail = [v]
-            assign[v] = value
-            ok = True
-            if value == 1:
-                for w in adj[v]:
-                    if assign[w] == 1:
-                        ok = False
-                        break
-                    if assign[w] == -1:
-                        assign[w] = 0
-                        trail.append(w)
-            if ok:
-                ok = propagate(trail)
-            if ok:
-                backtrack(pos + 1)
-            undo(trail)
-
-    backtrack(0)
-    states = [ZeroOneState(graph, ones) for ones in set(results)]
-    states.sort(key=lambda s: s.as_tuple())
-    return states
+    found = sorted(ZeroOneSearch(n, adj, cliques, order, budget))
+    return [
+        ZeroOneState(graph, frozenset(verts[i] for i in range(n) if bits[i] == 1))
+        for bits in found
+    ]
 
 
 def _refine_colors(n: int, adj: list[set[int]], init: list[int]) -> list[int]:

@@ -17,6 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import Incompatible, InconsistentGluing, NotAGraphState, NotAPBA, UnknownElement
 from .graphs import ExclusivityGraph
+from .systems import first_lep_violation, first_transitivity_violation, neg_image, order_atoms
 
 Local = tuple[int, frozenset]
 
@@ -94,6 +95,7 @@ class PastedPBA:
         self._close()
         self._validate_consistency()
         self._build_catalog()
+        self._order_rows: tuple[list[int], list[int]] | None = None
         self.axiom_report = self._check_axiom(axiom_check_size)
 
     # -- union-find ---------------------------------------------------------
@@ -271,42 +273,33 @@ class PastedPBA:
         root = self._find((i, self._ctx_reps[a][i] | self._ctx_reps[b][i]))
         return self.element_names[self._root_pos[root]]
 
+    def _order(self) -> tuple[list[int], list[int]]:
+        """Order bit rows (bit b of row a iff a <= b) and their ``neg_image``."""
+        if self._order_rows is None:
+            n = len(self.element_names)
+            rows = [sum(1 << b for b in range(n) if self._leq_idx(a, b)) for a in range(n)]
+            self._order_rows = rows, neg_image(rows, self._comp)
+        return self._order_rows
+
     def exclusive(self, x: str, y: str) -> bool:
-        """Exhaustive witness search: some c has x <= c and y <= not-c."""
-        a, b = self._idx(x), self._idx(y)
-        for c in range(len(self.element_names)):
-            if self._leq_idx(a, c) and self._leq_idx(b, self._comp[c]):
-                return True
-        return False
+        """Some c has x <= c and y <= not-c."""
+        rows, neg = self._order()
+        return bool(rows[self._idx(x)] & neg[self._idx(y)])
 
     # -- law checks -----------------------------------------------------------
 
+    def _result(self, violation: tuple | None) -> CheckResult:
+        if violation is None:
+            return CheckResult(True)
+        return CheckResult(False, tuple(self.element_names[k] for k in violation))
+
     def check_lep(self) -> CheckResult:
         """First pair that is exclusive yet incompatible, in canonical order."""
-        n = len(self.element_names)
-        for a in range(n):
-            for b in range(a + 1, n):
-                if self._compatible_idx(a, b):
-                    continue
-                if self.exclusive(self.element_names[a], self.element_names[b]):
-                    return CheckResult(False, (self.element_names[a], self.element_names[b]))
-        return CheckResult(True)
+        return self._result(first_lep_violation(*self._order(), self._compatible_idx)[0])
 
     def check_transitivity(self) -> CheckResult:
         """First chain x <= y <= z with x not below z, in canonical order."""
-        n = len(self.element_names)
-        leq = [[self._leq_idx(a, b) for b in range(n)] for a in range(n)]
-        for a in range(n):
-            for b in range(n):
-                if not leq[a][b]:
-                    continue
-                for c in range(n):
-                    if leq[b][c] and not leq[a][c]:
-                        return CheckResult(
-                            False,
-                            (self.element_names[a], self.element_names[b], self.element_names[c]),
-                        )
-        return CheckResult(True)
+        return self._result(first_transitivity_violation(self._order()[0])[0])
 
     def _check_axiom(self, max_size: int) -> AxiomReport:
         # Bounded verification of the defining axiom: every pairwise-compatible
@@ -341,16 +334,8 @@ class PastedPBA:
     # -- atoms ----------------------------------------------------------------
 
     def atoms(self) -> tuple[str, ...]:
-        n = len(self.element_names)
-        zero = self._by_name["0"]
-        out = []
-        for a in range(n):
-            if a == zero:
-                continue
-            if any(b != zero and b != a and self._leq_idx(b, a) for b in range(n)):
-                continue
-            out.append(self.element_names[a])
-        return tuple(out)
+        rows, _ = self._order()
+        return tuple(self.element_names[a] for a in order_atoms(rows, self._by_name["0"]))
 
     def atom_graph(self) -> ExclusivityGraph:
         atoms = self.atoms()

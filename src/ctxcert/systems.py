@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     BackendMismatch,
@@ -94,6 +94,64 @@ class EpbaReport:
     @property
     def holds(self) -> bool:
         return self.lep_holds and self.transitivity_holds
+
+
+# -- order audits on bit rows ---------------------------------------------------
+#
+# Shared by quantum and pasted systems: ``rows[i]`` has bit j set iff element
+# i <= element j, and ``comp[i]`` is the index of the complement of element i.
+
+
+def order_atoms(rows: Sequence[int], zero: int) -> list[int]:
+    """Atoms, the minimal nonzero elements, in index order."""
+    covered = 0
+    for j, row in enumerate(rows):
+        if j != zero:
+            covered |= row & ~(1 << j)
+    return [i for i in range(len(rows)) if i != zero and not covered >> i & 1]
+
+
+def neg_image(rows: Sequence[int], comp: Sequence[int]) -> list[int]:
+    """Bit c of entry j is set iff j <= comp[c].
+
+    Elements i and j are exclusive (some c has i <= c and j <= comp[c])
+    exactly when ``rows[i] & neg_image[j]`` is nonzero.
+    """
+    return [sum(1 << c for c, k in enumerate(comp) if row >> k & 1) for row in rows]
+
+
+def first_lep_violation(
+    rows: Sequence[int], neg: Sequence[int], compatible: Callable[[int, int], bool]
+) -> tuple[tuple[int, int] | None, int]:
+    """First pair i < j, in index order, that is exclusive but not
+    ``compatible``, and the number of pairs examined up to it."""
+    n = len(rows)
+    pairs = 0
+    for i in range(n):
+        row = rows[i]
+        for j in range(i + 1, n):
+            if row & neg[j] and not compatible(i, j):
+                return (i, j), pairs + j - i
+        pairs += n - 1 - i
+    return None, pairs
+
+
+def first_transitivity_violation(
+    rows: Sequence[int],
+) -> tuple[tuple[int, int, int] | None, int]:
+    """First chain i <= j <= k with i not below k, in index order, and the
+    number of pairs i <= j examined up to it."""
+    chains = 0
+    for i, row_i in enumerate(rows):
+        m = row_i
+        while m:
+            j = (m & -m).bit_length() - 1
+            m &= m - 1
+            chains += 1
+            bad = rows[j] & ~row_i
+            if bad:
+                return (i, j, (bad & -bad).bit_length() - 1), chains
+    return None, chains
 
 
 class QuantumSystem:
@@ -215,19 +273,6 @@ class QuantumSystem:
 
     # -- atoms -----------------------------------------------------------------
 
-    def _compute_atom_indices(self) -> list[int]:
-        rows = self._ensure_leq()
-        n = len(self.elements)
-        zero = self.zero_index
-        atoms = []
-        for i in range(n):
-            if i == zero:
-                continue
-            below = [j for j in range(n) if rows[j] >> i & 1 and j not in (i, zero)]
-            if not below:
-                atoms.append(i)
-        return atoms
-
     def atom_indices(self) -> list[int]:
         """Atom element indices, labeled atoms first (the atom-graph order)."""
         self._ensure_labels()
@@ -236,7 +281,7 @@ class QuantumSystem:
     def _ensure_labels(self) -> list[str]:
         if self._labels is not None:
             return self._labels
-        atoms = self._compute_atom_indices()
+        atoms = order_atoms(self._ensure_leq(), self.zero_index)
         assigned: dict[int, str] = {}
         ordered: list[int] = []
         for name, proj in self._atom_labels_arg.items():
@@ -368,48 +413,16 @@ class QuantumSystem:
         element order is transitive.  Any violation signals a bug or a
         tolerance failure, never valid physics."""
         rows = self._ensure_leq()
-        comp = self._ensure_comp()
-        n = len(self.elements)
-        neg_image = [0] * n
-        for j in range(n):
-            row = rows[j]
-            mask = 0
-            for c in range(n):
-                if row >> comp[c] & 1:
-                    mask |= 1 << c
-            neg_image[j] = mask
-
-        lep_violation = None
-        pairs = 0
-        for i in range(n):
-            for j in range(i + 1, n):
-                pairs += 1
-                if rows[i] & neg_image[j]:
-                    # Exclusive pair; in a projector algebra this forces a
-                    # vanishing product, hence compatibility.
-                    if not self.elements[i].mat.mul(self.elements[j].mat).is_zero():
-                        lep_violation = (i, j)
-                        break
-            if lep_violation:
-                break
-
-        transitivity_violation = None
-        chains = 0
-        for i in range(n):
-            row_i = rows[i]
-            m = row_i
-            while m:
-                j = (m & -m).bit_length() - 1
-                m &= m - 1
-                chains += 1
-                bad = rows[j] & ~row_i
-                if bad:
-                    k = (bad & -bad).bit_length() - 1
-                    transitivity_violation = (i, j, k)
-                    break
-            if transitivity_violation:
-                break
-
+        mats = [p.mat for p in self.elements]
+        # An exclusive pair of projectors has a vanishing product, hence
+        # commutes; the product is formed here so that this audit stays
+        # independent of the trace kernel that built the order rows.
+        lep_violation, pairs = first_lep_violation(
+            rows,
+            neg_image(rows, self._ensure_comp()),
+            lambda i, j: mats[i].mul(mats[j]).is_zero(),
+        )
+        transitivity_violation, chains = first_transitivity_violation(rows)
         return EpbaReport(
             lep_holds=lep_violation is None,
             transitivity_holds=transitivity_violation is None,

@@ -16,10 +16,11 @@ from typing import Sequence
 from .errors import (
     DimensionMismatch,
     OrthogonalityCheckFailed,
+    OutOfRange,
     SearchBudgetExceeded,
     UnknownElement,
 )
-from .graphs import DEFAULT_SEARCH_BUDGET, ExclusivityGraph
+from .graphs import DEFAULT_SEARCH_BUDGET, ExclusivityGraph, ZeroOneSearch
 from .linalg import DEFAULT_TOL, EXACT, FLOAT, Projector, projector_from_vector
 
 
@@ -181,109 +182,27 @@ def ks_assignment_search(
     """Search for a 0/1 assignment with no two orthogonal 1s and exactly one 1
     per complete basis.
 
-    Backtracks over vectors in declared order trying 1 before 0, so the first
-    complete assignment found gives the 1 to the earliest vectors possible.
-    Constraint propagation: a 1 zeroes all orthogonal vectors; a complete
-    basis with all but one vector at 0 forces the last to 1.  ``forced`` pins
-    chosen vectors before the search starts (a conditioned search).
+    Runs ``ZeroOneSearch`` over vectors in declared order, trying 1 before 0,
+    so the first complete assignment found gives the 1 to the earliest
+    vectors possible.  ``forced`` pins chosen vectors to 0 or 1 before the
+    search starts (a conditioned search); a pin that contradicts the
+    constraints ends the search with no assignment and 0 nodes.
     """
+    seed = {}
+    for name, value in (forced or {}).items():
+        if value not in (0, 1):
+            raise OutOfRange(f"forced value {value!r} for vector {name!r} is not 0 or 1")
+        seed[vs.index(name)] = value
     n = len(vs.vectors)
     orth = [[] for _ in range(n)]
     for i, j in vs._orth:
         orth[i].append(j)
         orth[j].append(i)
     full_bases = [b.indices for b in vs.bases if b.complete]
-    member = [[] for _ in range(n)]
-    for bi, basis in enumerate(full_bases):
-        for v in basis:
-            member[v].append(bi)
-
-    assign = [-1] * n
-    nodes = 0
-
-    def propagate(trail: list[int]) -> bool:
-        changed = True
-        while changed:
-            changed = False
-            for basis in full_bases:
-                ones = sum(1 for v in basis if assign[v] == 1)
-                if ones > 1:
-                    return False
-                unassigned = [v for v in basis if assign[v] == -1]
-                if ones == 1:
-                    for v in unassigned:
-                        assign[v] = 0
-                        trail.append(v)
-                        changed = True
-                elif not unassigned:
-                    return False
-                elif len(unassigned) == 1:
-                    v = unassigned[0]
-                    assign[v] = 1
-                    trail.append(v)
-                    for w in orth[v]:
-                        if assign[w] == 1:
-                            return False
-                        if assign[w] == -1:
-                            assign[w] = 0
-                            trail.append(w)
-                    changed = True
-        return True
-
-    def undo(trail: list[int]) -> None:
-        for v in trail:
-            assign[v] = -1
-
-    def backtrack(pos: int) -> dict[str, int] | None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise SearchBudgetExceeded(nodes, budget)
-        while pos < n and assign[pos] != -1:
-            pos += 1
-        if pos == n:
-            return {vs.names[i]: assign[i] for i in range(n)}
-        for value in (1, 0):
-            trail = [pos]
-            assign[pos] = value
-            ok = True
-            if value == 1:
-                for w in orth[pos]:
-                    if assign[w] == 1:
-                        ok = False
-                        break
-                    if assign[w] == -1:
-                        assign[w] = 0
-                        trail.append(w)
-            if ok:
-                ok = propagate(trail)
-            if ok:
-                found = backtrack(pos + 1)
-                if found is not None:
-                    return found
-            undo(trail)
-        return None
-
-    if forced:
-        trail: list[int] = []
-        ok = True
-        for name, value in forced.items():
-            i = vs.index(name)
-            assign[i] = value
-            trail.append(i)
-            if value == 1:
-                for w in orth[i]:
-                    if assign[w] == 1:
-                        ok = False
-                    elif assign[w] == -1:
-                        assign[w] = 0
-                        trail.append(w)
-        ok = ok and propagate(trail)
-        if not ok:
-            return KSSearchResult(None, 0)
-
-    result = backtrack(0)
-    return KSSearchResult(result, nodes)
+    search = ZeroOneSearch(n, orth, full_bases, range(n), budget, seed)
+    bits = next(iter(search), None)
+    assignment = None if bits is None else dict(zip(vs.names, bits))
+    return KSSearchResult(assignment, search.nodes)
 
 
 def brute_force_ks_assignments(vs: VectorSet) -> list[dict[str, int]]:

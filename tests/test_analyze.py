@@ -22,7 +22,7 @@ from ctxcert.analyze import (
     scenario_classical,
     zero_one_states,
 )
-from ctxcert.errors import MissingAtom
+from ctxcert.errors import MissingAtom, NotAGraphState
 from ctxcert.graphs import ExclusivityGraph, PBAState, enumerate_zero_one_states
 from ctxcert.linalg import ExactMatrix, Projector
 from ctxcert.systems import generate_system
@@ -264,6 +264,29 @@ def test_lift_witness_is_new_ray_and_identity(q_lift):
     report = scenario_classical(q_lift)
     assert not report.embeddable
     assert report.witness == ("kprime", "1")
+
+
+@pytest.mark.parametrize("system", ["q_kcbs", "q_lift"])
+def test_embedding_agrees_with_extended_states(request, system):
+    # Reference: every element's value on every 0-1 state, by extending the
+    # state through the element's atomic decomposition.
+    q = request.getfixturevalue(system)
+    s01 = zero_one_states(q)
+    extended = [q.extend_state(lam.as_state()) for lam in s01]
+    fingerprints = [tuple(e.eval_index(i) for e in extended) for i in range(len(q))]
+    report = scenario_classical(q, s01)
+    assert report.embeddable == (len(set(fingerprints)) == len(q))
+    if report.witness:
+        lo, hi = (
+            next(i for i in range(len(q)) if q.element_name(i) == name)
+            for name in report.witness
+        )
+        assert lo != hi and fingerprints[lo] == fingerprints[hi]
+
+
+def test_embedding_rejects_states_of_another_graph(q_kcbs):
+    with pytest.raises(NotAGraphState):
+        scenario_classical(q_kcbs, enumerate_zero_one_states(wheel_graph()))
 
 
 # -- classification -----------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -136,6 +137,55 @@ def test_budget_exceeded():
     g = kcbs_graph()
     with pytest.raises(SearchBudgetExceeded):
         enumerate_zero_one_states(g, budget=3)
+
+
+@pytest.mark.parametrize(
+    "system, budget",
+    [("q_kcbs", 21), ("q_ceg", 16), ("q_ceg_prime", 16), ("q_lift", 18), ("q_twelve", 17)],
+)
+def test_smallest_passing_budget_is_pinned(request, system, budget):
+    # The node counts of the builtin listings; a change to the search that
+    # moves them changes what --budget means.
+    graph = request.getfixturevalue(system).atom_graph()
+    enumerate_zero_one_states(graph, budget=budget)
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_zero_one_states(graph, budget=budget - 1)
+
+
+def test_edgeless_graph_is_settled_by_the_first_propagation():
+    # Every vertex is its own maximal clique.  The propagation after the first
+    # decision examines every clique and forces all the other vertices to 1.
+    g = ExclusivityGraph([f"v{i}" for i in range(6)], [])
+    states = enumerate_zero_one_states(g, budget=2)
+    assert [s.ones for s in states] == [frozenset(g.vertices)]
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_zero_one_states(g, budget=1)
+
+
+def brute_force_zero_one(g):
+    verts = g.vertices
+    out = []
+    for bits in itertools.product((0, 1), repeat=len(verts)):
+        ones = frozenset(v for v, b in zip(verts, bits) if b)
+        if all(len(ones.intersection(c)) == 1 for c in g.maximal_cliques()):
+            out.append(bits)
+    return sorted(out)
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(min_value=1, max_value=10))
+    verts = [f"v{i}" for i in range(n)]
+    pairs = list(itertools.combinations(verts, 2))
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return ExclusivityGraph(verts, edges)
+
+
+@given(small_graphs())
+@settings(max_examples=150, deadline=None)
+def test_enumeration_matches_brute_force(g):
+    # Sparse draws leave isolated vertices, which are one-vertex cliques.
+    assert [s.as_tuple() for s in enumerate_zero_one_states(g)] == brute_force_zero_one(g)
 
 
 def test_isomorphic_relabelled_cycle():

@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ctxcert.catalog import b2_pasted
-from ctxcert.errors import Incompatible, InconsistentGluing, UnknownElement
-from ctxcert.pasted import build_pasted_pba
+from ctxcert.errors import Incompatible, InconsistentGluing, NotAPBA, UnknownElement
+from ctxcert.pasted import CheckResult, build_pasted_pba
 
 
 @pytest.fixture(scope="module")
@@ -212,3 +212,94 @@ def test_order_disagreement_is_rejected():
                 (("C1", ["a", "b"]), ("C2", ["d"])),
             ],
         )
+
+
+# -- reference oracle for the order laws -----------------------------------------
+#
+# The direct definitions, evaluated element by element: exclusivity searches
+# every c for x <= c and y <= not-c.  The structure answers the same questions
+# from its order bit rows.
+
+
+def reference_exclusive(pba, a, b):
+    return any(
+        pba._leq_idx(a, c) and pba._leq_idx(b, pba._comp[c])
+        for c in range(len(pba.element_names))
+    )
+
+
+def reference_laws(pba):
+    names = pba.element_names
+    n = len(names)
+    leq = [[pba._leq_idx(a, b) for b in range(n)] for a in range(n)]
+    zero = names.index("0")
+    atoms = tuple(
+        names[a]
+        for a in range(n)
+        if a != zero and not any(b not in (a, zero) and leq[b][a] for b in range(n))
+    )
+    lep = next(
+        (
+            (names[a], names[b])
+            for a in range(n)
+            for b in range(a + 1, n)
+            if not pba._compatible_idx(a, b) and reference_exclusive(pba, a, b)
+        ),
+        None,
+    )
+    transitivity = next(
+        (
+            (names[a], names[b], names[c])
+            for a in range(n)
+            for b in range(n)
+            if leq[a][b]
+            for c in range(n)
+            if leq[b][c] and not leq[a][c]
+        ),
+        None,
+    )
+    return atoms, lep, transitivity
+
+
+def assert_laws_match_reference(pba):
+    atoms, lep, transitivity = reference_laws(pba)
+    assert pba.atoms() == atoms
+    assert pba.check_lep() == CheckResult(lep is None, lep)
+    assert pba.check_transitivity() == CheckResult(transitivity is None, transitivity)
+    names = pba.element_names
+    for (a, x), (b, y) in product(enumerate(names), repeat=2):
+        assert pba.exclusive(x, y) == reference_exclusive(pba, a, b)
+
+
+def test_b2_laws_match_reference(b2):
+    assert_laws_match_reference(b2)
+
+
+@st.composite
+def pastings(draw):
+    atoms = draw(
+        st.lists(
+            st.lists(st.sampled_from("abcdefg"), min_size=2, max_size=4, unique=True),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    contexts = [(f"C{i}", a) for i, a in enumerate(atoms)]
+    gluings = []
+    if len(atoms) > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, len(atoms) - 1), min_size=2, max_size=2, unique=True))
+        x = draw(st.lists(st.sampled_from(atoms[i]), unique=True))
+        y = draw(st.lists(st.sampled_from(atoms[j]), unique=True))
+        gluings.append(((f"C{i}", x), (f"C{j}", y)))
+    return contexts, gluings
+
+
+@given(pastings())
+@settings(max_examples=60, deadline=None)
+def test_pasted_laws_match_reference(pasting):
+    contexts, gluings = pasting
+    try:
+        pba = build_pasted_pba(contexts, gluings)
+    except (InconsistentGluing, NotAPBA):
+        assume(False)
+    assert_laws_match_reference(pba)

@@ -7,8 +7,8 @@ import random
 
 import pytest
 
-from ctxcert.catalog import CEG_REMOVED_VECTOR, ceg_prime, ceg_set
-from ctxcert.errors import OrthogonalityCheckFailed, SearchBudgetExceeded
+from ctxcert.catalog import BUILTINS, CEG_REMOVED_VECTOR, ceg_prime, ceg_set
+from ctxcert.errors import OrthogonalityCheckFailed, OutOfRange, SearchBudgetExceeded
 from ctxcert.vectorsets import (
     Basis,
     VectorSet,
@@ -123,6 +123,37 @@ def test_budget_respected():
     vs = ceg_set()
     with pytest.raises(SearchBudgetExceeded):
         ks_assignment_search(vs, budget=2)
+
+
+@pytest.mark.parametrize(
+    "name, nodes", [("ceg", 15), ("ceg17", 7), ("ceg-lift", 17), ("ceg-gen12", 15), ("kcbs", 3)]
+)
+def test_search_nodes_are_pinned(name, nodes):
+    # The node counts that ks-check reports; a budget of exactly that many
+    # nodes passes and one fewer trips.
+    vs = BUILTINS[name].vector_set()
+    assert ks_assignment_search(vs).nodes == nodes
+    assert ks_assignment_search(vs, budget=nodes).nodes == nodes
+    with pytest.raises(SearchBudgetExceeded):
+        ks_assignment_search(vs, budget=nodes - 1)
+
+
+def test_forced_search_nodes_are_pinned():
+    result = ks_assignment_search(lift_ks_set(ceg_set()), forced={"kprime": 0})
+    assert not result.found and result.nodes == 15
+
+
+def test_forced_conflict_explores_no_nodes():
+    vs = VectorSet(3, ["a", "b", "c"], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [Basis((0, 1, 2))])
+    result = ks_assignment_search(vs, forced={"a": 1, "b": 1})
+    assert result.assignment is None and result.nodes == 0
+
+
+@pytest.mark.parametrize("value", [2, -1])
+def test_forced_value_must_be_zero_or_one(value):
+    vs = VectorSet(3, ["a", "b", "c"], [(1, 0, 0), (0, 1, 0), (0, 0, 1)], [Basis((0, 1, 2))])
+    with pytest.raises(OutOfRange, match="'a'"):
+        ks_assignment_search(vs, forced={"a": value})
 
 
 # -- lifting --------------------------------------------------------------------
