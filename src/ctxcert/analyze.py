@@ -292,31 +292,28 @@ def _separation_lp(
     nf = len(free)
     m = len(states)
     ncols = 2 * nf + 2 + m
-    a: list[list[Fraction]] = []
-    b: list[Fraction] = []
+    a: list[list[int]] = []
+    b: list[int] = []
     for k, lam in enumerate(states):
-        row = [Fraction(0)] * ncols
-        total = Fraction(0)
+        row = [0] * ncols
         for i, v in enumerate(free):
-            val = Fraction(lam.value(v))
-            row[i] = val
-            total += val
-        row[2 * nf] = Fraction(-1)  # cp
-        row[2 * nf + 1] = Fraction(1)  # cm
-        row[2 * nf + 2 + k] = Fraction(1)  # slack
+            row[i] = lam.value(v)
+        row[2 * nf] = -1  # cp
+        row[2 * nf + 1] = 1  # cm
+        row[2 * nf + 2 + k] = 1  # slack
         a.append(row)
-        b.append(total)
+        b.append(sum(row[:nf]))
     for i in range(nf):
-        row = [Fraction(0)] * ncols
-        row[i] = Fraction(1)
-        row[nf + i] = Fraction(1)
+        row = [0] * ncols
+        row[i] = 1
+        row[nf + i] = 1
         a.append(row)
-        b.append(Fraction(2))
-    c = [Fraction(0)] * ncols
+        b.append(2)
+    c: list = [0] * ncols
     for i, v in enumerate(free):
         c[i] = target[v]
-    c[2 * nf] = Fraction(-1)
-    c[2 * nf + 1] = Fraction(1)
+    c[2 * nf] = -1
+    c[2 * nf + 1] = 1
     res = solve_standard(a, b, c, maximize=True)
     if res.status != OPTIMAL:
         raise CertificateError(f"separation LP ended with status {res.status}")
@@ -332,14 +329,14 @@ def _membership_lp(
     target: Mapping[str, Fraction],
 ) -> dict[int, Fraction]:
     m = len(states)
-    a: list[list[Fraction]] = []
+    a: list[list[int]] = []
     b: list[Fraction] = []
     for v in free:
-        a.append([Fraction(states[k].value(v)) for k in range(m)])
+        a.append([states[k].value(v) for k in range(m)])
         b.append(target[v])
-    a.append([Fraction(1)] * m)
+    a.append([1] * m)
     b.append(Fraction(1))
-    res = solve_standard(a, b, [Fraction(0)] * m)
+    res = solve_standard(a, b, [0] * m)
     if res.status != OPTIMAL:
         raise CertificateError(
             "membership LP infeasible although separation found no cutting plane"

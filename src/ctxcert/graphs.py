@@ -285,25 +285,41 @@ class ZeroOneSearch:
                     return
             if not self._propagate(trail, everything=True):
                 return
-        yield from self._descend(0, root=True)
-
-    def _descend(self, pos: int, root: bool = False) -> Iterator[tuple[int, ...]]:
-        self.nodes += 1
-        if self.nodes > self.budget:
-            raise SearchBudgetExceeded(self.nodes, self.budget)
         assign, order = self.assign, self.order
-        while pos < len(order) and assign[order[pos]] != -1:
-            pos += 1
-        if pos == len(order):
-            yield tuple(assign)
-            return
-        v = order[pos]
-        for value in (1, 0):
-            trail: list[int] = []
-            if self._set(v, value, trail) and self._propagate(trail, everything=root):
-                yield from self._descend(pos + 1)
-            for w in trail:
-                assign[w] = -1
+        # Depth-first with an explicit stack, so the depth is not bounded by
+        # the interpreter's recursion limit.  A frame is one decision: its
+        # position in ``order``, the next value to try (1, 0, then -1 for
+        # none left), and the trail of the value now being explored.
+        stack: list[list] = []
+        pos = 0
+        while True:
+            self.nodes += 1
+            if self.nodes > self.budget:
+                raise SearchBudgetExceeded(self.nodes, self.budget)
+            while pos < len(order) and assign[order[pos]] != -1:
+                pos += 1
+            if pos == len(order):
+                yield tuple(assign)
+            else:
+                stack.append([pos, 1, []])
+            while stack:
+                frame = stack[-1]
+                for w in frame[2]:
+                    assign[w] = -1
+                value = frame[1]
+                if value < 0:
+                    stack.pop()
+                    continue
+                frame[1] = value - 1
+                trail = frame[2] = []
+                root = len(stack) == 1
+                if self._set(order[frame[0]], value, trail) and self._propagate(
+                    trail, everything=root
+                ):
+                    pos = frame[0] + 1
+                    break
+            else:
+                return
 
 
 def enumerate_zero_one_states(

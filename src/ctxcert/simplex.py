@@ -1,14 +1,25 @@
-"""Two-phase primal simplex over exact rationals.
+"""Two-phase primal simplex over exact rationals, on an integer tableau.
 
-Verdicts downstream must be unconditional, so everything here is Fraction
-arithmetic with Bland's anti-cycling rule.  Problem sizes are tiny (tens of
-rows and columns), which makes the dense tableau the right data structure.
+Verdicts downstream must be unconditional, so the arithmetic is exact: the
+tableau is integer-preserving (fraction-free, Edmonds 1967 / Bareiss 1968).
+It holds T = D * B^-1 [A | I | b] as Python ints with one common
+denominator D = |det B|, plus the reduced-cost row scaled the same way, so
+a pivot on (r, c) with p = T[r][c] is the exact integer update
+(p*T[i][j] - T[i][c]*T[r][j]) // D, after which D becomes p.
+
+Each constraint row is scaled once by the lcm of its denominators.  Its
+artificial keeps the unit column and so stands for that multiple of the
+unscaled artificial; giving it the reciprocal phase-1 cost makes this the
+same LP with the same reduced-cost signs and ratios.  Bland's rule, first
+improving column and then the smallest basic index among tied ratios,
+therefore takes the pivots a rational tableau would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Sequence
 
 OPTIMAL = "optimal"
@@ -21,52 +32,72 @@ class LPResult:
     status: str
     x: tuple[Fraction, ...] | None
     value: Fraction | None
+    pivots: int  # phase 1, drive-out of artificials and phase 2 together
 
 
-def _pivot(tableau: list[list[Fraction]], basis: list[int], row: int, col: int) -> None:
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
-    for r, line in enumerate(tableau):
-        if r != row and line[col] != 0:
-            f = line[col]
-            prow = tableau[row]
-            tableau[r] = [v - f * p for v, p in zip(line, prow)]
-    basis[row] = col
+def _integer_row(values: Sequence) -> tuple[list[int], int]:
+    """The row times the lcm of its denominators, and that lcm."""
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    scale = lcm(*(f.denominator for f in fracs))
+    return [f.numerator * (scale // f.denominator) for f in fracs], scale
 
 
-def _run(
-    tableau: list[list[Fraction]],
-    basis: list[int],
-    cost: list[Fraction],
-    allowed: Sequence[bool],
-) -> str:
-    m = len(tableau)
-    width = len(tableau[0])
-    while True:
-        # Reduced costs from the canonical tableau: r_j = c_j - c_B . column_j.
-        cb = [cost[basis[i]] for i in range(m)]
-        entering = -1
-        for j in range(width - 1):
-            if not allowed[j] or j in basis:
+class _Tableau:
+    """Constraint rows, then the reduced-cost row, over one denominator."""
+
+    def __init__(self, rows: list[list[int]], basis: list[int]):
+        self.rows = rows
+        self.basis = basis
+        self.den = 1
+        self.pivots = 0
+
+    def pivot(self, r: int, c: int) -> None:
+        rows, den = self.rows, self.den
+        p = rows[r][c]
+        if p < 0:
+            # Only drive-out pivots can be negative; negating the pivot row
+            # keeps the denominator, and so every sign test, positive.
+            p = -p
+            rows[r] = [-w for w in rows[r]]
+        prow = rows[r]
+        for i, line in enumerate(rows):
+            if i == r:
                 continue
-            r = cost[j] - sum(cb[i] * tableau[i][j] for i in range(m))
-            if r < 0:
-                entering = j  # Bland: first improving index
-                break
-        if entering < 0:
-            return OPTIMAL
-        leaving = -1
-        best: Fraction | None = None
-        for i in range(m):
-            a = tableau[i][entering]
-            if a > 0:
-                ratio = tableau[i][-1] / a
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leaving]):
-                    best = ratio
-                    leaving = i
-        if leaving < 0:
-            return UNBOUNDED
-        _pivot(tableau, basis, leaving, entering)
+            f = line[c]
+            if f:
+                rows[i] = [(p * v - f * w) // den for v, w in zip(line, prow)]
+            elif p != den:
+                rows[i] = [p * v // den for v in line]
+        self.den = p
+        self.basis[r] = c
+        self.pivots += 1
+
+    def run(self, allowed: int) -> str:
+        """Bland's rule over the first ``allowed`` columns until optimal or unbounded."""
+        rows, basis = self.rows, self.basis
+        m = len(basis)
+        cost = rows[m]
+        while True:
+            # Basic columns have reduced cost 0, so the first negative entry
+            # is the first improving nonbasic column.
+            entering = next((j for j in range(allowed) if cost[j] < 0), -1)
+            if entering < 0:
+                return OPTIMAL
+            leaving = -1
+            for i in range(m):
+                a = rows[i][entering]
+                if a > 0:
+                    if leaving < 0:
+                        leaving, best_b, best_a = i, rows[i][-1], a
+                        continue
+                    # rows[i][-1] / a against best_b / best_a, both a > 0.
+                    lhs, rhs = rows[i][-1] * best_a, best_b * a
+                    if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
+                        leaving, best_b, best_a = i, rows[i][-1], a
+            if leaving < 0:
+                return UNBOUNDED
+            self.pivot(leaving, entering)
+            cost = rows[m]
 
 
 def solve_standard(
@@ -79,60 +110,62 @@ def solve_standard(
     if maximize:
         obj = [-v for v in obj]
 
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
+    # Phase 1: rows with b >= 0 scaled to integers, artificial identity basis.
+    rows: list[list[int]] = []
+    scales: list[int] = []
     for i in range(m):
-        line = [Fraction(v) for v in a[i]]
-        bi = Fraction(b[i])
-        if bi < 0:
+        line, scale = _integer_row([*a[i], b[i]])
+        if line[-1] < 0:
             line = [-v for v in line]
-            bi = -bi
-        rows.append(line)
-        rhs.append(bi)
-
-    # Phase 1: artificial identity basis.
-    width = n + m + 1
-    tableau = []
-    for i in range(m):
-        line = rows[i] + [Fraction(0)] * m + [rhs[i]]
-        line[n + i] = Fraction(1)
-        tableau.append(line)
-    basis = [n + i for i in range(m)]
-    phase1_cost = [Fraction(0)] * n + [Fraction(1)] * m
-    allowed = [True] * (n + m)
-    status = _run(tableau, basis, phase1_cost, allowed)
+        unit = [0] * m
+        unit[i] = 1
+        rows.append(line[:-1] + unit + line[-1:])
+        scales.append(scale)
+    # Artificial i is scales[i] times the unscaled one, so its cost is
+    # 1/scales[i]; the row below is that cost times their lcm, reduced.
+    common = lcm(*scales)
+    weights = [common // s for s in scales]
+    cost = [-sum(w * line[j] for w, line in zip(weights, rows)) for j in range(n)]
+    cost += [0] * m + [-sum(w * line[-1] for w, line in zip(weights, rows))]
+    rows.append(cost)
+    tab = _Tableau(rows, [n + i for i in range(m)])
+    status = tab.run(n + m)
     assert status == OPTIMAL, "phase 1 cannot be unbounded"
-    art_value = sum(
-        phase1_cost[basis[i]] * tableau[i][-1] for i in range(len(tableau))
-    )
-    if art_value > 0:
-        return LPResult(INFEASIBLE, None, None)
+    basis = tab.basis
+    if any(basis[i] >= n and rows[i][-1] for i in range(m)):
+        return LPResult(INFEASIBLE, None, None, tab.pivots)
 
     # Drive leftover zero-level artificials out of the basis; a row with no
     # structural column available is redundant and gets dropped.
     drop: list[int] = []
-    for i in range(len(tableau)):
+    for i in range(m):
         if basis[i] >= n:
-            col = next((j for j in range(n) if tableau[i][j] != 0), None)
+            col = next((j for j in range(n) if rows[i][j] != 0), None)
             if col is None:
                 drop.append(i)
             else:
-                _pivot(tableau, basis, i, col)
+                tab.pivot(i, col)
     for i in reversed(drop):
-        del tableau[i]
+        del rows[i]
         del basis[i]
 
-    # Phase 2: original objective, artificial columns disabled.
-    allowed = [True] * n + [False] * m
-    phase2_cost = obj + [Fraction(0)] * m
-    status = _run(tableau, basis, phase2_cost, allowed)
+    # Phase 2: original objective, artificial columns disabled.  The cost row
+    # is D times the reduced costs of the integer-scaled objective.
+    weight, _ = _integer_row(obj)
+    cost = [w * tab.den for w in weight] + [0] * (m + 1)
+    for line, col in zip(rows, basis):
+        w = weight[col] if col < n else 0
+        if w:
+            cost = [v - w * t for v, t in zip(cost, line)]
+    rows[-1] = cost
+    status = tab.run(n)
     if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, None)
+        return LPResult(UNBOUNDED, None, None, tab.pivots)
     x = [Fraction(0)] * n
-    for i, col in enumerate(basis):
+    for line, col in zip(rows, basis):
         if col < n:
-            x[col] = tableau[i][-1]
+            x[col] = Fraction(line[-1], tab.den)
     value = sum(o * v for o, v in zip(obj, x))
     if maximize:
         value = -value
-    return LPResult(OPTIMAL, tuple(x), value)
+    return LPResult(OPTIMAL, tuple(x), value, tab.pivots)

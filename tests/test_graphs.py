@@ -14,6 +14,7 @@ from ctxcert.errors import MissingVertex, NotAGraphState, SearchBudgetExceeded
 from ctxcert.graphs import (
     ExclusivityGraph,
     PBAState,
+    ZeroOneSearch,
     ZeroOneState,
     enumerate_zero_one_states,
     graphs_isomorphic,
@@ -160,6 +161,21 @@ def test_edgeless_graph_is_settled_by_the_first_propagation():
     assert [s.ones for s in states] == [frozenset(g.vertices)]
     with pytest.raises(SearchBudgetExceeded):
         enumerate_zero_one_states(g, budget=1)
+
+
+def test_deep_search_ends_in_budget_error_not_recursion_error():
+    # 1,100 disjoint edges: 2^1100 states, and a first state 1,100 decisions
+    # deep, past the interpreter's default recursion limit.
+    g = ExclusivityGraph(
+        [f"v{i}" for i in range(2200)], [(f"v{2 * i}", f"v{2 * i + 1}") for i in range(1100)]
+    )
+    with pytest.raises(SearchBudgetExceeded):
+        enumerate_zero_one_states(g, budget=3000)
+    pairs = [(2 * i, 2 * i + 1) for i in range(1100)]
+    search = ZeroOneSearch(2200, [[i ^ 1] for i in range(2200)], pairs, range(2200), 3000)
+    first = next(iter(search))
+    assert first == tuple(1 - i % 2 for i in range(2200))
+    assert search.nodes == 1101
 
 
 def brute_force_zero_one(g):
