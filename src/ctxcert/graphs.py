@@ -20,7 +20,16 @@ DEFAULT_SEARCH_BUDGET = 1_000_000
 class ExclusivityGraph:
     """Finite simple graph on named atoms; maximal cliques are the contexts."""
 
-    __slots__ = ("vertices", "edges", "_adj", "_cliques", "_index")
+    __slots__ = (
+        "vertices",
+        "edges",
+        "_adj",
+        "_cliques",
+        "_index",
+        "_vertex_set",
+        "_bit",
+        "_clique_masks",
+    )
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]]):
         self.vertices = tuple(vertices)
@@ -40,6 +49,11 @@ class ExclusivityGraph:
             self._adj[u].add(v)
             self._adj[v].add(u)
         self._cliques = self._maximal_cliques()
+        # Bit i stands for vertex i; maximal cliques as masks, for checking
+        # 0-1 states.
+        self._vertex_set = frozenset(self.vertices)
+        self._bit = {v: 1 << i for i, v in enumerate(self.vertices)}
+        self._clique_masks = tuple(sum(map(self._bit.get, c)) for c in self._cliques)
 
     def neighbors(self, v: str) -> frozenset[str]:
         return frozenset(self._adj[v])
@@ -166,14 +180,19 @@ class ZeroOneState:
     ones: frozenset[str]
 
     def __post_init__(self):
-        unknown = self.ones - set(self.graph.vertices)
+        # Clique counts on bitmasks.  Every edge lies in a maximal clique, so
+        # two adjacent 1s also break a clique; the adjacent pair is looked
+        # for, to name it, only once a clique is broken.
+        graph = self.graph
+        unknown = self.ones - graph._vertex_set
         if unknown:
             raise MissingVertex(f"unknown vertices {sorted(unknown)}")
-        for u, v in self.graph.edges:
-            if u in self.ones and v in self.ones:
-                raise NotAGraphState(f"adjacent vertices {u!r}, {v!r} both set to 1")
-        for clique in self.graph.maximal_cliques():
-            if sum(1 for v in clique if v in self.ones) != 1:
+        ones = sum(map(graph._bit.get, self.ones))
+        for clique, mask in zip(graph._cliques, graph._clique_masks):
+            if (mask & ones).bit_count() != 1:
+                for u, v in sorted(graph.edges):
+                    if u in self.ones and v in self.ones:
+                        raise NotAGraphState(f"adjacent vertices {u!r}, {v!r} both set to 1")
                 raise NotAGraphState(f"clique {clique} does not contain exactly one 1")
 
     def value(self, vertex: str) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from itertools import product
 from typing import Iterable, Sequence, Union
 
 from .errors import (
@@ -56,7 +57,7 @@ def _gcd_all(values: Iterable[int]) -> int:
 class ExactMatrix:
     """Square matrix of Gaussian rationals in normalized integer form."""
 
-    __slots__ = ("dim", "den", "re", "im", "_hash")
+    __slots__ = ("dim", "den", "re", "im", "_hash", "_sliced")
 
     def __init__(self, dim: int, den: int, re: tuple[int, ...], im: tuple[int, ...] | None):
         # Callers pass unnormalized data; reduce to gcd-1 form so that equal
@@ -81,6 +82,7 @@ class ExactMatrix:
         self.re = re
         self.im = im
         self._hash = hash((dim, den, re, im))
+        self._sliced = None
 
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence[ExactEntry]]) -> "ExactMatrix":
@@ -110,16 +112,32 @@ class ExactMatrix:
         im = self.im[k] if self.im is not None else 0
         return Fraction(self.re[k], self.den), Fraction(im, self.den)
 
+    def _slices(self) -> tuple:
+        """Rows and columns of the real and imaginary numerator grids.
+
+        Sliced on first use and kept, so a pair loop slices each element
+        once.  The imaginary slices are None for a real matrix.
+        """
+        if self._sliced is None:
+            d, re, im = self.dim, self.re, self.im
+            self._sliced = (
+                tuple(re[i * d : i * d + d] for i in range(d)),
+                tuple(re[j::d] for j in range(d)),
+                tuple(im[i * d : i * d + d] for i in range(d)) if im else None,
+                tuple(im[j::d] for j in range(d)) if im else None,
+            )
+        return self._sliced
+
     def mul(self, other: "ExactMatrix") -> "ExactMatrix":
         d = self.dim
-        a_rows = [self.re[i * d : i * d + d] for i in range(d)]
-        b_cols = [other.re[j::d] for j in range(d)]
+        a_rows, _, ai_rows, _ = self._slices()
+        _, b_cols, _, bi_cols = other._slices()
         out_re = [_dot(row, col) for row in a_rows for col in b_cols]
-        if self.im is None and other.im is None:
+        if ai_rows is None and bi_cols is None:
             return ExactMatrix(d, self.den * other.den, tuple(out_re), None)
         zero = (0,) * d
-        ai_rows = [self.im[i * d : i * d + d] for i in range(d)] if self.im else [zero] * d
-        bi_cols = [other.im[j::d] for j in range(d)] if other.im else [zero] * d
+        ai_rows = ai_rows or [zero] * d
+        bi_cols = bi_cols or [zero] * d
         out_im = []
         k = 0
         for i in range(d):
@@ -129,6 +147,47 @@ class ExactMatrix:
                 out_re[k] -= _dot(ai, bi)
                 out_im.append(_dot(ar, bi) + _dot(ai, br))
                 k += 1
+        return ExactMatrix(d, self.den * other.den, tuple(out_re), tuple(out_im))
+
+    def hermitian_mul(self, other: "ExactMatrix") -> "ExactMatrix | None":
+        """The product if it is Hermitian, else None.
+
+        Numerator entries (i, j) and (j, i) are formed together, and the
+        first pair with (i, j) != conj((j, i)) ends the product.  A Hermitian
+        product equals ``mul``'s; only it is normalised.
+        """
+        d = self.dim
+        a_rows, _, ai_rows, _ = self._slices()
+        _, b_cols, _, bi_cols = other._slices()
+        out_re = [0] * (d * d)
+        if ai_rows is None and bi_cols is None:
+            mul = operator.mul  # _dot inlined
+            for i in range(d):
+                row, col = a_rows[i], b_cols[i]
+                for j in range(i):
+                    x = sum(map(mul, row, b_cols[j]))
+                    if x != sum(map(mul, a_rows[j], col)):
+                        return None
+                    out_re[i * d + j] = out_re[j * d + i] = x
+                out_re[i * d + i] = sum(map(mul, row, col))
+            return ExactMatrix(d, self.den * other.den, tuple(out_re), None)
+        zero = (0,) * d
+        ai_rows = ai_rows or [zero] * d
+        bi_cols = bi_cols or [zero] * d
+
+        def entry(i: int, j: int) -> tuple[int, int]:
+            ar, ai, br, bi = a_rows[i], ai_rows[i], b_cols[j], bi_cols[j]
+            return _dot(ar, br) - _dot(ai, bi), _dot(ar, bi) + _dot(ai, br)
+
+        out_im = [0] * (d * d)
+        for i in range(d):
+            for j in range(i + 1):
+                xr, xi = entry(i, j)
+                yr, yi = (xr, xi) if i == j else entry(j, i)
+                if xr != yr or xi != -yi:
+                    return None
+                out_re[i * d + j], out_im[i * d + j] = xr, xi
+                out_re[j * d + i], out_im[j * d + i] = yr, yi
         return ExactMatrix(d, self.den * other.den, tuple(out_re), tuple(out_im))
 
     def trace_num(self, other: "ExactMatrix") -> int:
@@ -201,7 +260,7 @@ class ExactMatrix:
 class FloatMatrix:
     """Square complex matrix compared entrywise within a tolerance."""
 
-    __slots__ = ("dim", "entries", "tol")
+    __slots__ = ("dim", "entries", "tol", "_sliced")
 
     def __init__(self, dim: int, entries: tuple[complex, ...], tol: float = DEFAULT_TOL):
         if tol <= 0:
@@ -209,6 +268,7 @@ class FloatMatrix:
         self.dim = dim
         self.entries = entries
         self.tol = tol
+        self._sliced = None
 
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence[complex]], tol: float = DEFAULT_TOL) -> "FloatMatrix":
@@ -229,13 +289,49 @@ class FloatMatrix:
     def entry(self, i: int, j: int) -> complex:
         return self.entries[i * self.dim + j]
 
+    def _slices(self) -> tuple:
+        """Rows and columns, sliced on first use and kept."""
+        if self._sliced is None:
+            d, e = self.dim, self.entries
+            self._sliced = (
+                tuple(e[i * d : i * d + d] for i in range(d)),
+                tuple(e[j::d] for j in range(d)),
+            )
+        return self._sliced
+
     def mul(self, other: "FloatMatrix") -> "FloatMatrix":
-        d = self.dim
-        a, b = self.entries, other.entries
-        b_cols = [b[j::d] for j in range(d)]
-        rows = [a[i * d : i * d + d] for i in range(d)]
+        rows = self._slices()[0]
+        b_cols = other._slices()[1]
         out = tuple(_dot(row, col) for row in rows for col in b_cols)
-        return FloatMatrix(d, out, max(self.tol, other.tol))
+        return FloatMatrix(self.dim, out, max(self.tol, other.tol))
+
+    def commuting_mul(self, other: "FloatMatrix") -> "FloatMatrix | None":
+        """The product AB if AB = BA within tolerance, else None.
+
+        Entries of AB and BA are formed in ``mul``'s order with ``mul``'s
+        dot products, and the first entry with |AB - BA| >= tol ends the
+        product; a commuting pair gets exactly ``mul``'s AB.
+        """
+        a_rows, a_cols = self._slices()
+        b_rows, b_cols = other._slices()
+        tol = max(self.tol, other.tol)
+        mul = operator.mul  # _dot inlined: same terms, same order
+        out = []
+        for a_row, b_row in zip(a_rows, b_rows):
+            for b_col, a_col in zip(b_cols, a_cols):
+                x = sum(map(mul, a_row, b_col))
+                if abs(x - sum(map(mul, b_row, a_col))) >= tol:
+                    return None
+                out.append(x)
+        return FloatMatrix(self.dim, tuple(out), tol)
+
+    def mul_near(self, other: "FloatMatrix", target: "FloatMatrix") -> bool:
+        """``mul(other).approx_equal(target)``, entry by entry: the entries
+        are ``mul``'s, and the first one off by tol or more ends the test."""
+        rows, cols = self._slices()[0], other._slices()[1]
+        tol = max(self.tol, other.tol, target.tol)
+        want = iter(target.entries)
+        return all(abs(_dot(row, col) - next(want)) < tol for row in rows for col in cols)
 
     def add(self, other: "FloatMatrix") -> "FloatMatrix":
         return FloatMatrix(
@@ -269,9 +365,7 @@ class FloatMatrix:
         result is the trace of the product ``mul`` would return, up to the
         rounding of the final d-term sum.
         """
-        d = self.dim
-        a, b = self.entries, other.entries
-        return sum(_dot(a[i * d : i * d + d], b[i::d]) for i in range(d))
+        return sum(map(_dot, self._slices()[0], other._slices()[1]))
 
     def max_diff(self, other: "FloatMatrix") -> float:
         return max(abs(x - y) for x, y in zip(self.entries, other.entries))
@@ -292,6 +386,34 @@ class FloatMatrix:
         return (self.dim,) + tuple(
             (round(e.real / step), round(e.imag / step)) for e in self.entries
         )
+
+    def near_keys(self, limit: int) -> list[tuple] | None:
+        """Grid keys of every cell that the box of +-tol around this matrix
+        touches, or None when more than ``limit`` coordinates straddle.
+
+        A matrix with the same tolerance and every entry within tol of this
+        one differs by at most one cell per coordinate, and only where this
+        coordinate lies within tol of a cell edge; a coordinate within 2*tol
+        of an edge (1/32 of a cell, far above rounding) contributes both
+        cells, so every such matrix has one of these keys.
+        """
+        step = 64.0 * self.tol
+        per_entry = []
+        straddling = 0
+        for e in self.entries:
+            pair = []
+            for x in (e.real, e.imag):
+                u = x / step
+                c = round(u)
+                if 0.5 - abs(u - c) < 1 / 32:
+                    straddling += 1
+                    if straddling > limit:
+                        return None
+                    pair.append((c, c + 1 if u > c else c - 1))
+                else:
+                    pair.append((c,))
+            per_entry.append([(r, i) for r in pair[0] for i in pair[1]])
+        return [(self.dim,) + cells for cells in product(*per_entry)]
 
     def key(self):
         return self.grid_key()
@@ -448,8 +570,10 @@ def projector_from_vector(
 # PQ != P under the tolerance.  Likewise PQ = 0 within tol forces
 # |tr(PQ)| < d*tol.  ``FloatMatrix.trace_mul`` sums the very diagonal entries
 # ``mul`` would produce, so the bounds hold up to the rounding of one d-term
-# sum.  A pair the screen does not reject is confirmed by the same product
-# comparison as before, so float answers do not change.
+# sum.  A pair the screen does not reject is confirmed against P or 0 entry
+# by entry (``FloatMatrix.mul_near``), with the entries ``mul`` forms, so
+# float answers do not change; the confirmation stops at the first entry
+# off by tol or more.
 
 # What tr(PQ) and the two ranks decide about an exact pair.
 ORDERED = "ordered"  # P <= Q or Q <= P: the meet and join are P and Q
@@ -464,14 +588,15 @@ def matrix_leq(a: Matrix, b: Matrix, rank_a: int) -> bool:
 
     Exact: tr(PQ) = rank P.  Float: a pair with |Re tr(PQ) - rank P| >=
     (d+1)*tol is rejected without a product, since no PQ within tol of P
-    entrywise has such a trace; any other pair compares PQ with P.
+    entrywise has such a trace; any other pair compares PQ with P entry by
+    entry.
     """
     if isinstance(a, ExactMatrix):
         return a.trace_num(b) == rank_a * a.den * b.den
     tol = max(a.tol, b.tol)
     if abs(a.trace_mul(b).real - rank_a) >= (a.dim + 1) * tol:
         return False
-    return a.mul(b).approx_equal(a)
+    return a.mul_near(b, a)
 
 
 def matrix_orthogonal(a: Matrix, b: Matrix) -> bool:
@@ -479,13 +604,13 @@ def matrix_orthogonal(a: Matrix, b: Matrix) -> bool:
 
     Exact: tr(PQ) = 0.  Float: a pair with |Re tr(PQ)| >= d*tol is rejected
     without a product, since PQ = 0 within tol bounds the trace by d*tol;
-    any other pair tests PQ = 0 within tol.
+    any other pair tests PQ = 0 within tol entry by entry.
     """
     if isinstance(a, ExactMatrix):
         return a.trace_num(b) == 0
     if abs(a.trace_mul(b).real) >= a.dim * max(a.tol, b.tol):
         return False
-    return a.mul(b).is_zero()
+    return a.mul_near(b, FloatMatrix.zeros(a.dim, a.tol))
 
 
 def exact_pair_relation(p: Projector, q: Projector) -> str:
@@ -515,13 +640,16 @@ def exact_pair_relation(p: Projector, q: Projector) -> str:
 def commuting_product(p: Projector, q: Projector) -> Matrix | None:
     """PQ if P and Q commute, else None.
 
-    Exact: PQ = QP iff PQ is Hermitian, one product.  Float: PQ is compared
-    with QP within tolerance, two products as always.
+    Both backends stop at the first entry that decides against commuting,
+    and return the matrix ``mul`` would for a commuting pair.  Exact: PQ = QP
+    iff PQ is Hermitian, so entries (i, j) and (j, i) of PQ are compared as
+    they are formed (``ExactMatrix.hermitian_mul``).  Float: entries of PQ
+    and QP are compared within tolerance as they are formed
+    (``FloatMatrix.commuting_mul``).
     """
-    pq = p.mat.mul(q.mat)
-    if isinstance(pq, ExactMatrix):
-        return pq if pq.is_hermitian() else None
-    return pq if pq.approx_equal(q.mat.mul(p.mat)) else None
+    if isinstance(p.mat, ExactMatrix):
+        return p.mat.hermitian_mul(q.mat)
+    return p.mat.commuting_mul(q.mat)
 
 
 def commutes(p: Projector, q: Projector) -> bool:

@@ -37,7 +37,6 @@ from .linalg import (
     commuting_product,
     exact_pair_relation,
     identity_projector,
-    matrix_leq,
     matrix_orthogonal,
     quantum_state_eval,
     zero_projector,
@@ -52,31 +51,48 @@ PROGRESS_EVERY = 1000
 class _Pool:
     """Deduplicating index of projector matrices.
 
-    Exact matrices key exactly.  Float matrices key on a rounded grid first and
-    fall back to a confirmed linear scan, since tolerance equality is not
-    captured by any hash.
+    Exact matrices key exactly.  A float matrix keys on its grid cell
+    (``FloatMatrix.grid_key``).  On a miss, the lowest-index pooled matrix
+    within tolerance is returned, as a scan of the whole pool would find it:
+    when every pooled matrix shares the query's tolerance, only the cells
+    that the +-tol box around the query touches (``FloatMatrix.near_keys``)
+    can hold one, so only their matrices are confirmed with
+    ``approx_equal``.  This relies on each key mapping to one matrix, which
+    holds because the closure inserts a matrix only after its own key
+    missed.  Mixed tolerances, or more than
+    ``MAX_STRADDLING`` coordinates near a cell edge (2**8 cells), fall back
+    to the scan.
     """
+
+    MAX_STRADDLING = 8
 
     def __init__(self, backend: str):
         self.backend = backend
         self._by_key: dict = {}
         self._mats: list = []
+        self._tols: set = set()
 
     def lookup(self, mat) -> int | None:
         key = mat.key()
         hit = self._by_key.get(key)
-        if hit is not None:
+        if hit is not None or self.backend != FLOAT:
             return hit
-        if self.backend == FLOAT:
-            for idx, other in enumerate(self._mats):
-                if mat.approx_equal(other):
-                    return idx
+        keys = mat.near_keys(self.MAX_STRADDLING) if self._tols <= {mat.tol} else None
+        if keys is None:
+            candidates = range(len(self._mats))
+        else:
+            candidates = sorted(idx for idx in map(self._by_key.get, keys) if idx is not None)
+        for idx in candidates:
+            if mat.approx_equal(self._mats[idx]):
+                return idx
         return None
 
     def insert(self, mat) -> int:
         idx = len(self._mats)
         self._mats.append(mat)
         self._by_key[mat.key()] = idx
+        if self.backend == FLOAT:
+            self._tols.add(mat.tol)
         return idx
 
 
@@ -215,10 +231,12 @@ class QuantumSystem:
 
         Exact: one integer dot product per pair of distinct ranks, since
         P <= Q iff tr(PQ) = rank P and tr(PQ) = tr(QP); distinct elements of
-        equal rank are never ordered.  Float: every pair with rank i <= rank j
-        goes through ``matrix_leq``, whose trace screen rejects a pair only
-        when |Re tr(PQ) - rank P| >= (d+1)*tol, which an entrywise-approximate
-        PQ = P rules out; the rest is decided by the product as before.
+        equal rank are never ordered.  Float: one ``trace_mul`` per unordered
+        pair screens both directions, as ``matrix_leq`` screens one: i <= j
+        is rejected when rank i > rank j or |Re tr - rank i| >= (d+1)*tol,
+        which an entrywise-approximate PQ = P rules out.  Each direction the
+        screen keeps is confirmed entry by entry against P
+        (``FloatMatrix.mul_near``), as before.
         """
         if self._leq_rows is not None:
             return self._leq_rows
@@ -243,9 +261,14 @@ class QuantumSystem:
         else:
             for i in range(n):
                 mi, ri = mats[i], ranks[i]
-                for j in range(n):
-                    if i != j and ri <= ranks[j] and matrix_leq(mi, mats[j], ri):
+                for j in range(i + 1, n):
+                    mj, rj = mats[j], ranks[j]
+                    bound = (self.dim + 1) * max(mi.tol, mj.tol)
+                    t = mi.trace_mul(mj).real
+                    if ri <= rj and abs(t - ri) < bound and mi.mul_near(mj, mi):
                         rows[i] |= 1 << j
+                    if rj <= ri and abs(t - rj) < bound and mj.mul_near(mi, mj):
+                        rows[j] |= 1 << i
         self._leq_rows = rows
         return rows
 
@@ -487,17 +510,21 @@ def generate_system(
     (``exact_pair_relation``): an ordered pair adds nothing, an orthogonal
     pair adds only P + Q, a pair with orthogonal complements adds only
     P + Q - I, and a pair with a non-integer trace cannot commute.  Only the
-    remaining pairs form PQ, and they commute iff PQ is Hermitian.  Every
-    skipped insertion is of an element already present, so new elements
-    arrive in the same order as with two products per pair and the budget
-    trips at the same point.
+    remaining pairs form PQ, entries (i, j) and (j, i) together, and stop at
+    the first pair of entries that shows PQ is not Hermitian.  Every skipped
+    insertion is of an element already present, so new elements arrive in
+    the same order as with two products per pair and the budget trips at
+    the same point.
 
-    Float closure keeps both products and compares PQ with QP within
-    tolerance.  The float trace screens (reject order at
-    |Re tr(PQ) - rank P| >= (d+1)*tol, orthogonality at |Re tr(PQ)| >= d*tol)
-    are safe because an entrywise-approximate product cannot have such a
-    trace, but a tolerance-level PQ = QP has no bound that simple, so no
-    float pair is skipped here.
+    Float closure compares PQ with QP within tolerance entry by entry and
+    stops at the first entry that differs by tol or more; only a commuting
+    pair completes PQ, which is then exactly ``mul``'s product.  The float
+    trace screens (reject order at |Re tr(PQ) - rank P| >= (d+1)*tol,
+    orthogonality at |Re tr(PQ)| >= d*tol) are safe because an
+    entrywise-approximate product cannot have such a trace, but a
+    tolerance-level PQ = QP has no bound that simple, so no float pair is
+    skipped here.  Float duplicates are found by ``_Pool``, which probes the
+    grid cells next to a new matrix instead of scanning every element.
     """
     if not generators:
         raise NotAnElement("need at least one generator")

@@ -204,6 +204,45 @@ def test_enumeration_matches_brute_force(g):
     assert [s.as_tuple() for s in enumerate_zero_one_states(g)] == brute_force_zero_one(g)
 
 
+def set_based_zero_one_check(graph, ones) -> None:
+    """The set-based validation ``ZeroOneState`` made before its bitmasks."""
+    unknown = ones - set(graph.vertices)
+    if unknown:
+        raise MissingVertex(f"unknown vertices {sorted(unknown)}")
+    for u, v in graph.edges:
+        if u in ones and v in ones:
+            raise NotAGraphState(f"adjacent vertices {u!r}, {v!r} both set to 1")
+    for clique in graph.maximal_cliques():
+        if sum(1 for v in clique if v in ones) != 1:
+            raise NotAGraphState(f"clique {clique} does not contain exactly one 1")
+
+
+def _outcome(check, *args):
+    try:
+        check(*args)
+    except (MissingVertex, NotAGraphState) as exc:
+        return type(exc)
+    return None
+
+
+@given(small_graphs(), st.data())
+@settings(max_examples=300, deadline=None)
+def test_zero_one_state_check_matches_set_based_check(g, data):
+    # Enumerated states are valid; random subsets, and names outside the
+    # graph, exercise each way to fail.
+    valid = [s.ones for s in enumerate_zero_one_states(g)]
+    candidates = list(g.vertices) + ["w0", "w1"]
+    subsets = [frozenset(data.draw(st.lists(st.sampled_from(candidates)))) for _ in range(4)]
+    for ones in valid[:3] + subsets:
+        expected = _outcome(set_based_zero_one_check, g, ones)
+        assert _outcome(ZeroOneState, g, ones) == expected
+        if expected is NotAGraphState and any(
+            u in ones and v in ones for u, v in g.edges
+        ):
+            with pytest.raises(NotAGraphState, match="adjacent vertices"):
+                ZeroOneState(g, ones)
+
+
 def test_isomorphic_relabelled_cycle():
     g1 = cycle(5)
     mapping = {f"v{i}": f"w{(3 * i + 1) % 5}" for i in range(5)}

@@ -2,8 +2,9 @@
 
 The reference decides order, orthogonality and commutation by forming the
 products (PQ = P, PQ = 0, PQ = QP) and closes generators with two products per
-pair.  Order tables, atom-graph edges and closed element lists (in insertion
-order) must come out bit-identical to it.
+pair, deduplicating through a linear-scan pool.  Order tables, atom-graph
+edges and closed element lists (in insertion order) must come out
+bit-identical to it.
 """
 
 from __future__ import annotations
@@ -64,11 +65,35 @@ def _bits(mat) -> tuple:
     return mat.key() if isinstance(mat, ExactMatrix) else (mat.dim, mat.entries)
 
 
+class ScanPool:
+    """Deduplicating pool that scans every matrix on a key miss."""
+
+    def __init__(self, backend: str):
+        self.backend = backend
+        self._by_key: dict = {}
+        self._mats: list = []
+
+    def lookup(self, mat) -> int | None:
+        hit = self._by_key.get(mat.key())
+        if hit is not None:
+            return hit
+        if self.backend == FLOAT:
+            for idx, other in enumerate(self._mats):
+                if mat.approx_equal(other):
+                    return idx
+        return None
+
+    def insert(self, mat) -> int:
+        self._mats.append(mat)
+        self._by_key[mat.key()] = len(self._mats) - 1
+        return len(self._mats) - 1
+
+
 def ref_closure(generators, max_elements=DEFAULT_MAX_ELEMENTS) -> list:
     """Closure with two products per pair; the inserted matrices in order."""
     dim, backend = generators[0].dim, generators[0].backend
     tol = max(g.tol for g in generators) or 1e-9
-    pool = systems_module._Pool(backend)
+    pool = ScanPool(backend)
     mats: list = []
 
     def insert(mat):
@@ -164,6 +189,11 @@ def test_pair_kernels_match_on_ceg(q_ceg):
     assert_pair_kernels_match(q_ceg.elements[::3])
 
 
+def test_pair_kernels_match_on_float_ceg():
+    generators = [projector_from_vector(v, backend=FLOAT) for v in ceg_set().vectors]
+    assert_pair_kernels_match(generate_system(generators).elements[::3])
+
+
 # -- hypothesis-generated exact systems -------------------------------------------
 
 
@@ -195,6 +225,33 @@ def exact_generators(draw):
     suppress_health_check=[HealthCheck.function_scoped_fixture],
 )
 def test_generated_systems_match_product_reference(monkeypatch, generators):
+    try:
+        expected = [_bits(m) for m in ref_closure(generators, max_elements=200)]
+    except ClosureBudgetExceeded:
+        with pytest.raises(ClosureBudgetExceeded):
+            generate_system(generators, 200)
+        return
+    system, inserted = closure_in_order(generators, monkeypatch)
+    assert inserted == expected
+    assert system._ensure_leq() == ref_leq_rows(system)
+    assert {frozenset(e) for e in system.atom_graph().edges} == ref_edges(system)
+    assert_pair_kernels_match(system.elements)
+
+
+def _as_float(p: Projector) -> Projector:
+    d = p.dim
+    entries = (complex(*map(float, p.mat.entry(i, j))) for i in range(d) for j in range(d))
+    return Projector(FloatMatrix(d, tuple(entries)))
+
+
+@given(exact_generators())
+@settings(
+    max_examples=40,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_generated_float_systems_match_product_reference(monkeypatch, generators):
+    generators = [_as_float(g) for g in generators]
     try:
         expected = [_bits(m) for m in ref_closure(generators, max_elements=200)]
     except ClosureBudgetExceeded:
@@ -252,14 +309,17 @@ def _projector(rows) -> Projector:
 
 
 def _count_products(monkeypatch) -> list:
+    """Count exact products: ``mul`` and the early-exit ``hermitian_mul``,
+    each call as one product."""
     calls = []
-    real = ExactMatrix.mul
+    for name in ("mul", "hermitian_mul"):
+        real = getattr(ExactMatrix, name)
 
-    def counting(a, b):
-        calls.append(1)
-        return real(a, b)
+        def counting(a, b, real=real):
+            calls.append(1)
+            return real(a, b)
 
-    monkeypatch.setattr(ExactMatrix, "mul", counting)
+        monkeypatch.setattr(ExactMatrix, name, counting)
     return calls
 
 
@@ -306,6 +366,49 @@ def test_integer_trace_does_not_imply_commutation():
     q = join(projector_from_vector([1, 0, 1, 0]), projector_from_vector([0, 1, 0, 1]))
     assert exact_pair_relation(p, q) == UNDECIDED
     assert not commutes(p, q) and not ref_commutes(p, q)
+
+
+def test_complex_pair_breaks_hermiticity_only_in_imaginary_parts():
+    # PQ is block diagonal with blocks [[1/2, -i/2], [0, 0]]: its real part is
+    # symmetric, and only Im PQ_01 != Im PQ_10 shows that PQ != QP.
+    p = _projector([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 0]])
+    q = join(projector_from_vector([1, (0, 1), 0, 0]), projector_from_vector([0, 0, 1, (0, 1)]))
+    assert exact_pair_relation(p, q) == UNDECIDED  # tr = 1/2 + 1/2
+    assert not commutes(p, q) and not ref_commutes(p, q)
+    assert p.mat.hermitian_mul(q.mat) is None
+    assert p.mat.hermitian_mul(p.mat) == p.mat.mul(p.mat)
+
+
+def test_float_pairs_the_trace_screen_keeps_are_decided_by_entries():
+    """tr(PQ) misses rank P or 0 by eps^2, inside the screens' bounds, while
+    entry (0, 1) of PQ is about eps, far beyond tol."""
+    eps = 2e-5
+    p = projector_from_vector([1, 0, 0], backend=FLOAT)
+    near = projector_from_vector([1, eps, 0], backend=FLOAT)
+    skew = projector_from_vector([eps, 1, 0], backend=FLOAT)
+    assert abs(p.mat.trace_mul(near.mat).real - 1) < 4 * p.tol
+    assert abs(p.mat.trace_mul(skew.mat).real) < 3 * p.tol
+    assert not leq(p, near) and not ref_leq(p, near)
+    assert not orthogonal(p, skew) and not ref_orthogonal(p, skew)
+    assert not commutes(p, near) and not ref_commutes(p, near)
+
+
+def test_float_order_keeps_both_directions_of_an_equal_rank_pair():
+    """Two elements of one rank within tol of each other are ordered both
+    ways, as PQ = P and QP = Q within tol say."""
+    noise = 3e-10
+
+    def float_projector(rows):
+        return Projector(FloatMatrix.from_entries(rows))
+
+    p = float_projector([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
+    q = float_projector([[1 + noise, 0, 0], [0, 0, 0], [0, 0, 0]])
+    zero, one = zero_projector(3, FLOAT), identity_projector(3, FLOAT)
+    system = QuantumSystem([zero, one, p, q], [p, q])
+    rows = system._ensure_leq()
+    assert rows == ref_leq_rows(system)
+    i, j = (k for k, e in enumerate(system.elements) if e.rank == 1)
+    assert rows[i] >> j & 1 and rows[j] >> i & 1
 
 
 def test_float_screens_keep_tolerance_level_pairs():
@@ -371,3 +474,116 @@ def test_cold_file_build_builds_the_order_table_once(tmp_path, monkeypatch, caps
     assert main(["build", str(path), "--format", "json", *extra]) == 0
     assert json.loads(capsys.readouterr().out)["system"]["elements"] == 140
     assert len(builds) == 1
+
+
+# -- the float pool against the scan --------------------------------------------------
+
+TOL = 1e-9
+STEP = 64 * TOL  # the grid spacing of FloatMatrix.grid_key
+
+
+def _from_coords(d: int, coords, tol=TOL) -> FloatMatrix:
+    return FloatMatrix(d, tuple(complex(*coords[k : k + 2]) for k in range(0, 2 * d * d, 2)), tol)
+
+
+def _pool_checks(monkeypatch) -> list:
+    """``approx_equal`` calls made inside ``_Pool.lookup``."""
+    checks, inside = [], []
+    real_lookup, real_equal = systems_module._Pool.lookup, FloatMatrix.approx_equal
+
+    def lookup(self, mat):
+        inside.append(1)
+        try:
+            return real_lookup(self, mat)
+        finally:
+            inside.pop()
+
+    def approx_equal(a, b):
+        if inside:
+            checks.append(1)
+        return real_equal(a, b)
+
+    monkeypatch.setattr(systems_module._Pool, "lookup", lookup)
+    monkeypatch.setattr(FloatMatrix, "approx_equal", approx_equal)
+    return checks
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=None)
+def test_pool_lookup_returns_the_scan_index(data):
+    """Float projectors moved to near grid-cell edges, copies of them shifted
+    by tol/2 per coordinate (across an edge or not) or by 2*tol (no longer
+    equal), looked up in a random order, inserting on a miss as the closure
+    does; sometimes with two tolerances, which takes the scan."""
+    d = data.draw(st.integers(min_value=1, max_value=3))
+    vector = st.lists(st.integers(-2, 2), min_size=d, max_size=d).filter(any)
+    tols = data.draw(st.sampled_from([(TOL,), (TOL, 2 * TOL)]))
+    offset = st.sampled_from([-1.5, -1.0, -0.5, -0.25, 0.0, 0.25, 0.5, 1.0, 1.5])
+    shift = st.sampled_from([-0.5, 0.0, 0.0, 0.5, 2.0])
+    queries = []
+    for v in data.draw(st.lists(vector, min_size=1, max_size=3)):
+        base = projector_from_vector(v, backend=FLOAT).mat
+        coords = [c for e in base.entries for c in (e.real, e.imag)]
+        for k in data.draw(st.lists(st.integers(0, len(coords) - 1), max_size=12)):
+            side = data.draw(st.sampled_from([-0.5, 0.5]))
+            coords[k] = (round(coords[k] / STEP) + side) * STEP + data.draw(offset) * TOL
+        queries.append(_from_coords(d, coords, data.draw(st.sampled_from(tols))))
+        for _ in range(data.draw(st.integers(1, 3))):
+            moves = data.draw(st.lists(shift, min_size=len(coords), max_size=len(coords)))
+            moved = [c + m * TOL for c, m in zip(coords, moves)]
+            queries.append(_from_coords(d, moved, data.draw(st.sampled_from(tols))))
+    queries = data.draw(st.permutations(queries))
+    pool, scan = systems_module._Pool(FLOAT), ScanPool(FLOAT)
+    for mat in queries:
+        expected = scan.lookup(mat)
+        assert pool.lookup(mat) == expected
+        if expected is None:
+            pool.insert(mat)
+            scan.insert(mat)
+    for mat in queries:
+        assert pool.lookup(mat) == scan.lookup(mat)
+
+
+def test_pool_finds_a_neighbour_across_a_cell_edge():
+    edge = 0.5 * STEP
+    stored = FloatMatrix(1, (complex(edge - TOL / 2, 0.0),))
+    query = FloatMatrix(1, (complex(edge + TOL / 2, 0.0),))
+    assert stored.grid_key() != query.grid_key() and query.approx_equal(stored)
+    pool = systems_module._Pool(FLOAT)
+    pool.insert(FloatMatrix(1, (0j,)))
+    pool.insert(stored)
+    assert pool.lookup(query) == 1
+
+
+def test_pool_with_mixed_tolerances_falls_back_to_the_scan():
+    # Grids of different spacing: the coarse matrix is in no cell near the
+    # fine one's, yet they are equal under the larger tolerance.
+    coarse = FloatMatrix(1, (1.0 + 0j,), tol=1e-8)
+    fine = FloatMatrix(1, (1.0 + 5e-9 + 0j,), tol=1e-9)
+    assert coarse.grid_key() not in fine.near_keys(8) and fine.approx_equal(coarse)
+    for stored, query in ((coarse, fine), (fine, coarse)):
+        pool, scan = systems_module._Pool(FLOAT), ScanPool(FLOAT)
+        for p in (pool, scan):
+            p.insert(FloatMatrix(1, (0j,), tol=stored.tol))
+            p.insert(stored)
+        assert pool.lookup(query) == scan.lookup(query) == 1
+
+
+def test_near_keys_take_both_cells_of_each_straddling_coordinate():
+    edge = 0.5 * STEP
+    mat = FloatMatrix(2, (complex(edge, 0.0), 0j, complex(STEP, 3 * TOL), complex(edge + TOL, -edge)))
+    keys = mat.near_keys(3)
+    assert len(keys) == len(set(keys)) == 2**3 and mat.grid_key() in keys
+    assert mat.near_keys(2) is None
+
+
+# The scanning pool made 9,730 approx_equal checks in this closure: 140
+# misses, each scanning every matrix inserted before it.
+FLOAT_CEG_POOL_CHECKS = 0
+
+
+def test_float_ceg_pool_checks(monkeypatch):
+    generators = [projector_from_vector(v, backend=FLOAT) for v in ceg_set().vectors]
+    checks = _pool_checks(monkeypatch)
+    assert len(generate_system(generators)) == 140
+    assert len(checks) == FLOAT_CEG_POOL_CHECKS
