@@ -349,24 +349,24 @@ def _primitive_inequality(
     y: Mapping[str, Fraction],
     states: Sequence[ZeroOneState],
 ) -> SeparatingInequality:
-    """Tighten the bound to the 0-1 maximum and scale to integers with gcd 1."""
-    bound = max(
-        sum(y.get(v, Fraction(0)) * lam.value(v) for v in atom_order) for lam in states
-    )
-    denoms = [y[v].denominator for v in y] + [bound.denominator]
+    """Tighten the bound to the 0-1 maximum and scale to integers with gcd 1.
+
+    y is scaled to integers by the lcm of its denominators first, so each
+    state's value is an integer sum over its ones.
+    """
     scale = 1
-    for d in denoms:
-        scale = scale * d // gcd(scale, d)
-    ints = {v: int(y.get(v, Fraction(0)) * scale) for v in atom_order}
-    numbers = [abs(c) for c in ints.values() if c] + [abs(int(bound * scale))]
+    for w in y.values():
+        scale = scale * w.denominator // gcd(scale, w.denominator)
+    ints = {v: y[v].numerator * (scale // y[v].denominator) if v in y else 0 for v in atom_order}
+    bound = max(sum(ints[v] for v in lam.ones) for lam in states)
     g = 0
-    for v in numbers:
-        g = gcd(g, v)
-    g = g or 1
+    for c in ints.values():
+        g = gcd(g, c)
+    g = g or 1  # the bound is a sum of coefficients, so g divides it too
     return SeparatingInequality(
         atom_order=tuple(atom_order),
         coeffs={v: c // g for v, c in ints.items()},
-        bound=int(bound * scale) // g,
+        bound=bound // g,
     )
 
 

@@ -2,23 +2,37 @@
 
 All numbers travel as strings: exact entries as integers or "p/q" fractions,
 float entries as decimal literals (repr round-trips bit-exactly).  Parse errors
-name the offending field.
+name the offending field, and a malformed document raises
+``ScenarioFormatError``, never a bare Python exception.
+
+Exact entries take an integer path: an ASCII literal ``[+-]digits(/digits)?``
+is read as a (numerator, denominator) pair (``parse_ratio``), and a matrix is
+built as integer numerators over the lcm of its denominators.  Any other
+literal goes through ``parse_rational`` (``Fraction``), so the accepted
+inputs, values and messages are those of ``Fraction`` alone.
+
+The cache beside a scenario file holds ``system_to_payload`` and the file's
+sha256.  ``load_cached_system`` treats every cache it cannot trust as a miss
+(logged at INFO): a changed file, a payload that fails to parse or validate,
+or a backend, dimension or tolerance other than the parsed scenario's.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import json
 import logging
+import math
 import os
 import re
+from collections.abc import Iterable, Sized
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Mapping, Sequence
 
-from .errors import ClosureBudgetExceeded, ScenarioFormatError
+from .errors import ClosureBudgetExceeded, CtxcertError, ScenarioFormatError
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
@@ -27,6 +41,7 @@ from .linalg import (
     ExactMatrix,
     FloatMatrix,
     Projector,
+    common_denominator,
 )
 from .systems import DEFAULT_MAX_ELEMENTS, QuantumSystem
 from .vectorsets import Basis, VectorSet
@@ -53,6 +68,38 @@ def parse_rational(value, field: str) -> Fraction:
     raise ScenarioFormatError(f"{field}: expected a rational string, got {value!r}")
 
 
+@functools.lru_cache(maxsize=4096)
+def _ascii_ratio(text: str) -> tuple[int, int] | None:
+    """(num, den) of ``[+-]digits(/digits)?`` in ASCII with den > 0,
+    surrounding whitespace allowed; None for anything else.  Memoised: a
+    payload repeats a few literals many times."""
+    num, slash, den = text.strip().partition("/")
+    digits = num[1:] if num[:1] in ("+", "-") else num
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    if not slash:
+        den = "1"
+    elif not (den.isascii() and den.isdigit()):
+        return None
+    try:
+        n, d = int(num), int(den)
+    except ValueError:  # past the interpreter's int-string digit limit
+        return None
+    return (n, d) if d else None
+
+
+def parse_ratio(value, field: str) -> tuple[int, int]:
+    """``parse_rational`` as a (numerator, positive denominator) pair, not
+    necessarily in lowest terms.  Plain ASCII literals are read without
+    ``Fraction``; everything else goes through ``parse_rational``, so the
+    accepted inputs, values and error messages are the same."""
+    pair = _ascii_ratio(value) if type(value) is str else None
+    if pair is None:
+        f = parse_rational(value, field)
+        pair = f.numerator, f.denominator
+    return pair
+
+
 def parse_real(value, field: str) -> float:
     try:
         return float(value)
@@ -77,9 +124,22 @@ def _entry_is_rational(entry) -> bool:
     return _is_rational_literal(entry)
 
 
-def parse_entry_exact(entry, field: str) -> tuple[Fraction, Fraction]:
+def _entry_ratios(entry, field: str) -> tuple[int, int, int, int]:
+    """(re num, re den, im num, im den) of an exact entry."""
     re_part, im_part = _entry_parts(entry, field)
-    return parse_rational(re_part, field + ".re"), parse_rational(im_part, field + ".im")
+    return (*parse_ratio(re_part, field + ".re"), *parse_ratio(im_part, field + ".im"))
+
+
+def _exact_vector(entries, field: str) -> tuple:
+    """Exact vector entries as (re, im) pairs, each an int, or a ``Fraction``
+    where its denominator is not 1; ``field`` names entry k as ``field[k]``."""
+    out = []
+    for k, e in enumerate(entries):
+        re_n, re_d, im_n, im_d = _entry_ratios(e, f"{field}[{k}]")
+        re = re_n if re_d == 1 else Fraction(re_n, re_d)
+        im = im_n if im_d == 1 else Fraction(im_n, im_d)
+        out.append((re, im))
+    return tuple(out)
 
 
 def parse_entry_float(entry, field: str) -> complex:
@@ -93,16 +153,19 @@ def _infer_backend(doc: dict) -> str:
         if declared not in (EXACT, FLOAT):
             raise ScenarioFormatError(f"backend: expected 'exact' or 'float', got {declared!r}")
         return declared
-    for vi, vec in enumerate(doc.get("vectors", [])):
-        for ei, entry in enumerate(vec.get("entries", [])):
-            if not _entry_is_rational(entry):
-                return FLOAT
-    for gi, gen in enumerate(doc.get("generators", [])):
-        if isinstance(gen, dict):
-            for row in gen.get("matrix", []):
-                for entry in row:
-                    if not _entry_is_rational(entry):
-                        return FLOAT
+    try:
+        for vec in doc.get("vectors", []):
+            for entry in vec.get("entries", []):
+                if not _entry_is_rational(entry):
+                    return FLOAT
+        for gen in doc.get("generators", []):
+            if isinstance(gen, dict):
+                for row in gen.get("matrix", []):
+                    for entry in row:
+                        if not _entry_is_rational(entry):
+                            return FLOAT
+    except (AttributeError, TypeError):
+        pass  # a malformed document: the parse that follows names the field
     return EXACT
 
 
@@ -126,11 +189,12 @@ def _parse_matrix(grid, backend: str, tol: float, dim: int, field: str):
         if not isinstance(row, list) or len(row) != dim:
             raise ScenarioFormatError(f"{field}[{ri}]: expected {dim} entries")
     if backend == EXACT:
-        rows = [
-            [parse_entry_exact(e, f"{field}[{ri}][{ci}]") for ci, e in enumerate(row)]
+        parts = [
+            _entry_ratios(e, f"{field}[{ri}][{ci}]")
             for ri, row in enumerate(grid)
+            for ci, e in enumerate(row)
         ]
-        return ExactMatrix.from_entries(rows)
+        return ExactMatrix(dim, *common_denominator(parts))
     rows = [
         [parse_entry_float(e, f"{field}[{ri}][{ci}]") for ci, e in enumerate(row)]
         for ri, row in enumerate(grid)
@@ -155,6 +219,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioFormatError("tolerance: must be positive")
 
     raw_vectors = doc.get("vectors", [])
+    if not isinstance(raw_vectors, Iterable):
+        raise ScenarioFormatError("vectors: expected a list of vector objects")
     names: list[str] = []
     vectors: list[tuple] = []
     for vi, vec in enumerate(raw_vectors):
@@ -162,13 +228,10 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioFormatError(f"vectors[{vi}]: expected name and entries")
         name = str(vec["name"])
         entries = vec["entries"]
-        if len(entries) != dim:
+        if not isinstance(entries, Sized) or len(entries) != dim:
             raise ScenarioFormatError(f"vectors[{vi}].entries: expected {dim} entries")
         if backend == EXACT:
-            parsed = tuple(
-                parse_entry_exact(e, f"vectors[{vi}].entries[{ei}]")
-                for ei, e in enumerate(entries)
-            )
+            parsed = _exact_vector(entries, f"vectors[{vi}].entries")
         else:
             parsed = tuple(
                 parse_entry_float(e, f"vectors[{vi}].entries[{ei}]")
@@ -181,11 +244,16 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
 
     bases = []
     index = {n: i for i, n in enumerate(names)}
-    for bi, basis in enumerate(doc.get("bases", []) or []):
+    raw_bases = doc.get("bases", []) or []
+    if not isinstance(raw_bases, Iterable):
+        raise ScenarioFormatError("bases: expected a list of vector-name lists")
+    for bi, basis in enumerate(raw_bases):
         try:
             idx = tuple(index[n] for n in basis)
         except KeyError as exc:
             raise ScenarioFormatError(f"bases[{bi}]: unknown vector {exc.args[0]!r}") from None
+        except TypeError:
+            raise ScenarioFormatError(f"bases[{bi}]: expected a list of vector names") from None
         bases.append(Basis(idx, complete=len(idx) == dim))
     vs = VectorSet(dim, names, vectors, bases, backend, tol)
 
@@ -193,6 +261,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     raw_gens = doc.get("generators")
     if raw_gens is None:
         generators = vs.projectors()
+    elif not isinstance(raw_gens, Iterable):
+        raise ScenarioFormatError("generators: expected a list of generators")
     else:
         for gi, gen in enumerate(raw_gens):
             if isinstance(gen, str):
@@ -206,20 +276,29 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
                 )
     if not generators:
         raise ScenarioFormatError("generators: scenario defines no generators")
-    labels = {name: vs.projector(name) for name in names}
+    if raw_gens is None:
+        labels = dict(zip(names, generators))  # the generators are the vector projectors
+    else:
+        labels = {name: vs.projector(name) for name in names}
     return Scenario(source, dim, backend, tol, vs, generators, labels)
+
+
+def _read_json(path: Path):
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ScenarioFormatError(f"{path}: cannot read ({exc.strerror})") from None
+    except ValueError as exc:  # bad JSON, bad UTF-8, or an int past the digit limit
+        raise ScenarioFormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def scenario_from_path(
     path: Path, backend: str | None = None, tolerance: float | None = None
 ) -> Scenario:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"{path}: invalid JSON ({exc})") from None
-    if backend is not None:
+    doc = _read_json(path)
+    if isinstance(doc, dict) and backend is not None:
         doc = dict(doc, backend=backend)
-    if tolerance is not None:
+    if isinstance(doc, dict) and tolerance is not None:
         doc = dict(doc, tolerance=tolerance)
     return scenario_from_dict(doc, source=str(path))
 
@@ -249,10 +328,10 @@ def state_from_dict(doc: dict, backend: str, tol: float, dim: int) -> StateSpec:
         return StateSpec(density=DensityMatrix(mat))
     if kind == "vector":
         entries = doc["vector"]
-        if len(entries) != dim:
+        if not isinstance(entries, Sized) or len(entries) != dim:
             raise ScenarioFormatError(f"vector: expected {dim} entries")
         if backend == EXACT:
-            vec = [parse_entry_exact(e, f"vector[{i}]") for i, e in enumerate(entries)]
+            vec = _exact_vector(entries, "vector")
         else:
             vec = [parse_entry_float(e, f"vector[{i}]") for i, e in enumerate(entries)]
         return StateSpec(density=DensityMatrix.from_pure_vector(vec, backend, tol))
@@ -274,34 +353,27 @@ def state_from_dict(doc: dict, backend: str, tol: float, dim: int) -> StateSpec:
 
 
 def state_from_path(path: Path, backend: str, tol: float, dim: int) -> StateSpec:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ScenarioFormatError(f"{path}: invalid JSON ({exc})") from None
-    return state_from_dict(doc, backend, tol, dim)
+    return state_from_dict(_read_json(path), backend, tol, dim)
 
 
 # -- system export / import ----------------------------------------------------
 
 
-def _fraction_str(f: Fraction) -> str:
-    return str(f)
+def _ratio_str(num: int, den: int) -> str:
+    """``str(Fraction(num, den))`` for den > 0, without the Fraction."""
+    g = math.gcd(num, den)
+    num, den = num // g, den // g
+    return str(num) if den == 1 else f"{num}/{den}"
 
 
 def _matrix_payload(mat) -> list[list[dict]]:
     d = mat.dim
-    rows = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            if isinstance(mat, ExactMatrix):
-                re_part, im_part = mat.entry(i, j)
-                row.append({"re": _fraction_str(re_part), "im": _fraction_str(im_part)})
-            else:
-                z = mat.entry(i, j)
-                row.append({"re": repr(z.real), "im": repr(z.imag)})
-        rows.append(row)
-    return rows
+    if isinstance(mat, ExactMatrix):
+        den, im = mat.den, mat.im or (0,) * (d * d)
+        cells = [{"re": _ratio_str(x, den), "im": _ratio_str(y, den)} for x, y in zip(mat.re, im)]
+    else:
+        cells = [{"re": repr(z.real), "im": repr(z.imag)} for z in mat.entries]
+    return [cells[i * d : i * d + d] for i in range(d)]
 
 
 def system_to_payload(system: QuantumSystem) -> dict:
@@ -323,23 +395,52 @@ def system_to_payload(system: QuantumSystem) -> dict:
 
 
 def system_from_payload(doc: dict) -> QuantumSystem:
-    if doc.get("format") != "ctxcert-system":
+    """The system of a ``system_to_payload`` document.
+
+    Every element and generator is validated as a projector, the elements
+    must be distinct, listed in the system's order and closed under
+    complement, and every label must name an atom; a payload that breaks any
+    of these raises a ``CtxcertError``.
+    """
+    if not isinstance(doc, dict) or doc.get("format") != "ctxcert-system":
         raise ScenarioFormatError("not a ctxcert system payload")
-    dim = int(doc["dimension"])
-    backend = doc["backend"]
+    if doc.get("version") != 1:
+        raise ScenarioFormatError(f"version: expected 1, got {doc.get('version')!r}")
+    dim = doc.get("dimension")
+    if type(dim) is not int or dim <= 0:
+        raise ScenarioFormatError("dimension: required positive integer")
+    backend = doc.get("backend")
+    if backend not in (EXACT, FLOAT):
+        raise ScenarioFormatError(f"backend: expected 'exact' or 'float', got {backend!r}")
     tol = parse_real(doc["tolerance"], "tolerance") if doc.get("tolerance") else DEFAULT_TOL
+    grids = {}
+    for key in ("elements", "generators", "atoms"):
+        grids[key] = doc.get(key, [])
+        if not isinstance(grids[key], list):
+            raise ScenarioFormatError(f"{key}: expected a list")
     elements = [
         Projector(_parse_matrix(grid, backend, tol, dim, f"elements[{k}]"))
-        for k, grid in enumerate(doc["elements"])
+        for k, grid in enumerate(grids["elements"])
     ]
     generators = [
         Projector(_parse_matrix(grid, backend, tol, dim, f"generators[{k}]"))
-        for k, grid in enumerate(doc["generators"])
+        for k, grid in enumerate(grids["generators"])
     ]
     labels = {}
-    for item in doc.get("atoms", []):
-        labels[str(item["label"])] = elements[int(item["element"])]
-    return QuantumSystem(elements, generators, atom_labels=labels)
+    for k, item in enumerate(grids["atoms"]):
+        if not isinstance(item, dict) or not isinstance(item.get("label"), str):
+            raise ScenarioFormatError(f"atoms[{k}]: expected a label and an element index")
+        idx = item.get("element")
+        if type(idx) is not int or not 0 <= idx < len(elements):
+            raise ScenarioFormatError(f"atoms[{k}].element: no element {idx!r}")
+        labels[item["label"]] = elements[idx]
+    system = QuantumSystem(elements, generators, atom_labels=labels)
+    for k, p in enumerate(elements):
+        if system.elements[k] is not p or system.index_of(p) != k:
+            raise ScenarioFormatError(f"elements[{k}]: repeated or out of the system's order")
+    system.atom_indices()  # every label names an atom
+    system.complement_index(system.zero_index)  # closed under complement
+    return system
 
 
 # -- session cache ---------------------------------------------------------------
@@ -354,24 +455,46 @@ def cache_path_for(scenario_path: Path) -> Path:
 
 
 def load_cached_system(
-    scenario_path: Path, max_elements: int = DEFAULT_MAX_ELEMENTS
+    scenario_path: Path,
+    max_elements: int = DEFAULT_MAX_ELEMENTS,
+    scenario: Scenario | None = None,
 ) -> QuantumSystem | None:
-    """The cached system beside ``scenario_path``, or None if there is no
-    valid cache.  A cached system larger than ``max_elements`` raises
-    ``ClosureBudgetExceeded``, as building it would."""
+    """The cached system beside ``scenario_path``, or None on a miss.
+
+    A miss is no cache file, a content hash that differs, a payload that
+    does not parse or validate (``system_from_payload``), or, when the
+    parsed ``scenario`` is given, a backend, dimension or float tolerance
+    that differs from it.  Each miss but the first is logged at INFO with
+    its reason.  A cached system larger than ``max_elements`` raises
+    ``ClosureBudgetExceeded``, as building it would.
+    """
     cache = cache_path_for(scenario_path)
     if not cache.exists():
         return None
     try:
         doc = json.loads(cache.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise ScenarioFormatError("not a JSON object")
         if doc.get("sha256") != content_hash(scenario_path.read_bytes()):
-            return None
-        system = system_from_payload(doc["system"])
-    except (ScenarioFormatError, KeyError, ValueError, OSError):
+            raise ScenarioFormatError("the scenario file has changed")
+        system = system_from_payload(doc.get("system"))
+        if scenario is not None:
+            _check_cache_matches(system, scenario)
+    except (CtxcertError, ValueError, OSError) as exc:
+        log.info("ignoring cache %s: %s", cache, exc)
         return None
     if len(system) > max_elements:
         raise ClosureBudgetExceeded(max_elements)
     return system
+
+
+def _check_cache_matches(system: QuantumSystem, scenario: Scenario) -> None:
+    if system.backend != scenario.backend:
+        raise ScenarioFormatError(f"backend {system.backend}, scenario {scenario.backend}")
+    if system.dim != scenario.dimension:
+        raise ScenarioFormatError(f"dimension {system.dim}, scenario {scenario.dimension}")
+    if system.backend == FLOAT and system.tol != scenario.tol:
+        raise ScenarioFormatError(f"tolerance {system.tol!r}, scenario {scenario.tol!r}")
 
 
 def store_cached_system(scenario_path: Path, system: QuantumSystem) -> None:

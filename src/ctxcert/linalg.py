@@ -33,12 +33,21 @@ DEFAULT_TOL = 1e-9
 # Accepted element types for exact entries: a real rational or an (re, im) pair.
 ExactEntry = Union[int, Fraction, tuple]
 
+# A ray scaled to Gaussian integers: the real and the imaginary parts.
+GaussianVector = tuple[tuple[int, ...], tuple[int, ...]]
 
-def _as_pair(entry: ExactEntry) -> tuple[Fraction, Fraction]:
-    if isinstance(entry, tuple):
-        re, im = entry
-        return Fraction(re), Fraction(im)
-    return Fraction(entry), Fraction(0)
+
+def _ratio(x) -> tuple[int, int]:
+    if isinstance(x, int):
+        return int(x), 1
+    if not isinstance(x, Fraction):
+        x = Fraction(x)
+    return x.numerator, x.denominator
+
+
+def _entry_ratios(entry: ExactEntry) -> tuple[int, int, int, int]:
+    re, im = entry if isinstance(entry, tuple) else (entry, 0)
+    return (*_ratio(re), *_ratio(im))
 
 
 def _dot(xs: Sequence, ys: Sequence):
@@ -87,16 +96,10 @@ class ExactMatrix:
     @classmethod
     def from_entries(cls, rows: Sequence[Sequence[ExactEntry]]) -> "ExactMatrix":
         dim = len(rows)
-        pairs = [_as_pair(e) for row in rows for e in row]
-        if len(pairs) != dim * dim:
+        parts = [_entry_ratios(e) for row in rows for e in row]
+        if len(parts) != dim * dim:
             raise DimensionMismatch("entry grid is not square")
-        den = 1
-        for re, im in pairs:
-            den = den * re.denominator // math.gcd(den, re.denominator)
-            den = den * im.denominator // math.gcd(den, im.denominator)
-        re = tuple(int(p[0] * den) for p in pairs)
-        im = tuple(int(p[1] * den) for p in pairs)
-        return cls(dim, den, re, im)
+        return cls(dim, *common_denominator(parts))
 
     @classmethod
     def identity(cls, dim: int) -> "ExactMatrix":
@@ -524,28 +527,58 @@ def zero_projector(dim: int, backend: str = EXACT, tol: float = DEFAULT_TOL) -> 
     return Projector(mat, _validated=True)
 
 
+def common_denominator(
+    parts: Sequence[tuple[int, int, int, int]],
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Entries given as (re num, re den, im num, im den), with positive
+    denominators, as real and imaginary numerators over the lcm of the
+    denominators, which is returned first."""
+    den = math.lcm(*(p[1] for p in parts), *(p[3] for p in parts))
+    return (
+        den,
+        tuple(n * (den // d) for n, d, _, _ in parts),
+        tuple(n * (den // d) for _, _, n, d in parts),
+    )
+
+
+def gaussian_integer_vector(entries: Sequence[ExactEntry]) -> GaussianVector:
+    """Real and imaginary parts of the vector scaled by the lcm of its
+    denominators: the same ray as Gaussian integers."""
+    return common_denominator([_entry_ratios(e) for e in entries])[1:]
+
+
+def gaussian_orthogonal(u: GaussianVector, v: GaussianVector) -> bool:
+    """<u, v> = 0: for u = a + i b and v = c + i d, conj(u) . v is
+    (a.c + b.d) + i (a.d - b.c)."""
+    (a, b), (c, d) = u, v
+    return _dot(a, c) + _dot(b, d) == 0 and _dot(a, d) == _dot(b, c)
+
+
+def projector_from_gaussian(re: Sequence[int], im: Sequence[int]) -> Projector:
+    """Rank-1 projector v v† / |v|^2 of the Gaussian-integer vector re + i im:
+    numerators a_i a_j + b_i b_j and b_i a_j - a_i b_j over |v|^2."""
+    norm = _dot(re, re) + _dot(im, im)
+    if norm == 0:
+        raise ZeroVector("cannot project onto the zero vector")
+    pairs = tuple(zip(re, im))
+    out_re = tuple(a * c + b * e for a, b in pairs for c, e in pairs)
+    out_im = tuple(b * c - a * e for a, b in pairs for c, e in pairs)
+    return Projector(ExactMatrix(len(pairs), norm, out_re, out_im))
+
+
 def projector_from_vector(
     entries: Sequence, backend: str = EXACT, tol: float = DEFAULT_TOL
 ) -> Projector:
-    """Rank-1 projector v v† / <v, v> from an unnormalized vector."""
+    """Rank-1 projector v v† / <v, v> from an unnormalized vector.
+
+    Exact vectors are scaled to Gaussian integers first, so the projector is
+    formed in integers (``projector_from_gaussian``).
+    """
     d = len(entries)
     if d == 0:
         raise DimensionMismatch("empty vector")
     if backend == EXACT:
-        pairs = [_as_pair(e) for e in entries]
-        norm = sum(re * re + im * im for re, im in pairs)
-        if norm == 0:
-            raise ZeroVector("cannot project onto the zero vector")
-        rows = []
-        for i in range(d):
-            a, b = pairs[i]
-            row = []
-            for j in range(d):
-                c, e = pairs[j]
-                # v_i * conj(v_j)
-                row.append(((a * c + b * e) / norm, (b * c - a * e) / norm))
-            rows.append(row)
-        return Projector(ExactMatrix.from_entries(rows))
+        return projector_from_gaussian(*gaussian_integer_vector(entries))
     vec = [complex(e) for e in entries]
     norm = sum(abs(x) ** 2 for x in vec)
     if norm < tol:

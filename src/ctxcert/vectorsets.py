@@ -21,7 +21,16 @@ from .errors import (
     UnknownElement,
 )
 from .graphs import DEFAULT_SEARCH_BUDGET, ExclusivityGraph, ZeroOneSearch
-from .linalg import DEFAULT_TOL, EXACT, FLOAT, Projector, projector_from_vector
+from .linalg import (
+    DEFAULT_TOL,
+    EXACT,
+    FLOAT,
+    Projector,
+    gaussian_integer_vector,
+    gaussian_orthogonal,
+    projector_from_gaussian,
+    projector_from_vector,
+)
 
 
 @dataclass(frozen=True)
@@ -30,24 +39,6 @@ class Basis:
 
     indices: tuple[int, ...]
     complete: bool = True
-
-
-def _inner_exact(u: Sequence, v: Sequence) -> tuple[Fraction, Fraction]:
-    re = Fraction(0)
-    im = Fraction(0)
-    for x, y in zip(u, v):
-        if isinstance(x, tuple):
-            a, b = Fraction(x[0]), Fraction(x[1])
-        else:
-            a, b = Fraction(x), Fraction(0)
-        if isinstance(y, tuple):
-            c, d = Fraction(y[0]), Fraction(y[1])
-        else:
-            c, d = Fraction(y), Fraction(0)
-        # conj(u) . v
-        re += a * c + b * d
-        im += a * d - b * c
-    return re, im
 
 
 def _inner_float(u: Sequence, v: Sequence) -> complex:
@@ -80,13 +71,17 @@ class VectorSet:
         self.vectors = tuple(tuple(v) for v in vectors)
         self.bases = tuple(bases)
         self._index = {n: i for i, n in enumerate(self.names)}
+        # Exact rays scaled once to Gaussian integers: orthogonality and the
+        # projectors are then formed in integers.
+        self._gaussian = (
+            [gaussian_integer_vector(v) for v in self.vectors] if backend == EXACT else None
+        )
         self._orth = self._orthogonality_pairs()
         self._validate_bases()
 
     def _is_orthogonal(self, i: int, j: int) -> bool:
-        if self.backend == EXACT:
-            re, im = _inner_exact(self.vectors[i], self.vectors[j])
-            return re == 0 and im == 0
+        if self._gaussian is not None:
+            return gaussian_orthogonal(self._gaussian[i], self._gaussian[j])
         return abs(_inner_float(self.vectors[i], self.vectors[j])) < self.tol
 
     def _orthogonality_pairs(self) -> frozenset[tuple[int, int]]:
@@ -128,14 +123,16 @@ class VectorSet:
         edges = [(self.names[i], self.names[j]) for i, j in self._orth]
         return ExclusivityGraph(self.names, edges)
 
-    def projector(self, name: str) -> Projector:
-        i = self.index(name)
+    def _projector_at(self, i: int) -> Projector:
+        if self._gaussian is not None:
+            return projector_from_gaussian(*self._gaussian[i])
         return projector_from_vector(self.vectors[i], self.backend, self.tol)
 
+    def projector(self, name: str) -> Projector:
+        return self._projector_at(self.index(name))
+
     def projectors(self) -> list[Projector]:
-        return [
-            projector_from_vector(v, self.backend, self.tol) for v in self.vectors
-        ]
+        return [self._projector_at(i) for i in range(len(self.vectors))]
 
     def remove(self, name: str) -> "VectorSet":
         """Drop one vector; bases that contained it become deficient contexts."""

@@ -14,6 +14,9 @@ from ctxcert.analyze import (
     CONTEXTUAL,
     NONCLASSICAL_SCENARIO_ONLY,
     NONCONTEXTUAL,
+    SeparatingInequality,
+    _primitive_inequality,
+    _separation_lp,
     classify_experiment,
     clique_reduction,
     is_noncontextual,
@@ -24,9 +27,10 @@ from ctxcert.analyze import (
 )
 from ctxcert.errors import MissingAtom, NotAGraphState
 from ctxcert.graphs import ExclusivityGraph, PBAState, enumerate_zero_one_states
-from ctxcert.linalg import ExactMatrix, Projector
+from ctxcert.linalg import DensityMatrix, ExactMatrix, Projector, projector_from_vector
 from ctxcert.systems import generate_system
 
+from test_simplex import YU_OH_RAYS
 from test_systems import diag, random_pentagon_state
 
 
@@ -349,3 +353,50 @@ def test_kcbs_value_missing_atom():
     p = PBAState(g, {"a": Fraction(1), "b": Fraction(0)})
     with pytest.raises(MissingAtom):
         kcbs_value(p)
+
+
+def _fraction_primitive_inequality(atom_order, y, states):
+    """The 0-1 maximum with a Fraction product per vertex and state, then the
+    integer scaling: ``_primitive_inequality`` before it scaled y first."""
+    bound = max(
+        sum(y.get(v, Fraction(0)) * lam.value(v) for v in atom_order) for lam in states
+    )
+    scale = 1
+    for d in [y[v].denominator for v in y] + [bound.denominator]:
+        scale = scale * d // math.gcd(scale, d)
+    ints = {v: int(y.get(v, Fraction(0)) * scale) for v in atom_order}
+    g = 0
+    for c in [abs(c) for c in ints.values() if c] + [abs(int(bound * scale))]:
+        g = math.gcd(g, c)
+    g = g or 1
+    return SeparatingInequality(
+        atom_order=tuple(atom_order),
+        coeffs={v: c // g for v, c in ints.items()},
+        bound=int(bound * scale) // g,
+    )
+
+
+def _yu_oh_quantum_state():
+    system = generate_system([projector_from_vector(r) for r in YU_OH_RAYS])
+    return system.state_from_density(DensityMatrix.maximally_mixed(3))
+
+
+@pytest.mark.parametrize("name", ["kcbs", "yu-oh"])
+def test_primitive_inequality_matches_fraction_reference(name, kcbs_quantum_state):
+    p = kcbs_quantum_state if name == "kcbs" else _yu_oh_quantum_state()
+    s01 = enumerate_zero_one_states(p.graph)
+    target = {v: Fraction(p.value(v)) for v in p.graph.vertices}
+    y, _, violation = _separation_lp(clique_reduction(p.graph).free, s01, target)
+    assert violation > 0
+    got = _primitive_inequality(p.graph.vertices, y, s01)
+    assert got == _fraction_primitive_inequality(p.graph.vertices, y, s01)
+    assert got == is_noncontextual(p, s01).inequality
+    rng = random.Random(11)
+    for _ in range(50):
+        y = {
+            v: Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+            for v in p.graph.vertices
+            if rng.random() < 0.7
+        }
+        got = _primitive_inequality(p.graph.vertices, y, s01)
+        assert got == _fraction_primitive_inequality(p.graph.vertices, y, s01)

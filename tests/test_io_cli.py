@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 import json
 import logging
 import subprocess
@@ -10,19 +12,25 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxcert.catalog import kcbs_system
 from ctxcert.cli import main
-from ctxcert.errors import ClosureBudgetExceeded, ScenarioFormatError
+from ctxcert.errors import ClosureBudgetExceeded, CtxcertError, ScenarioFormatError
 from ctxcert.io import (
+    _parse_matrix,
     cache_path_for,
     load_cached_system,
+    parse_ratio,
+    parse_rational,
     scenario_from_dict,
     state_from_dict,
     store_cached_system,
     system_from_payload,
     system_to_payload,
 )
+from ctxcert.linalg import ExactMatrix
 from ctxcert.systems import generate_system, systems_equal
 
 BOOLEAN_SCENARIO = {
@@ -316,3 +324,283 @@ def test_cli_ks_check_reports_deficient_contexts(capsys):
     doc = json.loads(out)
     assert doc["ks_check"]["complete_bases"] == 7
     assert doc["ks_check"]["deficient_bases"] == 2
+
+
+# -- the integer parse path --------------------------------------------------------
+
+RATIONAL_EDGES = [
+    "+3", " 3 ", "03", "-0", "1/0", "3/-4", "1.5", "1e2", "1_000",
+    "١٢", "３", "1/٣", "²", "1 / 2", "\t7\n", "", "-", "/2", "2/",
+    "+-1", "0/5", "-12/18", "00/007", 7, -3, True, 1.5, None, [1],
+]
+
+
+def _check_ratio(value):
+    try:
+        want = Fraction(str(value).strip()) if isinstance(value, (int, str)) else None
+    except (ValueError, ZeroDivisionError):
+        want = None
+    if want is None:
+        with pytest.raises(ScenarioFormatError) as got:
+            parse_ratio(value, "x")
+        with pytest.raises(ScenarioFormatError) as ref:
+            parse_rational(value, "x")
+        assert str(got.value) == str(ref.value)
+    else:
+        num, den = parse_ratio(value, "x")
+        assert den > 0 and Fraction(num, den) == want
+
+
+@pytest.mark.parametrize("value", RATIONAL_EDGES)
+def test_ratio_parse_edge_cases_match_fraction(value):
+    _check_ratio(value)
+
+
+def test_ratio_parse_past_the_int_digit_limit_matches_fraction():
+    for value in ("1" * 5000, "1/" + "2" * 5000):
+        _check_ratio(value)
+
+
+@given(
+    st.one_of(
+        st.from_regex(r"\A\s?[+-]?[0-9]{1,6}(/[0-9]{1,4})?\s?\Z"),
+        st.text(alphabet="0123456789+-/ ._e١３", max_size=8),
+        st.text(max_size=5),
+        st.integers(),
+    )
+)
+@settings(max_examples=400, deadline=None)
+def test_ratio_parse_matches_fraction(value):
+    _check_ratio(value)
+
+
+_literals = st.one_of(
+    st.from_regex(r"\A[+-]?[0-9]{1,3}(/[1-9][0-9]?)?\Z"),
+    st.sampled_from(["0", "1", " 2 ", "-0", "1_0", "١", "3/06"]),
+)
+
+
+@given(st.integers(min_value=1, max_value=3).flatmap(
+    lambda d: st.lists(
+        st.lists(st.fixed_dictionaries({"re": _literals, "im": _literals}), min_size=d, max_size=d),
+        min_size=d,
+        max_size=d,
+    )
+))
+@settings(max_examples=150, deadline=None)
+def test_exact_matrix_parse_matches_fraction_entries(grid):
+    rows = [
+        [(parse_rational(e["re"], "re"), parse_rational(e["im"], "im")) for e in row]
+        for row in grid
+    ]
+    got = _parse_matrix(grid, "exact", 1e-9, len(grid), "m")
+    want = ExactMatrix.from_entries(rows)
+    assert (got.den, got.re, got.im) == (want.den, want.re, want.im)
+
+
+def test_scenario_labels_are_the_generator_projectors():
+    scenario = scenario_from_dict(BOOLEAN_SCENARIO)
+    assert list(scenario.labels.values()) == scenario.generators
+    assert scenario.labels == {n: scenario.vector_set.projector(n) for n in ("ex", "ey", "ez")}
+
+
+# -- malformed documents end in a typed error ------------------------------------------
+
+
+MALFORMED_SCENARIOS = [
+    ({"dimension": 3, "vectors": [[1, 0, 0]]}, "vectors[0]"),
+    ({"dimension": 3, "vectors": {"a": 1}}, "vectors[0]"),
+    ({"dimension": 3, "vectors": [{"name": "a", "entries": 5}]}, "vectors[0].entries"),
+    ({"dimension": 3, "vectors": 5}, "vectors"),
+    (dict(BOOLEAN_SCENARIO, bases=5), "bases"),
+    (dict(BOOLEAN_SCENARIO, bases=[[["ex"]]]), "bases[0]"),
+    (dict(BOOLEAN_SCENARIO, generators=5), "generators"),
+]
+
+
+@pytest.mark.parametrize("doc, field", MALFORMED_SCENARIOS)
+def test_malformed_scenario_names_the_field(doc, field):
+    with pytest.raises(ScenarioFormatError) as err:
+        scenario_from_dict(doc)
+    assert str(err.value).startswith(field + ":")
+
+
+@pytest.mark.parametrize("doc, field", MALFORMED_SCENARIOS[:3])
+def test_cli_malformed_scenario_is_a_typed_error(tmp_path, capsys, doc, field):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["build", str(path)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field}:")
+
+
+def test_cli_state_vector_not_a_list_is_a_typed_error(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vector": 5}))
+    code, _, err = run_cli(["analyze", "kcbs", "--state", str(bad)], capsys)
+    assert code == 1
+    assert err.startswith("error: vector:")
+
+
+# -- a corrupt or mismatched cache is a miss -----------------------------------------
+
+
+def _stored_cache(tmp_path, doc=BOOLEAN_SCENARIO):
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    scenario = scenario_from_dict(doc)
+    system = generate_system(scenario.generators, atom_labels=scenario.labels)
+    store_cached_system(scenario_path, system)
+    cache = cache_path_for(scenario_path)
+    return scenario_path, scenario, json.loads(cache.read_text()), cache
+
+
+# name -> (how the stored payload is corrupted, the logged reason)
+CORRUPTIONS = {
+    "system null": (lambda doc: doc.update(system=None), "not a ctxcert system payload"),
+    "top-level list": (lambda doc: doc.clear(), "not a JSON object"),  # written as [doc]
+    "elements 5": (lambda doc: doc["system"].update(elements=5), "elements: expected a list"),
+    "atom element 999": (
+        lambda doc: doc["system"]["atoms"][0].update(element=999),
+        "atoms[0].element: no element 999",
+    ),
+    "non-idempotent element": (
+        lambda doc: doc["system"]["elements"][-1][0][0].update(re="2"),
+        "matrix is not idempotent",
+    ),
+    "reordered elements": (
+        lambda doc: doc["system"]["elements"].reverse(),
+        "elements[0]: repeated or out of the system's order",
+    ),
+    "repeated element": (
+        lambda doc: doc["system"]["elements"].insert(1, doc["system"]["elements"][1]),
+        "elements[1]: repeated or out of the system's order",
+    ),
+    "label on a non-atom": (
+        lambda doc: doc["system"]["atoms"][0].update(element=len(doc["system"]["elements"]) - 1),
+        "label 'ex' does not name an atom",
+    ),
+    "weird backend": (
+        lambda doc: doc["system"].update(backend="weird"),
+        "backend: expected 'exact' or 'float', got 'weird'",
+    ),
+    "float backend": (
+        lambda doc: doc["system"].update(backend="float", tolerance="1e-09"),
+        "backend float, scenario exact",
+    ),
+    "version 2": (lambda doc: doc["system"].update(version=2), "version: expected 1, got 2"),
+}
+
+
+def _corrupt(cache, doc, name):
+    bad = json.loads(json.dumps(doc))
+    CORRUPTIONS[name][0](bad)
+    cache.write_text(json.dumps([bad] if name == "top-level list" else bad), encoding="utf-8")
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupt_cache_is_a_logged_miss(tmp_path, caplog, name):
+    scenario_path, scenario, doc, cache = _stored_cache(tmp_path)
+    assert load_cached_system(scenario_path, scenario=scenario) is not None
+    _corrupt(cache, doc, name)
+    with caplog.at_level(logging.INFO, logger="ctxcert.io"):
+        assert load_cached_system(scenario_path, scenario=scenario) is None
+    assert caplog.records[-1].getMessage() == f"ignoring cache {cache}: {CORRUPTIONS[name][1]}"
+
+
+def test_cli_corrupt_cache_is_rebuilt(tmp_path, capsys):
+    scenario_path, _, doc, cache = _stored_cache(tmp_path)
+    code, want, _ = run_cli(["build", str(scenario_path), "--no-cache", "--format", "json"], capsys)
+    want = {k: v for k, v in json.loads(want).items() if k != "timings"}
+    for name in sorted(CORRUPTIONS):
+        _corrupt(cache, doc, name)
+        code, out, err = run_cli(["build", str(scenario_path), "--format", "json"], capsys)
+        assert (code, err) == (0, ""), name
+        assert {k: v for k, v in json.loads(out).items() if k != "timings"} == want, name
+        assert json.loads(cache.read_text()) == doc  # the rebuild rewrote the cache
+
+
+def test_cache_for_another_backend_dimension_or_tolerance_is_a_miss(tmp_path, caplog):
+    scenario_path, scenario, _, _ = _stored_cache(tmp_path)
+    others = [
+        dataclasses.replace(scenario, backend="float"),
+        dataclasses.replace(scenario, dimension=4),
+    ]
+    for other in others:
+        with caplog.at_level(logging.INFO, logger="ctxcert.io"):
+            assert load_cached_system(scenario_path, scenario=other) is None
+    float_doc = dict(BOOLEAN_SCENARIO, backend="float", tolerance=1e-6)
+    scenario_path, scenario, _, _ = _stored_cache(tmp_path, float_doc)
+    assert load_cached_system(scenario_path, scenario=scenario) is not None
+    other = dataclasses.replace(scenario, tol=1e-7)
+    with caplog.at_level(logging.INFO, logger="ctxcert.io"):
+        assert load_cached_system(scenario_path, scenario=other) is None
+    assert [r.getMessage().split(": ", 1)[1] for r in caplog.records] == [
+        "backend exact, scenario float",
+        "dimension 3, scenario 4",
+        "tolerance 1e-06, scenario 1e-07",
+    ]
+
+
+def test_cli_unreadable_files_are_typed_errors(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, _, err = run_cli(["analyze", "kcbs", "--state", str(missing)], capsys)
+    assert code == 1 and err == f"error: {missing}: cannot read (No such file or directory)\n"
+    not_utf8 = tmp_path / "latin1.json"
+    not_utf8.write_bytes(b'{"dimension": "\xe9"}')
+    code, _, err = run_cli(["build", str(not_utf8)], capsys)
+    assert code == 1 and err.startswith(f"error: {not_utf8}: invalid JSON (")
+    a_list = tmp_path / "list.json"
+    a_list.write_text("[1, 2]")
+    code, _, err = run_cli(["build", str(a_list), "--backend", "float"], capsys)
+    assert code == 1 and err == "error: scenario document must be a JSON object\n"
+
+
+# -- fuzzing the readers ----------------------------------------------------------------
+
+_JUNK = st.sampled_from(
+    [None, 5, -1, 2.5, True, "x", "1/2", "3/0", "0.5", [], [1], [[1]], {}, {"a": 1}, {"re": []}]
+)
+
+
+def _paths(node, prefix=()):
+    yield prefix
+    children = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in children:
+        yield from _paths(child, prefix + (key,))
+
+
+@st.composite
+def _mutated(draw, doc):
+    """``doc`` with one to three of its values (or the whole of it) replaced by junk."""
+    def copy(value):
+        return json.loads(json.dumps(value))
+
+    doc = copy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        path = draw(st.sampled_from(list(_paths(doc))))
+        if not path:
+            return copy(draw(_JUNK))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = copy(draw(_JUNK))
+    return doc
+
+
+_STATE = {"density": [[{"re": "1/3"} if i == j else {"re": "0"} for j in range(3)] for i in range(3)]}
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_malformed_documents_raise_typed_errors(data):
+    scenario = data.draw(_mutated(dict(BOOLEAN_SCENARIO, generators=["ex", "ey"])))
+    with contextlib.suppress(CtxcertError):
+        scenario_from_dict(scenario)
+    state = data.draw(_mutated(data.draw(st.sampled_from([_STATE, {"vector": [{"re": "1"}] * 3}]))))
+    with contextlib.suppress(CtxcertError):
+        state_from_dict(state, data.draw(st.sampled_from(["exact", "float"])), 1e-9, 3)
+    system = generate_system(scenario_from_dict(BOOLEAN_SCENARIO).generators)
+    payload = data.draw(_mutated(system_to_payload(system)))
+    with contextlib.suppress(CtxcertError, ValueError):  # the cache reader's miss types
+        system_from_payload(payload)

@@ -246,3 +246,39 @@ def test_exact_matrix_normalization_and_hash():
     a = ExactMatrix.from_entries([[Fraction(2, 4), 0], [0, Fraction(1, 2)]])
     b = ExactMatrix.from_entries([[Fraction(1, 2), 0], [0, Fraction(1, 2)]])
     assert a == b and hash(a) == hash(b)
+
+
+def _fraction_projector(entries) -> ExactMatrix:
+    """v v† / <v, v> formed entry by entry in Fraction arithmetic: the formula
+    ``projector_from_vector`` used before it scaled to Gaussian integers."""
+    pairs = [e if isinstance(e, tuple) else (e, 0) for e in entries]
+    pairs = [(Fraction(a), Fraction(b)) for a, b in pairs]
+    norm = sum(a * a + b * b for a, b in pairs)
+    return ExactMatrix.from_entries(
+        [[((a * c + b * e) / norm, (b * c - a * e) / norm) for c, e in pairs] for a, b in pairs]
+    )
+
+
+_small_fractions = st.builds(
+    Fraction, st.integers(min_value=-12, max_value=12), st.integers(min_value=1, max_value=9)
+)
+_gaussian_entries = st.one_of(
+    st.integers(min_value=-5, max_value=5),
+    _small_fractions,
+    st.tuples(_small_fractions, _small_fractions),
+)
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(
+    lambda d: st.lists(_gaussian_entries, min_size=d, max_size=d)
+))
+@settings(max_examples=200, deadline=None)
+def test_integer_projector_matches_fraction_formula(entries):
+    pairs = [e if isinstance(e, tuple) else (e, 0) for e in entries]
+    if all(a == 0 and b == 0 for a, b in pairs):
+        with pytest.raises(ZeroVector):
+            projector_from_vector(entries)
+        return
+    got = projector_from_vector(entries).mat
+    want = _fraction_projector(entries)
+    assert (got.den, got.re, got.im) == (want.den, want.re, want.im)

@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxcert.catalog import BUILTINS, CEG_REMOVED_VECTOR, ceg_prime, ceg_set
 from ctxcert.errors import OrthogonalityCheckFailed, OutOfRange, SearchBudgetExceeded
@@ -190,3 +193,48 @@ def test_lift_of_solvable_set_stays_solvable_with_kprime_zero():
     lifted = lift_ks_set(vs)
     result = ks_assignment_search(lifted, forced={"kprime": 0})
     assert result.found and result.assignment["kprime"] == 0
+
+
+def _inner_exact(u, v):
+    """conj(u) . v in Fraction arithmetic: the orthogonality test VectorSet
+    used before it scaled each ray to Gaussian integers."""
+    re = Fraction(0)
+    im = Fraction(0)
+    for x, y in zip(u, v):
+        a, b = map(Fraction, x if isinstance(x, tuple) else (x, 0))
+        c, d = map(Fraction, y if isinstance(y, tuple) else (y, 0))
+        re += a * c + b * d
+        im += a * d - b * c
+    return re, im
+
+
+def _reference_pairs(vectors):
+    return frozenset(
+        (i, j)
+        for i, j in itertools.combinations(range(len(vectors)), 2)
+        if _inner_exact(vectors[i], vectors[j]) == (0, 0)
+    )
+
+
+_parts = st.one_of(
+    st.sampled_from([0, 0, 1, -1, 2]),
+    st.builds(Fraction, st.integers(-3, 3), st.integers(1, 4)),
+)
+_entries = st.one_of(_parts, st.tuples(_parts, _parts))
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.lists(st.lists(_entries, min_size=d, max_size=d), min_size=2, max_size=7)
+))
+@settings(max_examples=200, deadline=None)
+def test_orthogonality_pairs_match_fraction_inner_product(vectors):
+    d = len(vectors[0])
+    vs = VectorSet(d, [f"v{i}" for i in range(len(vectors))], vectors)
+    assert vs._orth == _reference_pairs(vectors)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_orthogonality_matches_fraction_inner_product(name):
+    vs = BUILTINS[name].vector_set()
+    if vs.backend == "exact":
+        assert vs._orth == _reference_pairs(vs.vectors)
