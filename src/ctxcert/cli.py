@@ -113,7 +113,7 @@ class _Source:
         if self.builtin:
             return self.builtin.system(self.max_elements)
         if self.use_cache:
-            cached = load_cached_system(self.path, self.max_elements, self.scenario)
+            cached = load_cached_system(self.path, self.scenario, self.max_elements)
             if cached is not None:
                 log.info("loaded system from cache beside %s", self.path)
                 return cached

@@ -124,18 +124,22 @@ def _entry_is_rational(entry) -> bool:
     return _is_rational_literal(entry)
 
 
-def _entry_ratios(entry, field: str) -> tuple[int, int, int, int]:
-    """(re num, re den, im num, im den) of an exact entry."""
+def _parse_entry_ratios(entry, field: str) -> tuple[int, int, int, int]:
+    """(re num, re den, im num, im den) of an exact entry of a document."""
     re_part, im_part = _entry_parts(entry, field)
     return (*parse_ratio(re_part, field + ".re"), *parse_ratio(im_part, field + ".im"))
 
 
 def _exact_vector(entries, field: str) -> tuple:
     """Exact vector entries as (re, im) pairs, each an int, or a ``Fraction``
-    where its denominator is not 1; ``field`` names entry k as ``field[k]``."""
+    where its denominator is not 1; ``field`` names entry k as ``field[k]``.
+
+    The rays keep these values (``VectorSet.vectors``), so a fractional entry
+    still passes through one ``Fraction`` on its way to the Gaussian-integer
+    ray (``linalg.gaussian_integer_vector``)."""
     out = []
     for k, e in enumerate(entries):
-        re_n, re_d, im_n, im_d = _entry_ratios(e, f"{field}[{k}]")
+        re_n, re_d, im_n, im_d = _parse_entry_ratios(e, f"{field}[{k}]")
         re = re_n if re_d == 1 else Fraction(re_n, re_d)
         im = im_n if im_d == 1 else Fraction(im_n, im_d)
         out.append((re, im))
@@ -190,7 +194,7 @@ def _parse_matrix(grid, backend: str, tol: float, dim: int, field: str):
             raise ScenarioFormatError(f"{field}[{ri}]: expected {dim} entries")
     if backend == EXACT:
         parts = [
-            _entry_ratios(e, f"{field}[{ri}][{ci}]")
+            _parse_entry_ratios(e, f"{field}[{ri}][{ci}]")
             for ri, row in enumerate(grid)
             for ci, e in enumerate(row)
         ]
@@ -257,29 +261,26 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
         bases.append(Basis(idx, complete=len(idx) == dim))
     vs = VectorSet(dim, names, vectors, bases, backend, tol)
 
-    generators: list[Projector] = []
+    ray_projector = functools.cache(vs.projector)  # generators and labels share them
     raw_gens = doc.get("generators")
     if raw_gens is None:
-        generators = vs.projectors()
+        raw_gens = names  # every ray is a generator
     elif not isinstance(raw_gens, Iterable):
         raise ScenarioFormatError("generators: expected a list of generators")
-    else:
-        for gi, gen in enumerate(raw_gens):
-            if isinstance(gen, str):
-                generators.append(vs.projector(gen))
-            elif isinstance(gen, dict) and "matrix" in gen:
-                mat = _parse_matrix(gen["matrix"], backend, tol, dim, f"generators[{gi}].matrix")
-                generators.append(Projector(mat))
-            else:
-                raise ScenarioFormatError(
-                    f"generators[{gi}]: expected a vector name or a matrix object"
-                )
+    generators: list[Projector] = []
+    for gi, gen in enumerate(raw_gens):
+        if isinstance(gen, str):
+            generators.append(ray_projector(gen))
+        elif isinstance(gen, dict) and "matrix" in gen:
+            mat = _parse_matrix(gen["matrix"], backend, tol, dim, f"generators[{gi}].matrix")
+            generators.append(Projector(mat))
+        else:
+            raise ScenarioFormatError(
+                f"generators[{gi}]: expected a vector name or a matrix object"
+            )
     if not generators:
         raise ScenarioFormatError("generators: scenario defines no generators")
-    if raw_gens is None:
-        labels = dict(zip(names, generators))  # the generators are the vector projectors
-    else:
-        labels = {name: vs.projector(name) for name in names}
+    labels = {name: ray_projector(name) for name in names}
     return Scenario(source, dim, backend, tol, vs, generators, labels)
 
 
@@ -456,16 +457,16 @@ def cache_path_for(scenario_path: Path) -> Path:
 
 def load_cached_system(
     scenario_path: Path,
+    scenario: Scenario,
     max_elements: int = DEFAULT_MAX_ELEMENTS,
-    scenario: Scenario | None = None,
 ) -> QuantumSystem | None:
-    """The cached system beside ``scenario_path``, or None on a miss.
+    """The cached system of the ``scenario`` parsed from ``scenario_path``,
+    or None on a miss.
 
     A miss is no cache file, a content hash that differs, a payload that
-    does not parse or validate (``system_from_payload``), or, when the
-    parsed ``scenario`` is given, a backend, dimension or float tolerance
-    that differs from it.  Each miss but the first is logged at INFO with
-    its reason.  A cached system larger than ``max_elements`` raises
+    does not parse or validate (``system_from_payload``), or a backend,
+    dimension or float tolerance other than the scenario's.  Each miss but
+    the first is logged at INFO with its reason.  A cached system larger than ``max_elements`` raises
     ``ClosureBudgetExceeded``, as building it would.
     """
     cache = cache_path_for(scenario_path)
@@ -478,8 +479,7 @@ def load_cached_system(
         if doc.get("sha256") != content_hash(scenario_path.read_bytes()):
             raise ScenarioFormatError("the scenario file has changed")
         system = system_from_payload(doc.get("system"))
-        if scenario is not None:
-            _check_cache_matches(system, scenario)
+        _check_cache_matches(system, scenario)
     except (CtxcertError, ValueError, OSError) as exc:
         log.info("ignoring cache %s: %s", cache, exc)
         return None

@@ -115,14 +115,14 @@ def test_cache_roundtrip(tmp_path):
     scenario_path.write_text(json.dumps(BOOLEAN_SCENARIO), encoding="utf-8")
     scenario = scenario_from_dict(BOOLEAN_SCENARIO)
     system = generate_system(scenario.generators, atom_labels=scenario.labels)
-    assert load_cached_system(scenario_path) is None
+    assert load_cached_system(scenario_path, scenario) is None
     store_cached_system(scenario_path, system)
     assert cache_path_for(scenario_path).exists()
-    cached = load_cached_system(scenario_path)
+    cached = load_cached_system(scenario_path, scenario)
     assert cached is not None and systems_equal(cached, system)
     # Any content change invalidates the cache.
     scenario_path.write_text(json.dumps(dict(BOOLEAN_SCENARIO, dimension=3)) + " ", encoding="utf-8")
-    store_hash_mismatch = load_cached_system(scenario_path)
+    store_hash_mismatch = load_cached_system(scenario_path, scenario)
     assert store_hash_mismatch is None
 
 
@@ -131,9 +131,9 @@ def test_cached_system_honours_max_elements(tmp_path):
     scenario_path.write_text(json.dumps(BOOLEAN_SCENARIO), encoding="utf-8")
     scenario = scenario_from_dict(BOOLEAN_SCENARIO)
     store_cached_system(scenario_path, generate_system(scenario.generators))
-    assert len(load_cached_system(scenario_path, max_elements=8)) == 8
+    assert len(load_cached_system(scenario_path, scenario, max_elements=8)) == 8
     with pytest.raises(ClosureBudgetExceeded):
-        load_cached_system(scenario_path, max_elements=7)
+        load_cached_system(scenario_path, scenario, max_elements=7)
 
 
 def test_failed_cache_write_is_logged_not_raised(tmp_path, monkeypatch, caplog):
@@ -402,6 +402,13 @@ def test_scenario_labels_are_the_generator_projectors():
     scenario = scenario_from_dict(BOOLEAN_SCENARIO)
     assert list(scenario.labels.values()) == scenario.generators
     assert scenario.labels == {n: scenario.vector_set.projector(n) for n in ("ex", "ey", "ez")}
+
+
+def test_named_generators_are_the_label_projectors():
+    names = ["ey", "ex", "ey"]
+    scenario = scenario_from_dict(dict(BOOLEAN_SCENARIO, generators=names))
+    assert all(g is scenario.labels[n] for g, n in zip(scenario.generators, names))
+    assert list(scenario.labels) == ["ex", "ey", "ez"]
 
 
 # -- malformed documents end in a typed error ------------------------------------------
