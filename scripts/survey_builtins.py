@@ -11,7 +11,7 @@ from __future__ import annotations
 import time
 
 from ctxcert.analyze import classify_experiment, scenario_classical, zero_one_states
-from ctxcert.catalog import BUILTINS, kcbs_state, lifted_ceg_system
+from ctxcert.catalog import BUILTINS, kcbs_state
 from ctxcert.graphs import PBAState
 
 

@@ -2,6 +2,10 @@
 17-vector remnant, its dimension lift, the twelve rank-2 generators, and the
 five-vector pentagon scenario with its three-observable implementation.
 
+Each ``BUILTINS`` entry is an ``io.Scenario`` like one read from a file: its
+rays, the generators and the atom labels drawn from them.  The CLI builds
+both kinds the same way.
+
 Every fixture is verified at load time (basis orthogonality, incidence counts,
 pentagon orthogonality ring), so a transcription slip fails loudly rather than
 corrupting downstream verdicts.
@@ -15,6 +19,7 @@ from itertools import combinations
 from typing import Callable, Sequence
 
 from .errors import CoverNotFound, DegenerateCoefficients, OrthogonalityCheckFailed
+from .io import Scenario
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
@@ -27,7 +32,7 @@ from .linalg import (
 )
 from .pasted import PastedPBA, build_pasted_pba
 from .systems import DEFAULT_MAX_ELEMENTS, QuantumSystem, generate_system
-from .vectorsets import Basis, VectorSet
+from .vectorsets import Basis, VectorSet, lift_ks_set
 
 # 18 rays in dimension 4, written without normalization.  Each ray sits in
 # exactly two of the nine bases; the first basis is the one generated by
@@ -97,9 +102,10 @@ def ceg_prime() -> VectorSet:
     return ceg_set().remove(CEG_REMOVED_VECTOR)
 
 
-def twelve_generator_cover() -> tuple[int, ...]:
-    """Lexicographically first choice of 6 bases that jointly cover all rays."""
-    vs = ceg_set()
+def twelve_generator_cover(vs: VectorSet | None = None) -> tuple[int, ...]:
+    """Lexicographically first choice of 6 bases that jointly cover all rays
+    of ``vs`` (default: the CEG set)."""
+    vs = ceg_set() if vs is None else vs
     for cover in combinations(range(len(vs.bases)), 6):
         seen = set()
         for b in cover:
@@ -109,51 +115,26 @@ def twelve_generator_cover() -> tuple[int, ...]:
     raise CoverNotFound("no 6-basis cover of the 18 rays exists; fixture corrupted")
 
 
-def twelve_generators() -> list[Projector]:
+def twelve_generators(vs: VectorSet | None = None) -> list[Projector]:
     """Two rank-2 projectors per covering context: a|b and b|c for atoms a,b,c,d.
 
     Twelve projectors generate the same system as the eighteen rank-1 rays
     because each chosen context's full Boolean block is recovered from its two
     generators, and the cover touches every ray.
     """
-    vs = ceg_set()
-    cover = twelve_generator_cover()
-    projs = [vs.projector(name) for name in vs.names]
+    vs = ceg_set() if vs is None else vs
+    projs = vs.projectors()
     out = []
-    for b in cover:
+    for b in twelve_generator_cover(vs):
         a, bb, c, _ = vs.bases[b].indices
         out.append(join(projs[a], projs[bb]))
         out.append(join(projs[bb], projs[c]))
     return out
 
 
-def ceg_system(max_elements: int = DEFAULT_MAX_ELEMENTS) -> QuantumSystem:
-    vs = ceg_set()
-    labels = {name: vs.projector(name) for name in vs.names}
-    return generate_system(vs.projectors(), max_elements, atom_labels=labels)
-
-
-def ceg_prime_system(max_elements: int = DEFAULT_MAX_ELEMENTS) -> QuantumSystem:
-    vs = ceg_prime()
-    labels = {name: vs.projector(name) for name in vs.names}
-    return generate_system(vs.projectors(), max_elements, atom_labels=labels)
-
-
-def twelve_generator_system(max_elements: int = DEFAULT_MAX_ELEMENTS) -> QuantumSystem:
-    return generate_system(twelve_generators(), max_elements)
-
-
 def lifted_ceg_set() -> VectorSet:
     """CEG embedded in dimension 5 together with the new axis ray."""
-    from .vectorsets import lift_ks_set
-
     return lift_ks_set(ceg_set(), new_name="kprime")
-
-
-def lifted_ceg_system(max_elements: int = DEFAULT_MAX_ELEMENTS) -> QuantumSystem:
-    vs = lifted_ceg_set()
-    labels = {name: vs.projector(name) for name in vs.names}
-    return generate_system(vs.projectors(), max_elements, atom_labels=labels)
 
 
 # -- pentagon scenario -------------------------------------------------------
@@ -186,18 +167,10 @@ def kcbs_state(tol: float = DEFAULT_TOL) -> DensityMatrix:
 
 
 def kcbs_system(tol: float = DEFAULT_TOL, max_elements: int = DEFAULT_MAX_ELEMENTS) -> QuantumSystem:
-    """System generated by the five pentagon rays, with all ten atoms labeled.
-
-    The five derived rank-1 atoms are the context completions
-    P{i}{i+1} = not(P{i} or P{i+1}).
-    """
-    vs = kcbs_vectors(tol)
-    projs = {name: vs.projector(name) for name in vs.names}
-    labels = dict(projs)
-    for j in range(5):
-        k = (j + 1) % 5
-        labels[f"P{j}{k}"] = complement(join(projs[f"P{j}"], projs[f"P{k}"]))
-    return generate_system(list(projs.values()), max_elements, atom_labels=labels)
+    """The ``kcbs`` builtin's system at tolerance ``tol``: generated by the
+    five pentagon rays, with all ten atoms labeled (``_pentagon``)."""
+    generators, labels = _pentagon(kcbs_vectors(tol))
+    return generate_system(generators, max_elements, atom_labels=labels)
 
 
 KCBS_PENTAGON = tuple(f"P{j}" for j in range(5))
@@ -277,46 +250,85 @@ def b2_pasted() -> PastedPBA:
     )
 
 
-# -- builtin registry for the CLI ---------------------------------------------
+# -- builtin scenarios -----------------------------------------------------------
+
+# A builtin's generators and atom labels, drawn from its vector set.
+Events = tuple[list[Projector], dict[str, Projector]]
+
+
+def _rays(vs: VectorSet) -> Events:
+    """Every ray is a generator and names its atom."""
+    labels = dict(zip(vs.names, vs.projectors()))
+    return list(labels.values()), labels
+
+
+def _rank_two(vs: VectorSet) -> Events:
+    """The twelve rank-2 generators; no atom is a generator, so none is named."""
+    return twelve_generators(vs), {}
+
+
+def _pentagon(vs: VectorSet) -> Events:
+    """The five rays, naming their atoms, plus the five derived rank-1 atoms,
+    the context completions P{i}{i+1} = not(P{i} or P{i+1})."""
+    generators, labels = _rays(vs)
+    for j in range(5):
+        k = (j + 1) % 5
+        labels[f"P{j}{k}"] = complement(join(labels[f"P{j}"], labels[f"P{k}"]))
+    return generators, labels
 
 
 @dataclass(frozen=True)
 class Builtin:
+    """A named scenario.  ``vector_set`` builds the rays alone (no projector);
+    ``scenario`` adds the generators and atom labels drawn from them."""
+
     name: str
     description: str
     vector_set: Callable[[], VectorSet]
-    system: Callable[[int], QuantumSystem]
+    events: Callable[[VectorSet], Events]
+
+    def scenario(self) -> Scenario:
+        vs = self.vector_set()
+        return Scenario(self.name, vs, *self.events(vs))
+
+    def system(self, max_elements: int = DEFAULT_MAX_ELEMENTS) -> QuantumSystem:
+        """The closure of the generators; every label must name an atom."""
+        scenario = self.scenario()
+        return generate_system(scenario.generators, max_elements, atom_labels=scenario.labels)
 
 
 BUILTINS: dict[str, Builtin] = {
-    "ceg": Builtin(
-        "ceg",
-        "18 rays / 9 bases in dimension 4; no deterministic assignment exists",
-        ceg_set,
-        ceg_system,
-    ),
-    "ceg17": Builtin(
-        "ceg17",
-        "CEG minus (1,0,0,0); admits an assignment yet generates the same system",
-        ceg_prime,
-        ceg_prime_system,
-    ),
-    "ceg-lift": Builtin(
-        "ceg-lift",
-        "CEG zero-padded into dimension 5 plus the new axis ray",
-        lifted_ceg_set,
-        lifted_ceg_system,
-    ),
-    "ceg-gen12": Builtin(
-        "ceg-gen12",
-        "twelve rank-2 generators drawn from a 6-basis cover of CEG",
-        ceg_set,
-        twelve_generator_system,
-    ),
-    "kcbs": Builtin(
-        "kcbs",
-        "five pentagon rays in dimension 3 with ten-atom closure",
-        kcbs_vectors,
-        lambda max_elements=DEFAULT_MAX_ELEMENTS: kcbs_system(max_elements=max_elements),
-    ),
+    b.name: b
+    for b in (
+        Builtin(
+            "ceg",
+            "18 rays / 9 bases in dimension 4; no deterministic assignment exists",
+            ceg_set,
+            _rays,
+        ),
+        Builtin(
+            "ceg17",
+            "CEG minus (1,0,0,0); admits an assignment yet generates the same system",
+            ceg_prime,
+            _rays,
+        ),
+        Builtin(
+            "ceg-lift",
+            "CEG zero-padded into dimension 5 plus the new axis ray",
+            lifted_ceg_set,
+            _rays,
+        ),
+        Builtin(
+            "ceg-gen12",
+            "twelve rank-2 generators drawn from a 6-basis cover of CEG",
+            ceg_set,
+            _rank_two,
+        ),
+        Builtin(
+            "kcbs",
+            "five pentagon rays in dimension 3 with ten-atom closure",
+            kcbs_vectors,
+            _pentagon,
+        ),
+    )
 }

@@ -1,7 +1,9 @@
 """Command-line front end.
 
 Subcommands: build, analyze, graph, ks-check, zero-one.  Scenarios are builtin
-names (ceg, ceg17, ceg-lift, ceg-gen12, kcbs) or JSON files.  Reports render
+names (ceg, ceg17, ceg-lift, ceg-gen12, kcbs) or JSON files; either resolves
+once to an ``io.Scenario`` and takes one build path: cache load (files only),
+closure, atom labels, cache store.  Reports render
 as text or JSON; the text form is derived from the JSON form only, and exit
 codes are a function of the JSON report alone (0 classical, 10 nonclassical
 scenario with noncontextual state, 20 contextual, 1 error).
@@ -14,7 +16,6 @@ import json
 import logging
 import sys
 import time
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -34,9 +35,8 @@ from .io import (
     scenario_from_path,
     state_from_path,
     store_cached_system,
-    system_to_payload,
 )
-from .linalg import EXACT, FLOAT
+from .linalg import FLOAT
 from .systems import DEFAULT_MAX_ELEMENTS, QuantumSystem, generate_system
 from .vectorsets import ks_assignment_search
 
@@ -46,87 +46,51 @@ log = logging.getLogger(__name__)
 
 
 class _Source:
-    """A scenario argument resolved to builders for vectors and the system."""
+    """A scenario argument resolved once: the scenario, builtin or file, and
+    the file whose ``.ctxcache`` serves the build.  There is no cache for a
+    builtin, under ``--backend`` or ``--tolerance`` (they change the parse,
+    and the cache is keyed on the file's content only), or with
+    ``--no-cache``."""
 
-    def __init__(
-        self,
-        token: str,
-        max_elements: int,
-        use_cache: bool,
-        backend_override: str | None = None,
-        tolerance_override: float | None = None,
-    ):
-        self.token = token
-        self.max_elements = max_elements
-        self.use_cache = use_cache
-        self.path: Path | None = None
-        self.builtin = BUILTINS.get(token)
-        if self.builtin is None:
-            self.path = Path(token)
-            if not self.path.exists():
+    def __init__(self, args):
+        self.token = token = args.scenario
+        self.max_elements = args.max_elements
+        self.cache_for: Path | None = None
+        builtin = BUILTINS.get(token)
+        if builtin is not None:
+            self.scenario = builtin.scenario()
+            backend = self.scenario.vector_set.backend
+            if args.backend and args.backend != backend:
+                raise ScenarioFormatError(f"builtin {token!r} is fixed to the {backend!r} backend")
+            if args.tolerance is not None:
                 raise ScenarioFormatError(
-                    f"{token!r} is neither a builtin ({', '.join(sorted(BUILTINS))}) "
-                    "nor an existing file"
+                    f"builtin {token!r} carries its own tolerance; --tolerance applies "
+                    "to scenario files"
                 )
-            self.scenario = scenario_from_path(
-                self.path, backend=backend_override, tolerance=tolerance_override
-            )
-            if backend_override or tolerance_override is not None:
-                # Overrides change the parse, so the cache beside the file
-                # (keyed on content only) must not serve stale systems.
-                self.use_cache = False
-        elif backend_override and backend_override != self.builtin.vector_set().backend:
+            return
+        path = Path(token)
+        if not path.exists():
             raise ScenarioFormatError(
-                f"builtin {token!r} is fixed to the "
-                f"{self.builtin.vector_set().backend!r} backend"
+                f"{token!r} is neither a builtin ({', '.join(sorted(BUILTINS))}) "
+                "nor an existing file"
             )
-        elif tolerance_override is not None:
-            raise ScenarioFormatError(
-                f"builtin {token!r} carries its own tolerance; --tolerance applies "
-                "to scenario files"
-            )
-
-    @property
-    def backend(self) -> str:
-        if self.builtin:
-            return self.builtin.vector_set().backend
-        return self.scenario.backend
-
-    @property
-    def tol(self) -> float:
-        if self.builtin:
-            return self.builtin.vector_set().tol
-        return self.scenario.tol
-
-    @property
-    def dimension(self) -> int:
-        if self.builtin:
-            return self.builtin.vector_set().dim
-        return self.scenario.dimension
-
-    def vector_set(self):
-        if self.builtin:
-            return self.builtin.vector_set()
-        return self.scenario.vector_set
+        self.scenario = scenario_from_path(path, backend=args.backend, tolerance=args.tolerance)
+        if not (args.no_cache or args.backend or args.tolerance is not None):
+            self.cache_for = path
 
     def build_system(self) -> QuantumSystem:
-        if self.builtin:
-            return self.builtin.system(self.max_elements)
-        if self.use_cache:
-            cached = load_cached_system(self.path, self.scenario, self.max_elements)
+        """The cached system, or the closure of the generators with the atoms
+        that scenario labels denote named by them (then cached)."""
+        if self.cache_for is not None:
+            cached = load_cached_system(self.cache_for, self.scenario, self.max_elements)
             if cached is not None:
-                log.info("loaded system from cache beside %s", self.path)
+                log.info("loaded system from cache beside %s", self.cache_for)
                 return cached
         system = generate_system(self.scenario.generators, self.max_elements)
-        atoms = set(system.atom_indices())
-        labels = {
-            name: proj
-            for name, proj in self.scenario.labels.items()
-            if system.contains(proj) and system.index_of(proj) in atoms
-        }
+        labels = {name: p for name, p in self.scenario.labels.items() if system.contains(p)}
         system = system.with_atom_labels(labels)
-        if self.use_cache:
-            store_cached_system(self.path, system)
+        if self.cache_for is not None:
+            store_cached_system(self.cache_for, system)
         return system
 
 
@@ -146,14 +110,17 @@ def _system_summary(system: QuantumSystem) -> dict:
     }
 
 
-def _base_report(args, source: _Source) -> dict:
-    return {
+def _start(args) -> tuple[_Source, dict]:
+    """The resolved scenario argument and the report every command starts from."""
+    source = _Source(args)
+    vs = source.scenario.vector_set
+    return source, {
         "tool": {"name": "ctxcert", "version": __version__},
         "scenario": {
             "source": source.token,
-            "dimension": source.dimension,
-            "backend": source.backend,
-            "tolerance": repr(source.tol) if source.backend == FLOAT else None,
+            "dimension": vs.dim,
+            "backend": vs.backend,
+            "tolerance": repr(vs.tol) if vs.backend == FLOAT else None,
         },
         "budgets": {
             "max_elements": args.max_elements,
@@ -192,13 +159,11 @@ def _state_for(system: QuantumSystem, spec) -> PBAState:
     if spec.density is not None:
         return system.state_from_density(spec.density)
     graph = system.atom_graph()
-    backend = EXACT if system.backend == EXACT else FLOAT
-    return PBAState(graph, spec.atom_values, backend=backend, tol=max(system.tol, 1e-9))
+    return PBAState(graph, spec.atom_values, backend=system.backend, tol=max(system.tol, 1e-9))
 
 
 def cmd_build(args) -> int:
-    source = _Source(args.scenario, args.max_elements, not args.no_cache, args.backend, args.tolerance)
-    report = _base_report(args, source)
+    source, report = _start(args)
     t0 = time.perf_counter()
     system = source.build_system()
     report["timings"]["build_s"] = time.perf_counter() - t0
@@ -212,14 +177,14 @@ def cmd_build(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    source = _Source(args.scenario, args.max_elements, not args.no_cache, args.backend, args.tolerance)
-    report = _base_report(args, source)
+    source, report = _start(args)
     t0 = time.perf_counter()
     system = source.build_system()
     report["timings"]["build_s"] = time.perf_counter() - t0
     report["system"] = _system_summary(system)
 
-    spec = state_from_path(Path(args.state), source.backend, source.tol, source.dimension)
+    vs = source.scenario.vector_set
+    spec = state_from_path(Path(args.state), vs.backend, vs.tol, vs.dim)
     state = _state_for(system, spec)
 
     t0 = time.perf_counter()
@@ -245,8 +210,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_graph(args) -> int:
-    source = _Source(args.scenario, args.max_elements, not args.no_cache, args.backend, args.tolerance)
-    report = _base_report(args, source)
+    source, report = _start(args)
     t0 = time.perf_counter()
     system = source.build_system()
     report["timings"]["build_s"] = time.perf_counter() - t0
@@ -256,7 +220,10 @@ def cmd_graph(args) -> int:
         "edges": len(graph.edges),
     }
     if args.dot:
-        Path(args.dot).write_text(graph.to_dot(), encoding="utf-8")
+        try:
+            Path(args.dot).write_text(graph.to_dot(), encoding="utf-8")
+        except OSError as exc:
+            raise ScenarioFormatError(f"{args.dot}: cannot write ({exc.strerror})") from None
         report["graph"]["dot_path"] = args.dot
     else:
         report["graph"]["dot"] = graph.to_dot()
@@ -265,9 +232,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_ks_check(args) -> int:
-    source = _Source(args.scenario, args.max_elements, not args.no_cache, args.backend, args.tolerance)
-    report = _base_report(args, source)
-    vs = source.vector_set()
+    source, report = _start(args)
+    vs = source.scenario.vector_set
     t0 = time.perf_counter()
     result = ks_assignment_search(vs, args.budget)
     report["timings"]["search_s"] = time.perf_counter() - t0
@@ -285,8 +251,7 @@ def cmd_ks_check(args) -> int:
 
 
 def cmd_zero_one(args) -> int:
-    source = _Source(args.scenario, args.max_elements, not args.no_cache, args.backend, args.tolerance)
-    report = _base_report(args, source)
+    source, report = _start(args)
     t0 = time.perf_counter()
     system = source.build_system()
     s01 = zero_one_states(system, args.budget)

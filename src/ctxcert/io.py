@@ -175,12 +175,11 @@ def _infer_backend(doc: dict) -> str:
 
 @dataclass
 class Scenario:
-    """Parsed scenario: named rays, optional bases, generator projectors."""
+    """A measurement scenario: named rays with optional bases, the generator
+    projectors, and the atom names.  Dimension, backend and tolerance are
+    those of ``vector_set``."""
 
     source: str
-    dimension: int
-    backend: str
-    tol: float
     vector_set: VectorSet
     generators: list[Projector]
     labels: dict[str, Projector]
@@ -281,7 +280,7 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     if not generators:
         raise ScenarioFormatError("generators: scenario defines no generators")
     labels = {name: ray_projector(name) for name in names}
-    return Scenario(source, dim, backend, tol, vs, generators, labels)
+    return Scenario(source, vs, generators, labels)
 
 
 def _read_json(path: Path):
@@ -489,12 +488,13 @@ def load_cached_system(
 
 
 def _check_cache_matches(system: QuantumSystem, scenario: Scenario) -> None:
-    if system.backend != scenario.backend:
-        raise ScenarioFormatError(f"backend {system.backend}, scenario {scenario.backend}")
-    if system.dim != scenario.dimension:
-        raise ScenarioFormatError(f"dimension {system.dim}, scenario {scenario.dimension}")
-    if system.backend == FLOAT and system.tol != scenario.tol:
-        raise ScenarioFormatError(f"tolerance {system.tol!r}, scenario {scenario.tol!r}")
+    vs = scenario.vector_set
+    if system.backend != vs.backend:
+        raise ScenarioFormatError(f"backend {system.backend}, scenario {vs.backend}")
+    if system.dim != vs.dim:
+        raise ScenarioFormatError(f"dimension {system.dim}, scenario {vs.dim}")
+    if system.backend == FLOAT and system.tol != vs.tol:
+        raise ScenarioFormatError(f"tolerance {system.tol!r}, scenario {vs.tol!r}")
 
 
 def store_cached_system(scenario_path: Path, system: QuantumSystem) -> None:

@@ -20,11 +20,10 @@ from .errors import (
     SearchBudgetExceeded,
     UnknownElement,
 )
-from .graphs import DEFAULT_SEARCH_BUDGET, ExclusivityGraph, ZeroOneSearch
+from .graphs import DEFAULT_SEARCH_BUDGET, ZeroOneSearch
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
-    FLOAT,
     Projector,
     gaussian_integer_vector,
     gaussian_orthogonal,
@@ -118,10 +117,6 @@ class VectorSet:
         return frozenset(
             tuple(sorted((self.names[i], self.names[j]))) for i, j in self._orth
         )
-
-    def orthogonality_graph(self) -> ExclusivityGraph:
-        edges = [(self.names[i], self.names[j]) for i, j in self._orth]
-        return ExclusivityGraph(self.names, edges)
 
     def _projector_at(self, i: int) -> Projector:
         if self._gaussian is not None:

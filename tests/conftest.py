@@ -5,34 +5,27 @@ from __future__ import annotations
 import pytest
 
 from ctxcert.analyze import zero_one_states
-from ctxcert.catalog import (
-    ceg_prime_system,
-    ceg_system,
-    kcbs_state,
-    kcbs_system,
-    lifted_ceg_system,
-    twelve_generator_system,
-)
+from ctxcert.catalog import BUILTINS, kcbs_state, kcbs_system
 
 
 @pytest.fixture(scope="session")
 def q_ceg():
-    return ceg_system()
+    return BUILTINS["ceg"].system()
 
 
 @pytest.fixture(scope="session")
 def q_ceg_prime():
-    return ceg_prime_system()
+    return BUILTINS["ceg17"].system()
 
 
 @pytest.fixture(scope="session")
 def q_twelve():
-    return twelve_generator_system()
+    return BUILTINS["ceg-gen12"].system()
 
 
 @pytest.fixture(scope="session")
 def q_lift():
-    return lifted_ceg_system()
+    return BUILTINS["ceg-lift"].system()
 
 
 @pytest.fixture(scope="session")

@@ -30,9 +30,9 @@ from ctxcert.analyze import (
     zero_one_states,
 )
 from ctxcert.catalog import (
+    BUILTINS,
     b2_pasted,
     ceg_prime,
-    ceg_prime_system,
     ceg_set,
     kcbs_state,
     kcbs_system,
@@ -82,7 +82,7 @@ def test_criterion_2_ceg_prime_assignment_and_identical_system(q_ceg):
         assert len(vs) == 17
         search = ks_assignment_search(vs)
         assert search.found
-        prime_system = ceg_prime_system()
+        prime_system = BUILTINS["ceg17"].system()
         s01 = zero_one_states(prime_system)
         assert s01 == []
         assert systems_equal(prime_system, q_ceg)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import contextlib
-import dataclasses
 import json
 import logging
 import subprocess
@@ -15,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxcert.catalog import kcbs_system
+from ctxcert.catalog import BUILTINS, kcbs_system
 from ctxcert.cli import main
 from ctxcert.errors import ClosureBudgetExceeded, CtxcertError, ScenarioFormatError
 from ctxcert.io import (
@@ -32,6 +31,7 @@ from ctxcert.io import (
 )
 from ctxcert.linalg import ExactMatrix
 from ctxcert.systems import generate_system, systems_equal
+from ctxcert.vectorsets import VectorSet
 
 BOOLEAN_SCENARIO = {
     "dimension": 3,
@@ -45,7 +45,7 @@ BOOLEAN_SCENARIO = {
 
 
 def test_backend_inference():
-    assert scenario_from_dict(BOOLEAN_SCENARIO).backend == "exact"
+    assert scenario_from_dict(BOOLEAN_SCENARIO).vector_set.backend == "exact"
     float_doc = {
         "dimension": 2,
         "vectors": [
@@ -53,9 +53,9 @@ def test_backend_inference():
             {"name": "b", "entries": [{"re": "1"}, {"re": "0"}]},
         ],
     }
-    assert scenario_from_dict(float_doc).backend == "float"
+    assert scenario_from_dict(float_doc).vector_set.backend == "float"
     forced = dict(float_doc, backend="float")
-    assert scenario_from_dict(forced).backend == "float"
+    assert scenario_from_dict(forced).vector_set.backend == "float"
 
 
 def test_parse_error_names_the_field():
@@ -238,6 +238,10 @@ def test_cli_unknown_scenario(capsys):
     code, _, err = run_cli(["build", "not-a-thing"], capsys)
     assert code == 1
     assert "neither a builtin" in err
+    assert err == (
+        "error: 'not-a-thing' is neither a builtin (ceg, ceg-gen12, ceg-lift, ceg17, kcbs) "
+        "nor an existing file\n"
+    )
 
 
 def test_cli_malformed_state(tmp_path, capsys):
@@ -291,6 +295,9 @@ def test_cli_overrides_rejected_for_builtins(capsys):
     assert code == 1 and "fixed to" in err
     code, _, err = run_cli(["build", "ceg", "--tolerance", "1e-6"], capsys)
     assert code == 1 and "tolerance" in err
+    assert err == "error: builtin 'ceg' carries its own tolerance; --tolerance applies to scenario files\n"
+    code, _, err = run_cli(["build", "ceg", "--backend", "float"], capsys)
+    assert (code, err) == (1, "error: builtin 'ceg' is fixed to the 'exact' backend\n")
 
 
 def test_cli_closure_budget_surfaced(tmp_path, capsys):
@@ -324,6 +331,38 @@ def test_cli_ks_check_reports_deficient_contexts(capsys):
     doc = json.loads(out)
     assert doc["ks_check"]["complete_bases"] == 7
     assert doc["ks_check"]["deficient_bases"] == 2
+
+
+def test_cli_dot_to_a_missing_directory_is_a_typed_error(tmp_path, capsys):
+    dot_path = tmp_path / "missing" / "x.dot"
+    code, _, err = run_cli(["graph", "ceg", "--dot", str(dot_path)], capsys)
+    assert code == 1 and err == f"error: {dot_path}: cannot write (No such file or directory)\n"
+
+
+# -- builtins take the build path of files -------------------------------------------
+
+
+def test_cli_analyze_builtin_builds_one_vector_set(tmp_path, capsys, monkeypatch):
+    state = tmp_path / "mixed.json"
+    density = [[{"re": "1/4" if i == j else "0"} for j in range(4)] for i in range(4)]
+    state.write_text(json.dumps({"density": density}))
+    built = []
+    init = VectorSet.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(VectorSet, "__init__", counting_init)
+    code, _, _ = run_cli(["analyze", "ceg", "--state", str(state)], capsys)
+    assert code == 20 and len(built) == 1
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_cli_builtin_graph_names_every_labelled_atom(name, capsys):
+    code, out, _ = run_cli(["graph", name, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out)["graph"]["dot"] == BUILTINS[name].system().atom_graph().to_dot()
 
 
 # -- the integer parse path --------------------------------------------------------
@@ -529,9 +568,13 @@ def test_cli_corrupt_cache_is_rebuilt(tmp_path, capsys):
 
 def test_cache_for_another_backend_dimension_or_tolerance_is_a_miss(tmp_path, caplog):
     scenario_path, scenario, _, _ = _stored_cache(tmp_path)
+    in_dimension_4 = {
+        "dimension": 4,
+        "vectors": [{"name": "ex", "entries": [{"re": "1"}, {"re": "0"}, {"re": "0"}, {"re": "0"}]}],
+    }
     others = [
-        dataclasses.replace(scenario, backend="float"),
-        dataclasses.replace(scenario, dimension=4),
+        scenario_from_dict(dict(BOOLEAN_SCENARIO, backend="float")),
+        scenario_from_dict(in_dimension_4),
     ]
     for other in others:
         with caplog.at_level(logging.INFO, logger="ctxcert.io"):
@@ -539,7 +582,7 @@ def test_cache_for_another_backend_dimension_or_tolerance_is_a_miss(tmp_path, ca
     float_doc = dict(BOOLEAN_SCENARIO, backend="float", tolerance=1e-6)
     scenario_path, scenario, _, _ = _stored_cache(tmp_path, float_doc)
     assert load_cached_system(scenario_path, scenario=scenario) is not None
-    other = dataclasses.replace(scenario, tol=1e-7)
+    other = scenario_from_dict(dict(float_doc, tolerance=1e-7))
     with caplog.at_level(logging.INFO, logger="ctxcert.io"):
         assert load_cached_system(scenario_path, scenario=other) is None
     assert [r.getMessage().split(": ", 1)[1] for r in caplog.records] == [
