@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 from typing import Mapping, Sequence
 
@@ -59,12 +60,20 @@ class EqualityReduction:
 
 
 def clique_reduction(graph: ExclusivityGraph) -> EqualityReduction:
-    verts = list(graph.vertices)
+    return EqualityReduction(graph, *_eliminate(graph.vertices, graph.maximal_cliques()))
+
+
+@lru_cache(maxsize=64)
+def _eliminate(verts: tuple[str, ...], cliques: tuple[tuple[str, ...], ...]):
+    """Pivots, free coordinates and rows of the reduction, computed once per
+    vertex order and clique set.  The order is part of the key because
+    ``free`` depends on it, while ``ExclusivityGraph`` equality ignores it;
+    the maximal cliques determine the edges."""
     cols = list(reversed(verts))
     col_pos = {v: i for i, v in enumerate(cols)}
     width = len(cols) + 1
     matrix: list[list[Fraction]] = []
-    for clique in graph.maximal_cliques():
+    for clique in cliques:
         row = [Fraction(0)] * width
         for v in clique:
             row[col_pos[v]] = Fraction(1)
@@ -100,12 +109,7 @@ def clique_reduction(graph: ExclusivityGraph) -> EqualityReduction:
             if j != c and matrix[row_i][j] != 0
         )
         rows.append((cols[c], coeffs, matrix[row_i][-1]))
-    return EqualityReduction(
-        graph,
-        pivots=tuple(cols[c] for _, c in pivots),
-        free=free,
-        rows=tuple(rows),
-    )
+    return tuple(cols[c] for _, c in pivots), free, tuple(rows)
 
 
 def rationalize_state(p: PBAState, max_denominator: int = RATIONALIZE_MAX_DENOMINATOR) -> PBAState:

@@ -398,9 +398,9 @@ def system_from_payload(doc: dict) -> QuantumSystem:
     """The system of a ``system_to_payload`` document.
 
     Every element and generator is validated as a projector, the elements
-    must be distinct, listed in the system's order and closed under
-    complement, and every label must name an atom; a payload that breaks any
-    of these raises a ``CtxcertError``.
+    must be distinct, listed in the system's order, closed under complement
+    and each an orthogonal sum of atoms, and every label must name an atom;
+    a payload that breaks any of these raises a ``CtxcertError``.
     """
     if not isinstance(doc, dict) or doc.get("format") != "ctxcert-system":
         raise ScenarioFormatError("not a ctxcert system payload")

@@ -734,83 +734,50 @@ def leq(p: Projector, q: Projector) -> bool:
     return matrix_leq(p.mat, q.mat, p.rank)
 
 
-# --- determinants and positive semidefiniteness ---------------------------
+# --- positive semidefiniteness -------------------------------------------------
 
 
-def _det_exact(pairs: list[list[tuple[Fraction, Fraction]]]) -> tuple[Fraction, Fraction]:
-    """Determinant of a small complex-rational matrix by Gaussian elimination."""
-    n = len(pairs)
-    m = [row[:] for row in pairs]
-    det_re, det_im = Fraction(1), Fraction(0)
-    for col in range(n):
-        pivot = None
-        for r in range(col, n):
-            if m[r][col][0] != 0 or m[r][col][1] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            return Fraction(0), Fraction(0)
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det_re, det_im = -det_re, -det_im
-        pa, pb = m[col][col]
-        det_re, det_im = det_re * pa - det_im * pb, det_re * pb + det_im * pa
-        denom = pa * pa + pb * pb
-        for r in range(col + 1, n):
-            qa, qb = m[r][col]
-            if qa == 0 and qb == 0:
-                continue
-            # factor = m[r][col] / pivot
-            fa = (qa * pa + qb * pb) / denom
-            fb = (qb * pa - qa * pb) / denom
-            for c in range(col, n):
-                xa, xb = m[col][c]
-                ya, yb = m[r][c]
-                m[r][c] = (ya - (fa * xa - fb * xb), yb - (fa * xb + fb * xa))
-    return det_re, det_im
+def _psd_within(mat: Matrix, tol: float) -> bool:
+    """True iff every eigenvalue of the Hermitian matrix A is >= -tol, that
+    is, iff A + tol*I is positive semidefinite; tol = 0 on the exact backend.
 
-
-def _det_float(entries: list[list[complex]]) -> complex:
-    n = len(entries)
-    m = [row[:] for row in entries]
-    det = 1.0 + 0j
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(m[r][col]))
-        if abs(m[pivot][col]) == 0.0:
-            return 0j
-        if pivot != col:
-            m[col], m[pivot] = m[pivot], m[col]
-            det = -det
-        det *= m[col][col]
-        for r in range(col + 1, n):
-            f = m[r][col] / m[col][col]
-            for c in range(col, n):
-                m[r][c] -= f * m[col][c]
-    return det
-
-
-def _principal_minors_nonneg(mat: Matrix, tol: float) -> bool:
-    """PSD test for a Hermitian matrix: every principal minor is >= 0.
-
-    Exponential in the dimension, which stays tiny here, and avoids pulling in
-    a numerical eigensolver.
+    A = X + iY is PSD exactly when the real symmetric M = [[X, -Y], [Y, X]]
+    is, since M has the eigenvalues of A, each twice.  M is built from the
+    upper triangle of A (the exact numerators, or the float entries) and
+    reduced by fraction-free (Bareiss) elimination with diagonal pivots: the
+    largest remaining diagonal entry is the pivot; a negative one refutes,
+    a zero one needs the remaining block to be zero, and a positive one
+    leaves a positive multiple of its Schur complement, which is PSD iff M
+    is.  On integers every division is exact.
     """
     d = mat.dim
-    indices = range(d)
-    from itertools import combinations
-
-    for size in range(1, d + 1):
-        for subset in combinations(indices, size):
-            if isinstance(mat, ExactMatrix):
-                sub = [[mat.entry(i, j) for j in subset] for i in subset]
-                det_re, det_im = _det_exact(sub)
-                if det_re < 0:
-                    return False
-            else:
-                sub = [[mat.entry(i, j) for j in subset] for i in subset]
-                det = _det_float(sub)
-                if det.real < -tol:
-                    return False
+    if isinstance(mat, ExactMatrix):
+        entries = list(zip(mat.re, mat.im or (0,) * (d * d)))
+        div = operator.floordiv
+    else:
+        entries = [(z.real, z.imag) for z in mat.entries]
+        div = operator.truediv
+    n = 2 * d
+    m = [[0] * n for _ in range(n)]
+    for i in range(d):
+        for j in range(i, d):
+            x, y = entries[i * d + j] if i < j else (entries[i * d + i][0] + tol, 0)
+            m[i][j] = m[j][i] = m[i + d][j + d] = m[j + d][i + d] = x
+            m[i][j + d] = m[j + d][i] = -y
+            m[i + d][j] = m[j][i + d] = y
+    rest = list(range(n))
+    prev = 1
+    while rest:
+        k = max(rest, key=lambda r: m[r][r])
+        pivot = m[k][k]
+        if pivot <= 0:
+            return pivot == 0 and not any(m[i][j] for i in rest for j in rest)
+        rest.remove(k)
+        for i in rest:
+            row, mik = m[i], m[i][k]
+            for j in rest:
+                row[j] = div(pivot * row[j] - mik * m[k][j], prev)
+        prev = pivot
     return True
 
 
@@ -833,14 +800,14 @@ class DensityMatrix:
             tre, tim = mat.trace()
             if tre != 1 or tim != 0:
                 raise NotADensityMatrix(f"trace is {tre}, expected 1")
-            if not _principal_minors_nonneg(mat, 0.0):
+            if not _psd_within(mat, 0):
                 raise NotADensityMatrix("matrix is not positive semidefinite")
         else:
             if not mat.approx_equal(mat.conj_transpose()):
                 raise NotADensityMatrix("matrix is not Hermitian within tolerance")
             if abs(mat.trace() - 1.0) >= mat.tol:
                 raise NotADensityMatrix(f"trace is {mat.trace()}, expected 1")
-            if not _principal_minors_nonneg(mat, mat.tol):
+            if not _psd_within(mat, mat.tol):
                 raise NotADensityMatrix("matrix has an eigenvalue below -tol")
 
     @property

@@ -17,11 +17,21 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import Incompatible, InconsistentGluing, NotAGraphState, NotAPBA, UnknownElement
 from .graphs import ExclusivityGraph
-from .systems import first_lep_violation, first_transitivity_violation, neg_image, order_atoms
+from .systems import first_lep_violation, first_transitivity_violation, neg_image
 
 Local = tuple[int, frozenset]
 
 MAX_CONTEXT_ATOMS = 12
+
+
+def order_atoms(rows: Sequence[int], zero: int) -> list[int]:
+    """Atoms, the minimal nonzero elements, in index order; bit j of
+    ``rows[i]`` is set iff element i <= element j."""
+    covered = 0
+    for j, row in enumerate(rows):
+        if j != zero:
+            covered |= row & ~(1 << j)
+    return [i for i in range(len(rows)) if i != zero and not covered >> i & 1]
 
 
 @dataclass(frozen=True)

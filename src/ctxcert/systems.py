@@ -2,7 +2,9 @@
 
 ``generate_system`` saturates a generator list under complement and under
 meet/join of commuting pairs.  The closed system knows its atoms, its atom
-graph, and how to extend an atom-level state to every element.
+graph, and how to extend an atom-level state to every element.  Matrices are
+used only to find the atoms and their orthogonality; the order, the atom graph
+and the atomic decompositions are then bit operations on atom masks.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .linalg import (
     commuting_product,
     exact_pair_relation,
     identity_projector,
+    matrix_leq,
     matrix_orthogonal,
     quantum_state_eval,
     zero_projector,
@@ -118,15 +121,6 @@ class EpbaReport:
 # i <= element j, and ``comp[i]`` is the index of the complement of element i.
 
 
-def order_atoms(rows: Sequence[int], zero: int) -> list[int]:
-    """Atoms, the minimal nonzero elements, in index order."""
-    covered = 0
-    for j, row in enumerate(rows):
-        if j != zero:
-            covered |= row & ~(1 << j)
-    return [i for i in range(len(rows)) if i != zero and not covered >> i & 1]
-
-
 def neg_image(rows: Sequence[int], comp: Sequence[int]) -> list[int]:
     """Bit c of entry j is set iff j <= comp[c].
 
@@ -170,6 +164,28 @@ def first_transitivity_violation(
     return None, chains
 
 
+def _orthogonal_sums(
+    atoms: Sequence[int], orth: Mapping[int, int], ranks: Mapping[int, int], target: int
+):
+    """Yield every set of pairwise orthogonal ``atoms`` whose ranks add up to
+    ``target``, depth first in list order; bit b of ``orth[a]`` is set iff
+    atoms a and b are orthogonal."""
+    chosen: list[int] = []
+
+    def search(start: int, allowed: int, rank: int):
+        if rank == target:
+            yield tuple(chosen)
+            return
+        for pos in range(start, len(atoms)):
+            a = atoms[pos]
+            if allowed >> a & 1 and rank + ranks[a] <= target:
+                chosen.append(a)
+                yield from search(pos + 1, allowed & orth[a], rank + ranks[a])
+                chosen.pop()
+
+    return search(0, -1, 0)
+
+
 class QuantumSystem:
     """A finite, closed set of projectors with cached order structure."""
 
@@ -192,6 +208,8 @@ class QuantumSystem:
         self.zero_index = self.index_of(zero_projector(self.dim, self.backend, self.tol))
         self.identity_index = self.index_of(identity_projector(self.dim, self.backend, self.tol))
         self._leq_rows: list[int] | None = None
+        self._below: list[int] | None = None
+        self._orth: dict[int, int] | None = None
         self._comp: list[int] | None = None
         self._atom_indices: list[int] | None = None
         self._atom_graph: ExclusivityGraph | None = None
@@ -202,12 +220,12 @@ class QuantumSystem:
     def with_atom_labels(self, atom_labels: Mapping[str, Projector]) -> "QuantumSystem":
         """The same system with its atoms named by ``atom_labels``.
 
-        The order table and the complement map do not depend on names, so the
-        copy shares them instead of building them again.
+        The order table, the atom masks and the complement map do not depend
+        on names, so the copy shares them instead of building them again.
         """
         other = QuantumSystem(self.elements, self.generators, atom_labels)
-        other._leq_rows = self._leq_rows
-        other._comp = self._comp
+        for name in ("_leq_rows", "_below", "_orth", "_comp"):
+            setattr(other, name, getattr(self, name))
         return other
 
     # -- membership -----------------------------------------------------------
@@ -229,46 +247,57 @@ class QuantumSystem:
     def _ensure_leq(self) -> list[int]:
         """Bit rows of the order: bit j of row i is set iff element i <= j.
 
-        Exact: one integer dot product per pair of distinct ranks, since
-        P <= Q iff tr(PQ) = rank P and tr(PQ) = tr(QP); distinct elements of
-        equal rank are never ordered.  Float: one ``trace_mul`` per unordered
-        pair screens both directions, as ``matrix_leq`` screens one: i <= j
-        is rejected when rank i > rank j or |Re tr - rank i| >= (d+1)*tol,
-        which an entrywise-approximate PQ = P rules out.  Each direction the
-        screen keeps is confirmed entry by entry against P
-        (``FloatMatrix.mul_near``), as before.
+        Built from the atoms, so matrices are used only to find them.  The
+        elements are sorted by rank, and a walk in index order tests each one
+        (``matrix_leq``) only against the atoms found so far: an element with
+        no atom below it is a new atom.  Bit a of ``_below[i]`` is set iff
+        atom a <= element i.  The keys of ``_orth`` are the atoms in index
+        order, and ``_orth[a]`` holds the atoms orthogonal to atom a, one
+        ``matrix_orthogonal`` per pair of atoms.
+
+        Orthogonal atoms below an element sum to a projector below it, which
+        is the element exactly when their ranks add up to its rank.  Every
+        element must be such a sum, or ``NoDecomposition`` is raised; then
+        i <= j iff every atom below i is below j.  So row i is the AND of the
+        rows of the atoms below i (all ones for 0), and the row of atom a
+        holds the elements whose below-masks name a.
         """
         if self._leq_rows is not None:
             return self._leq_rows
-        n = len(self.elements)
-        rows = [1 << i for i in range(n)]
-        mats = [p.mat for p in self.elements]
-        ranks = [p.rank for p in self.elements]
-        if self.backend == EXACT:
-            dens = [m.den for m in mats]
-            for i in range(n):
-                mi, ri, di = mats[i], ranks[i], dens[i]
-                for j in range(i + 1, n):
-                    rj = ranks[j]
-                    if ri == rj:
-                        continue
-                    num = mi.trace_num(mats[j])
-                    if ri < rj:
-                        if num == ri * di * dens[j]:
-                            rows[i] |= 1 << j
-                    elif num == rj * di * dens[j]:
-                        rows[j] |= 1 << i
-        else:
-            for i in range(n):
-                mi, ri = mats[i], ranks[i]
-                for j in range(i + 1, n):
-                    mj, rj = mats[j], ranks[j]
-                    bound = (self.dim + 1) * max(mi.tol, mj.tol)
-                    t = mi.trace_mul(mj).real
-                    if ri <= rj and abs(t - ri) < bound and mi.mul_near(mj, mi):
-                        rows[i] |= 1 << j
-                    if rj <= ri and abs(t - rj) < bound and mj.mul_near(mi, mj):
-                        rows[j] |= 1 << i
+        elements = self.elements
+        ranks = {}
+        below = []
+        for i, p in enumerate(elements):
+            mask = 0
+            for a, rank in ranks.items():
+                if matrix_leq(elements[a].mat, p.mat, rank):
+                    mask |= 1 << a
+            if not mask and p.rank:
+                ranks[i] = p.rank
+                mask = 1 << i
+            below.append(mask)
+        atoms = list(ranks)
+        orth = dict.fromkeys(atoms, 0)
+        for a, b in combinations(atoms, 2):
+            if matrix_orthogonal(elements[a].mat, elements[b].mat):
+                orth[a] |= 1 << b
+                orth[b] |= 1 << a
+        unders = [[a for a in atoms if mask >> a & 1] for mask in below]
+        above = dict.fromkeys(atoms, 0)
+        for i, under in enumerate(unders):
+            if next(_orthogonal_sums(under, orth, ranks, elements[i].rank), None) is None:
+                raise NoDecomposition(
+                    f"element {i} is no orthogonal sum of atoms; the system is not closed"
+                )
+            for a in under:
+                above[a] |= 1 << i
+        rows = []
+        for under in unders:
+            row = (1 << len(elements)) - 1
+            for a in under:
+                row &= above[a]
+            rows.append(row)
+        self._below, self._orth = below, orth
         self._leq_rows = rows
         return rows
 
@@ -304,7 +333,8 @@ class QuantumSystem:
     def _ensure_labels(self) -> list[str]:
         if self._labels is not None:
             return self._labels
-        atoms = order_atoms(self._ensure_leq(), self.zero_index)
+        self._ensure_leq()
+        atoms = self._orth  # keyed by the atoms, in index order
         assigned: dict[int, str] = {}
         ordered: list[int] = []
         for name, proj in self._atom_labels_arg.items():
@@ -348,15 +378,13 @@ class QuantumSystem:
         if self._atom_graph is None:
             labels = self._ensure_labels()
             idxs = self.atom_indices()
-            edges = []
-            for (la, ia), (lb, ib) in combinations(zip(labels, idxs), 2):
-                if self._orthogonal_idx(ia, ib):
-                    edges.append((la, lb))
+            edges = [
+                (la, lb)
+                for (la, ia), (lb, ib) in combinations(zip(labels, idxs), 2)
+                if self._orth[ia] >> ib & 1
+            ]
             self._atom_graph = ExclusivityGraph(labels, edges)
         return self._atom_graph
-
-    def _orthogonal_idx(self, i: int, j: int) -> bool:
-        return matrix_orthogonal(self.elements[i].mat, self.elements[j].mat)
 
     # -- naming ----------------------------------------------------------------
 
@@ -375,45 +403,19 @@ class QuantumSystem:
     # -- state extension ---------------------------------------------------------
 
     def decompose(self, index: int) -> tuple[int, ...]:
-        """First maximal orthogonal set of atoms below the element summing to it."""
-        for decomposition in self.decompositions(index):
-            return decomposition
-        raise NoDecomposition(
-            f"element {index} has no atomic decomposition; system is not closed"
-        )
+        """First maximal orthogonal set of atoms below the element summing to
+        it; building the order checked that one exists."""
+        return next(self.decompositions(index))
 
     def decompositions(self, index: int):
-        """Yield every orthogonal atom set that sums to the element."""
-        target = self.elements[index]
-        if target.rank == 0:
-            yield ()
-            return
-        rows = self._ensure_leq()
-        atoms = [i for i in self.atom_indices() if rows[i] >> index & 1]
-        mats = {i: self.elements[i].mat for i in atoms}
-        ranks = {i: self.elements[i].rank for i in atoms}
-        if self.backend == EXACT:
-            equal = lambda a, b: a == b  # noqa: E731
-        else:
-            equal = lambda a, b: a.approx_equal(b)  # noqa: E731
-
-        def search(start: int, chosen: list[int], total, rank: int):
-            if rank == target.rank:
-                if equal(total, target.mat):
-                    yield tuple(chosen)
-                return
-            for pos in range(start, len(atoms)):
-                a = atoms[pos]
-                if rank + ranks[a] > target.rank:
-                    continue
-                if any(not matrix_orthogonal(mats[a], mats[b]) for b in chosen):
-                    continue
-                chosen.append(a)
-                new_total = mats[a] if total is None else total.add(mats[a])
-                yield from search(pos + 1, chosen, new_total, rank + ranks[a])
-                chosen.pop()
-
-        yield from search(0, [], None, 0)
+        """Yield every orthogonal atom set that sums to the element, in the
+        atom-graph order: the orthogonal sets of atoms below it whose ranks
+        add up to its rank."""
+        self._ensure_leq()
+        mask = self._below[index]
+        atoms = [a for a in self.atom_indices() if mask >> a & 1]
+        ranks = {a: self.elements[a].rank for a in atoms}
+        return _orthogonal_sums(atoms, self._orth, ranks, self.elements[index].rank)
 
     def extend_state(self, state: PBAState) -> "SystemState":
         if state.graph != self.atom_graph():
@@ -492,7 +494,7 @@ def leq_q(system: QuantumSystem, p: Projector, q: Projector) -> bool:
 def exclusive_q(system: QuantumSystem, p: Projector, q: Projector) -> bool:
     """Exclusivity inside a system reduces to a vanishing product."""
     i, j = system.index_of(p), system.index_of(q)
-    return system._orthogonal_idx(i, j)
+    return matrix_orthogonal(system.elements[i].mat, system.elements[j].mat)
 
 
 def generate_system(

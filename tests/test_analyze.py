@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from ctxcert import analyze
 from ctxcert.analyze import (
     CLASSICAL,
     CONTEXTUAL,
@@ -55,6 +56,25 @@ def test_clique_reduction_frees_the_pentagon(q_kcbs):
     red = clique_reduction(q_kcbs.atom_graph())
     assert red.free == ("P0", "P1", "P2", "P3", "P4")
     assert set(red.pivots) == {"P01", "P12", "P23", "P34", "P40"}
+
+
+def test_clique_reduction_eliminates_once_per_graph(kcbs_quantum_state, kcbs_s01):
+    analyze._eliminate.cache_clear()
+    for _ in range(3):
+        assert is_noncontextual(kcbs_quantum_state, kcbs_s01) is not None
+        rationalize_state(kcbs_quantum_state)
+        clique_reduction(kcbs_quantum_state.graph)
+    assert analyze._eliminate.cache_info().misses == 1
+
+
+def test_clique_reduction_is_kept_per_vertex_order():
+    wheel = wheel_graph()
+    reversed_wheel = ExclusivityGraph(list(reversed(wheel.vertices)), wheel.edges)
+    assert wheel == reversed_wheel
+    for _ in range(2):
+        red, other = clique_reduction(wheel), clique_reduction(reversed_wheel)
+        assert (red.graph, red.free) == (wheel, ("r0",))
+        assert other.graph is reversed_wheel and other.free == ("hub",)
 
 
 def test_rationalize_float_state(q_kcbs, kcbs_quantum_state):

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxcert.catalog import BUILTINS, kcbs_system
+from ctxcert.catalog import BUILTINS, ceg_set, kcbs_system
 from ctxcert.cli import main
 from ctxcert.errors import ClosureBudgetExceeded, CtxcertError, ScenarioFormatError
 from ctxcert.io import (
@@ -288,6 +288,19 @@ def test_cli_backend_override_on_files(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out)["scenario"]["backend"] == "float"
+
+
+def test_cli_state_with_an_eigenvalue_below_minus_tol_is_rejected(tmp_path, capsys):
+    """Eigenvalues 3e-6, -1e-6 and 0.999998: every principal minor is above
+    -tol, but the state is not one."""
+    scenario_path = tmp_path / "boolean.json"
+    scenario_path.write_text(json.dumps(dict(BOOLEAN_SCENARIO, backend="float")), encoding="utf-8")
+    rows = [[1e-6, 2e-6, 0], [2e-6, 1e-6, 0], [0, 0, 0.999998]]
+    state_path = tmp_path / "state.json"
+    state_path.write_text(json.dumps({"density": [[{"re": repr(float(x))} for x in row] for row in rows]}))
+    code, out, err = run_cli(["analyze", str(scenario_path), "--state", str(state_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: matrix has an eigenvalue below -tol\n"
 
 
 def test_cli_overrides_rejected_for_builtins(capsys):
@@ -564,6 +577,56 @@ def test_cli_corrupt_cache_is_rebuilt(tmp_path, capsys):
         assert (code, err) == (0, ""), name
         assert {k: v for k, v in json.loads(out).items() if k != "timings"} == want, name
         assert json.loads(cache.read_text()) == doc  # the rebuild rewrote the cache
+
+
+CEG_DOC = {
+    "dimension": 4,
+    "vectors": [
+        {"name": name, "entries": [str(x) for x in vec]}
+        for name, vec in zip(ceg_set().names, ceg_set().vectors)
+    ],
+}
+MIXED_4 = {"density": [[{"re": "1/4" if i == j else "0"} for j in range(4)] for i in range(4)]}
+
+
+def _without_an_atom(doc, system, scenario):
+    """The stored ``doc`` less one unlabelled atom and its complement.  The
+    rest is in order, closed under complement and names only atoms, but some
+    element is no longer a sum of the atoms that remain."""
+    atom = next(i for i in system.atom_indices() if system.atom_label(i) not in scenario.labels)
+    gone = {atom, system.complement_index(atom)}
+    where = {old: new for new, old in enumerate(k for k in range(len(system)) if k not in gone)}
+    bad = json.loads(json.dumps(doc))
+    payload = bad["system"]
+    payload["elements"] = [e for k, e in enumerate(payload["elements"]) if k in where]
+    payload["atoms"] = [
+        dict(a, element=where[a["element"]]) for a in payload["atoms"] if a["element"] in where
+    ]
+    return bad
+
+
+def test_cache_missing_an_atom_is_a_logged_miss(tmp_path, caplog, capsys):
+    scenario_path, scenario, doc, cache = _stored_cache(tmp_path, CEG_DOC)
+    system = load_cached_system(scenario_path, scenario)
+    bad = _without_an_atom(doc, system, scenario)
+    assert len(bad["system"]["elements"]) == 138
+    state_path = tmp_path / "mixed.json"
+    state_path.write_text(json.dumps(MIXED_4), encoding="utf-8")
+    argv = ["analyze", str(scenario_path), "--state", str(state_path), "--format", "json"]
+    code, want, _ = run_cli([*argv, "--no-cache"], capsys)
+
+    cache.write_text(json.dumps(bad), encoding="utf-8")
+    with caplog.at_level(logging.INFO, logger="ctxcert.io"):
+        assert load_cached_system(scenario_path, scenario) is None
+    message = caplog.records[-1].getMessage()
+    assert message.startswith(f"ignoring cache {cache}: element ")
+    assert message.endswith(" is no orthogonal sum of atoms; the system is not closed")
+
+    got_code, got, err = run_cli(argv, capsys)
+    assert (got_code, err) == (code, "")
+    assert {k: v for k, v in json.loads(got).items() if k != "timings"} == {
+        k: v for k, v in json.loads(want).items() if k != "timings"
+    }
 
 
 def test_cache_for_another_backend_dimension_or_tolerance_is_a_miss(tmp_path, caplog):

@@ -21,7 +21,9 @@ from ctxcert.errors import (
 from ctxcert.linalg import (
     DensityMatrix,
     ExactMatrix,
+    FloatMatrix,
     Projector,
+    _psd_within,
     commutes,
     complement,
     identity_projector,
@@ -282,3 +284,57 @@ def test_integer_projector_matches_fraction_formula(entries):
     got = projector_from_vector(entries).mat
     want = _fraction_projector(entries)
     assert (got.den, got.re, got.im) == (want.den, want.re, want.im)
+
+
+# -- the PSD test against numpy's eigenvalues -----------------------------------
+
+
+def test_float_psd_test_agrees_with_eigvalsh():
+    """Random Hermitian matrices whose smallest eigenvalues lie near -tol:
+    accepted when lambda_min >= -tol/2, rejected when lambda_min <= -2*tol."""
+    np = pytest.importorskip("numpy")
+    rng = np.random.default_rng(11)
+    tol = 1e-9
+    verdicts = set()
+    for _ in range(400):
+        d = int(rng.integers(1, 7))
+        u, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        lam = rng.uniform(0, 1, size=d)
+        low = int(rng.integers(1, d + 1))
+        lam[:low] = tol * rng.uniform(-4, 2, size=low)
+        h = (u * lam) @ u.conj().T
+        h = (h + h.conj().T) / 2
+        lam_min = np.linalg.eigvalsh(h)[0]
+        accepted = _psd_within(FloatMatrix.from_entries(h.tolist(), tol), tol)
+        if lam_min >= -tol / 2:
+            assert accepted, lam_min
+            verdicts.add(True)
+        elif lam_min <= -2 * tol:
+            assert not accepted, lam_min
+            verdicts.add(False)
+    assert verdicts == {True, False}
+
+
+def test_exact_psd_test_agrees_with_eigvalsh():
+    """Gaussian-integer Gram matrices, often singular, are PSD; shifted by
+    -1/k they are PSD exactly when eigvalsh says so (away from zero)."""
+    np = pytest.importorskip("numpy")
+    rng = random.Random(3)
+    for _ in range(300):
+        d = rng.randint(1, 5)
+        vecs = [
+            [complex(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
+            for _ in range(rng.randint(1, d))
+        ]
+        gram = [[sum(v[i] * v[j].conjugate() for v in vecs) for j in range(d)] for i in range(d)]
+        shift = rng.choice([0, Fraction(-1, rng.randint(1, 60))])
+        rows = [
+            [(int(z.real) + (shift if i == j else 0), int(z.imag)) for j, z in enumerate(row)]
+            for i, row in enumerate(gram)
+        ]
+        accepted = _psd_within(ExactMatrix.from_entries(rows), 0)
+        lam_min = np.linalg.eigvalsh(np.array(gram) + float(shift) * np.eye(d))[0]
+        if shift == 0:
+            assert accepted
+        elif abs(lam_min) > 1e-9:
+            assert accepted == (lam_min > 0), lam_min

@@ -2,9 +2,9 @@
 
 The reference decides order, orthogonality and commutation by forming the
 products (PQ = P, PQ = 0, PQ = QP) and closes generators with two products per
-pair, deduplicating through a linear-scan pool.  Order tables, atom-graph
-edges and closed element lists (in insertion order) must come out
-bit-identical to it.
+pair, deduplicating through a linear-scan pool.  Order tables, atoms,
+atom-graph edges, closed element lists (in insertion order) and atomic
+decompositions (found by adding atom matrices) must come out identical to it.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 import ctxcert.systems as systems_module
 from ctxcert.catalog import BUILTINS, ceg_set
 from ctxcert.cli import main
-from ctxcert.errors import ClosureBudgetExceeded
+from ctxcert.errors import ClosureBudgetExceeded, NoDecomposition
 from ctxcert.linalg import (
     CO_ORTHOGONAL,
     FLOAT,
@@ -40,6 +40,7 @@ from ctxcert.linalg import (
     projector_from_vector,
     zero_projector,
 )
+from ctxcert.pasted import order_atoms
 from ctxcert.systems import DEFAULT_MAX_ELEMENTS, QuantumSystem, generate_system
 
 # -- product-based reference ----------------------------------------------------
@@ -139,6 +140,34 @@ def ref_edges(system: QuantumSystem) -> set:
     }
 
 
+def ref_decompositions(system: QuantumSystem, index: int) -> list[tuple[int, ...]]:
+    """Orthogonal sets of atoms below the element, in atom-graph order, whose
+    matrices add up to it."""
+    target = system.elements[index]
+    if target.rank == 0:
+        return [()]
+    atoms = [a for a in system.atom_indices() if ref_leq(system.elements[a], target)]
+    found = []
+
+    def search(start: int, chosen: list[int], total, rank: int) -> None:
+        if rank == target.rank:
+            if _equal(total, target.mat):
+                found.append(tuple(chosen))
+            return
+        for pos in range(start, len(atoms)):
+            a = system.elements[atoms[pos]]
+            if rank + a.rank > target.rank:
+                continue
+            if any(not ref_orthogonal(a, system.elements[b]) for b in chosen):
+                continue
+            chosen.append(atoms[pos])
+            search(pos + 1, chosen, a.mat if total is None else total.add(a.mat), rank + a.rank)
+            chosen.pop()
+
+    search(0, [], None, 0)
+    return found
+
+
 def closure_in_order(generators, monkeypatch, max_elements=DEFAULT_MAX_ELEMENTS):
     """``generate_system`` plus the matrices it validated, in insertion order."""
     inserted = []
@@ -154,10 +183,16 @@ def closure_in_order(generators, monkeypatch, max_elements=DEFAULT_MAX_ELEMENTS)
     return system, inserted
 
 
+def assert_order_matches_reference(system: QuantumSystem) -> None:
+    rows = ref_leq_rows(system)
+    assert system._ensure_leq() == rows
+    assert sorted(system.atom_indices()) == order_atoms(rows, system.zero_index)
+    assert {frozenset(e) for e in system.atom_graph().edges} == ref_edges(system)
+
+
 def assert_matches_reference(system: QuantumSystem, inserted, generators) -> None:
     assert inserted == [_bits(m) for m in ref_closure(generators)]
-    assert system._ensure_leq() == ref_leq_rows(system)
-    assert {frozenset(e) for e in system.atom_graph().edges} == ref_edges(system)
+    assert_order_matches_reference(system)
 
 
 def assert_pair_kernels_match(elements) -> None:
@@ -185,13 +220,23 @@ def test_float_ceg_matches_product_reference(monkeypatch):
     assert_matches_reference(system, inserted, generators)
 
 
+def float_ceg() -> QuantumSystem:
+    return generate_system([projector_from_vector(v, backend=FLOAT) for v in ceg_set().vectors])
+
+
+@pytest.mark.parametrize("name", ["q_kcbs", "q_ceg", "q_lift", "float ceg"])
+def test_decompositions_match_matrix_sums(name, request):
+    system = float_ceg() if name == "float ceg" else request.getfixturevalue(name)
+    for index in range(len(system)):
+        assert list(system.decompositions(index)) == ref_decompositions(system, index)
+
+
 def test_pair_kernels_match_on_ceg(q_ceg):
     assert_pair_kernels_match(q_ceg.elements[::3])
 
 
 def test_pair_kernels_match_on_float_ceg():
-    generators = [projector_from_vector(v, backend=FLOAT) for v in ceg_set().vectors]
-    assert_pair_kernels_match(generate_system(generators).elements[::3])
+    assert_pair_kernels_match(float_ceg().elements[::3])
 
 
 # -- hypothesis-generated exact systems -------------------------------------------
@@ -233,8 +278,7 @@ def test_generated_systems_match_product_reference(monkeypatch, generators):
         return
     system, inserted = closure_in_order(generators, monkeypatch)
     assert inserted == expected
-    assert system._ensure_leq() == ref_leq_rows(system)
-    assert {frozenset(e) for e in system.atom_graph().edges} == ref_edges(system)
+    assert_order_matches_reference(system)
     assert_pair_kernels_match(system.elements)
 
 
@@ -260,8 +304,7 @@ def test_generated_float_systems_match_product_reference(monkeypatch, generators
         return
     system, inserted = closure_in_order(generators, monkeypatch)
     assert inserted == expected
-    assert system._ensure_leq() == ref_leq_rows(system)
-    assert {frozenset(e) for e in system.atom_graph().edges} == ref_edges(system)
+    assert_order_matches_reference(system)
     assert_pair_kernels_match(system.elements)
 
 
@@ -395,7 +438,9 @@ def test_float_pairs_the_trace_screen_keeps_are_decided_by_entries():
 
 def test_float_order_keeps_both_directions_of_an_equal_rank_pair():
     """Two elements of one rank within tol of each other are ordered both
-    ways, as PQ = P and QP = Q within tol say."""
+    ways, as PQ = P and QP = Q within tol say.  The order of a system is
+    built with this kernel, but [0, 1, p, q] is not closed: 1 is no sum of
+    its atoms, so building its order raises."""
     noise = 3e-10
 
     def float_projector(rows):
@@ -403,12 +448,12 @@ def test_float_order_keeps_both_directions_of_an_equal_rank_pair():
 
     p = float_projector([[1, 0, 0], [0, 0, 0], [0, 0, 0]])
     q = float_projector([[1 + noise, 0, 0], [0, 0, 0], [0, 0, 0]])
+    assert leq(p, q) and leq(q, p)
+    assert ref_leq(p, q) and ref_leq(q, p)
     zero, one = zero_projector(3, FLOAT), identity_projector(3, FLOAT)
     system = QuantumSystem([zero, one, p, q], [p, q])
-    rows = system._ensure_leq()
-    assert rows == ref_leq_rows(system)
-    i, j = (k for k, e in enumerate(system.elements) if e.rank == 1)
-    assert rows[i] >> j & 1 and rows[j] >> i & 1
+    with pytest.raises(NoDecomposition):
+        system._ensure_leq()
 
 
 def test_float_screens_keep_tolerance_level_pairs():
