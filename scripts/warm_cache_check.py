@@ -7,7 +7,10 @@ in a temporary directory, runs ``ctxcert analyze --format json`` twice (cold,
 which writes the cache, then warm, which reads it) and exits 1 unless the warm
 run read the cache and the two reports are equal apart from ``timings``.  The
 CEG analyze report names no atom, so ``ctxcert graph`` is compared too, warm
-against ``--no-cache``: its DOT text names every atom.  Standard library only:
+against ``--no-cache``: its DOT text names every atom.  It also exits 1 unless
+the cached system holds exactly the keys of format version 2, and unless a
+cache rewritten as version 1 is ignored with its reason logged, rewritten, and
+the report is again the cold one.  Standard library only:
 
     PYTHONPATH=src python scripts/warm_cache_check.py
 """
@@ -21,6 +24,8 @@ import tempfile
 from pathlib import Path
 
 from ctxcert.catalog import BUILTINS
+
+V2_KEYS = ["backend", "dimension", "elements", "format", "tolerance", "version"]
 
 
 def _entry(x) -> dict:
@@ -63,15 +68,27 @@ def main() -> int:
         density = [[{"re": f"1/{d}" if i == j else "0"} for j in range(d)] for i in range(d)]
         state.write_text(json.dumps({"density": density}), encoding="utf-8")
         cold, _ = run("analyze", str(scenario), "--state", str(state))
-        if not Path(tmp, "ceg.json.ctxcache").exists():
+        cache = Path(tmp, "ceg.json.ctxcache")
+        if not cache.exists():
             sys.exit("the cold run wrote no cache")
+        stored = json.loads(cache.read_text(encoding="utf-8"))
+        if sorted(stored["system"]) != V2_KEYS or stored["system"]["version"] != 2:
+            sys.exit(f"the cached system is not format version 2: {sorted(stored['system'])}")
         warm, log = run("analyze", str(scenario), "--state", str(state))
         warm_graph, graph_log = run("graph", str(scenario))
         fresh_graph, _ = run("graph", str(scenario), "--no-cache")
+        stored["system"]["version"] = 1
+        cache.write_text(json.dumps(stored), encoding="utf-8")
+        after_v1, v1_log = run("analyze", str(scenario), "--state", str(state))
+        rewritten = json.loads(cache.read_text(encoding="utf-8"))
     for text in (log, graph_log):
         if "loaded system from cache" not in text:
             sys.exit(f"a warm run did not read the cache:\n{text}")
-    if cold != warm or warm_graph != fresh_graph:
+    if "version: expected 2, got 1" not in v1_log or "loaded system from cache" in v1_log:
+        sys.exit(f"a version 1 cache was not ignored with its reason:\n{v1_log}")
+    if rewritten["system"]["version"] != 2:
+        sys.exit("the version 1 cache was not rewritten")
+    if cold != warm or warm_graph != fresh_graph or after_v1 != cold:
         print("cold and warm reports differ", file=sys.stderr)
         return 1
     print(f"cold and warm reports agree: {cold['classification']}, {cold['system']['elements']} elements")

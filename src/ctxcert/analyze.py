@@ -112,7 +112,7 @@ def _eliminate(verts: tuple[str, ...], cliques: tuple[tuple[str, ...], ...]):
     return tuple(cols[c] for _, c in pivots), free, tuple(rows)
 
 
-def rationalize_state(p: PBAState, max_denominator: int = RATIONALIZE_MAX_DENOMINATOR) -> PBAState:
+def rationalize_state(p: PBAState) -> PBAState:
     """Exact-rational stand-in for a float state.
 
     Free coordinates are rationalized by continued fractions; dependent
@@ -124,7 +124,8 @@ def rationalize_state(p: PBAState, max_denominator: int = RATIONALIZE_MAX_DENOMI
         return PBAState(p.graph, values, backend=EXACT)
     red = clique_reduction(p.graph)
     free_vals = {
-        v: Fraction(float(p.value(v))).limit_denominator(max_denominator) for v in red.free
+        v: Fraction(float(p.value(v))).limit_denominator(RATIONALIZE_MAX_DENOMINATOR)
+        for v in red.free
     }
     values = red.solve_pivots(free_vals)
     # Dependent coordinates may pick up boundary noise of the order of the
@@ -374,11 +375,7 @@ def _primitive_inequality(
     )
 
 
-def is_noncontextual(
-    p: PBAState,
-    s01: Sequence[ZeroOneState],
-    max_denominator: int = RATIONALIZE_MAX_DENOMINATOR,
-) -> NCCertificate:
+def is_noncontextual(p: PBAState, s01: Sequence[ZeroOneState]) -> NCCertificate:
     """Decide membership of p in the convex hull of the 0-1 states.
 
     Float states are rationalized first so the LP is exact; both certificate
@@ -393,7 +390,7 @@ def is_noncontextual(
         if lam.graph != graph:
             raise NotAGraphState("0-1 state defined on a different graph")
 
-    exact = rationalize_state(p, max_denominator)
+    exact = rationalize_state(p)
     target = _state_fraction_values(exact)
     red = clique_reduction(graph)
 

@@ -170,7 +170,7 @@ def kcbs_system(tol: float = DEFAULT_TOL, max_elements: int = DEFAULT_MAX_ELEMEN
     """The ``kcbs`` builtin's system at tolerance ``tol``: generated by the
     five pentagon rays, with all ten atoms labeled (``_pentagon``)."""
     generators, labels = _pentagon(kcbs_vectors(tol))
-    return generate_system(generators, max_elements, atom_labels=labels)
+    return generate_system(generators, max_elements).with_atom_labels(labels)
 
 
 KCBS_PENTAGON = tuple(f"P{j}" for j in range(5))
@@ -294,7 +294,7 @@ class Builtin:
     def system(self, max_elements: int = DEFAULT_MAX_ELEMENTS) -> QuantumSystem:
         """The closure of the generators; every label must name an atom."""
         scenario = self.scenario()
-        return generate_system(scenario.generators, max_elements, atom_labels=scenario.labels)
+        return generate_system(scenario.generators, max_elements).with_atom_labels(scenario.labels)
 
 
 BUILTINS: dict[str, Builtin] = {

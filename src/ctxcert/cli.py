@@ -2,8 +2,8 @@
 
 Subcommands: build, analyze, graph, ks-check, zero-one.  Scenarios are builtin
 names (ceg, ceg17, ceg-lift, ceg-gen12, kcbs) or JSON files; either resolves
-once to an ``io.Scenario`` and takes one build path: cache load (files only),
-closure, atom labels, cache store.  Reports render
+once to an ``io.Scenario`` and takes one build path: cache load (files only)
+or closure, atom labels, cache store after a closure.  Reports render
 as text or JSON; the text form is derived from the JSON form only, and exit
 codes are a function of the JSON report alone (0 classical, 10 nonclassical
 scenario with noncontextual state, 20 contextual, 1 error).
@@ -50,7 +50,8 @@ class _Source:
     the file whose ``.ctxcache`` serves the build.  There is no cache for a
     builtin, under ``--backend`` or ``--tolerance`` (they change the parse,
     and the cache is keyed on the file's content only), or with
-    ``--no-cache``."""
+    ``--no-cache``.  The cache holds the closed system only; atom names come
+    from the scenario, the same way on a cold and a warm run."""
 
     def __init__(self, args):
         self.token = token = args.scenario
@@ -79,17 +80,20 @@ class _Source:
             self.cache_for = path
 
     def build_system(self) -> QuantumSystem:
-        """The cached system, or the closure of the generators with the atoms
-        that scenario labels denote named by them (then cached)."""
+        """The cached system, or the closure of the generators (then cached),
+        with the atoms that scenario labels denote named by them.  The names
+        are checked before the cache is written, so a run that fails there
+        leaves no cache."""
+        cached = None
         if self.cache_for is not None:
             cached = load_cached_system(self.cache_for, self.scenario, self.max_elements)
             if cached is not None:
                 log.info("loaded system from cache beside %s", self.cache_for)
-                return cached
-        system = generate_system(self.scenario.generators, self.max_elements)
+        system = cached or generate_system(self.scenario.generators, self.max_elements)
         labels = {name: p for name, p in self.scenario.labels.items() if system.contains(p)}
         system = system.with_atom_labels(labels)
-        if self.cache_for is not None:
+        system.atom_indices()  # a label clash raises here
+        if self.cache_for is not None and cached is None:
             store_cached_system(self.cache_for, system)
         return system
 

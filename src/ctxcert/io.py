@@ -11,10 +11,13 @@ built as integer numerators over the lcm of its denominators.  Any other
 literal goes through ``parse_rational`` (``Fraction``), so the accepted
 inputs, values and messages are those of ``Fraction`` alone.
 
-The cache beside a scenario file holds ``system_to_payload`` and the file's
-sha256.  ``load_cached_system`` treats every cache it cannot trust as a miss
-(logged at INFO): a changed file, a payload that fails to parse or validate,
-or a backend, dimension or tolerance other than the parsed scenario's.
+The cache beside a scenario file holds the file's sha256 and the closed
+system (``system_to_payload``, format version 2): its elements, dimension,
+backend and tolerance.  It holds no atom names: those come from the scenario
+on every run, cold or warm.  ``load_cached_system`` treats every cache it
+cannot trust as a miss (logged at INFO): a changed file, another format
+version, a payload that fails to parse or validate, or a backend, dimension
+or tolerance other than the parsed scenario's.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ from .vectorsets import Basis, VectorSet
 
 log = logging.getLogger(__name__)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
 
 
 def _is_rational_literal(value) -> bool:
@@ -218,6 +221,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     tol = DEFAULT_TOL
     if "tolerance" in doc and doc["tolerance"] is not None:
         tol = parse_real(doc["tolerance"], "tolerance")
+        if not math.isfinite(tol):
+            raise ScenarioFormatError(f"tolerance: must be finite, got {tol!r}")
         if tol <= 0:
             raise ScenarioFormatError("tolerance: must be positive")
 
@@ -377,35 +382,31 @@ def _matrix_payload(mat) -> list[list[dict]]:
 
 
 def system_to_payload(system: QuantumSystem) -> dict:
-    atoms = []
-    for idx in system.atom_indices():
-        atoms.append({"label": system.atom_label(idx), "element": idx})
-    graph = system.atom_graph()
+    """The closed system as a JSON document: its elements in the system's
+    order, with the dimension, backend and float tolerance.  Atom names are
+    not stored; they come from the scenario (``QuantumSystem.with_atom_labels``)."""
     return {
         "format": "ctxcert-system",
-        "version": 1,
+        "version": 2,
         "dimension": system.dim,
         "backend": system.backend,
         "tolerance": repr(system.tol) if system.backend == FLOAT else None,
-        "generators": [_matrix_payload(g.mat) for g in system.generators],
         "elements": [_matrix_payload(p.mat) for p in system.elements],
-        "atoms": atoms,
-        "atom_graph_edges": sorted([list(e) for e in graph.edges]),
     }
 
 
 def system_from_payload(doc: dict) -> QuantumSystem:
-    """The system of a ``system_to_payload`` document.
+    """The unnamed system of a ``system_to_payload`` document.
 
-    Every element and generator is validated as a projector, the elements
-    must be distinct, listed in the system's order, closed under complement
-    and each an orthogonal sum of atoms, and every label must name an atom;
-    a payload that breaks any of these raises a ``CtxcertError``.
+    Every element is validated as a projector, and the elements must be
+    distinct, listed in the system's order, each an orthogonal sum of atoms
+    and closed under complement; a payload that breaks any of these, or
+    another format version, raises a ``CtxcertError``.
     """
     if not isinstance(doc, dict) or doc.get("format") != "ctxcert-system":
         raise ScenarioFormatError("not a ctxcert system payload")
-    if doc.get("version") != 1:
-        raise ScenarioFormatError(f"version: expected 1, got {doc.get('version')!r}")
+    if doc.get("version") != 2:
+        raise ScenarioFormatError(f"version: expected 2, got {doc.get('version')!r}")
     dim = doc.get("dimension")
     if type(dim) is not int or dim <= 0:
         raise ScenarioFormatError("dimension: required positive integer")
@@ -413,32 +414,18 @@ def system_from_payload(doc: dict) -> QuantumSystem:
     if backend not in (EXACT, FLOAT):
         raise ScenarioFormatError(f"backend: expected 'exact' or 'float', got {backend!r}")
     tol = parse_real(doc["tolerance"], "tolerance") if doc.get("tolerance") else DEFAULT_TOL
-    grids = {}
-    for key in ("elements", "generators", "atoms"):
-        grids[key] = doc.get(key, [])
-        if not isinstance(grids[key], list):
-            raise ScenarioFormatError(f"{key}: expected a list")
+    grids = doc.get("elements", [])
+    if not isinstance(grids, list):
+        raise ScenarioFormatError("elements: expected a list")
     elements = [
         Projector(_parse_matrix(grid, backend, tol, dim, f"elements[{k}]"))
-        for k, grid in enumerate(grids["elements"])
+        for k, grid in enumerate(grids)
     ]
-    generators = [
-        Projector(_parse_matrix(grid, backend, tol, dim, f"generators[{k}]"))
-        for k, grid in enumerate(grids["generators"])
-    ]
-    labels = {}
-    for k, item in enumerate(grids["atoms"]):
-        if not isinstance(item, dict) or not isinstance(item.get("label"), str):
-            raise ScenarioFormatError(f"atoms[{k}]: expected a label and an element index")
-        idx = item.get("element")
-        if type(idx) is not int or not 0 <= idx < len(elements):
-            raise ScenarioFormatError(f"atoms[{k}].element: no element {idx!r}")
-        labels[item["label"]] = elements[idx]
-    system = QuantumSystem(elements, generators, atom_labels=labels)
+    system = QuantumSystem(elements)
     for k, p in enumerate(elements):
         if system.elements[k] is not p or system.index_of(p) != k:
             raise ScenarioFormatError(f"elements[{k}]: repeated or out of the system's order")
-    system.atom_indices()  # every label names an atom
+    system.leq_idx(system.zero_index, system.identity_index)  # builds the order: sums of atoms
     system.complement_index(system.zero_index)  # closed under complement
     return system
 

@@ -862,28 +862,14 @@ def quantum_state_eval(rho: DensityMatrix, p: Projector):
         raise DimensionMismatch(f"dim {rho.dim} vs {p.dim}")
     if rho.backend != p.backend:
         raise BackendMismatch(f"{rho.backend} vs {p.backend}")
-    d = p.dim
     if isinstance(rho.mat, ExactMatrix):
-        a, b = rho.mat, p.mat
-        num = 0
-        if a.im is None and b.im is None:
-            for i in range(d):
-                for j in range(d):
-                    num += a.re[i * d + j] * b.re[j * d + i]
-        else:
-            ai = a.im or (0,) * (d * d)
-            bi = b.im or (0,) * (d * d)
-            num_im = 0
-            for i in range(d):
-                for j in range(d):
-                    num += a.re[i * d + j] * b.re[j * d + i] - ai[i * d + j] * bi[j * d + i]
-                    num_im += a.re[i * d + j] * bi[j * d + i] + ai[i * d + j] * b.re[j * d + i]
-            if num_im != 0:
-                raise OutOfRange("trace of rho P has a nonzero imaginary part")
-        value = Fraction(num, a.den * b.den)
+        # Both matrices are Hermitian, so tr(rho P) is real: the numerator
+        # dot product of ``trace_num``.
+        value = Fraction(rho.mat.trace_num(p.mat), rho.mat.den * p.mat.den)
         if value < 0 or value > 1:
             raise OutOfRange(f"tr(rho P) = {value} outside [0, 1]")
         return value
+    d = p.dim
     tol = max(rho.mat.tol, p.mat.tol)
     total = 0j
     for i in range(d):

@@ -22,6 +22,8 @@ from .systems import first_lep_violation, first_transitivity_violation, neg_imag
 Local = tuple[int, frozenset]
 
 MAX_CONTEXT_ATOMS = 12
+# Pairwise-compatible sets up to this size are checked for a common context.
+AXIOM_CHECK_SIZE = 4
 
 
 def order_atoms(rows: Sequence[int], zero: int) -> list[int]:
@@ -57,7 +59,6 @@ class PastedPBA:
         self,
         contexts: Sequence[tuple[str, Sequence[str]]],
         gluings: Iterable[tuple[tuple[str, Sequence[str]], tuple[str, Sequence[str]]]] = (),
-        axiom_check_size: int = 4,
     ):
         if not contexts:
             raise NotAPBA("at least one context is required")
@@ -106,7 +107,7 @@ class PastedPBA:
         self._validate_consistency()
         self._build_catalog()
         self._order_rows: tuple[list[int], list[int]] | None = None
-        self.axiom_report = self._check_axiom(axiom_check_size)
+        self.axiom_report = self._check_axiom()
 
     # -- union-find ---------------------------------------------------------
 
@@ -311,7 +312,7 @@ class PastedPBA:
         """First chain x <= y <= z with x not below z, in canonical order."""
         return self._result(first_transitivity_violation(self._order()[0])[0])
 
-    def _check_axiom(self, max_size: int) -> AxiomReport:
+    def _check_axiom(self) -> AxiomReport:
         # Bounded verification of the defining axiom: every pairwise-compatible
         # subset must sit inside one context.  Sets of size <= 2 hold by the
         # definition of compatibility.
@@ -325,7 +326,7 @@ class PastedPBA:
                 m |= 1 << i
             masks.append(m)
         checked = 0
-        top = min(max_size, n)
+        top = min(AXIOM_CHECK_SIZE, n)
         for size in range(3, top + 1):
             for combo in combinations(range(n), size):
                 if any(not masks[a] & masks[b] for a, b in combinations(combo, 2)):
@@ -399,7 +400,6 @@ class PastedState:
 def build_pasted_pba(
     contexts: Sequence[tuple[str, Sequence[str]]],
     gluings: Iterable[tuple[tuple[str, Sequence[str]], tuple[str, Sequence[str]]]] = (),
-    axiom_check_size: int = 4,
 ) -> PastedPBA:
     """Construct and validate a pasted structure; raises on any broken invariant."""
-    return PastedPBA(contexts, gluings, axiom_check_size)
+    return PastedPBA(contexts, gluings)

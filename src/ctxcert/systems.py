@@ -9,6 +9,7 @@ and the atomic decompositions are then bit operations on atom masks.
 
 from __future__ import annotations
 
+import copy
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
@@ -189,19 +190,13 @@ def _orthogonal_sums(
 class QuantumSystem:
     """A finite, closed set of projectors with cached order structure."""
 
-    def __init__(
-        self,
-        elements: Sequence[Projector],
-        generators: Sequence[Projector],
-        atom_labels: Mapping[str, Projector] | None = None,
-    ):
+    def __init__(self, elements: Sequence[Projector]):
         if not elements:
             raise NotAnElement("empty system")
         self.dim = elements[0].dim
         self.backend = elements[0].backend
         self.tol = elements[0].tol
         self.elements = tuple(sorted(elements, key=lambda p: p.sort_key()))
-        self.generators = tuple(generators)
         self._pool = _Pool(self.backend)
         for p in self.elements:
             self._pool.insert(p.mat)
@@ -213,19 +208,24 @@ class QuantumSystem:
         self._comp: list[int] | None = None
         self._atom_indices: list[int] | None = None
         self._atom_graph: ExclusivityGraph | None = None
-        self._atom_labels_arg = dict(atom_labels or {})
+        self._atom_labels_arg: dict[str, Projector] = {}
         self._labels: list[str] | None = None
         self._names: dict[int, str] = {}
 
     def with_atom_labels(self, atom_labels: Mapping[str, Projector]) -> "QuantumSystem":
-        """The same system with its atoms named by ``atom_labels``.
+        """The same system with its atoms named by ``atom_labels``; the other
+        atoms take the names e0, e1, ... in element order.  This is the only
+        way to name atoms.
 
-        The order table, the atom masks and the complement map do not depend
-        on names, so the copy shares them instead of building them again.
+        The elements, the order table, the atom masks and the complement map
+        do not depend on names, so the copy shares them instead of building
+        them again.  A label on a non-atom, or two labels on one atom, raise
+        when the names are first read.
         """
-        other = QuantumSystem(self.elements, self.generators, atom_labels)
-        for name in ("_leq_rows", "_below", "_orth", "_comp"):
-            setattr(other, name, getattr(self, name))
+        other = copy.copy(self)
+        other._atom_labels_arg = dict(atom_labels)
+        other._atom_indices = other._labels = other._atom_graph = None
+        other._names = {}
         return other
 
     # -- membership -----------------------------------------------------------
@@ -500,7 +500,6 @@ def exclusive_q(system: QuantumSystem, p: Projector, q: Projector) -> bool:
 def generate_system(
     generators: Sequence[Projector],
     max_elements: int = DEFAULT_MAX_ELEMENTS,
-    atom_labels: Mapping[str, Projector] | None = None,
 ) -> QuantumSystem:
     """Close a generator list under complement and commuting meet/join.
 
@@ -582,7 +581,7 @@ def generate_system(
                 insert(p.mat.add(q.mat).sub(pq))
         idx += 1
 
-    return QuantumSystem(elems, seeds, atom_labels)
+    return QuantumSystem(elems)
 
 
 def systems_equal(a: QuantumSystem, b: QuantumSystem) -> bool:

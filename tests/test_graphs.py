@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import random
 from fractions import Fraction
@@ -295,3 +296,86 @@ def test_dot_export_sorted_and_verbatim():
     assert lines[1:4] == ['  "a";', '  "b";', '  "c";']
     assert lines[4:6] == ['  "a" -- "b";', '  "b" -- "c";']
     assert lines[-1] == "}"
+
+
+# -- networkx as an independent oracle -------------------------------------------
+
+BUILTIN_FIXTURES = {
+    "ceg": "q_ceg",
+    "ceg17": "q_ceg_prime",
+    "ceg-lift": "q_lift",
+    "ceg-gen12": "q_twelve",
+    "kcbs": "q_kcbs",
+}
+
+
+def _random_graph(rng, n, p):
+    verts = [f"v{i}" for i in range(n)]
+    edges = [(u, v) for u, v in itertools.combinations(verts, 2) if rng.random() < p]
+    return ExclusivityGraph(verts, edges)
+
+
+def _to_nx(nx, g):
+    h = nx.Graph()
+    h.add_nodes_from(g.vertices)
+    h.add_edges_from(g.edges)
+    return h
+
+
+def _shuffled(rng, g):
+    names = list(g.vertices)
+    permuted = [f"w{i}" for i in range(len(names))]
+    rng.shuffle(permuted)
+    return g.relabel(dict(zip(names, permuted)))
+
+
+def _assert_isomorphism_matches_nx(nx, g, h):
+    ok, witness = graphs_isomorphic(g, h)
+    assert ok == nx.is_isomorphic(_to_nx(nx, g), _to_nx(nx, h))
+    if ok:
+        assert sorted(witness) == sorted(g.vertices)
+        assert sorted(witness.values()) == sorted(h.vertices)
+        mapped = {frozenset((witness[u], witness[v])) for u, v in g.edges}
+        assert mapped == {frozenset(e) for e in h.edges}
+    else:
+        assert witness is None
+    return ok
+
+
+def _assert_cliques_match_nx(nx, g):
+    want = sorted(tuple(sorted(c)) for c in nx.find_cliques(_to_nx(nx, g)))
+    assert list(g.maximal_cliques()) == want
+
+
+def test_random_graph_cliques_and_isomorphism_match_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(20261018)
+    verdicts = set()
+    for _ in range(150):
+        n = rng.randint(1, 10)
+        g = _random_graph(rng, n, rng.choice([0.2, 0.4, 0.6, 0.8]))
+        _assert_cliques_match_nx(nx, g)
+        assert _assert_isomorphism_matches_nx(nx, g, _shuffled(rng, g))
+        # Same degree sequence, often not isomorphic: the hard negatives.
+        swapped = _to_nx(nx, g)
+        if swapped.number_of_edges() >= 2 and n >= 4:
+            with contextlib.suppress(nx.NetworkXException):
+                nx.double_edge_swap(swapped, nswap=2, max_tries=100, seed=rng.randrange(10**6))
+        rewired = ExclusivityGraph(g.vertices, swapped.edges)
+        verdicts.add(_assert_isomorphism_matches_nx(nx, g, _shuffled(rng, rewired)))
+        other = _random_graph(rng, n, rng.choice([0.3, 0.5]))
+        verdicts.add(_assert_isomorphism_matches_nx(nx, g, other))
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("name", sorted(BUILTIN_FIXTURES))
+def test_builtin_atom_graphs_match_networkx(name, request):
+    nx = pytest.importorskip("networkx")
+    g = request.getfixturevalue(BUILTIN_FIXTURES[name]).atom_graph()
+    _assert_cliques_match_nx(nx, g)
+    rng = random.Random(name)
+    assert _assert_isomorphism_matches_nx(nx, g, _shuffled(rng, g))
+    for other in sorted(BUILTIN_FIXTURES):
+        _assert_isomorphism_matches_nx(
+            nx, g, request.getfixturevalue(BUILTIN_FIXTURES[other]).atom_graph()
+        )

@@ -68,6 +68,40 @@ def test_parse_error_names_the_field():
     assert "vectors[0].entries[0].re" in str(err.value)
 
 
+def _two_rays(first_entry) -> dict:
+    return {
+        "dimension": 2,
+        "vectors": [
+            {"name": "a", "entries": [{"re": first_entry}, {"re": "0"}]},
+            {"name": "b", "entries": [{"re": "0"}, {"re": "1"}]},
+        ],
+    }
+
+
+def test_denominator_with_a_leading_zero_infers_exact():
+    scenario = scenario_from_dict(_two_rays("1/01"))
+    assert scenario.vector_set.backend == "exact"
+    plain = scenario_from_dict(_two_rays("1"))
+    assert systems_equal(generate_system(scenario.generators), generate_system(plain.generators))
+    for zero in ("1/0", "1/00"):  # no nonzero digit: inferred float, then a bad number
+        with pytest.raises(ScenarioFormatError) as err:
+            scenario_from_dict(_two_rays(zero))
+        assert str(err.value).startswith(f"vectors[0].entries[0].re: bad number '{zero}'")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_rejected_at_parse(tmp_path, capsys, value):
+    with pytest.raises(ScenarioFormatError, match=f"^tolerance: must be finite, got {value}$"):
+        scenario_from_dict(dict(BOOLEAN_SCENARIO, backend="float", tolerance=value))
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(BOOLEAN_SCENARIO, backend="float", tolerance=value)))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(dict(BOOLEAN_SCENARIO, backend="float")))
+    for argv in (["build", str(path)], ["build", str(plain), "--tolerance", value]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out, err) == (1, "", f"error: tolerance: must be finite, got {value}\n")
+
+
 def test_scenario_requires_unique_names():
     doc = {
         "dimension": 2,
@@ -95,26 +129,30 @@ def test_state_file_requires_exactly_one_kind():
 
 def test_system_payload_roundtrip_exact():
     scenario = scenario_from_dict(BOOLEAN_SCENARIO)
-    system = generate_system(scenario.generators, atom_labels=scenario.labels)
+    system = generate_system(scenario.generators).with_atom_labels(scenario.labels)
     payload = system_to_payload(system)
     back = system_from_payload(json.loads(json.dumps(payload)))
     assert systems_equal(system, back)
     assert {p.mat.key() for p in back.elements} == {p.mat.key() for p in system.elements}
-    assert back.atom_graph() == system.atom_graph()
+    assert back.with_atom_labels(scenario.labels).atom_graph() == system.atom_graph()
 
 
 def test_system_payload_roundtrip_float(q_kcbs):
     payload = system_to_payload(q_kcbs)
     back = system_from_payload(json.loads(json.dumps(payload)))
     assert systems_equal(q_kcbs, back)
-    assert back.atom_graph() == q_kcbs.atom_graph()
+    labels = BUILTINS["kcbs"].scenario().labels
+    assert back.with_atom_labels(labels).atom_graph() == q_kcbs.atom_graph()
+    # The closure only: no atom names, generators or atom-graph edges.
+    assert sorted(payload) == ["backend", "dimension", "elements", "format", "tolerance", "version"]
+    assert payload["version"] == 2
 
 
 def test_cache_roundtrip(tmp_path):
     scenario_path = tmp_path / "boolean.json"
     scenario_path.write_text(json.dumps(BOOLEAN_SCENARIO), encoding="utf-8")
     scenario = scenario_from_dict(BOOLEAN_SCENARIO)
-    system = generate_system(scenario.generators, atom_labels=scenario.labels)
+    system = generate_system(scenario.generators).with_atom_labels(scenario.labels)
     assert load_cached_system(scenario_path, scenario) is None
     store_cached_system(scenario_path, system)
     assert cache_path_for(scenario_path).exists()
@@ -508,7 +546,7 @@ def _stored_cache(tmp_path, doc=BOOLEAN_SCENARIO):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(doc), encoding="utf-8")
     scenario = scenario_from_dict(doc)
-    system = generate_system(scenario.generators, atom_labels=scenario.labels)
+    system = generate_system(scenario.generators).with_atom_labels(scenario.labels)
     store_cached_system(scenario_path, system)
     cache = cache_path_for(scenario_path)
     return scenario_path, scenario, json.loads(cache.read_text()), cache
@@ -519,10 +557,6 @@ CORRUPTIONS = {
     "system null": (lambda doc: doc.update(system=None), "not a ctxcert system payload"),
     "top-level list": (lambda doc: doc.clear(), "not a JSON object"),  # written as [doc]
     "elements 5": (lambda doc: doc["system"].update(elements=5), "elements: expected a list"),
-    "atom element 999": (
-        lambda doc: doc["system"]["atoms"][0].update(element=999),
-        "atoms[0].element: no element 999",
-    ),
     "non-idempotent element": (
         lambda doc: doc["system"]["elements"][-1][0][0].update(re="2"),
         "matrix is not idempotent",
@@ -535,10 +569,6 @@ CORRUPTIONS = {
         lambda doc: doc["system"]["elements"].insert(1, doc["system"]["elements"][1]),
         "elements[1]: repeated or out of the system's order",
     ),
-    "label on a non-atom": (
-        lambda doc: doc["system"]["atoms"][0].update(element=len(doc["system"]["elements"]) - 1),
-        "label 'ex' does not name an atom",
-    ),
     "weird backend": (
         lambda doc: doc["system"].update(backend="weird"),
         "backend: expected 'exact' or 'float', got 'weird'",
@@ -547,7 +577,7 @@ CORRUPTIONS = {
         lambda doc: doc["system"].update(backend="float", tolerance="1e-09"),
         "backend float, scenario exact",
     ),
-    "version 2": (lambda doc: doc["system"].update(version=2), "version: expected 1, got 2"),
+    "version 1": (lambda doc: doc["system"].update(version=1), "version: expected 2, got 1"),
 }
 
 
@@ -591,23 +621,19 @@ MIXED_4 = {"density": [[{"re": "1/4" if i == j else "0"} for j in range(4)] for 
 
 def _without_an_atom(doc, system, scenario):
     """The stored ``doc`` less one unlabelled atom and its complement.  The
-    rest is in order, closed under complement and names only atoms, but some
-    element is no longer a sum of the atoms that remain."""
+    rest is in order and closed under complement, but some element is no
+    longer a sum of the atoms that remain."""
     atom = next(i for i in system.atom_indices() if system.atom_label(i) not in scenario.labels)
     gone = {atom, system.complement_index(atom)}
-    where = {old: new for new, old in enumerate(k for k in range(len(system)) if k not in gone)}
     bad = json.loads(json.dumps(doc))
     payload = bad["system"]
-    payload["elements"] = [e for k, e in enumerate(payload["elements"]) if k in where]
-    payload["atoms"] = [
-        dict(a, element=where[a["element"]]) for a in payload["atoms"] if a["element"] in where
-    ]
+    payload["elements"] = [e for k, e in enumerate(payload["elements"]) if k not in gone]
     return bad
 
 
 def test_cache_missing_an_atom_is_a_logged_miss(tmp_path, caplog, capsys):
     scenario_path, scenario, doc, cache = _stored_cache(tmp_path, CEG_DOC)
-    system = load_cached_system(scenario_path, scenario)
+    system = load_cached_system(scenario_path, scenario).with_atom_labels(scenario.labels)
     bad = _without_an_atom(doc, system, scenario)
     assert len(bad["system"]["elements"]) == 138
     state_path = tmp_path / "mixed.json"
@@ -627,6 +653,22 @@ def test_cache_missing_an_atom_is_a_logged_miss(tmp_path, caplog, capsys):
     assert {k: v for k, v in json.loads(got).items() if k != "timings"} == {
         k: v for k, v in json.loads(want).items() if k != "timings"
     }
+
+
+def test_failed_atom_naming_writes_no_cache(tmp_path, capsys):
+    doc = {
+        "dimension": 2,
+        "vectors": [
+            {"name": "a", "entries": ["1", "0"]},
+            {"name": "b", "entries": ["2", "0"]},  # the ray of a
+            {"name": "c", "entries": ["0", "1"]},
+        ],
+    }
+    path = tmp_path / "parallel.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["build", str(path)], capsys)
+    assert (code, out, err) == (1, "", "error: atom labeled twice: 'a', 'b'\n")
+    assert not cache_path_for(path).exists()
 
 
 def test_cache_for_another_backend_dimension_or_tolerance_is_a_miss(tmp_path, caplog):

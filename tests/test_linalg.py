@@ -189,6 +189,48 @@ def test_quantum_state_eval_kcbs_single_ray():
     assert abs(value - 1 / math.sqrt(5)) < 1e-9
 
 
+def _ref_born(rho, p) -> Fraction:
+    """tr(rho P) as a double loop over the entries; its imaginary part is 0."""
+    d = p.dim
+    re = im = Fraction(0)
+    for i in range(d):
+        for j in range(d):
+            ar, ai = rho.mat.entry(i, j)
+            br, bi = p.mat.entry(j, i)
+            re += ar * br - ai * bi
+            im += ar * bi + ai * br
+    assert im == 0
+    return re
+
+
+def test_exact_born_rule_matches_double_loop_on_complex_states():
+    rng = random.Random(11)
+    d = 3
+
+    def gaussian_vector():
+        while True:
+            v = [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(d)]
+            if any(x != (0, 0) for x in v):
+                return v
+
+    complex_pairs = 0
+    for _ in range(40):
+        k = rng.randint(1, 3)
+        weights = [rng.randint(1, 5) for _ in range(k)]
+        rho = DensityMatrix.mixture(
+            [Fraction(w, sum(weights)) for w in weights],
+            [DensityMatrix.from_pure_vector(gaussian_vector()) for _ in range(k)],
+        )
+        u = projector_from_vector(gaussian_vector())
+        real = projector_from_vector([rng.randint(-3, 3) for _ in range(d - 1)] + [1])
+        for p in (u, complement(u), real, zero_projector(d), identity_projector(d)):
+            assert quantum_state_eval(rho, p) == _ref_born(rho, p)
+        complex_pairs += rho.mat.im is not None and u.mat.im is not None
+        real_rho = DensityMatrix.maximally_mixed(d)
+        assert quantum_state_eval(real_rho, u) == _ref_born(real_rho, u) == Fraction(1, d)
+    assert complex_pairs >= 30
+
+
 def _random_density(rng, d, backend):
     vecs = []
     for _ in range(d):

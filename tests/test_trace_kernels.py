@@ -208,7 +208,7 @@ def assert_pair_kernels_match(elements) -> None:
 
 @pytest.mark.parametrize("name", sorted(BUILTINS))
 def test_builtin_matches_product_reference(name, monkeypatch):
-    generators = BUILTINS[name].system(DEFAULT_MAX_ELEMENTS).generators
+    generators = BUILTINS[name].scenario().generators
     system, inserted = closure_in_order(generators, monkeypatch)
     assert_matches_reference(system, inserted, generators)
 
@@ -451,7 +451,7 @@ def test_float_order_keeps_both_directions_of_an_equal_rank_pair():
     assert leq(p, q) and leq(q, p)
     assert ref_leq(p, q) and ref_leq(q, p)
     zero, one = zero_projector(3, FLOAT), identity_projector(3, FLOAT)
-    system = QuantumSystem([zero, one, p, q], [p, q])
+    system = QuantumSystem([zero, one, p, q])
     with pytest.raises(NoDecomposition):
         system._ensure_leq()
 
@@ -484,7 +484,7 @@ def test_ceg_closure_and_atoms_product_count(monkeypatch):
     generators = vs.projectors()
     labels = {name: vs.projector(name) for name in vs.names}
     calls = _count_products(monkeypatch)
-    system = generate_system(generators, atom_labels=labels)
+    system = generate_system(generators).with_atom_labels(labels)
     assert len(system.atom_indices()) == 24
     assert len(calls) <= CEG_PRODUCTS
 
