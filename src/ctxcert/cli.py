@@ -36,7 +36,7 @@ from .io import (
     state_from_path,
     store_cached_system,
 )
-from .linalg import FLOAT
+from .linalg import DEFAULT_TOL, FLOAT
 from .systems import DEFAULT_MAX_ELEMENTS, QuantumSystem, generate_system
 from .vectorsets import ks_assignment_search
 
@@ -47,9 +47,10 @@ log = logging.getLogger(__name__)
 
 class _Source:
     """A scenario argument resolved once: the scenario, builtin or file, and
-    the file whose ``.ctxcache`` serves the build.  There is no cache for a
-    builtin, under ``--backend`` or ``--tolerance`` (they change the parse,
-    and the cache is keyed on the file's content only), or with
+    the file whose ``.ctxcache`` serves the build.  A file is read once, and
+    its cache is keyed on the sha256 of the bytes that were parsed.  There is
+    no cache for a builtin, under ``--backend`` or ``--tolerance`` (they
+    change the parse, and the key covers the file's bytes only), or with
     ``--no-cache``.  The cache holds the closed system only; atom names come
     from the scenario, the same way on a cold and a warm run."""
 
@@ -81,9 +82,9 @@ class _Source:
 
     def build_system(self) -> QuantumSystem:
         """The cached system, or the closure of the generators (then cached),
-        with the atoms that scenario labels denote named by them.  The names
-        are checked before the cache is written, so a run that fails there
-        leaves no cache."""
+        with the atoms that scenario labels denote named by them.  Naming
+        raises on a bad label before the cache is written, so a run that
+        fails there leaves no cache."""
         cached = None
         if self.cache_for is not None:
             cached = load_cached_system(self.cache_for, self.scenario, self.max_elements)
@@ -92,9 +93,8 @@ class _Source:
         system = cached or generate_system(self.scenario.generators, self.max_elements)
         labels = {name: p for name, p in self.scenario.labels.items() if system.contains(p)}
         system = system.with_atom_labels(labels)
-        system.atom_indices()  # a label clash raises here
         if self.cache_for is not None and cached is None:
-            store_cached_system(self.cache_for, system)
+            store_cached_system(self.cache_for, self.scenario, system)
         return system
 
 
@@ -162,8 +162,8 @@ def _certificate_payload(cert) -> dict:
 def _state_for(system: QuantumSystem, spec) -> PBAState:
     if spec.density is not None:
         return system.state_from_density(spec.density)
-    graph = system.atom_graph()
-    return PBAState(graph, spec.atom_values, backend=system.backend, tol=max(system.tol, 1e-9))
+    tol = max(system.tol, DEFAULT_TOL)
+    return PBAState(system.atom_graph(), spec.atom_values, backend=system.backend, tol=tol)
 
 
 def cmd_build(args) -> int:

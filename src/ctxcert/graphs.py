@@ -55,9 +55,6 @@ class ExclusivityGraph:
         self._bit = {v: 1 << i for i, v in enumerate(self.vertices)}
         self._clique_masks = tuple(sum(map(self._bit.get, c)) for c in self._cliques)
 
-    def degree(self, v: str) -> int:
-        return len(self._adj[v])
-
     def has_edge(self, u: str, v: str) -> bool:
         return ((u, v) if u <= v else (v, u)) in self.edges
 

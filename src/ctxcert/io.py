@@ -11,13 +11,16 @@ built as integer numerators over the lcm of its denominators.  Any other
 literal goes through ``parse_rational`` (``Fraction``), so the accepted
 inputs, values and messages are those of ``Fraction`` alone.
 
-The cache beside a scenario file holds the file's sha256 and the closed
-system (``system_to_payload``, format version 2): its elements, dimension,
-backend and tolerance.  It holds no atom names: those come from the scenario
-on every run, cold or warm.  ``load_cached_system`` treats every cache it
-cannot trust as a miss (logged at INFO): a changed file, another format
-version, a payload that fails to parse or validate, or a backend, dimension
-or tolerance other than the parsed scenario's.
+The cache beside a scenario file holds the sha256 of the bytes the scenario
+was parsed from (``Scenario.sha256``) and the closed system
+(``system_to_payload``, format version 2): its elements, dimension, backend
+and tolerance.  A run reads the scenario file once; the cache is checked and
+written against that digest.  The cache holds no atom names: those come from
+the scenario on every run, cold or warm.  ``load_cached_system`` treats every
+cache it cannot trust as a miss (logged at INFO): another digest, unreadable
+or invalid JSON, another format version, a payload that fails to parse or
+validate, or a backend, dimension or tolerance other than the parsed
+scenario's.
 """
 
 from __future__ import annotations
@@ -180,12 +183,15 @@ def _infer_backend(doc: dict) -> str:
 class Scenario:
     """A measurement scenario: named rays with optional bases, the generator
     projectors, and the atom names.  Dimension, backend and tolerance are
-    those of ``vector_set``."""
+    those of ``vector_set``.  ``sha256`` is the digest of the file bytes the
+    scenario was parsed from, the key of its cache; None when it was not
+    parsed from a file."""
 
     source: str
     vector_set: VectorSet
     generators: list[Projector]
     labels: dict[str, Projector]
+    sha256: str | None = None
 
 
 def _parse_matrix(grid, backend: str, tol: float, dim: int, field: str):
@@ -211,9 +217,12 @@ def _parse_matrix(grid, backend: str, tol: float, dim: int, field: str):
 def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     if not isinstance(doc, dict):
         raise ScenarioFormatError("scenario document must be a JSON object")
+    raw_dim = doc.get("dimension")
     try:
-        dim = int(doc["dimension"])
-    except (KeyError, TypeError, ValueError):
+        dim = int(raw_dim)
+        if isinstance(raw_dim, bool) or (isinstance(raw_dim, float) and dim != raw_dim):
+            raise ValueError(raw_dim)  # true, or a fractional part that int() drops
+    except (TypeError, ValueError, OverflowError):
         raise ScenarioFormatError("dimension: required positive integer") from None
     if dim <= 0:
         raise ScenarioFormatError("dimension: must be positive")
@@ -288,24 +297,30 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     return Scenario(source, vs, generators, labels)
 
 
-def _read_json(path: Path):
+def _read_json(path: Path) -> tuple[object, bytes]:
+    """The JSON document in ``path`` and the bytes it was parsed from."""
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        data = path.read_bytes()
+        return json.loads(data.decode("utf-8")), data
     except OSError as exc:
         raise ScenarioFormatError(f"{path}: cannot read ({exc.strerror})") from None
-    except ValueError as exc:  # bad JSON, bad UTF-8, or an int past the digit limit
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, bad UTF-8, an int past the digit limit, or nesting too deep
         raise ScenarioFormatError(f"{path}: invalid JSON ({exc})") from None
 
 
 def scenario_from_path(
     path: Path, backend: str | None = None, tolerance: float | None = None
 ) -> Scenario:
-    doc = _read_json(path)
+    """The scenario in ``path``, keyed by the sha256 of the bytes parsed."""
+    doc, data = _read_json(path)
     if isinstance(doc, dict) and backend is not None:
         doc = dict(doc, backend=backend)
     if isinstance(doc, dict) and tolerance is not None:
         doc = dict(doc, tolerance=tolerance)
-    return scenario_from_dict(doc, source=str(path))
+    scenario = scenario_from_dict(doc, source=str(path))
+    scenario.sha256 = content_hash(data)
+    return scenario
 
 
 # -- states -----------------------------------------------------------------
@@ -358,7 +373,7 @@ def state_from_dict(doc: dict, backend: str, tol: float, dim: int) -> StateSpec:
 
 
 def state_from_path(path: Path, backend: str, tol: float, dim: int) -> StateSpec:
-    return state_from_dict(_read_json(path), backend, tol, dim)
+    return state_from_dict(_read_json(path)[0], backend, tol, dim)
 
 
 # -- system export / import ----------------------------------------------------
@@ -398,9 +413,10 @@ def system_to_payload(system: QuantumSystem) -> dict:
 def system_from_payload(doc: dict) -> QuantumSystem:
     """The unnamed system of a ``system_to_payload`` document.
 
-    Every element is validated as a projector, and the elements must be
-    distinct, listed in the system's order, each an orthogonal sum of atoms
-    and closed under complement; a payload that breaks any of these, or
+    Every element is validated as a projector.  Constructing the system
+    checks that each element is an orthogonal sum of atoms and that the set
+    is closed under complement; then the elements must be distinct and
+    listed in the system's order.  A payload that breaks any of these, or
     another format version, raises a ``CtxcertError``.
     """
     if not isinstance(doc, dict) or doc.get("format") != "ctxcert-system":
@@ -425,8 +441,6 @@ def system_from_payload(doc: dict) -> QuantumSystem:
     for k, p in enumerate(elements):
         if system.elements[k] is not p or system.index_of(p) != k:
             raise ScenarioFormatError(f"elements[{k}]: repeated or out of the system's order")
-    system.leq_idx(system.zero_index, system.identity_index)  # builds the order: sums of atoms
-    system.complement_index(system.zero_index)  # closed under complement
     return system
 
 
@@ -449,20 +463,21 @@ def load_cached_system(
     """The cached system of the ``scenario`` parsed from ``scenario_path``,
     or None on a miss.
 
-    A miss is no cache file, a content hash that differs, a payload that
-    does not parse or validate (``system_from_payload``), or a backend,
-    dimension or float tolerance other than the scenario's.  Each miss but
-    the first is logged at INFO with its reason.  A cached system larger than ``max_elements`` raises
-    ``ClosureBudgetExceeded``, as building it would.
+    A miss is no cache file, a cache that cannot be read or is not JSON, a
+    digest other than ``scenario.sha256``, a payload that does not parse or
+    validate (``system_from_payload``), or a backend, dimension or float
+    tolerance other than the scenario's.  Each miss but the first is logged
+    at INFO with its reason.  A cached system larger than ``max_elements``
+    raises ``ClosureBudgetExceeded``, as building it would.
     """
     cache = cache_path_for(scenario_path)
     if not cache.exists():
         return None
     try:
-        doc = json.loads(cache.read_text(encoding="utf-8"))
+        doc = _read_json(cache)[0]
         if not isinstance(doc, dict):
             raise ScenarioFormatError("not a JSON object")
-        if doc.get("sha256") != content_hash(scenario_path.read_bytes()):
+        if doc.get("sha256") != scenario.sha256:
             raise ScenarioFormatError("the scenario file has changed")
         system = system_from_payload(doc.get("system"))
         _check_cache_matches(system, scenario)
@@ -484,14 +499,13 @@ def _check_cache_matches(system: QuantumSystem, scenario: Scenario) -> None:
         raise ScenarioFormatError(f"tolerance {system.tol!r}, scenario {vs.tol!r}")
 
 
-def store_cached_system(scenario_path: Path, system: QuantumSystem) -> None:
-    """Write the cache through a temporary file; a failed write is logged."""
+def store_cached_system(scenario_path: Path, scenario: Scenario, system: QuantumSystem) -> None:
+    """Write the cache of the ``scenario`` parsed from ``scenario_path``,
+    keyed on ``scenario.sha256``, through a temporary file; the scenario
+    file is not read again.  A failed write is logged."""
     cache = cache_path_for(scenario_path)
     tmp = cache.with_name(f"{cache.name}.{os.getpid()}.tmp")
-    doc = {
-        "sha256": content_hash(scenario_path.read_bytes()),
-        "system": system_to_payload(system),
-    }
+    doc = {"sha256": scenario.sha256, "system": system_to_payload(system)}
     try:
         tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
         os.replace(tmp, cache)

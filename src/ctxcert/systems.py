@@ -1,10 +1,12 @@
 """Concrete event algebras of projectors, generated by closure.
 
 ``generate_system`` saturates a generator list under complement and under
-meet/join of commuting pairs.  The closed system knows its atoms, its atom
-graph, and how to extend an atom-level state to every element.  Matrices are
-used only to find the atoms and their orthogonality; the order, the atom graph
-and the atomic decompositions are then bit operations on atom masks.
+meet/join of commuting pairs.  A ``QuantumSystem`` is whole once constructed:
+its atoms, order, complement map and atom names are built then, and it
+extends an atom-level state to every element.  Matrices are used only to
+find the atoms, their orthogonality and the complements; the order, the atom
+graph and the atomic decompositions are bit operations on atom masks.
+``with_atom_labels`` renames the atoms of a copy that shares the rest.
 """
 
 from __future__ import annotations
@@ -34,8 +36,6 @@ from .linalg import (
     ORTHOGONAL,
     UNDECIDED,
     DensityMatrix,
-    ExactMatrix,
-    FloatMatrix,
     Projector,
     commuting_product,
     exact_pair_relation,
@@ -188,7 +188,17 @@ def _orthogonal_sums(
 
 
 class QuantumSystem:
-    """A finite, closed set of projectors with cached order structure."""
+    """A finite, closed set of projectors and its lattice, whole once built.
+
+    The constructor builds the atoms, their below-masks and orthogonality,
+    the order rows, the complement map and the default atom names (e0, e1,
+    ... in element order).  It raises ``NoDecomposition`` if some element is
+    no orthogonal sum of its atoms, and ``NotAnElement`` if the set is not
+    closed under complement.  After that no method touches a matrix but the
+    audit (``verify_epba``), the Born rule (``state_from_density``) and
+    membership (``index_of``, ``contains``).  The atom graph, a view of the
+    masks under the atom names, is built on first use.
+    """
 
     def __init__(self, elements: Sequence[Projector]):
         if not elements:
@@ -200,33 +210,51 @@ class QuantumSystem:
         self._pool = _Pool(self.backend)
         for p in self.elements:
             self._pool.insert(p.mat)
+        one = identity_projector(self.dim, self.backend, self.tol)
         self.zero_index = self.index_of(zero_projector(self.dim, self.backend, self.tol))
-        self.identity_index = self.index_of(identity_projector(self.dim, self.backend, self.tol))
-        self._leq_rows: list[int] | None = None
-        self._below: list[int] | None = None
-        self._orth: dict[int, int] | None = None
-        self._comp: list[int] | None = None
-        self._atom_indices: list[int] | None = None
-        self._atom_graph: ExclusivityGraph | None = None
-        self._atom_labels_arg: dict[str, Projector] = {}
-        self._labels: list[str] | None = None
-        self._names: dict[int, str] = {}
+        self.identity_index = self.index_of(one)
+        self._ensure_leq()
+        self._comp = []
+        for p in self.elements:
+            idx = self._pool.lookup(one.mat.sub(p.mat))
+            if idx is None:
+                raise NotAnElement("system is not closed under complement")
+            self._comp.append(idx)
+        self._name_atoms({})
 
     def with_atom_labels(self, atom_labels: Mapping[str, Projector]) -> "QuantumSystem":
-        """The same system with its atoms named by ``atom_labels``; the other
-        atoms take the names e0, e1, ... in element order.  This is the only
-        way to name atoms.
+        """A copy of the system with its atoms named by ``atom_labels``; the
+        other atoms take the names e0, e1, ... in element order.  This is the
+        only way to name atoms.
 
-        The elements, the order table, the atom masks and the complement map
-        do not depend on names, so the copy shares them instead of building
-        them again.  A label on a non-atom, or two labels on one atom, raise
-        when the names are first read.
+        The copy shares the elements, the order rows, the atom masks and the
+        complement map, which do not depend on names.  A label on a non-atom,
+        two labels on one atom, or a label equal to a default name raise here.
         """
         other = copy.copy(self)
-        other._atom_labels_arg = dict(atom_labels)
-        other._atom_indices = other._labels = other._atom_graph = None
-        other._names = {}
+        other._name_atoms(atom_labels)
         return other
+
+    def _name_atoms(self, atom_labels: Mapping[str, Projector]) -> None:
+        """Name the atoms: those in ``atom_labels`` first, in its order, then
+        the rest e0, e1, ... in element order.  That is the atom-graph order;
+        the graph is built again on first use."""
+        names: dict[int, str] = {}
+        for name, proj in atom_labels.items():
+            idx = self.index_of(proj)
+            if idx not in self._orth:  # keyed by the atoms, in element order
+                raise NotAnElement(f"label {name!r} does not name an atom")
+            if idx in names:
+                raise UnknownElement(f"atom labeled twice: {names[idx]!r}, {name!r}")
+            names[idx] = name
+        rest = [i for i in self._orth if i not in names]
+        names.update((idx, f"e{k}") for k, idx in enumerate(rest))
+        if len(set(names.values())) != len(names):
+            raise UnknownElement("atom label collision")
+        self._names = names
+        self._atom_indices = list(names)
+        self._labels = list(names.values())
+        self._atom_graph: ExclusivityGraph | None = None
 
     # -- membership -----------------------------------------------------------
 
@@ -244,8 +272,8 @@ class QuantumSystem:
 
     # -- order structure --------------------------------------------------------
 
-    def _ensure_leq(self) -> list[int]:
-        """Bit rows of the order: bit j of row i is set iff element i <= j.
+    def _ensure_leq(self) -> None:
+        """Build the order: bit j of ``_leq_rows[i]`` is set iff element i <= j.
 
         Built from the atoms, so matrices are used only to find them.  The
         elements are sorted by rank, and a walk in index order tests each one
@@ -262,8 +290,6 @@ class QuantumSystem:
         rows of the atoms below i (all ones for 0), and the row of atom a
         holds the elements whose below-masks name a.
         """
-        if self._leq_rows is not None:
-            return self._leq_rows
         elements = self.elements
         ranks = {}
         below = []
@@ -297,93 +323,42 @@ class QuantumSystem:
             for a in under:
                 row &= above[a]
             rows.append(row)
-        self._below, self._orth = below, orth
-        self._leq_rows = rows
-        return rows
-
-    def _ensure_comp(self) -> list[int]:
-        if self._comp is None:
-            ident = (
-                ExactMatrix.identity(self.dim)
-                if self.backend == EXACT
-                else FloatMatrix.identity(self.dim, self.tol)
-            )
-            comp = []
-            for p in self.elements:
-                idx = self._pool.lookup(ident.sub(p.mat))
-                if idx is None:
-                    raise NotAnElement("system is not closed under complement")
-                comp.append(idx)
-            self._comp = comp
-        return self._comp
+        self._below, self._orth, self._leq_rows = below, orth, rows
 
     def leq_idx(self, i: int, j: int) -> bool:
-        return bool(self._ensure_leq()[i] >> j & 1)
+        return bool(self._leq_rows[i] >> j & 1)
 
     def complement_index(self, i: int) -> int:
-        return self._ensure_comp()[i]
+        return self._comp[i]
 
     # -- atoms -----------------------------------------------------------------
 
     def atom_indices(self) -> list[int]:
         """Atom element indices, labeled atoms first (the atom-graph order)."""
-        self._ensure_labels()
         return self._atom_indices
 
-    def _ensure_labels(self) -> list[str]:
-        if self._labels is not None:
-            return self._labels
-        self._ensure_leq()
-        atoms = self._orth  # keyed by the atoms, in index order
-        assigned: dict[int, str] = {}
-        ordered: list[int] = []
-        for name, proj in self._atom_labels_arg.items():
-            idx = self.index_of(proj)
-            if idx not in atoms:
-                raise NotAnElement(f"label {name!r} does not name an atom")
-            if idx in assigned:
-                raise UnknownElement(f"atom labeled twice: {assigned[idx]!r}, {name!r}")
-            assigned[idx] = name
-            ordered.append(idx)
-        rest = [i for i in atoms if i not in assigned]
-        rest.sort(key=lambda i: self.elements[i].sort_key())
-        for k, idx in enumerate(rest):
-            assigned[idx] = f"e{k}"
-            ordered.append(idx)
-        if len(set(assigned.values())) != len(assigned):
-            raise UnknownElement("atom label collision")
-        self._atom_indices = ordered
-        self._labels = [assigned[i] for i in ordered]
-        self._names = dict(zip(ordered, self._labels))
-        return self._labels
-
     def atom_label(self, index: int) -> str:
-        self._ensure_labels()
         return self._names[index]
 
     def atoms(self) -> list[Projector]:
-        self._ensure_labels()
-        return [self.elements[i] for i in self.atom_indices()]
+        return [self.elements[i] for i in self._atom_indices]
 
     def atom_by_label(self, label: str) -> Projector:
-        labels = self._ensure_labels()
         try:
-            pos = labels.index(label)
+            pos = self._labels.index(label)
         except ValueError:
             raise UnknownElement(f"no atom labeled {label!r}") from None
-        return self.elements[self.atom_indices()[pos]]
+        return self.elements[self._atom_indices[pos]]
 
     def atom_graph(self) -> ExclusivityGraph:
         """Vertices are atom labels; edges join compatible distinct atoms."""
         if self._atom_graph is None:
-            labels = self._ensure_labels()
-            idxs = self.atom_indices()
             edges = [
                 (la, lb)
-                for (la, ia), (lb, ib) in combinations(zip(labels, idxs), 2)
+                for (ia, la), (ib, lb) in combinations(self._names.items(), 2)
                 if self._orth[ia] >> ib & 1
             ]
-            self._atom_graph = ExclusivityGraph(labels, edges)
+            self._atom_graph = ExclusivityGraph(self._labels, edges)
         return self._atom_graph
 
     # -- naming ----------------------------------------------------------------
@@ -394,7 +369,6 @@ class QuantumSystem:
             return "0"
         if index == self.identity_index:
             return "1"
-        self._ensure_labels()
         if index in self._names:
             return self._names[index]
         parts = self.decompose(index)
@@ -411,9 +385,8 @@ class QuantumSystem:
         """Yield every orthogonal atom set that sums to the element, in the
         atom-graph order: the orthogonal sets of atoms below it whose ranks
         add up to its rank."""
-        self._ensure_leq()
         mask = self._below[index]
-        atoms = [a for a in self.atom_indices() if mask >> a & 1]
+        atoms = [a for a in self._atom_indices if mask >> a & 1]
         ranks = {a: self.elements[a].rank for a in atoms}
         return _orthogonal_sums(atoms, self._orth, ranks, self.elements[index].rank)
 
@@ -424,10 +397,9 @@ class QuantumSystem:
 
     def state_from_density(self, rho: DensityMatrix) -> PBAState:
         """Restrict the Born rule to atoms; always yields a graph state."""
-        labels = self._ensure_labels()
-        values = {}
-        for label, idx in zip(labels, self.atom_indices()):
-            values[label] = quantum_state_eval(rho, self.elements[idx])
+        values = {
+            label: quantum_state_eval(rho, self.elements[idx]) for idx, label in self._names.items()
+        }
         backend = EXACT if self.backend == EXACT else FLOAT
         return PBAState(self.atom_graph(), values, backend=backend, tol=max(self.tol, DEFAULT_TOL))
 
@@ -437,14 +409,14 @@ class QuantumSystem:
         """Exhaustively confirm exclusivity implies compatibility, and that the
         element order is transitive.  Any violation signals a bug or a
         tolerance failure, never valid physics."""
-        rows = self._ensure_leq()
+        rows = self._leq_rows
         mats = [p.mat for p in self.elements]
         # An exclusive pair of projectors has a vanishing product, hence
         # commutes; the product is formed here so that this audit stays
         # independent of the trace kernel that built the order rows.
         lep_violation, pairs = first_lep_violation(
             rows,
-            neg_image(rows, self._ensure_comp()),
+            neg_image(rows, self._comp),
             lambda i, j: mats[i].mul(mats[j]).is_zero(),
         )
         transitivity_violation, chains = first_transitivity_violation(rows)

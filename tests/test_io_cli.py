@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import ctxcert.cli as cli_module
 from ctxcert.catalog import BUILTINS, ceg_set, kcbs_system
 from ctxcert.cli import main
 from ctxcert.errors import ClosureBudgetExceeded, CtxcertError, ScenarioFormatError
@@ -24,6 +25,7 @@ from ctxcert.io import (
     parse_ratio,
     parse_rational,
     scenario_from_dict,
+    scenario_from_path,
     state_from_dict,
     store_cached_system,
     system_from_payload,
@@ -102,6 +104,24 @@ def test_non_finite_tolerance_is_rejected_at_parse(tmp_path, capsys, value):
         assert (code, out, err) == (1, "", f"error: tolerance: must be finite, got {value}\n")
 
 
+@pytest.mark.parametrize("value", [3.7, True, float("inf")])
+def test_non_integer_dimension_is_rejected(tmp_path, capsys, value):
+    """int() would read 3.7 as 3 and true as 1, and raise OverflowError on
+    Infinity."""
+    doc = dict(BOOLEAN_SCENARIO, dimension=value)
+    with pytest.raises(ScenarioFormatError, match="^dimension: required positive integer$"):
+        scenario_from_dict(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["build", str(path)], capsys)
+    assert (code, out, err) == (1, "", "error: dimension: required positive integer\n")
+
+
+def test_integer_dimension_spellings_still_parse():
+    for value in (3, "3", 3.0):
+        assert scenario_from_dict(dict(BOOLEAN_SCENARIO, dimension=value)).vector_set.dim == 3
+
+
 def test_scenario_requires_unique_names():
     doc = {
         "dimension": 2,
@@ -151,24 +171,26 @@ def test_system_payload_roundtrip_float(q_kcbs):
 def test_cache_roundtrip(tmp_path):
     scenario_path = tmp_path / "boolean.json"
     scenario_path.write_text(json.dumps(BOOLEAN_SCENARIO), encoding="utf-8")
-    scenario = scenario_from_dict(BOOLEAN_SCENARIO)
+    scenario = scenario_from_path(scenario_path)
     system = generate_system(scenario.generators).with_atom_labels(scenario.labels)
     assert load_cached_system(scenario_path, scenario) is None
-    store_cached_system(scenario_path, system)
+    store_cached_system(scenario_path, scenario, system)
     assert cache_path_for(scenario_path).exists()
     cached = load_cached_system(scenario_path, scenario)
     assert cached is not None and systems_equal(cached, system)
     # Any content change invalidates the cache.
     scenario_path.write_text(json.dumps(dict(BOOLEAN_SCENARIO, dimension=3)) + " ", encoding="utf-8")
-    store_hash_mismatch = load_cached_system(scenario_path, scenario)
+    store_hash_mismatch = load_cached_system(scenario_path, scenario_from_path(scenario_path))
     assert store_hash_mismatch is None
+    # A scenario that was not parsed from a file has no cache.
+    assert load_cached_system(scenario_path, scenario_from_dict(BOOLEAN_SCENARIO)) is None
 
 
 def test_cached_system_honours_max_elements(tmp_path):
     scenario_path = tmp_path / "boolean.json"
     scenario_path.write_text(json.dumps(BOOLEAN_SCENARIO), encoding="utf-8")
-    scenario = scenario_from_dict(BOOLEAN_SCENARIO)
-    store_cached_system(scenario_path, generate_system(scenario.generators))
+    scenario = scenario_from_path(scenario_path)
+    store_cached_system(scenario_path, scenario, generate_system(scenario.generators))
     assert len(load_cached_system(scenario_path, scenario, max_elements=8)) == 8
     with pytest.raises(ClosureBudgetExceeded):
         load_cached_system(scenario_path, scenario, max_elements=7)
@@ -177,14 +199,15 @@ def test_cached_system_honours_max_elements(tmp_path):
 def test_failed_cache_write_is_logged_not_raised(tmp_path, monkeypatch, caplog):
     scenario_path = tmp_path / "boolean.json"
     scenario_path.write_text(json.dumps(BOOLEAN_SCENARIO), encoding="utf-8")
-    system = generate_system(scenario_from_dict(BOOLEAN_SCENARIO).generators)
+    scenario = scenario_from_path(scenario_path)
+    system = generate_system(scenario.generators)
 
     def refuse(self, *args, **kwargs):
         raise OSError("read-only file system")
 
     monkeypatch.setattr(Path, "write_text", refuse)
     with caplog.at_level(logging.WARNING, logger="ctxcert.io"):
-        store_cached_system(scenario_path, system)
+        store_cached_system(scenario_path, scenario, system)
     assert "could not write cache" in caplog.text
     assert sorted(p.name for p in tmp_path.iterdir()) == ["boolean.json"]
 
@@ -545,9 +568,9 @@ def test_cli_state_vector_not_a_list_is_a_typed_error(tmp_path, capsys):
 def _stored_cache(tmp_path, doc=BOOLEAN_SCENARIO):
     scenario_path = tmp_path / "scenario.json"
     scenario_path.write_text(json.dumps(doc), encoding="utf-8")
-    scenario = scenario_from_dict(doc)
+    scenario = scenario_from_path(scenario_path)
     system = generate_system(scenario.generators).with_atom_labels(scenario.labels)
-    store_cached_system(scenario_path, system)
+    store_cached_system(scenario_path, scenario, system)
     cache = cache_path_for(scenario_path)
     return scenario_path, scenario, json.loads(cache.read_text()), cache
 
@@ -671,29 +694,94 @@ def test_failed_atom_naming_writes_no_cache(tmp_path, capsys):
     assert not cache_path_for(path).exists()
 
 
+def _one_ray(entries) -> dict:
+    return {"dimension": 3, "vectors": [{"name": "x", "entries": entries}]}
+
+
+def test_scenario_edited_before_the_store_leaves_a_cache_the_next_run_ignores(
+    tmp_path, monkeypatch, capsys, caplog
+):
+    """The cache is keyed on the bytes that were parsed, so a file edited
+    between the parse and the store does not get the old closure."""
+    path = tmp_path / "ray.json"
+    path.write_text(json.dumps(_one_ray(["1", "0", "0"])))
+    store = cli_module.store_cached_system
+
+    def edit_then_store(scenario_path, scenario, system):
+        path.write_text(json.dumps(_one_ray(["1", "1", "0"])))
+        store(scenario_path, scenario, system)
+
+    argv = ["zero-one", str(path), "--format", "json"]
+    with monkeypatch.context() as m:
+        m.setattr(cli_module, "store_cached_system", edit_then_store)
+        assert run_cli(argv, capsys)[0] == 0
+    _, want, _ = run_cli([*argv, "--no-cache"], capsys)
+    with caplog.at_level(logging.INFO, logger="ctxcert.io"):
+        code, got, err = run_cli(argv, capsys)
+    assert (code, err) == (0, "")
+    assert f"ignoring cache {cache_path_for(path)}: the scenario file has changed" in caplog.messages
+    want, got = json.loads(want), json.loads(got)
+    assert want["zero_one"]["atom_order"] == ["x", "e0"]
+    assert {k: v for k, v in got.items() if k != "timings"} == {
+        k: v for k, v in want.items() if k != "timings"
+    }
+
+
+def test_scenario_deleted_before_the_store_still_writes_the_cache(tmp_path, monkeypatch, capsys):
+    """The store does not read the scenario file again."""
+    path = tmp_path / "ray.json"
+    path.write_text(json.dumps(_one_ray(["1", "0", "0"])))
+    store = cli_module.store_cached_system
+
+    def delete_then_store(scenario_path, scenario, system):
+        path.unlink()
+        store(scenario_path, scenario, system)
+
+    monkeypatch.setattr(cli_module, "store_cached_system", delete_then_store)
+    code, out, err = run_cli(["build", str(path)], capsys)
+    assert (code, err) == (0, "") and "atoms: 2" in out
+    assert cache_path_for(path).exists()
+
+
+def test_deeply_nested_json_is_a_typed_error_or_a_miss(tmp_path, capsys, caplog):
+    deep = "[" * 100_000 + "]" * 100_000
+    path = tmp_path / "deep.json"
+    path.write_text(deep)
+    for argv in (["build", str(path)], ["analyze", "kcbs", "--state", str(path)]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {path}: invalid JSON (") and "Traceback" not in err
+    scenario_path, scenario, _, cache = _stored_cache(tmp_path)
+    cache.write_text(deep)
+    with caplog.at_level(logging.INFO, logger="ctxcert.io"):
+        assert load_cached_system(scenario_path, scenario) is None
+    assert caplog.messages[-1].startswith(f"ignoring cache {cache}: {cache}: invalid JSON (")
+
+
 def test_cache_for_another_backend_dimension_or_tolerance_is_a_miss(tmp_path, caplog):
-    scenario_path, scenario, _, _ = _stored_cache(tmp_path)
+    """A stored payload of another backend, dimension or tolerance, under the
+    sha256 of the scenario file, is a logged miss."""
     in_dimension_4 = {
         "dimension": 4,
         "vectors": [{"name": "ex", "entries": [{"re": "1"}, {"re": "0"}, {"re": "0"}, {"re": "0"}]}],
     }
-    others = [
-        scenario_from_dict(dict(BOOLEAN_SCENARIO, backend="float")),
-        scenario_from_dict(in_dimension_4),
-    ]
-    for other in others:
-        with caplog.at_level(logging.INFO, logger="ctxcert.io"):
-            assert load_cached_system(scenario_path, scenario=other) is None
     float_doc = dict(BOOLEAN_SCENARIO, backend="float", tolerance=1e-6)
-    scenario_path, scenario, _, _ = _stored_cache(tmp_path, float_doc)
-    assert load_cached_system(scenario_path, scenario=scenario) is not None
-    other = scenario_from_dict(dict(float_doc, tolerance=1e-7))
-    with caplog.at_level(logging.INFO, logger="ctxcert.io"):
-        assert load_cached_system(scenario_path, scenario=other) is None
+    cases = [
+        (BOOLEAN_SCENARIO, float_doc),
+        (BOOLEAN_SCENARIO, in_dimension_4),
+        (float_doc, dict(float_doc, tolerance=1e-7)),
+    ]
+    for stored, other in cases:
+        scenario_path, scenario, doc, cache = _stored_cache(tmp_path, stored)
+        assert load_cached_system(scenario_path, scenario) is not None
+        other_system = generate_system(scenario_from_dict(other).generators)
+        cache.write_text(json.dumps(dict(doc, system=system_to_payload(other_system))))
+        with caplog.at_level(logging.INFO, logger="ctxcert.io"):
+            assert load_cached_system(scenario_path, scenario) is None
     assert [r.getMessage().split(": ", 1)[1] for r in caplog.records] == [
-        "backend exact, scenario float",
-        "dimension 3, scenario 4",
-        "tolerance 1e-06, scenario 1e-07",
+        "backend float, scenario exact",
+        "dimension 4, scenario 3",
+        "tolerance 1e-07, scenario 1e-06",
     ]
 
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ctxcert.errors import BackendMismatch, ClosureBudgetExceeded, NotAnElement
+from ctxcert.errors import BackendMismatch, ClosureBudgetExceeded, NotAnElement, UnknownElement
 from ctxcert.graphs import PBAState
 from ctxcert.linalg import (
     DensityMatrix,
@@ -19,6 +19,7 @@ from ctxcert.linalg import (
     quantum_state_eval,
 )
 from ctxcert.systems import (
+    QuantumSystem,
     exclusive_q,
     generate_system,
     leq_q,
@@ -44,6 +45,41 @@ def test_two_diagonal_generators_give_boolean_cube():
     assert len(q.atom_indices()) == 3
     g = q.atom_graph()
     assert len(g.maximal_cliques()) == 1 and len(g.maximal_cliques()[0]) == 3
+
+
+def test_bad_atom_labels_raise_when_given():
+    """A copy is named when ``with_atom_labels`` returns it, so a bad label
+    raises at the call, not when the names are first read."""
+    x, y = projector_from_vector([1, 0, 0]), projector_from_vector([0, 1, 0])
+    q = generate_system([x, y])
+    with pytest.raises(UnknownElement, match="^atom labeled twice: 'a', 'b'$"):
+        q.with_atom_labels({"a": x, "b": x})
+    with pytest.raises(NotAnElement, match="^label 'xy' does not name an atom$"):
+        q.with_atom_labels({"xy": join(x, y)})
+    with pytest.raises(UnknownElement, match="^atom label collision$"):
+        q.with_atom_labels({"e1": x})  # the default names of the others are e0, e1
+
+
+def test_named_copies_share_the_lattice(monkeypatch):
+    """The order is built once per constructed system; a named copy shares
+    the order rows, the atom masks and the complement map."""
+    builds = []
+    real = QuantumSystem._ensure_leq
+
+    def counting(self):
+        builds.append(1)
+        return real(self)
+
+    monkeypatch.setattr(QuantumSystem, "_ensure_leq", counting)
+    x, y = projector_from_vector([1, 0, 0]), projector_from_vector([0, 1, 0])
+    q = generate_system([x, y])
+    named = q.with_atom_labels({"x": x}).with_atom_labels({"y": y})
+    assert len(builds) == 1
+    for field in ("_leq_rows", "_below", "_orth", "_comp", "_pool"):
+        assert getattr(named, field) is getattr(q, field), field
+    assert [q.atom_label(i) for i in q.atom_indices()] == ["e0", "e1", "e2"]
+    assert named.atom_label(named.index_of(y)) == "y"
+    assert [named.atom_label(i) for i in named.atom_indices()] == ["y", "e0", "e1"]
 
 
 def test_generator_order_invariance():
