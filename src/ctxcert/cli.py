@@ -207,7 +207,7 @@ def cmd_analyze(args) -> int:
     report["state_verdict"] = _certificate_payload(classification.certificate)
     report["classification"] = classification.label
     graph = system.atom_graph()
-    if all(f"P{i}" in graph._index for i in range(5)):
+    if all(f"P{i}" in graph.vertices for i in range(5)):
         report["kcbs"] = {"value": str(kcbs_value(state)), "bound": 2}
     _emit(args, report)
     return EXIT_BY_LABEL[classification.label]

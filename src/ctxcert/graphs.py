@@ -131,7 +131,7 @@ class PBAState:
             if self.range_checked:
                 val = self.values[v]
                 slack = 0 if self.backend == EXACT else self.tol
-                if val < -slack or val > 1 + slack:
+                if not -slack <= val <= 1 + slack:  # NaN fails too
                     raise NotAGraphState(f"value {val} at {v!r} outside [0, 1]")
         if not is_state(self.graph, self.values, backend=self.backend, tol=self.tol):
             raise NotAGraphState("clique sums differ from 1")
@@ -159,7 +159,7 @@ def is_state(
     for clique in graph.maximal_cliques():
         total = sum(values[v] for v in clique)
         if backend == FLOAT:
-            if abs(total - 1.0) >= tol * max(1, len(clique)):
+            if not abs(total - 1.0) < tol * max(1, len(clique)):  # NaN fails too
                 return False
         elif total != 1:
             return False

@@ -366,7 +366,7 @@ def state_from_dict(doc: dict, backend: str, tol: float, dim: int) -> StateSpec:
                 raise ScenarioFormatError(f"atoms.{name}: value {v} outside [0, 1]")
         else:
             v = parse_real(raw, f"atoms.{name}")
-            if v < -tol or v > 1 + tol:
+            if not -tol <= v <= 1 + tol:  # NaN fails too
                 raise ScenarioFormatError(f"atoms.{name}: value {v} outside [0, 1]")
         values[str(name)] = v
     return StateSpec(atom_values=values)

@@ -3,8 +3,10 @@
 The "exact" backend stores matrices as integer numerator grids over a single
 positive denominator, so equality, hashing and rank are unconditional.  The
 "float" backend stores complex doubles together with a tolerance ``tol`` and
-treats two matrices as equal when every entry differs by less than ``tol``.
-Everything is immutable; operations return fresh objects.
+treats two matrices as equal when every entry differs by less than ``tol``;
+every float relation between matrices (equality, order, orthogonality,
+commutation, Hermiticity, idempotence) is such a comparison.  Everything
+is immutable; operations return fresh objects.
 """
 
 from __future__ import annotations
@@ -350,33 +352,23 @@ class FloatMatrix:
             max(self.tol, other.tol),
         )
 
-    def conj_transpose(self) -> "FloatMatrix":
-        d = self.dim
-        return FloatMatrix(
-            d,
-            tuple(self.entries[j * d + i].conjugate() for i in range(d) for j in range(d)),
-            self.tol,
-        )
-
     def trace(self) -> complex:
         return sum(self.entries[i * self.dim + i] for i in range(self.dim))
-
-    def trace_mul(self, other: "FloatMatrix") -> complex:
-        """tr(A B) without forming A B.
-
-        Each diagonal entry is summed term for term as ``mul`` sums it, so the
-        result is the trace of the product ``mul`` would return, up to the
-        rounding of the final d-term sum.
-        """
-        return sum(map(_dot, self._slices()[0], other._slices()[1]))
-
-    def max_diff(self, other: "FloatMatrix") -> float:
-        return max(abs(x - y) for x, y in zip(self.entries, other.entries))
 
     def approx_equal(self, other: "FloatMatrix") -> bool:
         if self.dim != other.dim:
             return False
-        return self.max_diff(other) < max(self.tol, other.tol)
+        tol = max(self.tol, other.tol)
+        return all(abs(x - y) < tol for x, y in zip(self.entries, other.entries))
+
+    def is_hermitian(self) -> bool:
+        """A = A^dagger within tol: each entry against the conjugate of its
+        transpose."""
+        rows, cols = self._slices()
+        tol = self.tol
+        return all(
+            abs(x - y.conjugate()) < tol for row, col in zip(rows, cols) for x, y in zip(row, col)
+        )
 
     def is_zero(self) -> bool:
         return all(abs(e) < self.tol for e in self.entries)
@@ -434,12 +426,6 @@ class FloatMatrix:
 Matrix = Union[ExactMatrix, FloatMatrix]
 
 
-def _matrices_equal(a: Matrix, b: Matrix) -> bool:
-    if isinstance(a, ExactMatrix):
-        return a == b
-    return a.approx_equal(b)
-
-
 class Projector:
     """Hermitian idempotent matrix; the event primitive.
 
@@ -458,16 +444,11 @@ class Projector:
 
     def _validate(self) -> None:
         mat = self.mat
-        if isinstance(mat, ExactMatrix):
-            if not mat.is_hermitian():
-                raise NotAProjector("matrix is not Hermitian")
-            if mat.mul(mat) != mat:
-                raise NotAProjector("matrix is not idempotent")
-        else:
-            if not mat.approx_equal(mat.conj_transpose()):
-                raise NotAProjector("matrix is not Hermitian within tolerance")
-            if not mat.mul(mat).approx_equal(mat):
-                raise NotAProjector("matrix is not idempotent within tolerance")
+        within = "" if isinstance(mat, ExactMatrix) else " within tolerance"
+        if not mat.is_hermitian():
+            raise NotAProjector("matrix is not Hermitian" + within)
+        if mat.mul(mat) != mat:
+            raise NotAProjector("matrix is not idempotent" + within)
 
     def _rank_from_trace(self) -> int:
         if isinstance(self.mat, ExactMatrix):
@@ -501,7 +482,7 @@ class Projector:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Projector) or self.backend != other.backend:
             return False
-        return _matrices_equal(self.mat, other.mat)
+        return self.mat == other.mat
 
     def __hash__(self) -> int:
         return hash(self.mat)
@@ -572,7 +553,9 @@ def projector_from_vector(
     """Rank-1 projector v v† / <v, v> from an unnormalized vector.
 
     Exact vectors are scaled to Gaussian integers first, so the projector is
-    formed in integers (``projector_from_gaussian``).
+    formed in integers (``projector_from_gaussian``).  A float vector is
+    refused only when its norm is 0: a short ray is the same ray, and the
+    projector check (Hermitian and idempotent within tol) decides the rest.
     """
     d = len(entries)
     if d == 0:
@@ -581,8 +564,8 @@ def projector_from_vector(
         return projector_from_gaussian(*gaussian_integer_vector(entries))
     vec = [complex(e) for e in entries]
     norm = sum(abs(x) ** 2 for x in vec)
-    if norm < tol:
-        raise ZeroVector("vector norm below tolerance")
+    if norm == 0:
+        raise ZeroVector("cannot project onto the zero vector")
     ents = tuple(vec[i] * vec[j].conjugate() / norm for i in range(d) for j in range(d))
     return Projector(FloatMatrix(d, ents, tol))
 
@@ -597,16 +580,12 @@ def projector_from_vector(
 # (``ExactMatrix.trace_num``); it decides order and orthogonality outright,
 # and most commutation questions too (``exact_pair_relation``).
 #
-# On the float backend the trace only screens.  If PQ = P entrywise within
-# tol, then |tr(PQ) - tr P| < d*tol, and tr P lies within tol of rank P
-# (``Projector`` checks that), so |Re tr(PQ) - rank P| >= (d+1)*tol proves
-# PQ != P under the tolerance.  Likewise PQ = 0 within tol forces
-# |tr(PQ)| < d*tol.  ``FloatMatrix.trace_mul`` sums the very diagonal entries
-# ``mul`` would produce, so the bounds hold up to the rounding of one d-term
-# sum.  A pair the screen does not reject is confirmed against P or 0 entry
-# by entry (``FloatMatrix.mul_near``), with the entries ``mul`` forms, so
-# float answers do not change; the confirmation stops at the first entry
-# off by tol or more.
+# The float backend has one rule for every relation: two matrices are equal
+# when every entry differs by less than tol.  P <= Q is PQ = P and P _|_ Q is
+# PQ = 0 in that sense, tested with the entries ``mul`` forms and stopped at
+# the first entry off by tol or more (``FloatMatrix.mul_near``).  A relation
+# between two rays is the relation between their projectors, so it does not
+# depend on the length of the vectors that span them.
 
 # What tr(PQ) and the two ranks decide about an exact pair.
 ORDERED = "ordered"  # P <= Q or Q <= P: the meet and join are P and Q
@@ -619,30 +598,20 @@ UNDECIDED = "undecided"  # only the product PQ can tell
 def matrix_leq(a: Matrix, b: Matrix, rank_a: int) -> bool:
     """PQ = P for projector matrices a = P (of rank ``rank_a``) and b = Q.
 
-    Exact: tr(PQ) = rank P.  Float: a pair with |Re tr(PQ) - rank P| >=
-    (d+1)*tol is rejected without a product, since no PQ within tol of P
-    entrywise has such a trace; any other pair compares PQ with P entry by
-    entry.
+    Exact: tr(PQ) = rank P.  Float: PQ = P within tol, entry by entry.
     """
     if isinstance(a, ExactMatrix):
         return a.trace_num(b) == rank_a * a.den * b.den
-    tol = max(a.tol, b.tol)
-    if abs(a.trace_mul(b).real - rank_a) >= (a.dim + 1) * tol:
-        return False
     return a.mul_near(b, a)
 
 
 def matrix_orthogonal(a: Matrix, b: Matrix) -> bool:
     """PQ = 0 for projector matrices a = P and b = Q.
 
-    Exact: tr(PQ) = 0.  Float: a pair with |Re tr(PQ)| >= d*tol is rejected
-    without a product, since PQ = 0 within tol bounds the trace by d*tol;
-    any other pair tests PQ = 0 within tol entry by entry.
+    Exact: tr(PQ) = 0.  Float: PQ = 0 within tol, entry by entry.
     """
     if isinstance(a, ExactMatrix):
         return a.trace_num(b) == 0
-    if abs(a.trace_mul(b).real) >= a.dim * max(a.tol, b.tol):
-        return False
     return a.mul_near(b, FloatMatrix.zeros(a.dim, a.tol))
 
 
@@ -794,17 +763,16 @@ class DensityMatrix:
 
     def _validate(self) -> None:
         mat = self.mat
+        if not mat.is_hermitian():
+            within = "" if isinstance(mat, ExactMatrix) else " within tolerance"
+            raise NotADensityMatrix("matrix is not Hermitian" + within)
         if isinstance(mat, ExactMatrix):
-            if not mat.is_hermitian():
-                raise NotADensityMatrix("matrix is not Hermitian")
             tre, tim = mat.trace()
             if tre != 1 or tim != 0:
                 raise NotADensityMatrix(f"trace is {tre}, expected 1")
             if not _psd_within(mat, 0):
                 raise NotADensityMatrix("matrix is not positive semidefinite")
         else:
-            if not mat.approx_equal(mat.conj_transpose()):
-                raise NotADensityMatrix("matrix is not Hermitian within tolerance")
             if abs(mat.trace() - 1.0) >= mat.tol:
                 raise NotADensityMatrix(f"trace is {mat.trace()}, expected 1")
             if not _psd_within(mat, mat.tol):

@@ -340,9 +340,6 @@ class QuantumSystem:
     def atom_label(self, index: int) -> str:
         return self._names[index]
 
-    def atoms(self) -> list[Projector]:
-        return [self.elements[i] for i in self._atom_indices]
-
     def atom_by_label(self, label: str) -> Projector:
         try:
             pos = self._labels.index(label)
@@ -491,13 +488,11 @@ def generate_system(
 
     Float closure compares PQ with QP within tolerance entry by entry and
     stops at the first entry that differs by tol or more; only a commuting
-    pair completes PQ, which is then exactly ``mul``'s product.  The float
-    trace screens (reject order at |Re tr(PQ) - rank P| >= (d+1)*tol,
-    orthogonality at |Re tr(PQ)| >= d*tol) are safe because an
-    entrywise-approximate product cannot have such a trace, but a
-    tolerance-level PQ = QP has no bound that simple, so no float pair is
-    skipped here.  Float duplicates are found by ``_Pool``, which probes the
-    grid cells next to a new matrix instead of scanning every element.
+    pair completes PQ, which is then exactly ``mul``'s product.  No float
+    pair is skipped: the float backend decides every relation entrywise
+    within tol, never from a trace.  Float duplicates are found by
+    ``_Pool``, which probes the grid cells next to a new matrix instead of
+    scanning every element.
     """
     if not generators:
         raise NotAnElement("need at least one generator")

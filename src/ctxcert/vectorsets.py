@@ -27,6 +27,7 @@ from .linalg import (
     Projector,
     gaussian_integer_vector,
     gaussian_orthogonal,
+    matrix_orthogonal,
     projector_from_gaussian,
     projector_from_vector,
 )
@@ -40,12 +41,14 @@ class Basis:
     complete: bool = True
 
 
-def _inner_float(u: Sequence, v: Sequence) -> complex:
-    return sum(complex(x).conjugate() * complex(y) for x, y in zip(u, v))
-
-
 class VectorSet:
-    """Finite list of named vectors plus declared (possibly deficient) bases."""
+    """Finite list of named vectors plus declared (possibly deficient) bases.
+
+    Two rays are orthogonal when their projectors are: exactly <u, v> = 0 in
+    Gaussian integers, and on the float backend PQ = 0 within tol entry by
+    entry (``matrix_orthogonal``), the relation the closure and the atom
+    graph use, whatever the length of the vectors.
+    """
 
     def __init__(
         self,
@@ -71,9 +74,15 @@ class VectorSet:
         self.bases = tuple(bases)
         self._index = {n: i for i, n in enumerate(self.names)}
         # Exact rays scaled once to Gaussian integers: orthogonality and the
-        # projectors are then formed in integers.
+        # projectors are then formed in integers.  Float rays are compared
+        # through their projectors, built once here.
         self._gaussian = (
             [gaussian_integer_vector(v) for v in self.vectors] if backend == EXACT else None
+        )
+        self._float_projectors = (
+            None
+            if backend == EXACT
+            else [projector_from_vector(v, backend, tol) for v in self.vectors]
         )
         self._orth = self._orthogonality_pairs()
         self._validate_bases()
@@ -81,7 +90,7 @@ class VectorSet:
     def _is_orthogonal(self, i: int, j: int) -> bool:
         if self._gaussian is not None:
             return gaussian_orthogonal(self._gaussian[i], self._gaussian[j])
-        return abs(_inner_float(self.vectors[i], self.vectors[j])) < self.tol
+        return matrix_orthogonal(self._float_projectors[i].mat, self._float_projectors[j].mat)
 
     def _orthogonality_pairs(self) -> frozenset[tuple[int, int]]:
         pairs = set()
@@ -121,7 +130,7 @@ class VectorSet:
     def _projector_at(self, i: int) -> Projector:
         if self._gaussian is not None:
             return projector_from_gaussian(*self._gaussian[i])
-        return projector_from_vector(self.vectors[i], self.backend, self.tol)
+        return self._float_projectors[i]
 
     def projector(self, name: str) -> Projector:
         return self._projector_at(self.index(name))

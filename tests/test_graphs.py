@@ -90,6 +90,14 @@ def test_pba_state_rejects_out_of_range():
     PBAState(g, {"a": Fraction(2), "b": Fraction(-1)}, range_checked=False)
 
 
+def test_float_nan_value_is_not_a_state():
+    g = ExclusivityGraph(["a", "b"], [("a", "b")])
+    nan = float("nan")
+    with pytest.raises(NotAGraphState):
+        PBAState(g, {"a": 1.0, "b": nan}, backend="float")
+    assert not is_state(g, {"a": nan, "b": 1.0}, backend="float")
+
+
 def test_zero_one_state_validation():
     g = kcbs_graph()
     ZeroOneState(g, frozenset({"P0", "P2", "P34"}))

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import json
 import logging
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -285,6 +286,58 @@ def test_cli_ks_check(capsys):
     code, out, _ = run_cli(["ks-check", "ceg17"], capsys)
     assert code == 0
     assert "assignment found" in out
+
+
+def _pentagon_doc(scale: float) -> dict:
+    """The kcbs rays as a float scenario file, each ray scaled by ``scale``."""
+    t = math.sqrt(math.cos(math.pi / 5))
+    rays = [(math.cos(4 * math.pi * j / 5), math.sin(4 * math.pi * j / 5), t) for j in range(5)]
+    return {
+        "dimension": 3,
+        "backend": "float",
+        "vectors": [
+            {"name": f"P{j}", "entries": [repr(scale * x) for x in ray]}
+            for j, ray in enumerate(rays)
+        ],
+    }
+
+
+def test_cli_ks_check_does_not_depend_on_ray_length(tmp_path, capsys):
+    """Rays scaled by 1e4 are the same rays: the same assignment, and no
+    two orthogonal (consecutive) rays are both 1."""
+    assignments = []
+    for scale in (1.0, 1e4):
+        path = tmp_path / f"pentagon-{scale}.json"
+        path.write_text(json.dumps(_pentagon_doc(scale)), encoding="utf-8")
+        code, out, _ = run_cli(["ks-check", str(path), "--format", "json"], capsys)
+        assert code == 0
+        assignments.append(json.loads(out)["ks_check"]["assignment"])
+    assert assignments[0] == assignments[1]
+    assert not any(assignments[1][f"P{j}"] and assignments[1][f"P{(j + 1) % 5}"] for j in range(5))
+
+
+TWO_FLOAT_RAYS = {
+    "dimension": 2,
+    "backend": "float",
+    "vectors": [
+        {"name": "a", "entries": ["1", "0"]},
+        {"name": "b", "entries": ["0", "1"]},
+    ],
+    "bases": [["a", "b"]],
+}
+
+
+@pytest.mark.parametrize("atom", ["a", "b"])
+def test_cli_nan_atom_value_is_an_error(tmp_path, capsys, atom):
+    scenario = tmp_path / "two.json"
+    scenario.write_text(json.dumps(TWO_FLOAT_RAYS), encoding="utf-8")
+    values = {"a": "1", "b": "0"}
+    values[atom] = "nan"
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"atoms": values}), encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(scenario), "--state", str(state)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: atoms.{atom}: value nan outside [0, 1]\n"
 
 
 def test_cli_zero_one(capsys):

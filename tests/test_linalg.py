@@ -68,6 +68,59 @@ def test_zero_vector_rejected():
         projector_from_vector([0.0, 0.0], backend="float")
 
 
+def test_short_float_ray_is_the_same_ray():
+    """Only the zero vector is refused: a ray of length 1e-5 gives the
+    projector of its unit vector."""
+    short = projector_from_vector([1e-5, 0, 0], backend="float")
+    unit = projector_from_vector([1, 0, 0], backend="float")
+    assert short.mat.entries == unit.mat.entries and short.rank == 1
+    with pytest.raises(ZeroVector):
+        projector_from_vector([0.0, 0.0, 0.0], backend="float")
+
+
+_tol_offsets = st.sampled_from([0.0, 0.0, 1e-10, 5e-10, 2e-9, 1e-6])
+_float_entries = st.builds(
+    complex, st.sampled_from([0.0, 1.0, -0.5, 0.25, 3.0]), st.sampled_from([0.0, 0.0, 1.0, -2.0])
+)
+
+
+@given(st.integers(min_value=1, max_value=4).flatmap(
+    lambda d: st.tuples(
+        st.just(d),
+        st.lists(_float_entries, min_size=d * d, max_size=d * d),
+        st.lists(st.tuples(_tol_offsets, _tol_offsets), min_size=d * d, max_size=d * d),
+        st.booleans(),
+    )
+))
+@settings(max_examples=300, deadline=None)
+def test_float_is_hermitian_matches_explicit_conjugate_transpose(case):
+    """``is_hermitian`` against ``approx_equal`` with A^dagger built here,
+    on matrices that are Hermitian up to offsets around tol = 1e-9."""
+    d, entries, offsets, hermitize = case
+    if hermitize:
+        entries = [
+            entries[i * d + j] if i <= j else entries[j * d + i].conjugate()
+            for i in range(d)
+            for j in range(d)
+        ]
+    entries = tuple(z + complex(*off) for z, off in zip(entries, offsets))
+    a = FloatMatrix(d, entries, 1e-9)
+    dagger = FloatMatrix(
+        d, tuple(entries[j * d + i].conjugate() for i in range(d) for j in range(d)), 1e-9
+    )
+    assert a.is_hermitian() == a.approx_equal(dagger)
+
+
+def test_float_relations_fail_on_nan():
+    """An entrywise comparison within tol is false on NaN, wherever the NaN
+    stands (a max over the differences would skip a trailing one)."""
+    nan = FloatMatrix(2, (0j, 0j, 0j, complex(float("nan"), 0)))
+    assert not nan.is_hermitian()
+    assert not nan.approx_equal(nan)
+    with pytest.raises(NotAProjector):
+        projector_from_vector([float("nan"), 1.0], backend="float")
+
+
 def test_complex_rational_vector_stays_rational():
     p = projector_from_vector([(Fraction(1), Fraction(1)), (Fraction(1, 2), Fraction(0))])
     # norm is 1 + 1 + 1/4 = 9/4; all entries rational.

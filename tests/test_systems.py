@@ -243,3 +243,22 @@ def test_exact_density_restriction_extends_to_born_rule():
     extended = q.extend_state(state)
     for i, element in enumerate(q.elements):
         assert extended.eval_index(i) == quantum_state_eval(rho, element)
+
+
+@pytest.mark.parametrize("fixture", ["q_ceg", "q_lift"])
+def test_trace_rank_matches_sympy_rank(fixture, request):
+    """Independent oracle: the rank ``Projector`` reads off the trace equals
+    the rank sympy finds by elimination, for every element of the exact
+    ceg and ceg-lift systems."""
+    sympy = pytest.importorskip("sympy")
+    system = request.getfixturevalue(fixture)
+    assert system.backend == "exact"
+
+    def rational(x: Fraction):
+        return sympy.Rational(x.numerator, x.denominator)
+
+    for p in system.elements:
+        d = p.dim
+        entries = [[p.mat.entry(i, j) for j in range(d)] for i in range(d)]
+        rows = [[rational(re) + sympy.I * rational(im) for re, im in row] for row in entries]
+        assert sympy.Matrix(rows).rank() == p.rank

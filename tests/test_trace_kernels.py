@@ -341,7 +341,6 @@ def test_products_match_the_entry_formula(grids):
         sum(fa.entry(i, k) * fb.entry(k, j) for k in range(d)) for i in range(d) for j in range(d)
     )
     assert fa.mul(fb).entries == naive
-    assert fa.trace_mul(fb) == sum(naive[i * d + i] for i in range(d))
 
 
 # -- one case per shortcut ---------------------------------------------------------
@@ -429,8 +428,6 @@ def test_float_pairs_the_trace_screen_keeps_are_decided_by_entries():
     p = projector_from_vector([1, 0, 0], backend=FLOAT)
     near = projector_from_vector([1, eps, 0], backend=FLOAT)
     skew = projector_from_vector([eps, 1, 0], backend=FLOAT)
-    assert abs(p.mat.trace_mul(near.mat).real - 1) < 4 * p.tol
-    assert abs(p.mat.trace_mul(skew.mat).real) < 3 * p.tol
     assert not leq(p, near) and not ref_leq(p, near)
     assert not orthogonal(p, skew) and not ref_orthogonal(p, skew)
     assert not commutes(p, near) and not ref_commutes(p, near)

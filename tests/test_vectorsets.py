@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from ctxcert.catalog import BUILTINS, CEG_REMOVED_VECTOR, ceg_prime, ceg_set
 from ctxcert.errors import OrthogonalityCheckFailed, OutOfRange, SearchBudgetExceeded
+from ctxcert.linalg import orthogonal
 from ctxcert.vectorsets import (
     Basis,
     VectorSet,
@@ -238,3 +239,35 @@ def test_builtin_orthogonality_matches_fraction_inner_product(name):
     vs = BUILTINS[name].vector_set()
     if vs.backend == "exact":
         assert vs._orth == _reference_pairs(vs.vectors)
+
+
+@given(
+    st.integers(min_value=2, max_value=4),
+    st.integers(min_value=0, max_value=10**6),
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=6, max_size=6),
+)
+@settings(max_examples=100, deadline=None)
+def test_float_orthogonality_does_not_depend_on_ray_length(d, seed, exponents):
+    """Random float rays, half of them made orthogonal to an earlier ray by
+    Gram-Schmidt, then each scaled by 10**k: the orthogonal pairs stay the
+    same, and they are the pairs whose projectors ``orthogonal`` accepts."""
+    rng = random.Random(seed)
+    rays = []
+    for _ in exponents:
+        w = [complex(rng.gauss(0, 1), rng.gauss(0, 1)) for _ in range(d)]
+        if rays and rng.random() < 0.5:
+            u = rng.choice(rays)
+            c = sum(x.conjugate() * y for x, y in zip(u, w)) / sum(abs(x) ** 2 for x in u)
+            w = [y - c * x for x, y in zip(u, w)]
+        rays.append(w)
+    names = [f"v{i}" for i in range(len(rays))]
+    plain = VectorSet(d, names, rays, backend="float")
+    scaled_rays = [[x * 10.0**k for x in ray] for ray, k in zip(rays, exponents)]
+    scaled = VectorSet(d, names, scaled_rays, backend="float")
+    assert scaled.orthogonal_names() == plain.orthogonal_names()
+    by_projector = {
+        (a, b)
+        for a, b in itertools.combinations(names, 2)
+        if orthogonal(scaled.projector(a), scaled.projector(b))
+    }
+    assert scaled.orthogonal_names() == by_projector
