@@ -1,0 +1,200 @@
+"""End-to-end ladder for certification per connected component.
+
+Writes two exact scenario files in R^3 and analyzes each under I/3 with
+
+    python -m ctxcert.cli analyze FILE --state I/3 --format json
+
+- Yu-Oh + 8: the 13 Yu-Oh rays and 8 unrelated bases.  The closure has
+  25 + 24 atoms in 9 components and 24 * 3**8 = 157,464 0-1 states; I/3 is
+  CONTEXTUAL.
+- k = 12: 12 unrelated bases, 36 atoms in 12 triangles and 3**12 = 531,441
+  0-1 states; I/3 is NONCONTEXTUAL and the scenario embeds (CLASSICAL).
+
+Each file is checked at generation by integer arithmetic that does not use
+ctxcert: the closure's rays (orthogonal rays add their cross product), the
+components of their orthogonality graph, and the 0-1 states of each
+component (one 1 in every orthogonal triple).  The CLI's classification,
+exit code and ``zero_one.count`` are then asserted, and each run's wall
+time, process start included, is printed.
+
+Run from the repository root:  PYTHONPATH=src python scripts/component_ladder.py
+"""
+
+from __future__ import annotations
+
+import json
+import math
+import subprocess
+import sys
+import tempfile
+import time
+from itertools import combinations, product
+from pathlib import Path
+
+YU_OH = [
+    (1, 0, 0), (0, 1, 0), (0, 0, 1),
+    (0, 1, 1), (0, 1, -1), (1, 0, 1), (1, 0, -1), (1, 1, 0), (1, -1, 0),
+    (1, 1, 1), (-1, 1, 1), (1, -1, 1), (1, 1, -1),
+]  # fmt: skip
+AXES = YU_OH[:3]
+EXIT = {"CLASSICAL": 0, "NONCLASSICAL_SCENARIO_ONLY": 10, "CONTEXTUAL": 20}
+
+
+def dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
+def cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def primitive(r):
+    g = math.gcd(*r)
+    r = tuple(x // g for x in r)
+    return r if next(x for x in r if x) > 0 else tuple(-x for x in r)
+
+
+def closed_rays(rays):
+    """The atoms of the closure in R^3.  Two rays commute only when they are
+    orthogonal, and then add the complement of their join, their cross
+    product; planes meet in the cross product of their orthogonal normals."""
+    out = {primitive(r) for r in rays}
+    while True:
+        new = {primitive(cross(u, v)) for u, v in combinations(out, 2) if dot(u, v) == 0}
+        if new <= out:
+            return sorted(out)
+        out |= new
+
+
+def unrelated_bases(k, avoid):
+    """k orthogonal bases from integer quaternion rotations, none of whose rays
+    is orthogonal or parallel to a ray of ``avoid`` or of another basis."""
+    seen, out = list(avoid), []
+    for a, b, c, d in product(range(1, 6), range(6), range(6), range(6)):
+        if len(out) == 3 * k:
+            return out
+        if math.gcd(a, b, c, d) != 1:
+            continue
+        m = [
+            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
+            [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
+            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
+        ]
+        cols = [primitive([m[i][j] for i in range(3)]) for j in range(3)]
+        if any(dot(u, v) == 0 or cross(u, v) == (0, 0, 0) for u in cols for v in seen):
+            continue
+        out += cols
+        seen += cols
+    raise SystemExit(f"found fewer than {k} unrelated bases")
+
+
+def components(rays):
+    """Components of the orthogonality graph, as sorted lists of ray indices."""
+    parent = list(range(len(rays)))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, j in combinations(range(len(rays)), 2):
+        if dot(rays[i], rays[j]) == 0:
+            parent[find(i)] = find(j)
+    parts: dict[int, list[int]] = {}
+    for i in range(len(rays)):
+        parts.setdefault(find(i), []).append(i)
+    return list(parts.values())
+
+
+def zero_one_count(rays, part):
+    """Assignments of 0 and 1 to the rays of ``part`` with exactly one 1 in
+    each orthogonal triple, by backtracking over the triples.  In a closure
+    every orthogonal pair lies in a triple, so the triples are the contexts."""
+    triples = [
+        t
+        for t in combinations(part, 3)
+        if all(dot(rays[i], rays[j]) == 0 for i, j in combinations(t, 2))
+    ]
+
+    def count(k, ones, zeros):
+        if k == len(triples):
+            return 1
+        t = triples[k]
+        on = [i for i in t if i in ones]
+        if len(on) > 1:
+            return 0
+        if on:
+            return count(k + 1, ones, zeros | (set(t) - ones))
+        total = 0
+        for i in t:
+            if i not in zeros:
+                total += count(k + 1, ones | {i}, zeros | (set(t) - {i}))
+        return total
+
+    return count(0, frozenset(), frozenset())
+
+
+def check_structure(name, rays, atoms, sizes, states):
+    closed = closed_rays(rays)
+    parts = components(closed)
+    seen = sorted(len(p) for p in parts)
+    count = math.prod(zero_one_count(closed, p) for p in parts)
+    if (len(closed), seen, count) != (atoms, sorted(sizes), states):
+        raise SystemExit(
+            f"{name}: {len(closed)} atoms, components {seen}, {count} 0-1 states; "
+            f"expected {atoms}, {sorted(sizes)}, {states}"
+        )
+
+
+def write_scenario(path, rays):
+    doc = {
+        "dimension": 3,
+        "backend": "exact",
+        "vectors": [{"name": f"r{i}", "entries": [str(x) for x in r]} for i, r in enumerate(rays)],
+    }
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def analyze(scenario, state):
+    argv = [sys.executable, "-m", "ctxcert.cli", "analyze", str(scenario)]
+    argv += ["--state", str(state), "--format", "json"]
+    t0 = time.perf_counter()
+    proc = subprocess.run(argv, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    if proc.returncode == 1 or not proc.stdout.strip():
+        raise SystemExit(f"{scenario.name}: exit {proc.returncode}\n{proc.stderr}")
+    return proc.returncode, json.loads(proc.stdout), wall
+
+
+def main() -> int:
+    yu_oh_closed = closed_rays(YU_OH)
+    rungs = [
+        ("yu-oh+8", YU_OH + unrelated_bases(8, yu_oh_closed), 49, [25] + [3] * 8, 24 * 3**8,
+         "CONTEXTUAL", "CONTEXTUAL"),
+        ("k=12", AXES + unrelated_bases(11, AXES), 36, [3] * 12, 3**12,
+         "NONCONTEXTUAL", "CLASSICAL"),
+    ]  # fmt: skip
+    with tempfile.TemporaryDirectory() as tmp:
+        state = Path(tmp, "mixed3.json")
+        rho = [["1/3" if i == j else "0" for j in range(3)] for i in range(3)]
+        state.write_text(json.dumps({"density": rho}), encoding="utf-8")
+        for name, rays, atoms, sizes, states, verdict, label in rungs:
+            check_structure(name, rays, atoms, sizes, states)
+            code, report, wall = analyze(write_scenario(Path(tmp, f"{name}.json"), rays), state)
+            got = (
+                report["system"]["atoms"],
+                report["zero_one"]["count"],
+                report["state_verdict"]["verdict"],
+                report["classification"],
+                code,
+            )
+            want = (atoms, states, verdict, label, EXIT[label])
+            if got != want:
+                raise SystemExit(f"{name}: {got}, expected {want}")
+            print(f"{name}: {states} 0-1 states, {label}, exit {code}, {wall:.2f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

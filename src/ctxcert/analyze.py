@@ -5,6 +5,11 @@ A state is noncontextual exactly when it is a convex mixture of the scenario's
 A scenario is classical exactly when distinct elements are separated by 0-1
 states, i.e. the canonical map into subsets of deterministic assignments is
 injective.
+
+Both verdicts are decided per connected component of the atom graph.  The
+0-1 states of the graph are the products of one 0-1 state per component, so
+the hull of them is the product of the components' hulls, and the product
+listing is never built.  A connected graph is its own only component.
 """
 
 from __future__ import annotations
@@ -12,15 +17,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, prod
 from typing import Mapping, Sequence
 
-from .errors import CertificateError, MissingAtom, NotAGraphState
+from .errors import CertificateError, IncompleteListing, MissingAtom, NotAGraphState
 from .graphs import (
     DEFAULT_SEARCH_BUDGET,
     ExclusivityGraph,
     PBAState,
     ZeroOneState,
+    component_zero_one_states,
     enumerate_zero_one_states,
 )
 from .linalg import EXACT, FLOAT
@@ -225,20 +231,60 @@ def zero_one_states(
     return enumerate_zero_one_states(system.atom_graph(), budget)
 
 
+def _listings(
+    graph: ExclusivityGraph,
+    s01: Sequence[ZeroOneState] | None,
+    budget: int,
+) -> tuple[Sequence[ZeroOneState], ...]:
+    """The 0-1 listing of each of ``graph.components``.
+
+    A connected graph's listing is ``s01`` when one is given, any subset in
+    any order.  Otherwise each component's own states are searched, their
+    nodes counting against one ``budget``, and a given ``s01`` must hold the
+    product of the component counts in distinct states.
+    """
+    if s01 is not None:
+        for lam in s01:
+            if lam.graph is not graph and lam.graph != graph:
+                raise NotAGraphState("0-1 state defined on a different graph")
+        if len(graph.components) == 1:
+            return (s01,)
+    listings = component_zero_one_states(graph, budget)
+    if s01 is not None:
+        count = prod(map(len, listings))
+        distinct = len({lam.ones for lam in s01})
+        if len(s01) != count or distinct != count:
+            raise IncompleteListing(
+                f"{len(s01)} listed 0-1 states ({distinct} distinct); the graph has {count}"
+            )
+    return listings
+
+
 def scenario_classical(
     system: QuantumSystem,
     s01: Sequence[ZeroOneState] | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> EmbeddingReport:
-    """Decide Boolean embeddability by separating elements with 0-1 states.
+    """Decide Boolean embeddability by separating elements with 0-1 states."""
+    return _embedding(system, _listings(system.atom_graph(), s01, budget))
+
+
+def _embedding(
+    system: QuantumSystem, listings: Sequence[Sequence[ZeroOneState]]
+) -> EmbeddingReport:
+    """Separate elements with the 0-1 states of each component.
 
     An element's value on a 0-1 state is the number of its decomposition
     atoms the state sets to 1, so each decomposition and each state's ones
-    become one bitmask over atom positions, and each value one bit count.
+    become one bitmask over atom positions, and each value one bit count.  A
+    decomposition is a set of pairwise orthogonal, hence adjacent, atoms, so
+    it lies in one component and the element's values are read on that
+    component's states.  Elements of two components agree on every product
+    state only if both are constant, so a constant value is one group across
+    components, and any other fingerprint a group within its component.
     """
-    if s01 is None:
-        s01 = zero_one_states(system, budget)
-    if not s01:
+    count = prod(map(len, listings))
+    if not count:
         return EmbeddingReport(
             embeddable=False,
             witness=("0", "1"),
@@ -247,22 +293,18 @@ def scenario_classical(
         )
     graph = system.atom_graph()
     bit = {label: 1 << k for k, label in enumerate(graph.vertices)}
-    ones = []
-    for lam in s01:
-        if lam.graph is not graph and lam.graph != graph:
-            raise NotAGraphState("state is defined on a different atom graph")
-        ones.append(sum(bit[v] for v in lam.ones))
-    masks = [
-        sum(bit[system.atom_label(a)] for a in system.decompose(i))
-        for i in range(len(system.elements))
-    ]
-    fingerprints = [tuple((mask & one).bit_count() for one in ones) for mask in masks]
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, fp in enumerate(fingerprints):
-        groups.setdefault(fp, []).append(i)
+    component = {v: c for c, part in enumerate(graph.components) for v in part.vertices}
+    ones = [[sum(bit[v] for v in lam.ones) for lam in listing] for listing in listings]
+    groups: dict[object, list[int]] = {}
+    for i in range(len(system.elements)):
+        atoms = [system.atom_label(a) for a in system.decompose(i)]
+        c = component[atoms[0]] if atoms else 0
+        mask = sum(bit[v] for v in atoms)
+        fp = tuple((mask & one).bit_count() for one in ones[c])
+        groups.setdefault(fp[0] if min(fp) == max(fp) else (c, fp), []).append(i)
     collided = [g for g in groups.values() if len(g) > 1]
     if not collided:
-        return EmbeddingReport(embeddable=True, s01_count=len(s01))
+        return EmbeddingReport(embeddable=True, s01_count=count)
     chosen = next(
         (g for g in collided if system.identity_index in g),
         min(collided, key=lambda g: min(g)),
@@ -272,7 +314,7 @@ def scenario_classical(
         embeddable=False,
         witness=(system.element_name(lo), system.element_name(hi)),
         reason="distinct elements agree on every deterministic state",
-        s01_count=len(s01),
+        s01_count=count,
     )
 
 
@@ -375,37 +417,129 @@ def _primitive_inequality(
     )
 
 
-def is_noncontextual(p: PBAState, s01: Sequence[ZeroOneState]) -> NCCertificate:
+def is_noncontextual(
+    p: PBAState,
+    s01: Sequence[ZeroOneState] | None = None,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+) -> NCCertificate:
     """Decide membership of p in the convex hull of the 0-1 states.
 
     Float states are rationalized first so the LP is exact; both certificate
     kinds are re-verified against the original values before returning.
+    Without ``s01`` each component's 0-1 states are searched within
+    ``budget``.  A listing given for a connected graph is used as it is; on
+    a graph of several components it must be complete, or
+    ``IncompleteListing`` is raised.
     """
     graph = p.graph
-    if not s01:
+    return _certify(p, graph, _listings(graph, s01, budget))
+
+
+def _certify(
+    p: PBAState, graph: ExclusivityGraph, listings: Sequence[Sequence[ZeroOneState]]
+) -> NCCertificate:
+    """The separation LP on each component in turn, then, when none finds a
+    cutting plane, the membership LP on each, its weights coupled into
+    weights over the graph's 0-1 states.
+
+    A CONTEXTUAL certificate is the inequality of the first contextual
+    component, with coefficient 0 on every other atom: an inequality valid on
+    one component's states is valid on their products.  A NONCONTEXTUAL
+    certificate's weights are keyed by ``_product_index``.
+    """
+    if not all(listings):
         # The hull is empty: no hidden-variable model exists, and no honest
         # inequality can witness that, so the certificate says so explicitly.
         return NCCertificate(verdict=CONTEXTUAL, empty_s01=True)
-    for lam in s01:
-        if lam.graph != graph:
-            raise NotAGraphState("0-1 state defined on a different graph")
 
     exact = rationalize_state(p)
     target = _state_fraction_values(exact)
-    red = clique_reduction(graph)
+    reductions = [clique_reduction(part) for part in graph.components]
 
-    y, bound, violation = _separation_lp(red.free, s01, target)
-    if violation > 0:
-        ineq = _primitive_inequality(graph.vertices, y, s01)
-        _verify_contextual(ineq, s01, exact, p)
-        exact_violation = ineq.evaluate(target) - ineq.bound
-        return NCCertificate(
-            verdict=CONTEXTUAL, inequality=ineq, violation=exact_violation
-        )
+    for red, states in zip(reductions, listings):
+        y, bound, violation = _separation_lp(red.free, states, target)
+        if violation > 0:
+            ineq = _primitive_inequality(graph.vertices, y, states)
+            _verify_contextual(ineq, states, exact, p)
+            exact_violation = ineq.evaluate(target) - ineq.bound
+            return NCCertificate(
+                verdict=CONTEXTUAL, inequality=ineq, violation=exact_violation
+            )
 
-    weights = _membership_lp(red.free, s01, target)
-    _verify_noncontextual(weights, s01, exact, p)
-    return NCCertificate(verdict=NONCONTEXTUAL, weights=weights, violation=Fraction(0))
+    marginals = [
+        _membership_lp(red.free, states, target) for red, states in zip(reductions, listings)
+    ]
+    coupling = _north_west_corner(marginals)
+    mixture = [
+        (w, frozenset().union(*(listing[k].ones for listing, k in zip(listings, choice))))
+        for choice, w in coupling
+    ]
+    _verify_noncontextual(mixture, exact, p)
+    weights = {_product_index(graph, listings, choice): w for choice, w in coupling}
+    return NCCertificate(
+        verdict=NONCONTEXTUAL, weights=dict(sorted(weights.items())), violation=Fraction(0)
+    )
+
+
+def _north_west_corner(
+    marginals: Sequence[Mapping[int, Fraction]],
+) -> list[tuple[tuple[int, ...], Fraction]]:
+    """Couple probability vectors by the north-west-corner rule.
+
+    Walk each vector's support in key order; give the tuple of current keys
+    the least weight any of them has left, and step past every key whose
+    weight is used up.  Each step uses up a key, and the last step all m of
+    them, so the coupling has at most sum |supp_i| - (m - 1) entries, and
+    its marginals are the vectors.
+    """
+    supports = [list(m.items()) for m in marginals]
+    pos = [0] * len(supports)
+    left = [support[0][1] for support in supports]
+    out = []
+    while all(k < len(support) for k, support in zip(pos, supports)):
+        step = min(left)
+        out.append((tuple(support[k][0] for k, support in zip(pos, supports)), step))
+        for c, support in enumerate(supports):
+            left[c] -= step
+            if left[c] == 0:
+                pos[c] += 1
+                if pos[c] < len(support):
+                    left[c] = support[pos[c]][1]
+    return out
+
+
+def _product_index(
+    graph: ExclusivityGraph,
+    listings: Sequence[Sequence[ZeroOneState]],
+    choice: Sequence[int],
+) -> int:
+    """The index of the product of ``listing[k] for k in choice`` in the
+    sorted 0-1 listing of ``graph`` (``zero_one_states``), without building
+    that listing.  A connected graph's state keeps its index in its listing.
+
+    The listing is sorted by the value tuple in vertex order, so the states
+    before this one are those that first differ from it at a vertex t where
+    they read 0 and it reads 1.  For each such t they number the states of
+    t's component that agree with it before t and read 0 at t, times the
+    states of each other component that agree with it before t.
+    """
+    if len(listings) == 1:
+        return choice[0]
+    component = {v: c for c, part in enumerate(graph.components) for v in part.vertices}
+    chosen = [listing[k].ones for listing, k in zip(listings, choice)]
+    alive = [list(listing) for listing in listings]
+    total = prod(map(len, alive))
+    index = 0
+    for v in graph.vertices:
+        c = component[v]
+        one = v in chosen[c]
+        agree = [lam for lam in alive[c] if (v in lam.ones) == one]
+        rest = total // len(alive[c])
+        if one:
+            index += (len(alive[c]) - len(agree)) * rest
+        total = rest * len(agree)
+        alive[c] = agree
+    return index
 
 
 def _verify_contextual(
@@ -429,17 +563,18 @@ def _verify_contextual(
 
 
 def _verify_noncontextual(
-    weights: Mapping[int, Fraction],
-    s01: Sequence[ZeroOneState],
+    mixture: Sequence[tuple[Fraction, frozenset[str]]],
     exact: PBAState,
     original: PBAState,
 ) -> None:
-    total = sum(weights.values())
-    if total != 1 or any(w < 0 for w in weights.values()):
+    """Check that the weights of the mixture, pairs of a weight and the ones
+    of a 0-1 state, form a probability vector whose mixture reproduces the
+    state on every atom of the graph."""
+    weights = [w for w, _ in mixture]
+    if sum(weights) != 1 or any(w < 0 for w in weights):
         raise CertificateError("weights are not a probability vector")
-    graph = exact.graph
-    for v in graph.vertices:
-        mix = sum(w * s01[k].value(v) for k, w in weights.items())
+    for v in exact.graph.vertices:
+        mix = sum(w * (v in ones) for w, ones in mixture)
         if mix != Fraction(exact.value(v)):
             raise CertificateError(f"weights fail to reproduce the state at {v!r}")
         if original.backend == FLOAT:
@@ -466,11 +601,16 @@ def classify_experiment(
     s01: Sequence[ZeroOneState] | None = None,
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> Classification:
-    """Combine the scenario verdict and the state verdict into one label."""
-    if s01 is None:
-        s01 = zero_one_states(system, budget)
-    embedding = scenario_classical(system, s01)
-    certificate = is_noncontextual(p, s01)
+    """Combine the scenario verdict and the state verdict into one label.
+
+    Both read the same component listings (``_listings``); the number of 0-1
+    states is ``embedding.s01_count``."""
+    graph = system.atom_graph()
+    if p.graph is not graph and p.graph != graph:
+        raise NotAGraphState("state is defined on a different atom graph")
+    listings = _listings(graph, s01, budget)
+    embedding = _embedding(system, listings)
+    certificate = _certify(p, graph, listings)
     state_noncontextual = certificate.verdict == NONCONTEXTUAL
     return Classification(
         scenario_classical=embedding.embeddable,

@@ -96,6 +96,10 @@ class DegenerateCoefficients(CtxcertError):
     pass
 
 
+class IncompleteListing(CtxcertError):
+    """A 0-1 listing given for a graph of several components lacks states."""
+
+
 class CertificateError(CtxcertError):
     """A certificate failed its own re-verification; indicates an internal bug."""
 

@@ -18,11 +18,17 @@ DEFAULT_SEARCH_BUDGET = 1_000_000
 
 
 class ExclusivityGraph:
-    """Finite simple graph on named atoms; maximal cliques are the contexts."""
+    """Finite simple graph on named atoms; maximal cliques are the contexts.
+
+    ``components`` holds the connected components as graphs, each on its
+    vertices in this graph's order, ordered by their first vertex.  A
+    connected graph's only component is the graph itself.
+    """
 
     __slots__ = (
         "vertices",
         "edges",
+        "components",
         "_adj",
         "_cliques",
         "_index",
@@ -54,7 +60,28 @@ class ExclusivityGraph:
         self._vertex_set = frozenset(self.vertices)
         self._bit = {v: 1 << i for i, v in enumerate(self.vertices)}
         self._clique_masks = tuple(sum(map(self._bit.get, c)) for c in self._cliques)
+        self.components = self._split()
 
+    def _split(self) -> tuple["ExclusivityGraph", ...]:
+        # Every vertex lies in a maximal clique, so the components are the
+        # unions of chains of overlapping cliques.
+        parts: list[int] = []
+        for clique in self._clique_masks:
+            merged = clique
+            for part in [m for m in parts if m & clique]:
+                merged |= part
+                parts.remove(part)
+            parts.append(merged)
+        if len(parts) <= 1:
+            return (self,)
+        parts.sort(key=lambda m: m & -m)
+        return tuple(
+            ExclusivityGraph(
+                [v for v in self.vertices if self._bit[v] & part],
+                [(u, v) for u, v in self.edges if self._bit[u] & part],
+            )
+            for part in parts
+        )
     def has_edge(self, u: str, v: str) -> bool:
         return ((u, v) if u <= v else (v, u)) in self.edges
 
@@ -346,19 +373,50 @@ def enumerate_zero_one_states(
     which value comes first.  Output is sorted by the value tuple taken in
     vertex order.
     """
+    return _search_zero_one(graph, budget, 0)[0]
+
+
+def component_zero_one_states(
+    graph: ExclusivityGraph, budget: int = DEFAULT_SEARCH_BUDGET
+) -> tuple[list[ZeroOneState], ...]:
+    """The sorted 0-1 listing of each of ``graph.components``, on the
+    component's own graph.  The 0-1 states of the graph are the products of
+    one state per component, so their number is the product of the listing
+    lengths.  The components' search nodes add up against the one
+    ``budget``; a connected graph searches as ``enumerate_zero_one_states``.
+    """
+    listings = []
+    spent = 0
+    for component in graph.components:
+        states, nodes = _search_zero_one(component, budget, spent)
+        listings.append(states)
+        spent += nodes
+    return tuple(listings)
+
+
+def _search_zero_one(
+    graph: ExclusivityGraph, budget: int, spent: int
+) -> tuple[list[ZeroOneState], int]:
+    """The sorted 0-1 states of ``graph`` and the search nodes entered, with
+    ``spent`` nodes of ``budget`` already used by earlier searches."""
     verts = graph.vertices
     n = len(verts)
     if n == 0:
-        return []
+        return [], 0
     index = graph._index
     cliques = [tuple(index[v] for v in c) for c in graph.maximal_cliques()]
     adj = [sorted(index[w] for w in graph._adj[v]) for v in verts]
     order = sorted(range(n), key=lambda i: (-len(adj[i]), verts[i]))
-    found = sorted(ZeroOneSearch(n, adj, cliques, order, budget))
-    return [
+    search = ZeroOneSearch(n, adj, cliques, order, budget - spent)
+    try:
+        found = sorted(search)
+    except SearchBudgetExceeded as exc:
+        raise SearchBudgetExceeded(spent + exc.nodes, budget) from None
+    states = [
         ZeroOneState(graph, frozenset(verts[i] for i in range(n) if bits[i] == 1))
         for bits in found
     ]
+    return states, search.nodes
 
 
 def _refine_colors(n: int, adj: list[set[int]], init: list[int]) -> list[int]:

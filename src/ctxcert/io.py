@@ -25,6 +25,7 @@ scenario's.
 
 from __future__ import annotations
 
+import cmath
 import contextlib
 import functools
 import hashlib
@@ -157,6 +158,13 @@ def parse_entry_float(entry, field: str) -> complex:
     return complex(parse_real(re_part, field + ".re"), parse_real(im_part, field + ".im"))
 
 
+def _finite_entry(entry, field: str) -> complex:
+    z = parse_entry_float(entry, field)
+    if not cmath.isfinite(z):
+        raise ScenarioFormatError(f"{field}: must be finite, got {entry!r}")
+    return z
+
+
 def _infer_backend(doc: dict) -> str:
     declared = doc.get("backend")
     if declared is not None:
@@ -251,8 +259,7 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
             parsed = _exact_vector(entries, f"vectors[{vi}].entries")
         else:
             parsed = tuple(
-                parse_entry_float(e, f"vectors[{vi}].entries[{ei}]")
-                for ei, e in enumerate(entries)
+                _finite_entry(e, f"vectors[{vi}].entries[{ei}]") for ei, e in enumerate(entries)
             )
         names.append(name)
         vectors.append(parsed)

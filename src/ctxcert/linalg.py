@@ -11,6 +11,7 @@ is immutable; operations return fresh objects.
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from fractions import Fraction
@@ -547,6 +548,13 @@ def projector_from_gaussian(re: Sequence[int], im: Sequence[int]) -> Projector:
     return Projector(ExactMatrix(len(pairs), norm, out_re, out_im))
 
 
+def _squared_norm(vec: Sequence[complex]) -> float:
+    try:
+        return sum(abs(x) ** 2 for x in vec)
+    except OverflowError:  # float ** raises where * would give inf
+        return math.inf
+
+
 def projector_from_vector(
     entries: Sequence, backend: str = EXACT, tol: float = DEFAULT_TOL
 ) -> Projector:
@@ -556,6 +564,9 @@ def projector_from_vector(
     formed in integers (``projector_from_gaussian``).  A float vector is
     refused only when its norm is 0: a short ray is the same ray, and the
     projector check (Hermitian and idempotent within tol) decides the rest.
+    When the squared norm of a finite nonzero float vector underflows to 0
+    or overflows, the vector is first divided by its largest real or
+    imaginary part; every other vector is used as given.
     """
     d = len(entries)
     if d == 0:
@@ -563,7 +574,11 @@ def projector_from_vector(
     if backend == EXACT:
         return projector_from_gaussian(*gaussian_integer_vector(entries))
     vec = [complex(e) for e in entries]
-    norm = sum(abs(x) ** 2 for x in vec)
+    norm = _squared_norm(vec)
+    if norm in (0, math.inf) and any(vec) and all(map(cmath.isfinite, vec)):
+        big = max(max(abs(x.real), abs(x.imag)) for x in vec)
+        vec = [x / big for x in vec]
+        norm = _squared_norm(vec)
     if norm == 0:
         raise ZeroVector("cannot project onto the zero vector")
     ents = tuple(vec[i] * vec[j].conjugate() / norm for i in range(d) for j in range(d))

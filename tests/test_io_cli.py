@@ -340,6 +340,34 @@ def test_cli_nan_atom_value_is_an_error(tmp_path, capsys, atom):
     assert err == f"error: atoms.{atom}: value nan outside [0, 1]\n"
 
 
+@pytest.mark.parametrize("entry", ["nan", "inf", "-inf"])
+def test_non_finite_float_ray_entry_names_the_field(tmp_path, capsys, entry):
+    doc = json.loads(json.dumps(TWO_FLOAT_RAYS))
+    doc["vectors"][1]["entries"][0] = entry
+    with pytest.raises(ScenarioFormatError, match="^vectors\\[1\\].entries\\[0\\]: must be finite"):
+        scenario_from_dict(doc)
+    scenario = tmp_path / "rays.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["build", str(scenario)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: vectors[1].entries[0]: must be finite, got '{entry}'\n"
+
+
+@pytest.mark.parametrize("entry", ["1e-200", "1e200"])
+def test_cli_builds_a_float_ray_whose_squared_norm_under_or_overflows(tmp_path, capsys, entry):
+    doc = json.loads(json.dumps(TWO_FLOAT_RAYS))
+    doc["vectors"][0]["entries"][0] = entry
+    scenario = tmp_path / "rays.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(TWO_FLOAT_RAYS), encoding="utf-8")
+    code, out, err = run_cli(["build", str(scenario), "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    _, want, _ = run_cli(["build", str(plain), "--format", "json"], capsys)
+    strip = lambda text: {k: v for k, v in json.loads(text).items() if k not in ("timings", "scenario")}
+    assert strip(out) == strip(want)
+
+
 def test_cli_zero_one(capsys):
     code, out, _ = run_cli(["zero-one", "kcbs", "--format", "json"], capsys)
     assert code == 0

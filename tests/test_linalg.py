@@ -78,6 +78,27 @@ def test_short_float_ray_is_the_same_ray():
         projector_from_vector([0.0, 0.0, 0.0], backend="float")
 
 
+@pytest.mark.parametrize("scale", [1e-200, 1e200, -1e-200, 1e-200j])
+def test_float_ray_whose_squared_norm_under_or_overflows_is_its_unit_ray(scale):
+    """The squared norm of (1e-200, 0) underflows to 0 and that of (1e200, 0)
+    overflows; both are rescaled by their largest entry first."""
+    for entries, unit in (([scale, 0], [1, 0]), ([0, scale, 0], [0, 1, 0])):
+        p = projector_from_vector(entries, backend="float")
+        want = projector_from_vector(unit, backend="float")
+        assert p.mat.entries == want.mat.entries and p.rank == 1
+    with pytest.raises(ZeroVector):
+        projector_from_vector([0.0, 0.0], backend="float")
+
+
+def test_float_projector_bits_are_kept_when_the_norm_is_representable():
+    """No rescale where the squared norm neither underflows nor overflows, so
+    a projector keeps the bits of v v* / <v, v>."""
+    for vec in ([3.0, 4.0], [0.1, 0.2j, 0.3], [1e-150, 2e-150], [1e150, 3e150]):
+        norm = sum(abs(x) ** 2 for x in vec)
+        want = tuple(complex(x) * complex(y).conjugate() / norm for x in vec for y in vec)
+        assert projector_from_vector(vec, backend="float").mat.entries == want
+
+
 _tol_offsets = st.sampled_from([0.0, 0.0, 1e-10, 5e-10, 2e-9, 1e-6])
 _float_entries = st.builds(
     complex, st.sampled_from([0.0, 1.0, -0.5, 0.25, 3.0]), st.sampled_from([0.0, 0.0, 1.0, -2.0])
