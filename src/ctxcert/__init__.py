@@ -22,7 +22,6 @@ from .graphs import (
     ExclusivityGraph,
     PBAState,
     ZeroOneState,
-    component_zero_one_states,
     enumerate_zero_one_states,
     graphs_isomorphic,
     is_state,
@@ -74,7 +73,6 @@ __all__ = [
     "classify_experiment",
     "commutes",
     "complement",
-    "component_zero_one_states",
     "enumerate_zero_one_states",
     "exclusive_q",
     "generate_system",

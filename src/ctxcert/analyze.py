@@ -235,8 +235,10 @@ def _listings(
     graph: ExclusivityGraph,
     s01: Sequence[ZeroOneState] | None,
     budget: int,
-) -> tuple[Sequence[ZeroOneState], ...]:
-    """The 0-1 listing of each of ``graph.components``.
+) -> tuple[tuple[Sequence[ZeroOneState], ...], dict[frozenset[str], int] | None]:
+    """The 0-1 listing of each of ``graph.components``, and where a product
+    of one state per listing stands in ``s01``: a map from its ones to its
+    position, or None when that position is ``_product_index``.
 
     A connected graph's listing is ``s01`` when one is given, any subset in
     any order.  Otherwise each component's own states are searched, their
@@ -248,16 +250,17 @@ def _listings(
             if lam.graph is not graph and lam.graph != graph:
                 raise NotAGraphState("0-1 state defined on a different graph")
         if len(graph.components) == 1:
-            return (s01,)
+            return (s01,), None
     listings = component_zero_one_states(graph, budget)
-    if s01 is not None:
-        count = prod(map(len, listings))
-        distinct = len({lam.ones for lam in s01})
-        if len(s01) != count or distinct != count:
-            raise IncompleteListing(
-                f"{len(s01)} listed 0-1 states ({distinct} distinct); the graph has {count}"
-            )
-    return listings
+    if s01 is None:
+        return listings, None
+    count = prod(map(len, listings))
+    position = {lam.ones: i for i, lam in enumerate(s01)}
+    if len(s01) != count or len(position) != count:
+        raise IncompleteListing(
+            f"{len(s01)} listed 0-1 states ({len(position)} distinct); the graph has {count}"
+        )
+    return listings, position
 
 
 def scenario_classical(
@@ -266,7 +269,7 @@ def scenario_classical(
     budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> EmbeddingReport:
     """Decide Boolean embeddability by separating elements with 0-1 states."""
-    return _embedding(system, _listings(system.atom_graph(), s01, budget))
+    return _embedding(system, _listings(system.atom_graph(), s01, budget)[0])
 
 
 def _embedding(
@@ -418,25 +421,27 @@ def _primitive_inequality(
 
 
 def is_noncontextual(
-    p: PBAState,
-    s01: Sequence[ZeroOneState] | None = None,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    p: PBAState, s01: Sequence[ZeroOneState] | None = None
 ) -> NCCertificate:
     """Decide membership of p in the convex hull of the 0-1 states.
 
     Float states are rationalized first so the LP is exact; both certificate
     kinds are re-verified against the original values before returning.
-    Without ``s01`` each component's 0-1 states are searched within
-    ``budget``.  A listing given for a connected graph is used as it is; on
-    a graph of several components it must be complete, or
-    ``IncompleteListing`` is raised.
+    Without ``s01`` each component's 0-1 states are searched.  A listing
+    given for a connected graph is used as it is; on a graph of several
+    components it must be complete, or ``IncompleteListing`` is raised.  The
+    NONCONTEXTUAL weights are keyed by position in ``s01``, or without it in
+    the sorted listing of ``zero_one_states``.
     """
     graph = p.graph
-    return _certify(p, graph, _listings(graph, s01, budget))
+    return _certify(p, graph, *_listings(graph, s01, DEFAULT_SEARCH_BUDGET))
 
 
 def _certify(
-    p: PBAState, graph: ExclusivityGraph, listings: Sequence[Sequence[ZeroOneState]]
+    p: PBAState,
+    graph: ExclusivityGraph,
+    listings: Sequence[Sequence[ZeroOneState]],
+    position: Mapping[frozenset[str], int] | None,
 ) -> NCCertificate:
     """The separation LP on each component in turn, then, when none finds a
     cutting plane, the membership LP on each, its weights coupled into
@@ -445,7 +450,8 @@ def _certify(
     A CONTEXTUAL certificate is the inequality of the first contextual
     component, with coefficient 0 on every other atom: an inequality valid on
     one component's states is valid on their products.  A NONCONTEXTUAL
-    certificate's weights are keyed by ``_product_index``.
+    certificate's weights are keyed by ``position`` of the state's ones, or,
+    without it, by ``_product_index``.
     """
     if not all(listings):
         # The hull is empty: no hidden-variable model exists, and no honest
@@ -475,10 +481,12 @@ def _certify(
         for choice, w in coupling
     ]
     _verify_noncontextual(mixture, exact, p)
-    weights = {_product_index(graph, listings, choice): w for choice, w in coupling}
-    return NCCertificate(
-        verdict=NONCONTEXTUAL, weights=dict(sorted(weights.items())), violation=Fraction(0)
-    )
+    if position is None:
+        keys = [_product_index(graph, listings, choice) for choice, _ in coupling]
+    else:
+        keys = [position[ones] for _, ones in mixture]
+    weights = dict(sorted(zip(keys, (w for w, _ in mixture))))
+    return NCCertificate(verdict=NONCONTEXTUAL, weights=weights, violation=Fraction(0))
 
 
 def _north_west_corner(
@@ -608,9 +616,9 @@ def classify_experiment(
     graph = system.atom_graph()
     if p.graph is not graph and p.graph != graph:
         raise NotAGraphState("state is defined on a different atom graph")
-    listings = _listings(graph, s01, budget)
+    listings, position = _listings(graph, s01, budget)
     embedding = _embedding(system, listings)
-    certificate = _certify(p, graph, listings)
+    certificate = _certify(p, graph, listings, position)
     state_noncontextual = certificate.verdict == NONCONTEXTUAL
     return Classification(
         scenario_classical=embedding.embeddable,

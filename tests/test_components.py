@@ -4,11 +4,13 @@ the Yu-Oh rays with up to two unrelated bases added."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import math
 import random
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -37,56 +39,14 @@ from ctxcert.linalg import DensityMatrix, ExactMatrix, projector_from_vector
 from ctxcert.systems import generate_system
 
 from test_io_cli import run_cli
-from test_simplex import YU_OH_RAYS
 
-AXES = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-
-
-def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
-
-
-def _cross(u, v):
-    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
-
-
-def _primitive(r):
-    g = math.gcd(*r)
-    r = tuple(x // g for x in r)
-    return r if next(x for x in r if x) > 0 else tuple(-x for x in r)
-
-
-def closed_rays(rays):
-    """The rays of the closure in R^3: two orthogonal rays add their cross
-    product, the complement of their join, and nothing else is added."""
-    out = {_primitive(r) for r in rays}
-    while True:
-        new = {_primitive(_cross(u, v)) for u, v in combinations(out, 2) if _dot(u, v) == 0}
-        if new <= out:
-            return sorted(out)
-        out |= new
-
-
-def unrelated_bases(k, avoid):
-    """k orthogonal integer bases (columns of quaternion rotations), no ray of
-    which is orthogonal or parallel to a ray of ``avoid`` or of another."""
-    seen, out = list(avoid), []
-    for a, b, c, d in product(range(1, 6), range(6), range(6), range(6)):
-        if len(out) == 3 * k:
-            return out
-        if math.gcd(a, b, c, d) != 1:
-            continue
-        m = [
-            [a * a + b * b - c * c - d * d, 2 * (b * c - a * d), 2 * (b * d + a * c)],
-            [2 * (b * c + a * d), a * a - b * b + c * c - d * d, 2 * (c * d - a * b)],
-            [2 * (b * d - a * c), 2 * (c * d + a * b), a * a - b * b - c * c + d * d],
-        ]
-        cols = [_primitive([m[i][j] for i in range(3)]) for j in range(3)]
-        if any(_dot(u, v) == 0 or _cross(u, v) == (0, 0, 0) for u in cols for v in seen):
-            continue
-        out += cols
-        seen += cols
-    raise AssertionError("not enough bases")
+# The ray generators of the CI ladder script, shared rather than copied.
+_spec = importlib.util.spec_from_file_location(
+    "component_ladder", Path(__file__).resolve().parents[1] / "scripts" / "component_ladder.py"
+)
+ladder = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(ladder)
+AXES, closed_rays, unrelated_bases = ladder.AXES, ladder.closed_rays, ladder.unrelated_bases
 
 
 def k_bases_rays(k):
@@ -96,7 +56,7 @@ def k_bases_rays(k):
 def yu_oh_plus_rays(k):
     """The bases first, so that the Yu-Oh component, the contextual one under
     I/3, comes last in the vertex order."""
-    return unrelated_bases(k, closed_rays(YU_OH_RAYS)) + YU_OH_RAYS
+    return unrelated_bases(k, closed_rays(ladder.YU_OH)) + ladder.YU_OH
 
 
 def _system(rays):
@@ -126,7 +86,7 @@ def _densities(rng, count):
         rho = [[Fraction(i == j, 6) for j in range(3)] for i in range(3)]
         for _ in range(2):
             v = rng.choice(rays)
-            norm = _dot(v, v)
+            norm = ladder.dot(v, v)
             for i, j in product(range(3), repeat=2):
                 rho[i][j] += Fraction(v[i] * v[j], 4 * norm)
         out.append(DensityMatrix(ExactMatrix.from_entries(rho)))
@@ -291,11 +251,11 @@ def _r5_basis():
     """Columns of a product of two integer Householder reflections of R^5."""
 
     def householder(v):
-        n = _dot(v, v)
+        n = ladder.dot(v, v)
         return [[n * (i == j) - 2 * v[i] * v[j] for j in range(5)] for i in range(5)]
 
     a, b = householder((1, 2, 3, 4, 5)), householder((2, -1, 1, 3, -2))
-    m = [[_dot(a[i], [b[k][j] for k in range(5)]) for j in range(5)] for i in range(5)]
+    m = [[ladder.dot(a[i], [b[k][j] for k in range(5)]) for j in range(5)] for i in range(5)]
     return [[m[i][j] for i in range(5)] for j in range(5)]
 
 
@@ -337,7 +297,33 @@ def test_incomplete_listing_is_a_typed_error():
             scenario_classical(system, bad)
         with pytest.raises(IncompleteListing):
             classify_experiment(system, p, bad)
-    assert is_noncontextual(p, list(reversed(s01))).verdict == NONCONTEXTUAL
+    reordered = list(reversed(s01))
+    cert = is_noncontextual(p, reordered)
+    assert cert.verdict == NONCONTEXTUAL
+    for v in system.atom_graph().vertices:
+        assert sum(w * reordered[k].value(v) for k, w in cert.weights.items()) == p.value(v)
+
+
+def test_weights_index_a_given_listing_in_its_own_order(family):
+    """A complete listing in any order: each weight's key is the position of
+    its state in that listing, on every path that takes a listing."""
+    name, _, system, s01 = family
+    graph = system.atom_graph()
+    shuffled = list(s01)
+    random.Random(name).shuffle(shuffled)
+    barycentre = {v: Fraction(sum(l.value(v) for l in s01), len(s01)) for v in graph.vertices}
+    p = analyze.PBAState(graph, barycentre)
+    cert = is_noncontextual(p, shuffled)
+    assert cert.verdict == NONCONTEXTUAL
+    assert classify_experiment(system, p, shuffled).certificate == cert
+    for v in graph.vertices:
+        assert sum(w * shuffled[k].value(v) for k, w in cert.weights.items()) == barycentre[v]
+    if len(graph.components) == 1:
+        return  # the LPs ran on the shuffled listing itself
+    # The component LPs do not see the given order: the same mixture, rekeyed.
+    position = {lam.ones: i for i, lam in enumerate(shuffled)}
+    sorted_keys = {position[s01[k].ones]: w for k, w in is_noncontextual(p).weights.items()}
+    assert cert.weights == sorted_keys
 
 
 def test_empty_listing_of_a_connected_graph_is_still_empty_s01(kcbs_quantum_state):
