@@ -1,6 +1,9 @@
 """End-to-end ladder for certification per connected component.
 
-Writes two exact scenario files in R^3 and analyzes each under I/3 with
+Writes exact scenario files in R^3.  On k = 3 unrelated bases it checks the
+``--budget`` trip points of ``zero-one`` (42 search nodes: 15 for the three
+triangles and one per listed product state) and ``build`` (15).  It then
+analyzes two larger files under I/3 with
 
     python -m ctxcert.cli analyze FILE --state I/3 --format json
 
@@ -156,15 +159,47 @@ def write_scenario(path, rays):
     return path
 
 
-def analyze(scenario, state):
-    argv = [sys.executable, "-m", "ctxcert.cli", "analyze", str(scenario)]
-    argv += ["--state", str(state), "--format", "json"]
+def ctxcert(*args):
+    """The CLI run on ``args`` in a new process, and its wall time."""
     t0 = time.perf_counter()
+    argv = [sys.executable, "-m", "ctxcert.cli", *map(str, args)]
     proc = subprocess.run(argv, capture_output=True, text=True)
-    wall = time.perf_counter() - t0
+    return proc, time.perf_counter() - t0
+
+
+def analyze(scenario, state):
+    proc, wall = ctxcert("analyze", scenario, "--state", state, "--format", "json")
     if proc.returncode == 1 or not proc.stdout.strip():
         raise SystemExit(f"{scenario.name}: exit {proc.returncode}\n{proc.stderr}")
     return proc.returncode, json.loads(proc.stdout), wall
+
+
+def check_zero_one_budget(scenario, bases):
+    """``zero-one`` on k = 3 bases lists the 27 products of the three
+    triangles, sorted, for 15 component search nodes plus one node per
+    listed state: it passes at ``--budget 42`` and fails at 41, while
+    ``build``, which lists no product, passes at 15."""
+    proc, wall = ctxcert("zero-one", scenario, "--format", "json", "--budget", 42)
+    if proc.returncode != 0:
+        raise SystemExit(f"zero-one --budget 42: exit {proc.returncode}\n{proc.stderr}")
+    listing = json.loads(proc.stdout)["zero_one"]
+    rows = [tuple(a in ones for a in listing["atom_order"]) for ones in listing["states"]]
+    one_per_basis = all(
+        sum(a in ones for a in basis) == 1 for ones in listing["states"] for basis in bases
+    )
+    if (len(set(rows)), rows == sorted(rows), one_per_basis) != (27, True, True):
+        raise SystemExit(
+            f"zero-one: {len(set(rows))} distinct states, sorted {rows == sorted(rows)}, "
+            f"one 1 per basis {one_per_basis}; expected 27, True, True"
+        )
+    proc, _ = ctxcert("zero-one", scenario, "--format", "json", "--budget", 41)
+    want = "error: search explored 42 nodes, budget 41\n"
+    if (proc.returncode, proc.stderr) != (1, want):
+        raise SystemExit(f"zero-one --budget 41: exit {proc.returncode}, {proc.stderr!r}")
+    proc, _ = ctxcert("build", scenario, "--format", "json", "--budget", 15)
+    if proc.returncode != 0:
+        raise SystemExit(f"build --budget 15: exit {proc.returncode}\n{proc.stderr}")
+    print(f"k=3: zero-one lists 27 states at --budget 42, not at 41, {wall:.2f} s")
 
 
 def main() -> int:
@@ -176,6 +211,10 @@ def main() -> int:
          "NONCONTEXTUAL", "CLASSICAL"),
     ]  # fmt: skip
     with tempfile.TemporaryDirectory() as tmp:
+        rays = AXES + unrelated_bases(2, AXES)
+        check_structure("k=3", rays, 9, [3] * 3, 27)
+        bases = [[f"r{i}" for i in range(b, b + 3)] for b in range(0, 9, 3)]
+        check_zero_one_budget(write_scenario(Path(tmp, "k=3.json"), rays), bases)
         state = Path(tmp, "mixed3.json")
         rho = [["1/3" if i == j else "0" for j in range(3)] for i in range(3)]
         state.write_text(json.dumps({"density": rho}), encoding="utf-8")

@@ -201,24 +201,22 @@ class EmbeddingReport:
 
 @dataclass(frozen=True)
 class Classification:
-    scenario_classical: bool
-    state_noncontextual: bool
-    label: str
     embedding: EmbeddingReport
     certificate: NCCertificate
 
-    def __post_init__(self):
-        expect = _label(self.scenario_classical, self.state_noncontextual)
-        if self.label != expect:
-            raise CertificateError(f"label {self.label} contradicts flags")
+    @property
+    def scenario_classical(self) -> bool:
+        return self.embedding.embeddable
 
+    @property
+    def state_noncontextual(self) -> bool:
+        return self.certificate.verdict == NONCONTEXTUAL
 
-def _label(scenario_classical: bool, state_noncontextual: bool) -> str:
-    if not state_noncontextual:
-        return CONTEXTUAL
-    if scenario_classical:
-        return CLASSICAL
-    return NONCLASSICAL_SCENARIO_ONLY
+    @property
+    def label(self) -> str:
+        if not self.state_noncontextual:
+            return CONTEXTUAL
+        return CLASSICAL if self.scenario_classical else NONCLASSICAL_SCENARIO_ONLY
 
 
 # -- zero-one states and embeddability ------------------------------------------
@@ -617,13 +615,4 @@ def classify_experiment(
     if p.graph is not graph and p.graph != graph:
         raise NotAGraphState("state is defined on a different atom graph")
     listings, position = _listings(graph, s01, budget)
-    embedding = _embedding(system, listings)
-    certificate = _certify(p, graph, listings, position)
-    state_noncontextual = certificate.verdict == NONCONTEXTUAL
-    return Classification(
-        scenario_classical=embedding.embeddable,
-        state_noncontextual=state_noncontextual,
-        label=_label(embedding.embeddable, state_noncontextual),
-        embedding=embedding,
-        certificate=certificate,
-    )
+    return Classification(_embedding(system, listings), _certify(p, graph, listings, position))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from .errors import MissingVertex, NotAGraphState, SearchBudgetExceeded
@@ -365,15 +366,30 @@ class ZeroOneSearch:
 def enumerate_zero_one_states(
     graph: ExclusivityGraph, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> list[ZeroOneState]:
-    """All 0-1 states, by ``ZeroOneSearch`` over the maximal cliques.
+    """All 0-1 states, sorted by the value tuple taken in vertex order.
 
     An empty result is meaningful: it is the defining property of a
-    Kochen-Specker scenario.  Variables are decided by descending degree;
-    every node visits both values, so the node count does not depend on
-    which value comes first.  Output is sorted by the value tuple taken in
-    vertex order.
+    Kochen-Specker scenario.  A connected graph returns its one listing.
+    Otherwise the states are the products of one state per component
+    (``component_zero_one_states``); listing them costs one search node per
+    product state beyond the component nodes, charged before any is built.
     """
-    return _search_zero_one(graph, budget, 0)[0]
+    listings, spent = _component_search(graph, budget)
+    if len(listings) == 1:
+        return listings[0]
+    total = spent + prod(map(len, listings))
+    if total > budget:
+        raise SearchBudgetExceeded(total, budget)
+    # The value tuple read as a binary number, vertex 0 the most significant
+    # bit, sorts as the tuple does; a product's key is the sum of its
+    # factors' keys, and distinct states have distinct keys.
+    top = len(graph.vertices) - 1
+    products = [(0, frozenset())]
+    for listing in listings:
+        keyed = [(sum(1 << top - graph._index[v] for v in lam.ones), lam.ones) for lam in listing]
+        products = [(key + k, ones | o) for key, ones in products for k, o in keyed]
+    products.sort()
+    return [ZeroOneState(graph, ones) for _, ones in products]
 
 
 def component_zero_one_states(
@@ -382,23 +398,29 @@ def component_zero_one_states(
     """The sorted 0-1 listing of each of ``graph.components``, on the
     component's own graph.  The 0-1 states of the graph are the products of
     one state per component, so their number is the product of the listing
-    lengths.  The components' search nodes add up against the one
-    ``budget``; a connected graph searches as ``enumerate_zero_one_states``.
+    lengths.  The components' search nodes add up against the one ``budget``.
     """
-    listings = []
-    spent = 0
+    return _component_search(graph, budget)[0]
+
+
+def _component_search(graph: ExclusivityGraph, budget: int) -> tuple[tuple, int]:
+    """The component listings and the search nodes they took."""
+    listings, spent = [], 0
     for component in graph.components:
         states, nodes = _search_zero_one(component, budget, spent)
         listings.append(states)
         spent += nodes
-    return tuple(listings)
+    return tuple(listings), spent
 
 
 def _search_zero_one(
     graph: ExclusivityGraph, budget: int, spent: int
 ) -> tuple[list[ZeroOneState], int]:
-    """The sorted 0-1 states of ``graph`` and the search nodes entered, with
-    ``spent`` nodes of ``budget`` already used by earlier searches."""
+    """The sorted 0-1 states of the connected ``graph`` and the search nodes
+    entered, with ``spent`` nodes of ``budget`` already used by earlier
+    searches.  Variables are decided by descending degree; every node visits
+    both values, so the node count does not depend on which value comes
+    first."""
     verts = graph.vertices
     n = len(verts)
     if n == 0:

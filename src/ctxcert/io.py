@@ -155,11 +155,7 @@ def _exact_vector(entries, field: str) -> tuple:
 
 def parse_entry_float(entry, field: str) -> complex:
     re_part, im_part = _entry_parts(entry, field)
-    return complex(parse_real(re_part, field + ".re"), parse_real(im_part, field + ".im"))
-
-
-def _finite_entry(entry, field: str) -> complex:
-    z = parse_entry_float(entry, field)
+    z = complex(parse_real(re_part, field + ".re"), parse_real(im_part, field + ".im"))
     if not cmath.isfinite(z):
         raise ScenarioFormatError(f"{field}: must be finite, got {entry!r}")
     return z
@@ -259,7 +255,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
             parsed = _exact_vector(entries, f"vectors[{vi}].entries")
         else:
             parsed = tuple(
-                _finite_entry(e, f"vectors[{vi}].entries[{ei}]") for ei, e in enumerate(entries)
+                parse_entry_float(e, f"vectors[{vi}].entries[{ei}]")
+                for ei, e in enumerate(entries)
             )
         names.append(name)
         vectors.append(parsed)

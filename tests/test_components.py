@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from ctxcert import analyze
+from ctxcert import analyze, graphs
 from ctxcert.analyze import (
     CONTEXTUAL,
     NONCONTEXTUAL,
@@ -31,6 +31,7 @@ from ctxcert.catalog import BUILTINS
 from ctxcert.errors import IncompleteListing, SearchBudgetExceeded
 from ctxcert.graphs import (
     ExclusivityGraph,
+    ZeroOneState,
     _search_zero_one,
     component_zero_one_states,
     enumerate_zero_one_states,
@@ -140,6 +141,26 @@ def test_component_searches_share_one_budget():
     with pytest.raises(SearchBudgetExceeded) as err:
         component_zero_one_states(graph, budget=nodes - 1)
     assert (err.value.nodes, err.value.budget) == (nodes, nodes - 1)
+
+
+def test_listing_charges_one_node_per_product_state(family, monkeypatch):
+    _, _, system, s01 = family
+    graph = system.atom_graph()
+    nodes = sum(_search_zero_one(part, 10**6, 0)[1] for part in graph.components)
+    if len(graph.components) > 1:
+        nodes += len(s01)
+    assert enumerate_zero_one_states(graph, budget=nodes) == s01
+    built = []
+
+    def recording(state_graph, ones):
+        built.append(state_graph)
+        return ZeroOneState(state_graph, ones)
+
+    monkeypatch.setattr(graphs, "ZeroOneState", recording)
+    with pytest.raises(SearchBudgetExceeded) as err:
+        enumerate_zero_one_states(graph, budget=nodes - 1)
+    assert (err.value.nodes, err.value.budget) == (nodes, nodes - 1)
+    assert all(g is not graph for g in built)
 
 
 def test_product_index_is_the_index_in_the_sorted_listing(family):

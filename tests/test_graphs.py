@@ -163,13 +163,26 @@ def test_smallest_passing_budget_is_pinned(request, system, budget):
 
 
 def test_edgeless_graph_is_settled_by_the_first_propagation():
-    # Every vertex is its own maximal clique.  The propagation after the first
-    # decision examines every clique and forces all the other vertices to 1.
-    g = ExclusivityGraph([f"v{i}" for i in range(6)], [])
-    states = enumerate_zero_one_states(g, budget=2)
-    assert [s.ones for s in states] == [frozenset(g.vertices)]
+    # Six singleton groups, as the maximal cliques of six isolated vertices.
+    # The propagation after the first decision examines every group and
+    # forces all the other variables to 1.
+    groups = [(i,) for i in range(6)]
+    search = ZeroOneSearch(6, [[] for _ in range(6)], groups, range(6), 2)
+    assert list(search) == [(1,) * 6]
     with pytest.raises(SearchBudgetExceeded):
-        enumerate_zero_one_states(g, budget=1)
+        list(ZeroOneSearch(6, [[] for _ in range(6)], groups, range(6), 1))
+
+
+def test_edgeless_graph_lists_per_component():
+    # Six one-vertex components of 2 search nodes each, plus 1 node for the
+    # one product state.
+    g = ExclusivityGraph([f"v{i}" for i in range(6)], [])
+    assert len(g.components) == 6
+    states = enumerate_zero_one_states(g, budget=13)
+    assert [s.ones for s in states] == [frozenset(g.vertices)]
+    with pytest.raises(SearchBudgetExceeded) as err:
+        enumerate_zero_one_states(g, budget=12)
+    assert (err.value.nodes, err.value.budget) == (13, 12)
 
 
 def test_deep_search_ends_in_budget_error_not_recursion_error():

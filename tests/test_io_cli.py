@@ -20,6 +20,7 @@ from ctxcert.catalog import BUILTINS, ceg_set, kcbs_system
 from ctxcert.cli import main
 from ctxcert.errors import ClosureBudgetExceeded, CtxcertError, ScenarioFormatError
 from ctxcert.io import (
+    _matrix_payload,
     _parse_matrix,
     cache_path_for,
     load_cached_system,
@@ -351,6 +352,52 @@ def test_non_finite_float_ray_entry_names_the_field(tmp_path, capsys, entry):
     code, out, err = run_cli(["build", str(scenario)], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: vectors[1].entries[0]: must be finite, got '{entry}'\n"
+
+
+@pytest.mark.parametrize(
+    "state, field, entry",
+    [
+        ({"vector": ["nan", "0"]}, "vector[0]", "nan"),
+        ({"vector": ["inf", "0"]}, "vector[0]", "inf"),
+        ({"density": [["nan", "0"], ["0", "1"]]}, "density[0][0]", "nan"),
+    ],
+)
+def test_cli_non_finite_float_state_entry_names_the_field(tmp_path, capsys, state, field, entry):
+    scenario = tmp_path / "two.json"
+    scenario.write_text(json.dumps(TWO_FLOAT_RAYS), encoding="utf-8")
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state), encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(scenario), "--state", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: {field}: must be finite, got '{entry}'\n"
+
+
+def test_cli_non_finite_float_generator_entry_names_the_field(tmp_path, capsys):
+    doc = dict(TWO_FLOAT_RAYS, generators=["a", {"matrix": [["nan", "0"], ["0", "0"]]}])
+    scenario = tmp_path / "gen.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["build", str(scenario)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: generators[1].matrix[0][0]: must be finite, got 'nan'\n"
+
+
+def test_cli_builds_matrix_generators_as_the_builtin_does(tmp_path, capsys):
+    generators = BUILTINS["ceg-gen12"].scenario().generators
+    doc = {"dimension": 4, "generators": [{"matrix": _matrix_payload(p.mat)} for p in generators]}
+    scenario = tmp_path / "gen12.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    reports = []
+    for source in (str(scenario), "ceg-gen12"):
+        code, out, _ = run_cli(["build", source, "--format", "json", "--no-cache"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        reports.append((report["system"], report["zero_one"]))
+    assert reports[0] == reports[1]
+    assert (reports[0][0]["elements"], reports[0][0]["atoms"]) == (140, 24)
+    assert reports[0][1] == {"count": 0}
+    for one, backend in (("1", "exact"), ("1.0", "float")):
+        doc = {"dimension": 2, "generators": [{"matrix": [[one, "0"], ["0", "0"]]}]}
+        assert scenario_from_dict(doc).vector_set.backend == backend
 
 
 @pytest.mark.parametrize("entry", ["1e-200", "1e200"])
