@@ -377,6 +377,8 @@ def enumerate_zero_one_states(
     listings, spent = _component_search(graph, budget)
     if len(listings) == 1:
         return listings[0]
+    if not all(listings):
+        return []
     total = spent + prod(map(len, listings))
     if total > budget:
         raise SearchBudgetExceeded(total, budget)

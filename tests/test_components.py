@@ -369,6 +369,36 @@ def test_a_component_without_zero_one_states_empties_the_product():
         assert cert.verdict == CONTEXTUAL and cert.empty_s01
 
 
+def test_a_last_component_without_states_stops_the_listing_before_any_product(monkeypatch):
+    """Triangles listed before a pentagon: the empty pentagon listing ends the
+    listing at the component nodes, and no triangle listing is read to build
+    a product."""
+    k = 6
+    tri = [[f"t{i}{c}" for c in "xyz"] for i in range(k)]
+    rim = [f"v{i}" for i in range(5)]
+    edges = [(a, b) for x, y, z in tri for a, b in ((x, y), (y, z), (x, z))]
+    edges += [(rim[i], rim[(i + 1) % 5]) for i in range(5)]
+    graph = ExclusivityGraph([v for t in tri for v in t] + rim, edges)
+    read = []
+
+    class Listing(list):
+        def __iter__(self):
+            read.append(self)
+            return super().__iter__()
+
+    def search(component, budget, spent):
+        states, nodes = _search_zero_one(component, budget, spent)
+        return Listing(states), nodes
+
+    monkeypatch.setattr(graphs, "_search_zero_one", search)
+    listings = component_zero_one_states(graph)
+    assert [len(listing) for listing in listings] == [3] * k + [0]
+    nodes = sum(_search_zero_one(part, 10**6, 0)[1] for part in graph.components)
+    read.clear()
+    assert enumerate_zero_one_states(graph, budget=nodes) == []
+    assert read == []
+
+
 # -- the CLI ----------------------------------------------------------------------------
 
 
