@@ -2,8 +2,11 @@
 
 Writes exact scenario files in R^3.  On k = 3 unrelated bases it checks the
 ``--budget`` trip points of ``zero-one`` (42 search nodes: 15 for the three
-triangles and one per listed product state) and ``build`` (15).  It then
-analyzes two larger files under I/3 with
+triangles and one per listed product state) and ``build`` (15).  The same
+rays in round-robin order give three components whose vertices interleave;
+there it checks the ``zero-one`` listing, and that the weights ``analyze``
+gives I/3 put 1/3 on every atom of that listing.  It then analyzes two
+larger files under I/3 with
 
     python -m ctxcert.cli analyze FILE --state I/3 --format json
 
@@ -31,6 +34,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
@@ -89,6 +93,12 @@ def unrelated_bases(k, avoid):
         out += cols
         seen += cols
     raise SystemExit(f"found fewer than {k} unrelated bases")
+
+
+def round_robin(rays):
+    """Rays given as consecutive orthogonal triples, reordered to take the
+    first ray of every triple, then the second, then the third."""
+    return [rays[b + i] for i in range(3) for b in range(0, len(rays), 3)]
 
 
 def components(rays):
@@ -174,24 +184,32 @@ def analyze(scenario, state):
     return proc.returncode, json.loads(proc.stdout), wall
 
 
-def check_zero_one_budget(scenario, bases):
-    """``zero-one`` on k = 3 bases lists the 27 products of the three
-    triangles, sorted, for 15 component search nodes plus one node per
-    listed state: it passes at ``--budget 42`` and fails at 41, while
-    ``build``, which lists no product, passes at 15."""
-    proc, wall = ctxcert("zero-one", scenario, "--format", "json", "--budget", 42)
+def zero_one_listing(scenario, bases, *options):
+    """``zero-one`` on the k ``bases``: 3**k distinct states, sorted by the
+    value tuple in ``atom_order``, each with one 1 per basis."""
+    proc, wall = ctxcert("zero-one", scenario, "--format", "json", *options)
     if proc.returncode != 0:
-        raise SystemExit(f"zero-one --budget 42: exit {proc.returncode}\n{proc.stderr}")
+        raise SystemExit(f"{scenario.name}: zero-one {options}: exit {proc.returncode}\n{proc.stderr}")
     listing = json.loads(proc.stdout)["zero_one"]
     rows = [tuple(a in ones for a in listing["atom_order"]) for ones in listing["states"]]
     one_per_basis = all(
         sum(a in ones for a in basis) == 1 for ones in listing["states"] for basis in bases
     )
-    if (len(set(rows)), rows == sorted(rows), one_per_basis) != (27, True, True):
+    want = (3 ** len(bases), True, True)
+    if (len(set(rows)), rows == sorted(rows), one_per_basis) != want:
         raise SystemExit(
-            f"zero-one: {len(set(rows))} distinct states, sorted {rows == sorted(rows)}, "
-            f"one 1 per basis {one_per_basis}; expected 27, True, True"
+            f"{scenario.name}: zero-one: {len(set(rows))} distinct states, sorted "
+            f"{rows == sorted(rows)}, one 1 per basis {one_per_basis}; expected {want}"
         )
+    return listing, wall
+
+
+def check_zero_one_budget(scenario, bases):
+    """``zero-one`` on k = 3 bases lists the 27 products of the three
+    triangles for 15 component search nodes plus one node per listed state:
+    it passes at ``--budget 42`` and fails at 41, while ``build``, which
+    lists no product, passes at 15."""
+    _, wall = zero_one_listing(scenario, bases, "--budget", 42)
     proc, _ = ctxcert("zero-one", scenario, "--format", "json", "--budget", 41)
     want = "error: search explored 42 nodes, budget 41\n"
     if (proc.returncode, proc.stderr) != (1, want):
@@ -200,6 +218,22 @@ def check_zero_one_budget(scenario, bases):
     if proc.returncode != 0:
         raise SystemExit(f"build --budget 15: exit {proc.returncode}\n{proc.stderr}")
     print(f"k=3: zero-one lists 27 states at --budget 42, not at 41, {wall:.2f} s")
+
+
+def check_interleaved(scenario, bases, state):
+    """On interleaved components ``zero-one`` lists as on any other file, and
+    the weights ``analyze`` gives I/3, keyed by position in that listing, put
+    1/3 on every atom: CLASSICAL, exit 0."""
+    listing, _ = zero_one_listing(scenario, bases)
+    code, report, wall = analyze(scenario, state)
+    weights = {int(k): Fraction(w) for k, w in report["state_verdict"]["weights"].items()}
+    mass = {
+        sum(w for k, w in weights.items() if atom in listing["states"][k])
+        for atom in listing["atom_order"]
+    }
+    if (report["classification"], code, mass) != ("CLASSICAL", 0, {Fraction(1, 3)}):
+        raise SystemExit(f"{scenario.name}: {report['classification']}, exit {code}, masses {mass}")
+    print(f"k=3 round robin: 27 states, I/3 CLASSICAL with 1/3 on every atom, {wall:.2f} s")
 
 
 def main() -> int:
@@ -218,6 +252,13 @@ def main() -> int:
         state = Path(tmp, "mixed3.json")
         rho = [["1/3" if i == j else "0" for j in range(3)] for i in range(3)]
         state.write_text(json.dumps({"density": rho}), encoding="utf-8")
+        mixed = round_robin(rays)
+        check_structure("k=3 round robin", mixed, 9, [3] * 3, 27)
+        interleaved = [[b, b + 3, b + 6] for b in range(3)]
+        if components(mixed) != interleaved:
+            raise SystemExit(f"k=3 round robin: components {components(mixed)}")
+        bases = [[f"r{i}" for i in part] for part in interleaved]
+        check_interleaved(write_scenario(Path(tmp, "k=3-rr.json"), mixed), bases, state)
         for name, rays, atoms, sizes, states, verdict, label in rungs:
             check_structure(name, rays, atoms, sizes, states)
             code, report, wall = analyze(write_scenario(Path(tmp, f"{name}.json"), rays), state)

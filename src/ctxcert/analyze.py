@@ -233,27 +233,27 @@ def _listings(
     graph: ExclusivityGraph,
     s01: Sequence[ZeroOneState] | None,
     budget: int,
-) -> tuple[tuple[Sequence[ZeroOneState], ...], dict[frozenset[str], int] | None]:
+) -> tuple[tuple[Sequence[ZeroOneState], ...], dict[int, int] | None]:
     """The 0-1 listing of each of ``graph.components``, and where a product
-    of one state per listing stands in ``s01``: a map from its ones to its
+    of one state per listing stands in ``s01``: a map from its mask to its
     position, or None when that position is ``_product_index``.
 
-    A connected graph's listing is ``s01`` when one is given, any subset in
-    any order.  Otherwise each component's own states are searched, their
-    nodes counting against one ``budget``, and a given ``s01`` must hold the
-    product of the component counts in distinct states.
+    A given ``s01`` is re-expressed in ``graph``'s bit order and, on a
+    connected graph, is the listing: any subset in any order.  Otherwise each
+    component's states are searched against one ``budget``, and a given
+    ``s01`` must hold the product of the component counts in distinct states.
     """
     if s01 is not None:
-        for lam in s01:
-            if lam.graph is not graph and lam.graph != graph:
-                raise NotAGraphState("0-1 state defined on a different graph")
+        if any(lam.graph is not graph and lam.graph != graph for lam in s01):
+            raise NotAGraphState("0-1 state defined on a different graph")
+        s01 = [lam if lam.graph is graph else ZeroOneState.from_ones(graph, lam.ones) for lam in s01]
         if len(graph.components) == 1:
             return (s01,), None
     listings = component_zero_one_states(graph, budget)
     if s01 is None:
         return listings, None
     count = prod(map(len, listings))
-    position = {lam.ones: i for i, lam in enumerate(s01)}
+    position = {lam.mask: i for i, lam in enumerate(s01)}
     if len(s01) != count or len(position) != count:
         raise IncompleteListing(
             f"{len(s01)} listed 0-1 states ({len(position)} distinct); the graph has {count}"
@@ -276,8 +276,7 @@ def _embedding(
     """Separate elements with the 0-1 states of each component.
 
     An element's value on a 0-1 state is the number of its decomposition
-    atoms the state sets to 1, so each decomposition and each state's ones
-    become one bitmask over atom positions, and each value one bit count.  A
+    atoms the state sets to 1: the bit count of the meet of the two masks.  A
     decomposition is a set of pairwise orthogonal, hence adjacent, atoms, so
     it lies in one component and the element's values are read on that
     component's states.  Elements of two components agree on every product
@@ -293,15 +292,13 @@ def _embedding(
             s01_count=0,
         )
     graph = system.atom_graph()
-    bit = {label: 1 << k for k, label in enumerate(graph.vertices)}
     component = {v: c for c, part in enumerate(graph.components) for v in part.vertices}
-    ones = [[sum(bit[v] for v in lam.ones) for lam in listing] for listing in listings]
     groups: dict[object, list[int]] = {}
     for i in range(len(system.elements)):
         atoms = [system.atom_label(a) for a in system.decompose(i)]
         c = component[atoms[0]] if atoms else 0
-        mask = sum(bit[v] for v in atoms)
-        fp = tuple((mask & one).bit_count() for one in ones[c])
+        mask = graph.mask(atoms)
+        fp = tuple((mask & lam.mask).bit_count() for lam in listings[c])
         groups.setdefault(fp[0] if min(fp) == max(fp) else (c, fp), []).append(i)
     collided = [g for g in groups.values() if len(g) > 1]
     if not collided:
@@ -406,7 +403,7 @@ def _primitive_inequality(
     for w in y.values():
         scale = scale * w.denominator // gcd(scale, w.denominator)
     ints = {v: y[v].numerator * (scale // y[v].denominator) if v in y else 0 for v in atom_order}
-    bound = max(sum(ints[v] for v in lam.ones) for lam in states)
+    bound = max(sum(c * lam.value(v) for v, c in ints.items() if c) for lam in states)
     g = 0
     for c in ints.values():
         g = gcd(g, c)
@@ -439,7 +436,7 @@ def _certify(
     p: PBAState,
     graph: ExclusivityGraph,
     listings: Sequence[Sequence[ZeroOneState]],
-    position: Mapping[frozenset[str], int] | None,
+    position: Mapping[int, int] | None,
 ) -> NCCertificate:
     """The separation LP on each component in turn, then, when none finds a
     cutting plane, the membership LP on each, its weights coupled into
@@ -448,8 +445,8 @@ def _certify(
     A CONTEXTUAL certificate is the inequality of the first contextual
     component, with coefficient 0 on every other atom: an inequality valid on
     one component's states is valid on their products.  A NONCONTEXTUAL
-    certificate's weights are keyed by ``position`` of the state's ones, or,
-    without it, by ``_product_index``.
+    certificate's weights are keyed by ``position`` of the state's mask, the
+    sum of its factors' masks, or, without it, by ``_product_index``.
     """
     if not all(listings):
         # The hull is empty: no hidden-variable model exists, and no honest
@@ -475,14 +472,14 @@ def _certify(
     ]
     coupling = _north_west_corner(marginals)
     mixture = [
-        (w, frozenset().union(*(listing[k].ones for listing, k in zip(listings, choice))))
+        (w, sum(listing[k].mask for listing, k in zip(listings, choice)))
         for choice, w in coupling
     ]
-    _verify_noncontextual(mixture, exact, p)
+    _verify_noncontextual(graph, mixture, exact, p)
     if position is None:
         keys = [_product_index(graph, listings, choice) for choice, _ in coupling]
     else:
-        keys = [position[ones] for _, ones in mixture]
+        keys = [position[mask] for _, mask in mixture]
     weights = dict(sorted(zip(keys, (w for w, _ in mixture))))
     return NCCertificate(verdict=NONCONTEXTUAL, weights=weights, violation=Fraction(0))
 
@@ -532,14 +529,15 @@ def _product_index(
     if len(listings) == 1:
         return choice[0]
     component = {v: c for c, part in enumerate(graph.components) for v in part.vertices}
-    chosen = [listing[k].ones for listing, k in zip(listings, choice)]
-    alive = [list(listing) for listing in listings]
+    chosen = [listing[k].mask for listing, k in zip(listings, choice)]
+    alive = [[lam.mask for lam in listing] for listing in listings]
     total = prod(map(len, alive))
     index = 0
     for v in graph.vertices:
         c = component[v]
-        one = v in chosen[c]
-        agree = [lam for lam in alive[c] if (v in lam.ones) == one]
+        bit = graph.mask((v,))
+        one = chosen[c] & bit
+        agree = [mask for mask in alive[c] if (mask & bit) == one]
         rest = total // len(alive[c])
         if one:
             index += (len(alive[c]) - len(agree)) * rest
@@ -569,18 +567,20 @@ def _verify_contextual(
 
 
 def _verify_noncontextual(
-    mixture: Sequence[tuple[Fraction, frozenset[str]]],
+    graph: ExclusivityGraph,
+    mixture: Sequence[tuple[Fraction, int]],
     exact: PBAState,
     original: PBAState,
 ) -> None:
-    """Check that the weights of the mixture, pairs of a weight and the ones
-    of a 0-1 state, form a probability vector whose mixture reproduces the
-    state on every atom of the graph."""
+    """Check that the weights of the mixture, pairs of a weight and the mask
+    of a 0-1 state of ``graph``, form a probability vector whose mixture
+    reproduces the state on every atom of the graph."""
     weights = [w for w, _ in mixture]
     if sum(weights) != 1 or any(w < 0 for w in weights):
         raise CertificateError("weights are not a probability vector")
-    for v in exact.graph.vertices:
-        mix = sum(w * (v in ones) for w, ones in mixture)
+    for v in graph.vertices:
+        bit = graph.mask((v,))
+        mix = sum(w for w, mask in mixture if mask & bit)
         if mix != Fraction(exact.value(v)):
             raise CertificateError(f"weights fail to reproduce the state at {v!r}")
         if original.backend == FLOAT:

@@ -21,9 +21,10 @@ DEFAULT_SEARCH_BUDGET = 1_000_000
 class ExclusivityGraph:
     """Finite simple graph on named atoms; maximal cliques are the contexts.
 
-    ``components`` holds the connected components as graphs, each on its
-    vertices in this graph's order, ordered by their first vertex.  A
-    connected graph's only component is the graph itself.
+    A vertex set is a mask: vertex i of n is bit ``1 << n - 1 - i``, so masks
+    sort as value tuples.  ``components`` holds the connected components as
+    graphs on their vertices in this graph's order, with their bits here,
+    ordered by first vertex.  A connected graph is its own only component.
     """
 
     __slots__ = (
@@ -33,12 +34,12 @@ class ExclusivityGraph:
         "_adj",
         "_cliques",
         "_index",
-        "_vertex_set",
         "_bit",
+        "_mask",
         "_clique_masks",
     )
 
-    def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]]):
+    def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]], _bit=None):
         self.vertices = tuple(vertices)
         if len(set(self.vertices)) != len(self.vertices):
             raise ValueError("duplicate vertex names")
@@ -56,11 +57,9 @@ class ExclusivityGraph:
             self._adj[u].add(v)
             self._adj[v].add(u)
         self._cliques = self._maximal_cliques()
-        # Bit i stands for vertex i; maximal cliques as masks, for checking
-        # 0-1 states.
-        self._vertex_set = frozenset(self.vertices)
-        self._bit = {v: 1 << i for i, v in enumerate(self.vertices)}
-        self._clique_masks = tuple(sum(map(self._bit.get, c)) for c in self._cliques)
+        self._bit = _bit or {v: 1 << len(self.vertices) - 1 - i for i, v in enumerate(self.vertices)}
+        self._mask = sum(self._bit.values())
+        self._clique_masks = tuple(self.mask(c) for c in self._cliques)
         self.components = self._split()
 
     def _split(self) -> tuple["ExclusivityGraph", ...]:
@@ -75,14 +74,23 @@ class ExclusivityGraph:
             parts.append(merged)
         if len(parts) <= 1:
             return (self,)
-        parts.sort(key=lambda m: m & -m)
+        parts.sort(reverse=True)  # disjoint, so by first vertex
         return tuple(
             ExclusivityGraph(
                 [v for v in self.vertices if self._bit[v] & part],
                 [(u, v) for u, v in self.edges if self._bit[u] & part],
+                {v: b for v, b in self._bit.items() if b & part},
             )
             for part in parts
         )
+
+    def mask(self, names: Iterable[str]) -> int:
+        """The mask of the named vertices; an unknown name raises ``MissingVertex``."""
+        try:
+            return sum(self._bit[v] for v in set(names))
+        except KeyError as exc:
+            raise MissingVertex(f"unknown vertex {exc.args[0]!r}") from None
+
     def has_edge(self, u: str, v: str) -> bool:
         return ((u, v) if u <= v else (v, u)) in self.edges
 
@@ -194,41 +202,55 @@ def is_state(
     return True
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ZeroOneState:
-    """Deterministic state: exactly one atom fires in every maximal clique."""
+    """Deterministic state: exactly one atom fires in every maximal clique.
+    ``mask`` holds the atoms set to 1, in ``graph``'s bit order."""
 
     graph: ExclusivityGraph
-    ones: frozenset[str]
+    mask: int
 
     def __post_init__(self):
         # Clique counts on bitmasks.  Every edge lies in a maximal clique, so
         # two adjacent 1s also break a clique; the adjacent pair is looked
         # for, to name it, only once a clique is broken.
-        graph = self.graph
-        unknown = self.ones - graph._vertex_set
-        if unknown:
-            raise MissingVertex(f"unknown vertices {sorted(unknown)}")
-        ones = sum(map(graph._bit.get, self.ones))
-        for clique, mask in zip(graph._cliques, graph._clique_masks):
-            if (mask & ones).bit_count() != 1:
+        graph, mask = self.graph, self.mask
+        if mask & ~graph._mask:  # a negative mask too
+            raise MissingVertex(f"mask {mask:#x} has bits outside the graph")
+        for clique, bits in zip(graph._cliques, graph._clique_masks):
+            if (bits & mask).bit_count() != 1:
                 for u, v in sorted(graph.edges):
-                    if u in self.ones and v in self.ones:
+                    if mask & graph._bit[u] and mask & graph._bit[v]:
                         raise NotAGraphState(f"adjacent vertices {u!r}, {v!r} both set to 1")
                 raise NotAGraphState(f"clique {clique} does not contain exactly one 1")
 
+    @classmethod
+    def from_ones(cls, graph: ExclusivityGraph, ones: Iterable[str]) -> "ZeroOneState":
+        return cls(graph, graph.mask(ones))
+
+    @property
+    def ones(self) -> frozenset[str]:
+        return frozenset(v for v, bit in self.graph._bit.items() if self.mask & bit)
+
+    def __eq__(self, other) -> bool:
+        # Equal graphs may give a vertex different bits, but not other names.
+        return isinstance(other, ZeroOneState) and (self.graph, self.ones) == (other.graph, other.ones)
+
+    def __hash__(self) -> int:
+        return hash(self.ones)
+
     def value(self, vertex: str) -> int:
-        if vertex not in self.graph._index:
+        if vertex not in self.graph._bit:
             raise MissingVertex(vertex)
-        return 1 if vertex in self.ones else 0
+        return 1 if self.mask & self.graph._bit[vertex] else 0
 
     def as_tuple(self) -> tuple[int, ...]:
-        return tuple(1 if v in self.ones else 0 for v in self.graph.vertices)
+        return tuple(1 if self.mask & bit else 0 for bit in self.graph._bit.values())
 
     def as_state(self, backend: str = EXACT, tol: float = DEFAULT_TOL) -> PBAState:
         one = Fraction(1) if backend == EXACT else 1.0
         zero = Fraction(0) if backend == EXACT else 0.0
-        vals = {v: (one if v in self.ones else zero) for v in self.graph.vertices}
+        vals = {v: one if self.mask & bit else zero for v, bit in self.graph._bit.items()}
         return PBAState(self.graph, vals, backend=backend, tol=tol)
 
 
@@ -366,13 +388,14 @@ class ZeroOneSearch:
 def enumerate_zero_one_states(
     graph: ExclusivityGraph, budget: int = DEFAULT_SEARCH_BUDGET
 ) -> list[ZeroOneState]:
-    """All 0-1 states, sorted by the value tuple taken in vertex order.
+    """All 0-1 states, sorted by mask, so by the value tuple in vertex order.
 
     An empty result is meaningful: it is the defining property of a
     Kochen-Specker scenario.  A connected graph returns its one listing.
     Otherwise the states are the products of one state per component
-    (``component_zero_one_states``); listing them costs one search node per
-    product state beyond the component nodes, charged before any is built.
+    (``component_zero_one_states``), whose mask is the sum of the factors';
+    listing them costs one search node per product state beyond the
+    component nodes, charged before any is built.
     """
     listings, spent = _component_search(graph, budget)
     if len(listings) == 1:
@@ -382,16 +405,10 @@ def enumerate_zero_one_states(
     total = spent + prod(map(len, listings))
     if total > budget:
         raise SearchBudgetExceeded(total, budget)
-    # The value tuple read as a binary number, vertex 0 the most significant
-    # bit, sorts as the tuple does; a product's key is the sum of its
-    # factors' keys, and distinct states have distinct keys.
-    top = len(graph.vertices) - 1
-    products = [(0, frozenset())]
+    masks = [0]
     for listing in listings:
-        keyed = [(sum(1 << top - graph._index[v] for v in lam.ones), lam.ones) for lam in listing]
-        products = [(key + k, ones | o) for key, ones in products for k, o in keyed]
-    products.sort()
-    return [ZeroOneState(graph, ones) for _, ones in products]
+        masks = [mask + lam.mask for mask in masks for lam in listing]
+    return [ZeroOneState(graph, mask) for mask in sorted(masks)]
 
 
 def component_zero_one_states(
@@ -418,11 +435,11 @@ def _component_search(graph: ExclusivityGraph, budget: int) -> tuple[tuple, int]
 def _search_zero_one(
     graph: ExclusivityGraph, budget: int, spent: int
 ) -> tuple[list[ZeroOneState], int]:
-    """The sorted 0-1 states of the connected ``graph`` and the search nodes
-    entered, with ``spent`` nodes of ``budget`` already used by earlier
-    searches.  Variables are decided by descending degree; every node visits
-    both values, so the node count does not depend on which value comes
-    first."""
+    """The 0-1 states of the connected ``graph``, sorted by mask, and the
+    search nodes entered, with ``spent`` nodes of ``budget`` already used by
+    earlier searches.  Variables are decided by descending degree; every
+    node visits both values, so the node count does not depend on which
+    value comes first."""
     verts = graph.vertices
     n = len(verts)
     if n == 0:
@@ -432,15 +449,12 @@ def _search_zero_one(
     adj = [sorted(index[w] for w in graph._adj[v]) for v in verts]
     order = sorted(range(n), key=lambda i: (-len(adj[i]), verts[i]))
     search = ZeroOneSearch(n, adj, cliques, order, budget - spent)
+    bits = tuple(graph._bit.values())
     try:
-        found = sorted(search)
+        masks = sorted(sum(b for b, x in zip(bits, found) if x) for found in search)
     except SearchBudgetExceeded as exc:
         raise SearchBudgetExceeded(spent + exc.nodes, budget) from None
-    states = [
-        ZeroOneState(graph, frozenset(verts[i] for i in range(n) if bits[i] == 1))
-        for bits in found
-    ]
-    return states, search.nodes
+    return [ZeroOneState(graph, mask) for mask in masks], search.nodes
 
 
 def _refine_colors(n: int, adj: list[set[int]], init: list[int]) -> list[int]:

@@ -258,6 +258,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
                 parse_entry_float(e, f"vectors[{vi}].entries[{ei}]")
                 for ei, e in enumerate(entries)
             )
+        if all(e in (0, (0, 0)) for e in parsed):  # (re, im) pairs when exact
+            raise ScenarioFormatError(f"vectors[{vi}].entries: the zero vector spans no ray")
         names.append(name)
         vectors.append(parsed)
     if len(set(names)) != len(names):
@@ -287,6 +289,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     generators: list[Projector] = []
     for gi, gen in enumerate(raw_gens):
         if isinstance(gen, str):
+            if gen not in index:
+                raise ScenarioFormatError(f"generators[{gi}]: unknown vector {gen!r}")
             generators.append(ray_projector(gen))
         elif isinstance(gen, dict) and "matrix" in gen:
             mat = _parse_matrix(gen["matrix"], backend, tol, dim, f"generators[{gi}].matrix")

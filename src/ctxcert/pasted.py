@@ -147,6 +147,15 @@ class PastedPBA:
         i, sub = loc
         return (i, frozenset(self.context_atoms[i]) - sub)
 
+    def _cross_pairs(self) -> dict[tuple[int, int], list[tuple[frozenset, frozenset]]]:
+        """The identified subsets (x, y) of each pair of contexts i < j."""
+        cross: dict[tuple[int, int], list[tuple[frozenset, frozenset]]] = {}
+        for members in self._classes().values():
+            for (i, x), (j, y) in combinations(sorted(members), 2):
+                if i != j:
+                    cross.setdefault((i, j), []).append((x, y))
+        return cross
+
     def _close(self) -> None:
         # Fixpoint closure: identified elements force identified complements,
         # and identified pairs within one context pair force identified
@@ -154,23 +163,13 @@ class PastedPBA:
         changed = True
         while changed:
             changed = False
-            for members in self._classes().values():
-                for (i, x), (j, y) in combinations(sorted(members), 2):
-                    if i == j:
-                        continue
-                    if self._union(self._complement_local((i, x)), self._complement_local((j, y))):
-                        changed = True
-            cross: dict[tuple[int, int], list[tuple[frozenset, frozenset]]] = {}
-            for members in self._classes().values():
-                for (i, x), (j, y) in combinations(sorted(members), 2):
-                    if i != j:
-                        cross.setdefault((i, j), []).append((x, y))
-            for (i, j), pairs in cross.items():
+            for (i, j), pairs in self._cross_pairs().items():
+                for x, y in pairs:
+                    changed |= self._union(self._complement_local((i, x)), self._complement_local((j, y)))
+            for (i, j), pairs in self._cross_pairs().items():
                 for (x1, y1), (x2, y2) in combinations(pairs, 2):
-                    if self._union((i, x1 & x2), (j, y1 & y2)):
-                        changed = True
-                    if self._union((i, x1 | x2), (j, y1 | y2)):
-                        changed = True
+                    changed |= self._union((i, x1 & x2), (j, y1 & y2))
+                    changed |= self._union((i, x1 | x2), (j, y1 | y2))
 
     def _validate_consistency(self) -> None:
         for members in self._classes().values():
@@ -184,13 +183,7 @@ class PastedPBA:
                 per_ctx[i] = sub
         # Order agreement on shared pairs follows from the meet/join closure,
         # but check it explicitly so a failure names the offending pair.
-        groups = self._classes()
-        cross: dict[tuple[int, int], list[tuple[frozenset, frozenset]]] = {}
-        for members in groups.values():
-            for (i, x), (j, y) in combinations(sorted(members), 2):
-                if i != j:
-                    cross.setdefault((i, j), []).append((x, y))
-        for (i, j), pairs in cross.items():
+        for (i, j), pairs in self._cross_pairs().items():
             for (x1, y1), (x2, y2) in combinations(pairs, 2):
                 if (x1 <= x2) != (y1 <= y2):
                     raise InconsistentGluing(
@@ -267,21 +260,19 @@ class PastedPBA:
         return self.element_names[self._comp[self._idx(x)]]
 
     def meet_of(self, x: str, y: str) -> str:
-        a, b = self._idx(x), self._idx(y)
-        shared = self._ctx_reps[a].keys() & self._ctx_reps[b].keys()
-        if not shared:
-            raise Incompatible(f"{x!r} and {y!r} share no context")
-        i = min(shared)
-        root = self._find((i, self._ctx_reps[a][i] & self._ctx_reps[b][i]))
-        return self.element_names[self._root_pos[root]]
+        return self._in_first_shared_context(x, y, frozenset.__and__)
 
     def join_of(self, x: str, y: str) -> str:
+        return self._in_first_shared_context(x, y, frozenset.__or__)
+
+    def _in_first_shared_context(self, x: str, y: str, op) -> str:
+        """``op`` of the subsets of x and y in the first context they share."""
         a, b = self._idx(x), self._idx(y)
         shared = self._ctx_reps[a].keys() & self._ctx_reps[b].keys()
         if not shared:
             raise Incompatible(f"{x!r} and {y!r} share no context")
         i = min(shared)
-        root = self._find((i, self._ctx_reps[a][i] | self._ctx_reps[b][i]))
+        root = self._find((i, op(self._ctx_reps[a][i], self._ctx_reps[b][i])))
         return self.element_names[self._root_pos[root]]
 
     def _order(self) -> tuple[list[int], list[int]]:

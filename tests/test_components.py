@@ -1,6 +1,7 @@
 """Certification per connected component of the atom graph, checked against
-the full 0-1 listing on small products: k unrelated bases of R^3 (k <= 4) and
-the Yu-Oh rays with up to two unrelated bases added."""
+the full 0-1 listing on small products: k unrelated bases of R^3 (k <= 4, and
+k = 3 with the bases' rays interleaved) and the Yu-Oh rays with up to two
+unrelated bases added."""
 
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from ctxcert.analyze import (
     zero_one_states,
 )
 from ctxcert.catalog import BUILTINS
-from ctxcert.errors import IncompleteListing, SearchBudgetExceeded
+from ctxcert.errors import IncompleteListing, MissingVertex, SearchBudgetExceeded
 from ctxcert.graphs import (
     ExclusivityGraph,
     ZeroOneState,
@@ -68,7 +69,14 @@ def _system(rays):
     return system.with_atom_labels({f"r{i}": p for i, p in enumerate(projectors)})
 
 
+def interleaved_rays(k):
+    """The k bases' rays in round-robin order, so that the components'
+    vertices, and their bits, interleave."""
+    return ladder.round_robin(k_bases_rays(k))
+
+
 FAMILIES = {f"k={k}": (k_bases_rays, k) for k in (1, 2, 3, 4)}
+FAMILIES["k=3-interleaved"] = (interleaved_rays, 3)
 FAMILIES.update({f"yu-oh+{k}": (yu_oh_plus_rays, k) for k in (0, 1, 2)})
 
 
@@ -132,6 +140,35 @@ def test_component_listings_multiply_to_the_full_listing(family):
     assert products == {lam.ones for lam in s01}
     for part, listing in zip(graph.components, listings):
         assert listing == enumerate_zero_one_states(part)
+
+
+def test_masks_are_in_the_graph_bit_order(family):
+    """Vertex i of n is bit 1 << n - 1 - i, so a mask is its value tuple
+    read in binary and masks ascend as value tuples do; components keep
+    their parent's bits, so a product state's mask is the sum of its
+    factors' masks; any other bit is a MissingVertex."""
+    _, _, system, s01 = family
+    graph = system.atom_graph()
+    n = len(graph.vertices)
+    assert [graph.mask([v]) for v in graph.vertices] == [1 << n - 1 - i for i in range(n)]
+    for part in graph.components:
+        assert [part.mask([v]) for v in part.vertices] == [graph.mask([v]) for v in part.vertices]
+    masks = [lam.mask for lam in s01]
+    assert masks == [int("".join(map(str, lam.as_tuple())), 2) for lam in s01]
+    assert masks == sorted(set(masks))
+    listings = component_zero_one_states(graph)
+    for choice in product(*listings):
+        ones = frozenset().union(*(lam.ones for lam in choice))
+        assert ZeroOneState.from_ones(graph, ones).mask == sum(lam.mask for lam in choice)
+    lam = s01[-1]
+    for stray in (lam.mask | 1 << n, -1, -lam.mask, ~lam.mask):
+        with pytest.raises(MissingVertex):
+            ZeroOneState(graph, stray)
+    if len(graph.components) > 1:
+        with pytest.raises(MissingVertex):
+            ZeroOneState(graph.components[0], lam.mask)
+    with pytest.raises(MissingVertex):
+        ZeroOneState.from_ones(graph, lam.ones | {"nowhere"})
 
 
 def test_component_searches_share_one_budget():
@@ -345,6 +382,34 @@ def test_weights_index_a_given_listing_in_its_own_order(family):
     position = {lam.ones: i for i, lam in enumerate(shuffled)}
     sorted_keys = {position[s01[k].ones]: w for k, w in is_noncontextual(p).weights.items()}
     assert cert.weights == sorted_keys
+
+
+@pytest.mark.parametrize("name", ["kcbs", "ceg-lift", "k=2"])
+def test_a_listing_on_a_reordered_equal_graph_is_read_by_name(name):
+    """The graph's own listing, given as states of an equal graph in reversed
+    vertex order: their masks name other vertices in the atom graph, yet the
+    reports are those of the graph's own listing."""
+    system = _system(k_bases_rays(2)) if name == "k=2" else BUILTINS[name].system()
+    graph = system.atom_graph()
+    s01 = zero_one_states(system)
+    reversed_graph = ExclusivityGraph(graph.vertices[::-1], graph.edges)
+    moved = [ZeroOneState.from_ones(reversed_graph, lam.ones) for lam in s01]
+    assert moved == s01 and [lam.mask for lam in moved] != [lam.mask for lam in s01]
+    assert scenario_classical(system, moved) == scenario_classical(system, s01)
+    # A mixture with weight k + 1 on state k, so that no symmetry of the
+    # graph maps the mixture to itself.
+    total = len(s01) * (len(s01) + 1) // 2
+    point = {
+        v: Fraction(sum((k + 1) * lam.value(v) for k, lam in enumerate(s01)), total)
+        for v in graph.vertices
+    }
+    p = analyze.PBAState(graph, point)
+    cert = is_noncontextual(p, s01)
+    assert cert.verdict == NONCONTEXTUAL and is_noncontextual(p, moved) == cert
+    assert classify_experiment(system, p, moved) == classify_experiment(system, p, s01)
+    # The state itself on the reordered graph: certified on the atom graph's listing.
+    p_moved = analyze.PBAState(reversed_graph, point)
+    assert classify_experiment(system, p_moved) == classify_experiment(system, p)
 
 
 def test_empty_listing_of_a_connected_graph_is_still_empty_s01(kcbs_quantum_state):

@@ -100,11 +100,11 @@ def test_float_nan_value_is_not_a_state():
 
 def test_zero_one_state_validation():
     g = kcbs_graph()
-    ZeroOneState(g, frozenset({"P0", "P2", "P34"}))
+    ZeroOneState.from_ones(g, frozenset({"P0", "P2", "P34"}))
     with pytest.raises(NotAGraphState):
-        ZeroOneState(g, frozenset({"P0", "P1"}))  # adjacent
+        ZeroOneState.from_ones(g, frozenset({"P0", "P1"}))  # adjacent
     with pytest.raises(NotAGraphState):
-        ZeroOneState(g, frozenset())  # empty cliques
+        ZeroOneState.from_ones(g, frozenset())  # empty cliques
 
 
 def test_enumerate_triangle():
@@ -257,12 +257,12 @@ def test_zero_one_state_check_matches_set_based_check(g, data):
     subsets = [frozenset(data.draw(st.lists(st.sampled_from(candidates)))) for _ in range(4)]
     for ones in valid[:3] + subsets:
         expected = _outcome(set_based_zero_one_check, g, ones)
-        assert _outcome(ZeroOneState, g, ones) == expected
+        assert _outcome(ZeroOneState.from_ones, g, ones) == expected
         if expected is NotAGraphState and any(
             u in ones and v in ones for u, v in g.edges
         ):
             with pytest.raises(NotAGraphState, match="adjacent vertices"):
-                ZeroOneState(g, ones)
+                ZeroOneState.from_ones(g, ones)
 
 
 def test_isomorphic_relabelled_cycle():

@@ -6,6 +6,7 @@ import contextlib
 import json
 import logging
 import math
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -379,6 +380,27 @@ def test_cli_non_finite_float_generator_entry_names_the_field(tmp_path, capsys):
     code, out, err = run_cli(["build", str(scenario)], capsys)
     assert (code, out) == (1, "")
     assert err == "error: generators[1].matrix[0][0]: must be finite, got 'nan'\n"
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (
+            {"vectors": [{"name": "a", "entries": ["1", "0"]}, {"name": "z", "entries": ["0", "0"]}]},
+            "vectors[1].entries: the zero vector spans no ray",
+        ),
+        ({"generators": ["a", "q"]}, "generators[1]: unknown vector 'q'"),
+    ],
+)
+def test_cli_scenario_errors_name_the_field(tmp_path, capsys, backend, edit, message):
+    doc = {"dimension": 2, "backend": backend, "vectors": TWO_FLOAT_RAYS["vectors"], **edit}
+    with pytest.raises(ScenarioFormatError, match=f"^{re.escape(message)}$"):
+        scenario_from_dict(doc)
+    scenario = tmp_path / "rays.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["build", str(scenario)], capsys)
+    assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 def test_cli_builds_matrix_generators_as_the_builtin_does(tmp_path, capsys):
@@ -962,15 +984,34 @@ def _mutated(draw, doc):
 _STATE = {"density": [[{"re": "1/3"} if i == j else {"re": "0"} for j in range(3)] for i in range(3)]}
 
 
+# A field path such as ``vectors[2].entries[1].re``, then the message.
+_FIELD_NAMED = re.compile(r"[a-z]+(\[\d+\]|\.[a-z]+)*: ")
+_DOCUMENT_LEVEL = (
+    "scenario document must be a JSON object",
+    "state document must be a JSON object",
+    "state: expected exactly one of ",
+)
+
+
+def _field_named(read, *args) -> None:
+    """Call a reader; a ``ScenarioFormatError`` it raises must name a field
+    or be about the whole document."""
+    try:
+        read(*args)
+    except ScenarioFormatError as exc:
+        message = str(exc)
+        assert _FIELD_NAMED.match(message) or message.startswith(_DOCUMENT_LEVEL), message
+    except CtxcertError:
+        pass
+
+
 @given(st.data())
 @settings(max_examples=300, deadline=None)
 def test_malformed_documents_raise_typed_errors(data):
     scenario = data.draw(_mutated(dict(BOOLEAN_SCENARIO, generators=["ex", "ey"])))
-    with contextlib.suppress(CtxcertError):
-        scenario_from_dict(scenario)
+    _field_named(scenario_from_dict, scenario)
     state = data.draw(_mutated(data.draw(st.sampled_from([_STATE, {"vector": [{"re": "1"}] * 3}]))))
-    with contextlib.suppress(CtxcertError):
-        state_from_dict(state, data.draw(st.sampled_from(["exact", "float"])), 1e-9, 3)
+    _field_named(state_from_dict, state, data.draw(st.sampled_from(["exact", "float"])), 1e-9, 3)
     system = generate_system(scenario_from_dict(BOOLEAN_SCENARIO).generators)
     payload = data.draw(_mutated(system_to_payload(system)))
     with contextlib.suppress(CtxcertError, ValueError):  # the cache reader's miss types
