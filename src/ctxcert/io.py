@@ -33,7 +33,6 @@ import json
 import logging
 import math
 import os
-import re
 from collections.abc import Iterable, Sized
 from dataclasses import dataclass
 from fractions import Fraction
@@ -55,17 +54,6 @@ from .vectorsets import Basis, VectorSet
 
 log = logging.getLogger(__name__)
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d*[1-9]\d*)?$")
-
-
-def _is_rational_literal(value) -> bool:
-    if isinstance(value, int):
-        return True
-    if isinstance(value, str):
-        return bool(_RATIONAL_RE.match(value.strip()))
-    return False
-
-
 def parse_rational(value, field: str) -> Fraction:
     try:
         if isinstance(value, (int, str)):
@@ -76,31 +64,34 @@ def parse_rational(value, field: str) -> Fraction:
 
 
 @functools.lru_cache(maxsize=4096)
-def _ascii_ratio(text: str) -> tuple[int, int] | None:
-    """(num, den) of ``[+-]digits(/digits)?`` in ASCII with den > 0,
-    surrounding whitespace allowed; None for anything else.  Memoised: a
-    payload repeats a few literals many times."""
+def _ratio_literal(text: str) -> tuple[int, int] | None:
+    """(num, den) of ``[+-]digits(/digits)?`` with den > 0, where a digit is
+    any decimal digit (``str.isdecimal``) and surrounding whitespace is
+    allowed; None for anything else.  This one grammar decides both the
+    inferred backend and the exact parse.  Memoised: a payload repeats a few
+    literals many times."""
     num, slash, den = text.strip().partition("/")
     digits = num[1:] if num[:1] in ("+", "-") else num
-    if not (digits.isascii() and digits.isdigit()):
-        return None
-    if not slash:
-        den = "1"
-    elif not (den.isascii() and den.isdigit()):
+    if not digits.isdecimal() or (slash and not den.isdecimal()):
         return None
     try:
-        n, d = int(num), int(den)
+        n, d = int(num), int(den or "1")
     except ValueError:  # past the interpreter's int-string digit limit
         return None
     return (n, d) if d else None
 
 
+def _is_rational_literal(value) -> bool:
+    return isinstance(value, int) or (isinstance(value, str) and _ratio_literal(value) is not None)
+
+
 def parse_ratio(value, field: str) -> tuple[int, int]:
     """``parse_rational`` as a (numerator, positive denominator) pair, not
-    necessarily in lowest terms.  Plain ASCII literals are read without
-    ``Fraction``; everything else goes through ``parse_rational``, so the
-    accepted inputs, values and error messages are the same."""
-    pair = _ascii_ratio(value) if type(value) is str else None
+    necessarily in lowest terms.  Literals of ``_ratio_literal``'s grammar
+    are read without ``Fraction``; everything else goes through
+    ``parse_rational``, so the accepted inputs, values and error messages
+    are the same."""
+    pair = _ratio_literal(value) if type(value) is str else None
     if pair is None:
         f = parse_rational(value, field)
         pair = f.numerator, f.denominator

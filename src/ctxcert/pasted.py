@@ -1,7 +1,8 @@
 """Abstract event algebras presented as Boolean contexts glued along shared elements.
 
 Each context is a named finite set of local atoms; its elements are all subsets
-of those atoms.  Gluings identify elements across contexts (atoms with equal
+of those atoms, held as ``(context index, mask)`` with atom j of the context as
+bit ``1 << j``.  Gluings identify elements across contexts (atoms with equal
 names are identified automatically).  The identification is closed under
 complement and under pairwise meet/join of already-identified elements, then
 validated.  This representation hosts structures that no projector family can
@@ -12,14 +13,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
+from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
 from .errors import Incompatible, InconsistentGluing, NotAGraphState, NotAPBA, UnknownElement
 from .graphs import ExclusivityGraph
 from .systems import first_lep_violation, first_transitivity_violation, neg_image
 
-Local = tuple[int, frozenset]
+Local = tuple[int, int]
 
 MAX_CONTEXT_ATOMS = 12
 # Pairwise-compatible sets up to this size are checked for a common context.
@@ -46,7 +49,8 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class AxiomReport:
-    """How far the pairwise-compatibility axiom was verified exhaustively."""
+    """How far the pairwise-compatibility axiom was verified exhaustively;
+    ``subsets_checked`` counts the sets of distinct context masks tested."""
 
     verified_up_to_size: int
     subsets_checked: int
@@ -76,29 +80,26 @@ class PastedPBA:
                 raise NotAPBA(f"context {name!r} exceeds {MAX_CONTEXT_ATOMS} atoms")
             self.context_atoms.append(atoms)
         self._ctx_index = {n: i for i, n in enumerate(self.context_names)}
+        self._full = [(1 << len(atoms)) - 1 for atoms in self.context_atoms]
 
+        # Keys by subset size, then in combinations order: classes and their
+        # members are listed in this order, which fixes the error messages.
         self._parent: dict[Local, Local] = {}
         for i, atoms in enumerate(self.context_atoms):
-            members = list(atoms)
-            for r in range(len(members) + 1):
-                for sub in combinations(members, r):
-                    self._parent[(i, frozenset(sub))] = (i, frozenset(sub))
+            for r in range(len(atoms) + 1):
+                for sub in combinations(range(len(atoms)), r):
+                    loc = (i, sum(1 << j for j in sub))
+                    self._parent[loc] = loc
 
         # Distinguished identifications: all empty subsets, all full subsets,
         # and same-named atoms across contexts.
-        first_empty = (0, frozenset())
-        first_full = (0, frozenset(self.context_atoms[0]))
         for i in range(1, len(self.context_atoms)):
-            self._union(first_empty, (i, frozenset()))
-            self._union(first_full, (i, frozenset(self.context_atoms[i])))
+            self._union((0, 0), (i, 0))
+            self._union((0, self._full[0]), (i, self._full[i]))
         by_name: dict[str, Local] = {}
         for i, atoms in enumerate(self.context_atoms):
-            for a in atoms:
-                loc = (i, frozenset([a]))
-                if a in by_name:
-                    self._union(by_name[a], loc)
-                else:
-                    by_name[a] = loc
+            for j, a in enumerate(atoms):
+                self._union(by_name.setdefault(a, (i, 1 << j)), (i, 1 << j))
 
         for (cname1, sub1), (cname2, sub2) in gluings:
             self._union(self._local(cname1, sub1), self._local(cname2, sub2))
@@ -115,10 +116,14 @@ class PastedPBA:
         if context not in self._ctx_index:
             raise UnknownElement(f"unknown context {context!r}")
         i = self._ctx_index[context]
-        sub = frozenset(atoms)
-        if not sub <= set(self.context_atoms[i]):
-            raise UnknownElement(f"{sorted(sub)} not within context {context!r}")
-        return (i, sub)
+        names, atoms = self.context_atoms[i], set(atoms)
+        if not atoms <= set(names):
+            raise UnknownElement(f"{sorted(atoms)} not within context {context!r}")
+        return (i, sum(1 << names.index(a) for a in atoms))
+
+    def _atom_names(self, i: int, sub: int) -> list[str]:
+        """The names of the atoms of local subset ``sub`` of context i, sorted."""
+        return sorted(a for j, a in enumerate(self.context_atoms[i]) if sub >> j & 1)
 
     def _find(self, x: Local) -> Local:
         root = x
@@ -145,11 +150,11 @@ class PastedPBA:
 
     def _complement_local(self, loc: Local) -> Local:
         i, sub = loc
-        return (i, frozenset(self.context_atoms[i]) - sub)
+        return (i, sub ^ self._full[i])
 
-    def _cross_pairs(self) -> dict[tuple[int, int], list[tuple[frozenset, frozenset]]]:
+    def _cross_pairs(self) -> dict[tuple[int, int], list[tuple[int, int]]]:
         """The identified subsets (x, y) of each pair of contexts i < j."""
-        cross: dict[tuple[int, int], list[tuple[frozenset, frozenset]]] = {}
+        cross: dict[tuple[int, int], list[tuple[int, int]]] = {}
         for members in self._classes().values():
             for (i, x), (j, y) in combinations(sorted(members), 2):
                 if i != j:
@@ -173,23 +178,24 @@ class PastedPBA:
 
     def _validate_consistency(self) -> None:
         for members in self._classes().values():
-            per_ctx: dict[int, frozenset] = {}
+            per_ctx: dict[int, int] = {}
             for i, sub in members:
                 if i in per_ctx and per_ctx[i] != sub:
                     raise InconsistentGluing(
                         f"context {self.context_names[i]!r} identifies distinct subsets "
-                        f"{sorted(per_ctx[i])} and {sorted(sub)}"
+                        f"{self._atom_names(i, per_ctx[i])} and {self._atom_names(i, sub)}"
                     )
                 per_ctx[i] = sub
         # Order agreement on shared pairs follows from the meet/join closure,
         # but check it explicitly so a failure names the offending pair.
         for (i, j), pairs in self._cross_pairs().items():
             for (x1, y1), (x2, y2) in combinations(pairs, 2):
-                if (x1 <= x2) != (y1 <= y2):
+                if (not x1 & ~x2) != (not y1 & ~y2):
+                    xs, ys = self._atom_names(i, x1), self._atom_names(i, x2)
                     raise InconsistentGluing(
                         f"order disagreement between contexts {self.context_names[i]!r} "
-                        f"and {self.context_names[j]!r}: {sorted(x1)}<={sorted(x2)} "
-                        f"but not {sorted(y1)}<={sorted(y2)}"
+                        f"and {self.context_names[j]!r}: {xs}<={ys} but not "
+                        f"{self._atom_names(j, y1)}<={self._atom_names(j, y2)}"
                     )
 
     # -- global element catalog ---------------------------------------------
@@ -198,20 +204,17 @@ class PastedPBA:
         i, sub = rep
         if not sub:
             return "0"
-        if sub == frozenset(self.context_atoms[i]):
+        if sub == self._full[i]:
             return "1"
-        if len(sub) == 1:
-            return next(iter(sub))
-        return "|".join(sorted(sub))
+        return "|".join(self._atom_names(i, sub))
 
     def _build_catalog(self) -> None:
+        def key(loc: Local) -> tuple:
+            return (loc[1].bit_count(), self._atom_names(*loc), loc[0])
+
         groups = self._classes()
-        reps = {}
-        for root, members in groups.items():
-            rep = min(members, key=lambda loc: (len(loc[1]), tuple(sorted(loc[1])), loc[0]))
-            reps[root] = rep
-        order = sorted(groups, key=lambda r: (len(reps[r][1]), tuple(sorted(reps[r][1])), reps[r][0]))
-        self._roots = order
+        reps = {root: min(members, key=key) for root, members in groups.items()}
+        order = sorted(groups, key=lambda r: key(reps[r]))
         self._root_pos = {root: k for k, root in enumerate(order)}
         self._reps = [reps[root] for root in order]
         self._members = [sorted(groups[root]) for root in order]
@@ -219,10 +222,9 @@ class PastedPBA:
         if len(set(self.element_names)) != len(self.element_names):
             raise InconsistentGluing("element naming collision; gluing is malformed")
         self._by_name = {n: k for k, n in enumerate(self.element_names)}
-        # Per-element map: context -> local subset in that context.
-        self._ctx_reps: list[dict[int, frozenset]] = []
-        for members in self._members:
-            self._ctx_reps.append({i: sub for i, sub in members})
+        # Per element: context -> local subset, and the mask of its contexts.
+        self._subsets = [dict(members) for members in self._members]
+        self._contexts = [sum(1 << i for i in subsets) for subsets in self._subsets]
         self._comp = [
             self._root_pos[self._find(self._complement_local(self._reps[k]))]
             for k in range(len(order))
@@ -242,11 +244,11 @@ class PastedPBA:
     # -- relations ------------------------------------------------------------
 
     def _leq_idx(self, a: int, b: int) -> bool:
-        ra, rb = self._ctx_reps[a], self._ctx_reps[b]
-        return any(ra[i] <= rb[i] for i in ra.keys() & rb.keys())
+        shared, sb = self._contexts[a] & self._contexts[b], self._subsets[b]
+        return any(shared >> i & 1 and not sub & ~sb[i] for i, sub in self._subsets[a].items())
 
     def _compatible_idx(self, a: int, b: int) -> bool:
-        return bool(self._ctx_reps[a].keys() & self._ctx_reps[b].keys())
+        return bool(self._contexts[a] & self._contexts[b])
 
     def leq(self, x: str, y: str) -> bool:
         """x <= y: some context contains both with the subset inclusion."""
@@ -260,19 +262,19 @@ class PastedPBA:
         return self.element_names[self._comp[self._idx(x)]]
 
     def meet_of(self, x: str, y: str) -> str:
-        return self._in_first_shared_context(x, y, frozenset.__and__)
+        return self._in_first_shared_context(x, y, and_)
 
     def join_of(self, x: str, y: str) -> str:
-        return self._in_first_shared_context(x, y, frozenset.__or__)
+        return self._in_first_shared_context(x, y, or_)
 
     def _in_first_shared_context(self, x: str, y: str, op) -> str:
         """``op`` of the subsets of x and y in the first context they share."""
         a, b = self._idx(x), self._idx(y)
-        shared = self._ctx_reps[a].keys() & self._ctx_reps[b].keys()
+        shared = self._contexts[a] & self._contexts[b]
         if not shared:
             raise Incompatible(f"{x!r} and {y!r} share no context")
-        i = min(shared)
-        root = self._find((i, op(self._ctx_reps[a][i], self._ctx_reps[b][i])))
+        i = (shared & -shared).bit_length() - 1
+        root = self._find((i, op(self._subsets[a][i], self._subsets[b][i])))
         return self.element_names[self._root_pos[root]]
 
     def _order(self) -> tuple[list[int], list[int]]:
@@ -305,31 +307,28 @@ class PastedPBA:
 
     def _check_axiom(self) -> AxiomReport:
         # Bounded verification of the defining axiom: every pairwise-compatible
-        # subset must sit inside one context.  Sets of size <= 2 hold by the
-        # definition of compatibility.
-        n = len(self.element_names)
-        if n > 64:
+        # set of elements must sit inside one context (sizes <= 2 hold by the
+        # definition).  A set is decided by its context masks, so the walk is
+        # over distinct masks of two or more bits, each named by its first
+        # element: a repeated mask adds no violation, nor does a one-context
+        # mask, whose context every compatible partner shares.
+        first: dict[int, int] = {}
+        for k, mask in enumerate(self._contexts):
+            if mask & (mask - 1):
+                first.setdefault(mask, k)
+        if len(first) > 64:
             return AxiomReport(verified_up_to_size=2, subsets_checked=0)
-        masks = []
-        for k in range(n):
-            m = 0
-            for i in self._ctx_reps[k]:
-                m |= 1 << i
-            masks.append(m)
         checked = 0
-        top = min(AXIOM_CHECK_SIZE, n)
+        top = min(AXIOM_CHECK_SIZE, len(self.element_names))
         for size in range(3, top + 1):
-            for combo in combinations(range(n), size):
-                if any(not masks[a] & masks[b] for a, b in combinations(combo, 2)):
+            for combo in combinations(first, size):
+                if any(not a & b for a, b in combinations(combo, 2)):
                     continue
                 checked += 1
-                common = masks[combo[0]]
-                for k in combo[1:]:
-                    common &= masks[k]
-                if not common:
+                if not reduce(and_, combo):
                     raise NotAPBA(
                         "pairwise-compatible set with no common context: "
-                        f"{[self.element_names[k] for k in combo]}"
+                        f"{[self.element_names[first[mask]] for mask in combo]}"
                     )
         return AxiomReport(verified_up_to_size=top, subsets_checked=checked)
 
@@ -377,7 +376,7 @@ class PastedState:
         # Local consistency: every representation of a glued element carries
         # the same mass.
         for k, members in enumerate(pba._members):
-            vals = {sum(self.atom_values[a] for a in sub) for _, sub in members}
+            vals = {sum(self.atom_values[a] for a in pba._atom_names(i, sub)) for i, sub in members}
             if len(vals) > 1:
                 raise NotAGraphState(
                     f"element {pba.element_names[k]!r} has inconsistent mass {sorted(vals)}"
@@ -385,7 +384,7 @@ class PastedState:
 
     def value(self, element: str) -> Fraction:
         i, sub = self.pba._reps[self.pba._idx(element)]
-        return sum((self.atom_values[a] for a in sub), Fraction(0))
+        return sum((self.atom_values[a] for a in self.pba._atom_names(i, sub)), Fraction(0))
 
 
 def build_pasted_pba(

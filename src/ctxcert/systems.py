@@ -55,17 +55,18 @@ PROGRESS_EVERY = 1000
 class _Pool:
     """Deduplicating index of projector matrices.
 
-    Exact matrices key exactly.  A float matrix keys on its grid cell
-    (``FloatMatrix.grid_key``).  On a miss, the lowest-index pooled matrix
-    within tolerance is returned, as a scan of the whole pool would find it:
-    when every pooled matrix shares the query's tolerance, only the cells
-    that the +-tol box around the query touches (``FloatMatrix.near_keys``)
-    can hold one, so only their matrices are confirmed with
-    ``approx_equal``.  This relies on each key mapping to one matrix, which
-    holds because the closure inserts a matrix only after its own key
-    missed.  Mixed tolerances, or more than
-    ``MAX_STRADDLING`` coordinates near a cell edge (2**8 cells), fall back
-    to the scan.
+    Exact matrices key exactly.  A float lookup returns the lowest-index
+    pooled matrix within tolerance, as a scan of the whole pool would find
+    it; the grid cells (``FloatMatrix.grid_key``) only narrow the candidates,
+    and ``approx_equal`` decides.  A float matrix is listed, in index order,
+    under every cell that the +-tol box around it touches
+    (``FloatMatrix.near_keys``), so when every pooled matrix shares the
+    query's tolerance only the list of the query's own cell can hold a
+    match.  A listed matrix with bit-identical entries is returned untested:
+    the closure inserts a matrix only after its lookup missed, so no other
+    pooled matrix is within tolerance of it.  Mixed tolerances, or a pooled
+    matrix with more than ``MAX_STRADDLING`` coordinates near a cell edge
+    (2**8 cells), fall back to the scan.
     """
 
     MAX_STRADDLING = 8
@@ -75,17 +76,18 @@ class _Pool:
         self._by_key: dict = {}
         self._mats: list = []
         self._tols: set = set()
+        self._scan = False
 
     def lookup(self, mat) -> int | None:
-        key = mat.key()
-        hit = self._by_key.get(key)
-        if hit is not None or self.backend != FLOAT:
-            return hit
-        keys = mat.near_keys(self.MAX_STRADDLING) if self._tols <= {mat.tol} else None
-        if keys is None:
+        if self.backend != FLOAT:
+            return self._by_key.get(mat.key())
+        if self._scan or not self._tols <= {mat.tol}:
             candidates = range(len(self._mats))
         else:
-            candidates = sorted(idx for idx in map(self._by_key.get, keys) if idx is not None)
+            candidates = self._by_key.get(mat.key(), ())
+            for idx in candidates:
+                if self._mats[idx].entries == mat.entries:
+                    return idx
         for idx in candidates:
             if mat.approx_equal(self._mats[idx]):
                 return idx
@@ -94,9 +96,14 @@ class _Pool:
     def insert(self, mat) -> int:
         idx = len(self._mats)
         self._mats.append(mat)
-        self._by_key[mat.key()] = idx
-        if self.backend == FLOAT:
-            self._tols.add(mat.tol)
+        if self.backend != FLOAT:
+            self._by_key[mat.key()] = idx
+            return idx
+        self._tols.add(mat.tol)
+        keys = mat.near_keys(self.MAX_STRADDLING)
+        self._scan |= keys is None
+        for key in keys or ():
+            self._by_key.setdefault(key, []).append(idx)
         return idx
 
 
@@ -328,9 +335,6 @@ class QuantumSystem:
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self._leq_rows[i] >> j & 1)
 
-    def complement_index(self, i: int) -> int:
-        return self._comp[i]
-
     # -- atoms -----------------------------------------------------------------
 
     def atom_indices(self) -> list[int]:
@@ -461,9 +465,9 @@ def leq_q(system: QuantumSystem, p: Projector, q: Projector) -> bool:
 
 
 def exclusive_q(system: QuantumSystem, p: Projector, q: Projector) -> bool:
-    """Exclusivity inside a system reduces to a vanishing product."""
+    """Exclusivity inside a system, read from the order rows: P <= not Q."""
     i, j = system.index_of(p), system.index_of(q)
-    return matrix_orthogonal(system.elements[i].mat, system.elements[j].mat)
+    return system.leq_idx(i, system._comp[j])
 
 
 def generate_system(
@@ -491,8 +495,10 @@ def generate_system(
     pair completes PQ, which is then exactly ``mul``'s product.  No float
     pair is skipped: the float backend decides every relation entrywise
     within tol, never from a trace.  Float duplicates are found by
-    ``_Pool``, which probes the grid cells next to a new matrix instead of
-    scanning every element.
+    ``_Pool``, which lists each element under the grid cells near it and
+    reads only the new matrix's cell instead of scanning every element; a
+    cell narrows the candidates, and the float rule decides.  ``insert``
+    drops duplicate generators as it drops any other duplicate.
     """
     if not generators:
         raise NotAnElement("need at least one generator")
@@ -523,8 +529,7 @@ def generate_system(
 
     insert(zero_projector(dim, backend, tol).mat)
     insert(identity_projector(dim, backend, tol).mat)
-    seeds = sorted({g.sort_key(): g for g in generators}.values(), key=lambda p: p.sort_key())
-    for g in seeds:
+    for g in sorted(generators, key=lambda p: p.sort_key()):
         insert(g.mat)
 
     ident = elems[1].mat

@@ -34,7 +34,7 @@ from ctxcert.io import (
     system_from_payload,
     system_to_payload,
 )
-from ctxcert.linalg import ExactMatrix
+from ctxcert.linalg import ExactMatrix, complement
 from ctxcert.systems import generate_system, systems_equal
 from ctxcert.vectorsets import VectorSet
 
@@ -422,6 +422,46 @@ def test_cli_builds_matrix_generators_as_the_builtin_does(tmp_path, capsys):
         assert scenario_from_dict(doc).vector_set.backend == backend
 
 
+@pytest.mark.parametrize(
+    "second, code, out, err",
+    [
+        ("2e-8", 0, "elements: 6, atoms: 4", ""),
+        ("5e-10", 1, "", "error: atom labeled twice: 'a', 'b'\n"),
+    ],
+)
+def test_cli_float_rays_in_one_grid_cell_are_two_atoms_unless_within_tol(
+    tmp_path, capsys, second, code, out, err
+):
+    # The projectors of (1, 0) and (1, 2e-8) share a grid cell at tol 1e-9
+    # but are not equal; (1, 5e-10) names the ray of (1, 0) a second time.
+    doc = {
+        "dimension": 2,
+        "backend": "float",
+        "vectors": [{"name": "a", "entries": ["1", "0"]}, {"name": "b", "entries": ["1", second]}],
+    }
+    scenario = tmp_path / "rays.json"
+    scenario.write_text(json.dumps(doc), encoding="utf-8")
+    got = run_cli(["build", str(scenario), "--no-cache"], capsys)
+    assert (got[0], got[2]) == (code, err) and out in got[1]
+
+
+@pytest.mark.parametrize(
+    "literal, want",
+    [("١", "exact"), ("1/٣", "exact"), (" -2/4 ", "exact"), ("1.5", "float"),
+     ("²", "bad number"), ("1" * 5000, "must be finite")],
+)
+def test_backend_inference_reads_the_exact_parse_grammar(literal, want):
+    # A literal is exact when the exact parse reads it without Fraction, so
+    # Unicode decimal digits stay exact; one past the int digit limit is
+    # read as a float, which is infinite.
+    doc = {"dimension": 2, "vectors": [{"name": "a", "entries": [literal, "1"]}]}
+    if want in ("exact", "float"):
+        assert scenario_from_dict(doc).vector_set.backend == want
+    else:
+        with pytest.raises(ScenarioFormatError, match=rf"^vectors\[0\]\.entries\[0\](\.re)?: {want}"):
+            scenario_from_dict(doc)
+
+
 @pytest.mark.parametrize("entry", ["1e-200", "1e200"])
 def test_cli_builds_a_float_ray_whose_squared_norm_under_or_overflows(tmp_path, capsys, entry):
     doc = json.loads(json.dumps(TWO_FLOAT_RAYS))
@@ -797,7 +837,7 @@ def _without_an_atom(doc, system, scenario):
     rest is in order and closed under complement, but some element is no
     longer a sum of the atoms that remain."""
     atom = next(i for i in system.atom_indices() if system.atom_label(i) not in scenario.labels)
-    gone = {atom, system.complement_index(atom)}
+    gone = {atom, system.index_of(complement(system.elements[atom]))}
     bad = json.loads(json.dumps(doc))
     payload = bad["system"]
     payload["elements"] = [e for k, e in enumerate(payload["elements"]) if k not in gone]

@@ -7,14 +7,17 @@ from fractions import Fraction
 
 import pytest
 
+from ctxcert.catalog import ceg_set
 from ctxcert.errors import BackendMismatch, ClosureBudgetExceeded, NotAnElement, UnknownElement
 from ctxcert.graphs import PBAState
 from ctxcert.linalg import (
+    FLOAT,
     DensityMatrix,
     ExactMatrix,
     Projector,
     complement,
     join,
+    matrix_orthogonal,
     projector_from_vector,
     quantum_state_eval,
 )
@@ -116,6 +119,32 @@ def test_kcbs_ring_exclusivity(q_kcbs):
         r = q_kcbs.atom_by_label(f"P{(i + 2) % 5}")
         assert exclusive_q(q_kcbs, p, q)
         assert not exclusive_q(q_kcbs, p, r)
+
+
+@pytest.fixture(scope="module")
+def q_ceg_float():
+    return generate_system([projector_from_vector(v, backend=FLOAT) for v in ceg_set().vectors])
+
+
+@pytest.mark.parametrize("system", ["q_kcbs", "q_ceg", "q_ceg_float"])
+def test_exclusive_q_is_the_vanishing_product(system, request):
+    # exclusive_q reads the order rows (P <= not Q); the matrices agree.
+    q = request.getfixturevalue(system)
+    for a in q.elements:
+        assert [exclusive_q(q, a, b) for b in q.elements] == [
+            matrix_orthogonal(a.mat, b.mat) for b in q.elements
+        ]
+
+
+@pytest.mark.parametrize("second, elements", [(2e-8, 6), (4e-8, 6), (5e-10, 4)])
+def test_float_rays_in_one_grid_cell_are_equal_only_within_tol(second, elements):
+    # (1, 0) and (1, 2e-8) have projectors 2e-8 apart, in one grid cell at
+    # tol 1e-9 but not equal; (1, 5e-10) is the same ray within tol.
+    rays = [projector_from_vector(v, backend=FLOAT) for v in ([1, 0], [1, second])]
+    system = generate_system(rays)
+    assert len(system) == elements
+    assert len(system.atom_indices()) == elements - 2
+    assert len({system.index_of(r) for r in rays}) == (elements - 2) // 2
 
 
 def test_leq_q_examples(q_kcbs):

@@ -67,26 +67,18 @@ def _bits(mat) -> tuple:
 
 
 class ScanPool:
-    """Deduplicating pool that scans every matrix on a key miss."""
+    """Deduplicating pool that scans every matrix: the lowest index whose
+    matrix equals the query under the backend's equality."""
 
     def __init__(self, backend: str):
         self.backend = backend
-        self._by_key: dict = {}
         self._mats: list = []
 
     def lookup(self, mat) -> int | None:
-        hit = self._by_key.get(mat.key())
-        if hit is not None:
-            return hit
-        if self.backend == FLOAT:
-            for idx, other in enumerate(self._mats):
-                if mat.approx_equal(other):
-                    return idx
-        return None
+        return next((idx for idx, other in enumerate(self._mats) if _equal(mat, other)), None)
 
     def insert(self, mat) -> int:
         self._mats.append(mat)
-        self._by_key[mat.key()] = len(self._mats) - 1
         return len(self._mats) - 1
 
 
@@ -107,7 +99,7 @@ def ref_closure(generators, max_elements=DEFAULT_MAX_ELEMENTS) -> list:
 
     insert(zero_projector(dim, backend, tol).mat)
     insert(identity_projector(dim, backend, tol).mat)
-    for g in sorted({g.sort_key(): g for g in generators}.values(), key=lambda g: g.sort_key()):
+    for g in sorted(generators, key=lambda g: g.sort_key()):
         insert(g.mat)
     ident = mats[1]
     idx = 0
@@ -607,6 +599,23 @@ def test_pool_with_mixed_tolerances_falls_back_to_the_scan():
             p.insert(FloatMatrix(1, (0j,), tol=stored.tol))
             p.insert(stored)
         assert pool.lookup(query) == scan.lookup(query) == 1
+
+
+def test_pool_scans_once_a_pooled_matrix_straddles_too_many_cell_edges():
+    # Every coordinate of the stored matrix lies on a cell edge, so it has
+    # no near keys and is listed under no cell; the query, tol/2 across
+    # every edge, is in another cell yet equal to it.
+    edge = 0.5 * STEP
+    stored = _from_coords(3, [edge] * 18)
+    query = _from_coords(3, [edge + TOL / 2] * 18)
+    assert stored.near_keys(systems_module._Pool.MAX_STRADDLING) is None
+    assert stored.grid_key() != query.grid_key() and query.approx_equal(stored)
+    pool, scan = systems_module._Pool(FLOAT), ScanPool(FLOAT)
+    for p in (pool, scan):
+        p.insert(_from_coords(3, [0.0] * 18))
+        p.insert(stored)
+    for mat in (stored, query):
+        assert pool.lookup(mat) == scan.lookup(mat) == 1
 
 
 def test_near_keys_take_both_cells_of_each_straddling_coordinate():
