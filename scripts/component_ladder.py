@@ -5,7 +5,7 @@ Writes exact scenario files in R^3.  On k = 3 unrelated bases it checks the
 triangles and one per listed product state) and ``build`` (15).  The same
 rays in round-robin order give three components whose vertices interleave;
 there it checks the ``zero-one`` listing, and that the weights ``analyze``
-gives I/3 put 1/3 on every atom of that listing.  It then analyzes two
+gives I/3 put 1/3 on every atom of that listing.  It then analyzes four
 larger files under I/3 with
 
     python -m ctxcert.cli analyze FILE --state I/3 --format json
@@ -15,6 +15,13 @@ larger files under I/3 with
   CONTEXTUAL.
 - k = 12: 12 unrelated bases, 36 atoms in 12 triangles and 3**12 = 531,441
   0-1 states; I/3 is NONCONTEXTUAL and the scenario embeds (CLASSICAL).
+- linked k = 6: the axes and 5 bases, each linked to the one before
+  (``linked_bases``).  The atom graph is connected, with 23 atoms and 377
+  0-1 states; I/3 is NONCONTEXTUAL and the scenario embeds (CLASSICAL).
+- Yu-Oh + 3 linked: 3 such bases chained onto the Yu-Oh ray (1, 0, 0).  One
+  component of 37 atoms and 440 0-1 states; I/3 is CONTEXTUAL.
+
+The connected rungs have one certificate LP over all their 0-1 states.
 
 Each file is checked at generation by integer arithmetic that does not use
 ctxcert: the closure's rays (orthogonal rays add their cross product), the
@@ -93,6 +100,39 @@ def unrelated_bases(k, avoid):
         out += cols
         seen += cols
     raise SystemExit(f"found fewer than {k} unrelated bases")
+
+
+def linked_bases(k, rays, link, reach=10):
+    """k orthogonal bases (a, b, c) chained onto ``rays``, a closed set: a is
+    orthogonal to ``link``, and the next basis's a to this basis's c.  The
+    closure adds one ray per basis, x = cross(a, link), and no ray of a
+    basis nor x is orthogonal or parallel to any other ray so far.  So the
+    atom graph stays connected, each basis hanging on the one before by the
+    triangle (link, a, x).  a and b have coordinates in -reach..reach."""
+    box = sorted(product(range(-reach, reach + 1), repeat=3), key=lambda r: (max(map(abs, r)), r))
+    box = [r for r in box if any(r) and primitive(r) == r]
+    seen, out = list(rays), []
+
+    def apart(new, old):
+        return not any(dot(u, v) == 0 or cross(u, v) == (0, 0, 0) for u in new for v in old)
+
+    for _ in range(k):
+        for a in box:
+            if dot(a, link):
+                continue
+            x = primitive(cross(a, link))
+            if not apart([a, x], [u for u in seen if u != link]):
+                continue
+            pairs = ((b, primitive(cross(a, b))) for b in box if dot(a, b) == 0)
+            bc = next((pair for pair in pairs if apart(pair, seen + [x])), None)
+            if bc:
+                break
+        else:
+            raise SystemExit(f"found fewer than {k} linked bases")
+        out += [a, *bc]
+        seen += [a, *bc, x]
+        link = bc[1]
+    return out
 
 
 def round_robin(rays):
@@ -243,6 +283,10 @@ def main() -> int:
          "CONTEXTUAL", "CONTEXTUAL"),
         ("k=12", AXES + unrelated_bases(11, AXES), 36, [3] * 12, 3**12,
          "NONCONTEXTUAL", "CLASSICAL"),
+        ("linked k=6", AXES + linked_bases(5, AXES, AXES[2]), 23, [23], 377,
+         "NONCONTEXTUAL", "CLASSICAL"),
+        ("yu-oh+3 linked", YU_OH + linked_bases(3, yu_oh_closed, YU_OH[0]), 37, [37], 440,
+         "CONTEXTUAL", "CONTEXTUAL"),
     ]  # fmt: skip
     with tempfile.TemporaryDirectory() as tmp:
         rays = AXES + unrelated_bases(2, AXES)

@@ -1,7 +1,9 @@
 """Classicality and contextuality verdicts with self-verifying certificates.
 
 A state is noncontextual exactly when it is a convex mixture of the scenario's
-0-1 states; membership and separation are both decided by exact rational LPs.
+0-1 states.  One exact rational LP decides it: its solution is the weights,
+and when it has none, the Farkas ray of its phase 1 is a separating
+inequality.
 A scenario is classical exactly when distinct elements are separated by 0-1
 states, i.e. the canonical map into subsets of deterministic assignments is
 injective.
@@ -316,77 +318,31 @@ def _embedding(
     )
 
 
-# -- the membership / separation LPs --------------------------------------------
-
-
-def _state_fraction_values(p: PBAState) -> dict[str, Fraction]:
-    return {v: Fraction(p.value(v)) for v in p.graph.vertices}
-
-
-def _separation_lp(
-    free: Sequence[str],
-    states: Sequence[ZeroOneState],
-    target: Mapping[str, Fraction],
-):
-    """Maximize y.target - c over valid inequalities with |y| <= 1 on the free
-    coordinates; optimum 0 certifies hull membership.
-
-    Variables: s_v = y_v + 1 in [0, 2], slack u_v, split c = cp - cm, and one
-    slack per state row.
-    """
-    nf = len(free)
-    m = len(states)
-    ncols = 2 * nf + 2 + m
-    a: list[list[int]] = []
-    b: list[int] = []
-    for k, lam in enumerate(states):
-        row = [0] * ncols
-        for i, v in enumerate(free):
-            row[i] = lam.value(v)
-        row[2 * nf] = -1  # cp
-        row[2 * nf + 1] = 1  # cm
-        row[2 * nf + 2 + k] = 1  # slack
-        a.append(row)
-        b.append(sum(row[:nf]))
-    for i in range(nf):
-        row = [0] * ncols
-        row[i] = 1
-        row[nf + i] = 1
-        a.append(row)
-        b.append(2)
-    c: list = [0] * ncols
-    for i, v in enumerate(free):
-        c[i] = target[v]
-    c[2 * nf] = -1
-    c[2 * nf + 1] = 1
-    res = solve_standard(a, b, c, maximize=True)
-    if res.status != OPTIMAL:
-        raise CertificateError(f"separation LP ended with status {res.status}")
-    y = {v: res.x[i] - 1 for i, v in enumerate(free)}
-    bound = res.x[2 * nf] - res.x[2 * nf + 1]
-    violation = res.value - sum(target[v] for v in free)
-    return y, bound, violation
+# -- the membership LP --------------------------------------------------------
 
 
 def _membership_lp(
     free: Sequence[str],
     states: Sequence[ZeroOneState],
     target: Mapping[str, Fraction],
-) -> dict[int, Fraction]:
+) -> tuple[dict[int, Fraction] | None, dict[str, Fraction] | None]:
+    """Weights w >= 0 with sum 1 whose mixture of ``states`` meets ``target``
+    on the free coordinates, and None; or, when no such weights exist, None
+    and the Farkas ray y of phase 1 over the free coordinates.
+
+    The rows are (free atoms, 1), so y.A <= 0 < y.b reads: sum y_v lam(v) <=
+    -y_1 on every state, while sum y_v target(v) > -y_1.  The ray is a
+    separating inequality.
+    """
     m = len(states)
-    a: list[list[int]] = []
-    b: list[Fraction] = []
-    for v in free:
-        a.append([states[k].value(v) for k in range(m)])
-        b.append(target[v])
+    a = [[lam.value(v) for lam in states] for v in free]
     a.append([1] * m)
+    b = [target[v] for v in free]
     b.append(Fraction(1))
     res = solve_standard(a, b, [0] * m)
-    if res.status != OPTIMAL:
-        raise CertificateError(
-            "membership LP infeasible although separation found no cutting plane"
-        )
-    return {k: w for k, w in enumerate(res.x) if w != 0}
+    if res.status == OPTIMAL:
+        return {k: w for k, w in enumerate(res.x) if w != 0}, None
+    return None, dict(zip(free, res.farkas))
 
 
 def _primitive_inequality(
@@ -420,8 +376,11 @@ def is_noncontextual(
 ) -> NCCertificate:
     """Decide membership of p in the convex hull of the 0-1 states.
 
-    Float states are rationalized first so the LP is exact; both certificate
-    kinds are re-verified against the original values before returning.
+    Float states are rationalized first so the LP is exact.  One membership
+    LP runs per component: its weights are coupled into the NONCONTEXTUAL
+    weights, and the Farkas ray of the first infeasible one is the CONTEXTUAL
+    inequality.  Both certificate kinds are re-verified against the original
+    values before returning.
     Without ``s01`` each component's 0-1 states are searched.  A listing
     given for a connected graph is used as it is; on a graph of several
     components it must be complete, or ``IncompleteListing`` is raised.  The
@@ -438,15 +397,14 @@ def _certify(
     listings: Sequence[Sequence[ZeroOneState]],
     position: Mapping[int, int] | None,
 ) -> NCCertificate:
-    """The separation LP on each component in turn, then, when none finds a
-    cutting plane, the membership LP on each, its weights coupled into
-    weights over the graph's 0-1 states.
+    """The membership LP on each component in turn; its weights, coupled into
+    weights over the graph's 0-1 states, or the first component's Farkas ray.
 
-    A CONTEXTUAL certificate is the inequality of the first contextual
-    component, with coefficient 0 on every other atom: an inequality valid on
-    one component's states is valid on their products.  A NONCONTEXTUAL
-    certificate's weights are keyed by ``position`` of the state's mask, the
-    sum of its factors' masks, or, without it, by ``_product_index``.
+    A CONTEXTUAL certificate is the inequality of that ray, with coefficient
+    0 on every other atom: an inequality valid on one component's states is
+    valid on their products.  A NONCONTEXTUAL certificate's weights are
+    keyed by ``position`` of the state's mask, the sum of its factors' masks,
+    or, without it, by ``_product_index``.
     """
     if not all(listings):
         # The hull is empty: no hidden-variable model exists, and no honest
@@ -454,22 +412,19 @@ def _certify(
         return NCCertificate(verdict=CONTEXTUAL, empty_s01=True)
 
     exact = rationalize_state(p)
-    target = _state_fraction_values(exact)
-    reductions = [clique_reduction(part) for part in graph.components]
-
-    for red, states in zip(reductions, listings):
-        y, bound, violation = _separation_lp(red.free, states, target)
-        if violation > 0:
-            ineq = _primitive_inequality(graph.vertices, y, states)
-            _verify_contextual(ineq, states, exact, p)
+    target = {v: Fraction(exact.value(v)) for v in graph.vertices}
+    marginals = []
+    for part, states in zip(graph.components, listings):
+        weights, ray = _membership_lp(clique_reduction(part).free, states, target)
+        if ray is not None:
+            ineq = _primitive_inequality(graph.vertices, ray, states)
+            _verify_contextual(ineq, states, target, p)
             exact_violation = ineq.evaluate(target) - ineq.bound
             return NCCertificate(
                 verdict=CONTEXTUAL, inequality=ineq, violation=exact_violation
             )
+        marginals.append(weights)
 
-    marginals = [
-        _membership_lp(red.free, states, target) for red, states in zip(reductions, listings)
-    ]
     coupling = _north_west_corner(marginals)
     mixture = [
         (w, sum(listing[k].mask for listing, k in zip(listings, choice)))
@@ -549,13 +504,12 @@ def _product_index(
 def _verify_contextual(
     ineq: SeparatingInequality,
     s01: Sequence[ZeroOneState],
-    exact: PBAState,
+    target: Mapping[str, Fraction],
     original: PBAState,
 ) -> None:
     for lam in s01:
         if ineq.evaluate({v: Fraction(lam.value(v)) for v in lam.graph.vertices}) > ineq.bound:
             raise CertificateError("inequality fails on a 0-1 state")
-    target = _state_fraction_values(exact)
     if ineq.evaluate(target) <= ineq.bound:
         raise CertificateError("inequality does not separate the rationalized state")
     if original.backend == FLOAT:

@@ -13,6 +13,11 @@ unscaled artificial; giving it the reciprocal phase-1 cost makes this the
 same LP with the same reduced-cost signs and ratios.  Bland's rule, first
 improving column and then the smallest basic index among tied ratios,
 therefore takes the pivots a rational tableau would.
+
+An infeasible LP returns the phase-1 dual y of the unscaled rows, read from
+the artificial columns of the final cost row.  Phase 1 is optimal, so every
+reduced cost is nonnegative: y.A <= 0 entrywise, while y.b, the positive
+phase-1 optimum, is > 0.  That is a Farkas certificate of infeasibility.
 """
 
 from __future__ import annotations
@@ -29,10 +34,15 @@ UNBOUNDED = "unbounded"
 
 @dataclass(frozen=True)
 class LPResult:
+    """``farkas`` is set on INFEASIBLE only: the phase-1 dual y, one entry per
+    row, with y.A <= 0 < y.b.  ``analyze`` reads its separating inequalities
+    from it."""
+
     status: str
     x: tuple[Fraction, ...] | None
     value: Fraction | None
     pivots: int  # phase 1, drive-out of artificials and phase 2 together
+    farkas: tuple[Fraction, ...] | None = None
 
 
 def _integer_row(values: Sequence) -> tuple[list[int], int]:
@@ -117,14 +127,15 @@ def solve_standard(
         line, scale = _integer_row([*a[i], b[i]])
         if line[-1] < 0:
             line = [-v for v in line]
+            scale = -scale  # row i is scales[i] times the unscaled row
         unit = [0] * m
         unit[i] = 1
         rows.append(line[:-1] + unit + line[-1:])
         scales.append(scale)
-    # Artificial i is scales[i] times the unscaled one, so its cost is
-    # 1/scales[i]; the row below is that cost times their lcm, reduced.
+    # Artificial i is |scales[i]| times the unscaled one, so its cost is
+    # 1/|scales[i]|; the row below is that cost times their lcm, reduced.
     common = lcm(*scales)
-    weights = [common // s for s in scales]
+    weights = [common // abs(s) for s in scales]
     cost = [-sum(w * line[j] for w, line in zip(weights, rows)) for j in range(n)]
     cost += [0] * m + [-sum(w * line[-1] for w, line in zip(weights, rows))]
     rows.append(cost)
@@ -133,7 +144,16 @@ def solve_standard(
     assert status == OPTIMAL, "phase 1 cannot be unbounded"
     basis = tab.basis
     if any(basis[i] >= n and rows[i][-1] for i in range(m)):
-        return LPResult(INFEASIBLE, None, None, tab.pivots)
+        # At artificial i the cost row holds D * (w_i - pi_i), pi the dual of
+        # the integer rows under the costs w, which are common times the unit
+        # costs.  Row i is scales[i] times the unscaled row, so the dual of
+        # the unscaled rows is y_i = scales[i] * pi_i / common.
+        den = tab.den * common
+        ray = tuple(
+            Fraction(s * (w * tab.den - t), den)
+            for s, w, t in zip(scales, weights, rows[m][n : n + m])
+        )
+        return LPResult(INFEASIBLE, None, None, tab.pivots, ray)
 
     # Drive leftover zero-level artificials out of the basis; a row with no
     # structural column available is redundant and gets dropped.

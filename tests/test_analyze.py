@@ -16,8 +16,8 @@ from ctxcert.analyze import (
     NONCLASSICAL_SCENARIO_ONLY,
     NONCONTEXTUAL,
     SeparatingInequality,
+    _membership_lp,
     _primitive_inequality,
-    _separation_lp,
     classify_experiment,
     clique_reduction,
     is_noncontextual,
@@ -406,8 +406,8 @@ def test_primitive_inequality_matches_fraction_reference(name, kcbs_quantum_stat
     p = kcbs_quantum_state if name == "kcbs" else _yu_oh_quantum_state()
     s01 = enumerate_zero_one_states(p.graph)
     target = {v: Fraction(p.value(v)) for v in p.graph.vertices}
-    y, _, violation = _separation_lp(clique_reduction(p.graph).free, s01, target)
-    assert violation > 0
+    weights, y = _membership_lp(clique_reduction(p.graph).free, s01, target)
+    assert weights is None
     got = _primitive_inequality(p.graph.vertices, y, s01)
     assert got == _fraction_primitive_inequality(p.graph.vertices, y, s01)
     assert got == is_noncontextual(p, s01).inequality

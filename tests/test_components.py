@@ -1,7 +1,7 @@
 """Certification per connected component of the atom graph, checked against
 the full 0-1 listing on small products: k unrelated bases of R^3 (k <= 4, and
 k = 3 with the bases' rays interleaved) and the Yu-Oh rays with up to two
-unrelated bases added."""
+unrelated bases added.  The ladder's connected rungs are decided by one LP."""
 
 from __future__ import annotations
 
@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
+from typing import Mapping, Sequence
 
 import pytest
 
@@ -21,15 +22,19 @@ from ctxcert.analyze import (
     NONCONTEXTUAL,
     _membership_lp,
     _product_index,
-    _separation_lp,
     classify_experiment,
     clique_reduction,
     is_noncontextual,
     scenario_classical,
     zero_one_states,
 )
-from ctxcert.catalog import BUILTINS
-from ctxcert.errors import IncompleteListing, MissingVertex, SearchBudgetExceeded
+from ctxcert.catalog import BUILTINS, kcbs_state
+from ctxcert.errors import (
+    CertificateError,
+    IncompleteListing,
+    MissingVertex,
+    SearchBudgetExceeded,
+)
 from ctxcert.graphs import (
     ExclusivityGraph,
     ZeroOneState,
@@ -38,6 +43,7 @@ from ctxcert.graphs import (
     enumerate_zero_one_states,
 )
 from ctxcert.linalg import DensityMatrix, ExactMatrix, projector_from_vector
+from ctxcert.simplex import OPTIMAL, solve_standard
 from ctxcert.systems import generate_system
 
 from test_io_cli import run_cli
@@ -213,15 +219,64 @@ def test_product_index_is_the_index_in_the_sorted_listing(family):
 # -- verdicts against the full listing ----------------------------------------------
 
 
+def _separation_lp(
+    free: Sequence[str],
+    states: Sequence[ZeroOneState],
+    target: Mapping[str, Fraction],
+):
+    """Maximize y.target - c over valid inequalities with |y| <= 1 on the free
+    coordinates; optimum 0 certifies hull membership.
+
+    Variables: s_v = y_v + 1 in [0, 2], slack u_v, split c = cp - cm, and one
+    slack per state row.  This box-normalised LP, one row per listed state,
+    is the full-listing reference for the verdicts and inequalities that the
+    membership LP gives per component.
+    """
+    nf = len(free)
+    m = len(states)
+    ncols = 2 * nf + 2 + m
+    a: list[list[int]] = []
+    b: list[int] = []
+    for k, lam in enumerate(states):
+        row = [0] * ncols
+        for i, v in enumerate(free):
+            row[i] = lam.value(v)
+        row[2 * nf] = -1  # cp
+        row[2 * nf + 1] = 1  # cm
+        row[2 * nf + 2 + k] = 1  # slack
+        a.append(row)
+        b.append(sum(row[:nf]))
+    for i in range(nf):
+        row = [0] * ncols
+        row[i] = 1
+        row[nf + i] = 1
+        a.append(row)
+        b.append(2)
+    c: list = [0] * ncols
+    for i, v in enumerate(free):
+        c[i] = target[v]
+    c[2 * nf] = -1
+    c[2 * nf + 1] = 1
+    res = solve_standard(a, b, c, maximize=True)
+    if res.status != OPTIMAL:
+        raise CertificateError(f"separation LP ended with status {res.status}")
+    y = {v: res.x[i] - 1 for i, v in enumerate(free)}
+    bound = res.x[2 * nf] - res.x[2 * nf + 1]
+    violation = res.value - sum(target[v] for v in free)
+    return y, bound, violation
+
+
 def _reference(system, s01, target):
     """The verdict of the separation LP on the full listing of the graph, and
-    its inequality, or of the membership LP, which raises when infeasible."""
+    its inequality; where it finds no cutting plane, the membership LP on the
+    full listing must find weights."""
     graph = system.atom_graph()
     free = clique_reduction(graph).free
     y, _, violation = _separation_lp(free, s01, target)
     if violation > 0:
         return CONTEXTUAL, analyze._primitive_inequality(graph.vertices, y, s01)
-    _membership_lp(free, s01, target)
+    weights, _ = _membership_lp(free, s01, target)
+    assert weights is not None
     return NONCONTEXTUAL, None
 
 
@@ -281,6 +336,59 @@ def test_decomposed_verdicts_match_the_full_listing(family):
         assert verdicts == {NONCONTEXTUAL}
     else:
         assert verdicts == {CONTEXTUAL, NONCONTEXTUAL}
+
+
+# name: (components, 0-1 states, verdict, inequality) under the KCBS state,
+# or under I/3.
+ONE_LP = {
+    "kcbs": (1, 11, CONTEXTUAL, "p(P0) + p(P1) + p(P2) + p(P3) + p(P4) <= 2"),
+    "yu-oh": (1, 24, CONTEXTUAL, "p(r9) + p(r10) + p(r11) + p(r12) <= 1"),
+    "k=3": (3, 27, NONCONTEXTUAL, None),
+    "linked k=6": (1, 377, NONCONTEXTUAL, None),
+    "yu-oh+3 linked": (1, 440, CONTEXTUAL, "p(r9) + p(r10) + p(r11) + p(r12) <= 1"),
+}
+
+
+def _one_lp_case(name):
+    if name == "kcbs":
+        system = BUILTINS["kcbs"].system()
+        return system, system.state_from_density(kcbs_state())
+    rays = {
+        "yu-oh": lambda: ladder.YU_OH,
+        "k=3": lambda: k_bases_rays(3),
+        "linked k=6": lambda: AXES + ladder.linked_bases(5, AXES, AXES[2]),
+        "yu-oh+3 linked": lambda: ladder.YU_OH
+        + ladder.linked_bases(3, closed_rays(ladder.YU_OH), ladder.YU_OH[0]),
+    }[name]()
+    system = _system(rays)
+    return system, system.state_from_density(DensityMatrix.maximally_mixed(3))
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LP))
+def test_certify_solves_one_lp_per_component_at_most(name, monkeypatch):
+    """One membership LP per component, over all its 0-1 states: its
+    weights, or its Farkas ray as the inequality.  The ladder's connected
+    rungs, linked k = 6 and Yu-Oh + 3 linked, take one LP each."""
+    system, p = _one_lp_case(name)
+    graph = system.atom_graph()
+    calls = []
+
+    def recording(*args):
+        calls.append(args)
+        return solve_standard(*args)
+
+    monkeypatch.setattr(analyze, "solve_standard", recording)
+    result = classify_experiment(system, p)
+    cert = result.certificate
+    components, count, verdict, text = ONE_LP[name]
+    got = (len(graph.components), result.embedding.s01_count, cert.verdict, len(calls))
+    assert got == (components, count, verdict, components)
+    if text is not None:
+        assert str(cert.inequality) == text
+        return
+    s01 = zero_one_states(system)
+    for v in graph.vertices:
+        assert sum(w * s01[k].value(v) for k, w in cert.weights.items()) == p.value(v)
 
 
 def _full_listing_embedding(system, s01):
@@ -528,7 +636,7 @@ def _hull_member(linprog, s01, values, vertices) -> bool:
 
 
 def _oracle_cases():
-    from ctxcert.catalog import kcbs_state, kcbs_system
+    from ctxcert.catalog import kcbs_system
 
     kcbs = kcbs_system()
     noise = DensityMatrix.maximally_mixed(3, backend="float")

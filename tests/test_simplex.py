@@ -3,8 +3,9 @@ scipy's HiGHS as an independent float oracle, and a rational-tableau
 reference kept only here.
 
 The reference is the dense ``Fraction`` tableau the integer-preserving one
-replaced.  Both run the same Bland pivots, so status, ``x``, ``value`` and the
-pivot count must come out identical on every LP.
+replaced.  Both run the same Bland pivots, so status, ``x``, ``value``, the
+pivot count and the Farkas ray of an infeasible LP must come out identical on
+every LP.
 """
 
 from __future__ import annotations
@@ -83,9 +84,11 @@ def ref_solve_standard(a, b, c, maximize: bool = False) -> LPResult:
     if maximize:
         obj = [-v for v in obj]
     tableau = []
+    signs = []
     for i in range(m):
         line = [Fraction(v) for v in a[i]]
         bi = Fraction(b[i])
+        signs.append(-1 if bi < 0 else 1)
         if bi < 0:
             line = [-v for v in line]
             bi = -bi
@@ -98,7 +101,14 @@ def ref_solve_standard(a, b, c, maximize: bool = False) -> LPResult:
     assert status == OPTIMAL
     basis = tab.basis
     if sum(phase1_cost[basis[i]] * tableau[i][-1] for i in range(m)) > 0:
-        return LPResult(INFEASIBLE, None, None, tab.pivots)
+        # The phase-1 dual c_B B^-1, read from the artificial columns, which
+        # hold B^-1 of the sign-adjusted rows.
+        cb = [phase1_cost[col] for col in basis]
+        ray = tuple(
+            sign * sum(c * line[n + i] for c, line in zip(cb, tableau))
+            for i, sign in enumerate(signs)
+        )
+        return LPResult(INFEASIBLE, None, None, tab.pivots, ray)
     drop = []
     for i in range(m):
         if basis[i] >= n:
@@ -129,7 +139,21 @@ def assert_same_as_reference(a, b, c, maximize: bool = False) -> LPResult:
     assert got == want
     assert type(got.value) is type(want.value)
     assert want.x is None or [type(v) for v in got.x] == [type(v) for v in want.x]
+    assert want.farkas is None or {type(v) for v in got.farkas} == {Fraction}
     return got
+
+
+def assert_farkas(a, b, res: LPResult) -> None:
+    """An INFEASIBLE result carries y with y.A <= 0 entrywise and y.b > 0;
+    any other result carries no ray."""
+    if res.status != INFEASIBLE:
+        assert res.farkas is None
+        return
+    y = res.farkas
+    assert len(y) == len(a)
+    for j in range(len(a[0])):
+        assert sum(yi * Fraction(row[j]) for yi, row in zip(y, a)) <= 0
+    assert sum(yi * Fraction(bi) for yi, bi in zip(y, b)) > 0
 
 
 # -- known instances ----------------------------------------------------------------
@@ -278,6 +302,7 @@ def test_against_vertex_enumeration_oracle():
         b = [Fraction(rng.randint(0, 4)) for _ in range(m)]
         c = [Fraction(rng.randint(-3, 3)) for _ in range(n)]
         res = solve_standard(a, b, c)
+        assert_farkas(a, b, res)
         feasible, best = _brute_force_optimum(a, b, c)
         if not feasible:
             assert res.status == INFEASIBLE
@@ -374,8 +399,8 @@ THREE_BASES_RAYS = [
 
 
 def _certificate_lps(monkeypatch, system, density):
-    """Run the separation and membership LPs on the state of ``density`` and on
-    the barycentre of the 0-1 states; return every LP handed to the solver."""
+    """Run the membership LP on the state of ``density`` and on the
+    barycentre of the 0-1 states; return every LP handed to the solver."""
     calls = []
 
     def recording(a, b, c, maximize=False):
@@ -390,31 +415,49 @@ def _certificate_lps(monkeypatch, system, density):
     quantum = {v: Fraction(state.value(v)) for v in graph.vertices}
     barycentre = {v: Fraction(sum(lam.value(v) for lam in s01), len(s01)) for v in graph.vertices}
     for target in (quantum, barycentre):
-        analyze._separation_lp(red.free, s01, target)
-        try:
-            analyze._membership_lp(red.free, s01, target)
-        except CertificateError:
-            pass  # an infeasible membership LP is compared all the same
+        analyze._membership_lp(red.free, s01, target)
     return calls
 
 
-@pytest.mark.parametrize(
-    "name, rays",
-    [("kcbs", None), ("yu-oh", YU_OH_RAYS), ("three-bases", THREE_BASES_RAYS)],
-)
-def test_certificate_lps_identical_to_reference(monkeypatch, q_kcbs, name, rays):
+CERTIFIED = [("kcbs", None), ("yu-oh", YU_OH_RAYS), ("three-bases", THREE_BASES_RAYS)]
+
+
+def _certified_case(q_kcbs, rays):
     if rays is None:
-        system, density = q_kcbs, kcbs_state()
-    else:
-        system = _rays_system(rays)
-        density = DensityMatrix.maximally_mixed(3)
+        return q_kcbs, kcbs_state()
+    return _rays_system(rays), DensityMatrix.maximally_mixed(3)
+
+
+@pytest.mark.parametrize("name, rays", CERTIFIED)
+def test_certificate_lps_identical_to_reference(monkeypatch, q_kcbs, name, rays):
+    system, density = _certified_case(q_kcbs, rays)
     calls = _certificate_lps(monkeypatch, system, density)
-    assert len(calls) == 4
+    assert len(calls) == 2
     statuses = [assert_same_as_reference(*lp).status for lp in calls]
-    assert OPTIMAL in statuses
+    assert statuses[1] == OPTIMAL
+    assert statuses[0] == (OPTIMAL if name == "three-bases" else INFEASIBLE)
 
 
-def test_kcbs_separation_lp_pivot_count(monkeypatch, q_kcbs, kcbs_s01, kcbs_quantum_state):
+@pytest.mark.parametrize("name, rays", CERTIFIED[:2])
+def test_a_flipped_ray_ends_in_certificate_error(monkeypatch, q_kcbs, name, rays):
+    """The ray only proposes an inequality; substitution decides.  The state
+    satisfies the inequality of -y, so a flipped ray ends in an error, not in
+    a verdict."""
+    system, density = _certified_case(q_kcbs, rays)
+
+    def flipped(*args):
+        res = solve_standard(*args)
+        assert res.status == INFEASIBLE
+        return LPResult(res.status, None, None, res.pivots, tuple(-v for v in res.farkas))
+
+    p = system.state_from_density(density)
+    assert analyze.is_noncontextual(p).verdict == analyze.CONTEXTUAL
+    monkeypatch.setattr(analyze, "solve_standard", flipped)
+    with pytest.raises(CertificateError, match="does not separate"):
+        analyze.is_noncontextual(p)
+
+
+def test_kcbs_membership_lp_pivot_count(monkeypatch, q_kcbs, kcbs_s01, kcbs_quantum_state):
     results = []
 
     def recording(a, b, c, maximize=False):
@@ -424,7 +467,7 @@ def test_kcbs_separation_lp_pivot_count(monkeypatch, q_kcbs, kcbs_s01, kcbs_quan
     monkeypatch.setattr(analyze, "solve_standard", recording)
     cert = analyze.is_noncontextual(kcbs_quantum_state, kcbs_s01)
     assert cert.verdict == "CONTEXTUAL"
-    assert [(r.status, r.pivots) for r in results] == [(OPTIMAL, 17)]
+    assert [(r.status, r.pivots) for r in results] == [(INFEASIBLE, 11)]
 
 
 # -- scipy's HiGHS as an independent float oracle ----------------------------------
@@ -449,6 +492,7 @@ def test_against_scipy_linprog():
         c = [Fraction(rng.randint(-5, 5), rng.choice((1, 2))) for _ in range(n)] + [0]
         maximize = rng.random() < 0.5
         res = solve_standard(a, b, c, maximize)
+        assert_farkas(a, b, res)
         sign = -1 if maximize else 1
         ref = linprog(
             [sign * float(v) for v in c],
