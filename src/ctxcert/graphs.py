@@ -122,12 +122,14 @@ class ExclusivityGraph:
         return ExclusivityGraph(verts, edges)
 
     def to_dot(self, name: str = "atoms") -> str:
-        """Graphviz DOT text: vertices then edges, both in lexicographic order."""
+        """Graphviz DOT text: vertices then edges, both in lexicographic order.
+        Each vertex is a quoted ID, with ``"`` in its name escaped as ``\\"``."""
+        ids = {v: '"' + v.replace('"', '\\"') + '"' for v in self.vertices}
         lines = [f"graph {name} {{"]
         for v in sorted(self.vertices):
-            lines.append(f'  "{v}";')
+            lines.append(f"  {ids[v]};")
         for u, v in sorted(self.edges):
-            lines.append(f'  "{u}" -- "{v}";')
+            lines.append(f"  {ids[u]} -- {ids[v]};")
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -491,44 +493,43 @@ def graphs_isomorphic(
 
     candidates = [sorted(u for u in range(n) if c2[u] == c1[v]) for v in range(n)]
     order = sorted(range(n), key=lambda v: (len(candidates[v]), -len(a1[v])))
-    mapping = [-1] * n
-    used = [False] * n
-    nodes = 0
+    mapping, inverse = [-1] * n, [-1] * n
 
-    def dfs(pos: int) -> bool:
-        nonlocal nodes
+    def fits(v: int, u: int) -> bool:
+        """u is free and v -> u keeps every mapped neighbour, both ways."""
+        return (
+            inverse[u] == -1
+            and all(mapping[w] == -1 or mapping[w] in a2[u] for w in a1[v])
+            and all(inverse[x] == -1 or inverse[x] in a1[v] for x in a2[u])
+        )
+
+    # Depth-first with an explicit stack, so the depth is not bounded by the
+    # interpreter's recursion limit.  Entry p of the stack is the index of the
+    # next candidate to try for order[p]; a node is entered with the first
+    # len(stack) positions mapped.
+    stack: list[int] = []
+    nodes = 0
+    while True:
         nodes += 1
         if nodes > budget:
             raise SearchBudgetExceeded(nodes, budget)
-        if pos == n:
-            return True
-        v = order[pos]
-        for u in candidates[v]:
-            if used[u]:
-                continue
-            ok = True
-            for w in a1[v]:
-                mw = mapping[w]
-                if mw != -1 and mw not in a2[u]:
-                    ok = False
-                    break
-            if ok:
-                for w in range(n):
-                    mw = mapping[w]
-                    if mw != -1 and mw in a2[u] and w not in a1[v]:
-                        ok = False
-                        break
-            if not ok:
-                continue
-            mapping[v] = u
-            used[u] = True
-            if dfs(pos + 1):
-                return True
-            mapping[v] = -1
-            used[u] = False
-        return False
-
-    if dfs(0):
-        witness = {g1.vertices[v]: g2.vertices[mapping[v]] for v in range(n)}
-        return True, witness
-    return False, None
+        if len(stack) == n:
+            return True, {g1.vertices[v]: g2.vertices[mapping[v]] for v in range(n)}
+        stack.append(0)
+        while stack:
+            pos = len(stack) - 1
+            v = order[pos]
+            cands = candidates[v]
+            if mapping[v] != -1:
+                inverse[mapping[v]] = -1
+                mapping[v] = -1
+            k = stack[pos]
+            while k < len(cands) and not fits(v, cands[k]):
+                k += 1
+            if k < len(cands):
+                stack[pos] = k + 1
+                mapping[v], inverse[cands[k]] = cands[k], v
+                break
+            stack.pop()
+        else:
+            return False, None

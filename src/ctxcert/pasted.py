@@ -20,23 +20,13 @@ from typing import Iterable, Mapping, Sequence
 
 from .errors import Incompatible, InconsistentGluing, NotAGraphState, NotAPBA, UnknownElement
 from .graphs import ExclusivityGraph
-from .systems import first_lep_violation, first_transitivity_violation, neg_image
+from .systems import first_lep_violation, first_transitivity_violation
 
 Local = tuple[int, int]
 
 MAX_CONTEXT_ATOMS = 12
 # Pairwise-compatible sets up to this size are checked for a common context.
 AXIOM_CHECK_SIZE = 4
-
-
-def order_atoms(rows: Sequence[int], zero: int) -> list[int]:
-    """Atoms, the minimal nonzero elements, in index order; bit j of
-    ``rows[i]`` is set iff element i <= element j."""
-    covered = 0
-    for j, row in enumerate(rows):
-        if j != zero:
-            covered |= row & ~(1 << j)
-    return [i for i in range(len(rows)) if i != zero and not covered >> i & 1]
 
 
 @dataclass(frozen=True)
@@ -243,16 +233,12 @@ class PastedPBA:
 
     # -- relations ------------------------------------------------------------
 
-    def _leq_idx(self, a: int, b: int) -> bool:
-        shared, sb = self._contexts[a] & self._contexts[b], self._subsets[b]
-        return any(shared >> i & 1 and not sub & ~sb[i] for i, sub in self._subsets[a].items())
-
     def _compatible_idx(self, a: int, b: int) -> bool:
         return bool(self._contexts[a] & self._contexts[b])
 
     def leq(self, x: str, y: str) -> bool:
         """x <= y: some context contains both with the subset inclusion."""
-        return self._leq_idx(self._idx(x), self._idx(y))
+        return bool(self._order()[0][self._idx(x)] >> self._idx(y) & 1)
 
     def compatible(self, x: str, y: str) -> bool:
         """Compatibility is co-residence in at least one context."""
@@ -278,11 +264,23 @@ class PastedPBA:
         return self.element_names[self._root_pos[root]]
 
     def _order(self) -> tuple[list[int], list[int]]:
-        """Order bit rows (bit b of row a iff a <= b) and their ``neg_image``."""
+        """Order rows (bit b of row a iff a <= b) and exclusivity rows (bit c of
+        row b iff b <= not-c), ORed over the contexts: in each, the elements on
+        the supersets of a's subset and on the subsets of b's complement."""
         if self._order_rows is None:
-            n = len(self.element_names)
-            rows = [sum(1 << b for b in range(n) if self._leq_idx(a, b)) for a in range(n)]
-            self._order_rows = rows, neg_image(rows, self._comp)
+            rows, neg = [0] * len(self._reps), [0] * len(self._reps)
+            for i, full in enumerate(self._full):
+                elem = [self._root_pos[self._find((i, sub))] for sub in range(full + 1)]
+                up, down = [1 << k for k in elem], [1 << k for k in elem]
+                for bit in (1 << j for j in range(full.bit_length())):
+                    for sub in range(full + 1):
+                        if sub & bit:
+                            down[sub] |= down[sub ^ bit]
+                            up[sub ^ bit] |= up[sub]
+                for sub, k in enumerate(elem):
+                    rows[k] |= up[sub]
+                    neg[k] |= down[full ^ sub]
+            self._order_rows = rows, neg
         return self._order_rows
 
     def exclusive(self, x: str, y: str) -> bool:
@@ -334,18 +332,20 @@ class PastedPBA:
 
     # -- atoms ----------------------------------------------------------------
 
+    def _atom_indices(self) -> list[int]:
+        """The elements that are one local atom in every context holding them:
+        only 0 lies below one, and any other nonzero element has a distinct
+        local atom below it."""
+        return [k for k, subsets in enumerate(self._subsets)
+                if all(sub.bit_count() == 1 for sub in subsets.values())]
+
     def atoms(self) -> tuple[str, ...]:
-        rows, _ = self._order()
-        return tuple(self.element_names[a] for a in order_atoms(rows, self._by_name["0"]))
+        return tuple(self.element_names[k] for k in self._atom_indices())
 
     def atom_graph(self) -> ExclusivityGraph:
-        atoms = self.atoms()
-        edges = [
-            (x, y)
-            for x, y in combinations(atoms, 2)
-            if self._compatible_idx(self._idx(x), self._idx(y))
-        ]
-        return ExclusivityGraph(atoms, edges)
+        names, atoms = self.element_names, self._atom_indices()
+        pairs = [(a, b) for a, b in combinations(atoms, 2) if self._compatible_idx(a, b)]
+        return ExclusivityGraph([names[a] for a in atoms], [(names[a], names[b]) for a, b in pairs])
 
     def state(self, atom_values: Mapping[str, object]) -> "PastedState":
         return PastedState(self, atom_values)

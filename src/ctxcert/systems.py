@@ -125,8 +125,9 @@ class EpbaReport:
 
 # -- order audits on bit rows ---------------------------------------------------
 #
-# Shared by quantum and pasted systems: ``rows[i]`` has bit j set iff element
-# i <= element j, and ``comp[i]`` is the index of the complement of element i.
+# ``rows[i]`` has bit j set iff element i <= element j, and ``comp[i]`` is the
+# index of the complement of element i.  The two ``first_*_violation`` checks
+# are shared with pasted systems, which fill their exclusivity rows per context.
 
 
 def neg_image(rows: Sequence[int], comp: Sequence[int]) -> list[int]:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -290,6 +291,23 @@ def test_same_degrees_not_isomorphic():
     assert not ok
 
 
+def test_isomorphism_search_depth_is_not_bounded_by_recursion():
+    # 600 disjoint edges: the search maps 1,200 vertices one position deeper
+    # each, past the interpreter's default recursion limit.
+    verts = [f"v{i}" for i in range(1200)]
+    g = ExclusivityGraph(verts, [(verts[i], verts[i + 1]) for i in range(0, 1200, 2)])
+    rng = random.Random(17)
+    names = [f"w{i}" for i in range(1200)]
+    rng.shuffle(names)
+    mapping = dict(zip(verts, names))
+    rng.shuffle(names)
+    h = ExclusivityGraph(names, [(mapping[u], mapping[v]) for u, v in g.edges])
+    ok, witness = graphs_isomorphic(g, h)
+    assert ok
+    assert sorted(witness.values()) == sorted(h.vertices)
+    assert {frozenset((witness[u], witness[v])) for u, v in g.edges} == {frozenset(e) for e in h.edges}
+
+
 @given(st.integers(min_value=0, max_value=10_000))
 @settings(max_examples=25, deadline=None)
 def test_state_count_invariant_under_relabelling(seed):
@@ -317,6 +335,37 @@ def test_dot_export_sorted_and_verbatim():
     assert lines[1:4] == ['  "a";', '  "b";', '  "c";']
     assert lines[4:6] == ['  "a" -- "b";', '  "b" -- "c";']
     assert lines[-1] == "}"
+
+
+# A quoted DOT ID, read as Graphviz reads it: only \" is an escape.
+DOT_ID = re.compile(r'"((?:\\"|[^"])*)"')
+
+
+def dot_statements(dot: str) -> tuple[list[str], list[tuple[str, str]]]:
+    """The vertex names and edges of ``to_dot`` text; every body line must be
+    one quoted ID or two joined by one ``--``."""
+    lines = dot.splitlines()
+    assert lines[0].startswith("graph ") and lines[-1] == "}"
+    vertices, edges = [], []
+    for line in lines[1:-1]:
+        ids = [m.replace('\\"', '"') for m in DOT_ID.findall(line)]
+        shape = DOT_ID.sub("ID", line)
+        assert shape in ("  ID;", "  ID -- ID;"), line
+        if len(ids) == 1:
+            vertices.append(ids[0])
+        else:
+            edges.append(tuple(ids))
+    return vertices, edges
+
+
+def test_dot_escapes_quotes_in_names():
+    name = 'a" -- "x'
+    g = ExclusivityGraph([name, "b", "c"], [(name, "b"), ("b", "c")])
+    dot = g.to_dot()
+    assert '  "a\\" -- \\"x";' in dot.splitlines()
+    vertices, edges = dot_statements(dot)
+    assert sorted(vertices) == sorted(g.vertices)
+    assert {frozenset(e) for e in edges} == {frozenset(e) for e in g.edges}
 
 
 # -- networkx as an independent oracle -------------------------------------------

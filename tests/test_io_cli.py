@@ -37,6 +37,7 @@ from ctxcert.io import (
 from ctxcert.linalg import ExactMatrix, complement
 from ctxcert.systems import generate_system, systems_equal
 from ctxcert.vectorsets import VectorSet
+from test_graphs import dot_statements
 
 BOOLEAN_SCENARIO = {
     "dimension": 3,
@@ -279,6 +280,20 @@ def test_cli_graph_dot(tmp_path, capsys):
     text = dot_path.read_text()
     assert text.count("--") == 15
     assert '"P0"' in text
+
+
+def test_cli_graph_dot_escapes_quoted_vector_names(tmp_path, capsys):
+    # A vector named like an edge statement stays one vertex ID.
+    name = 'a" -- "x'
+    doc = json.loads(json.dumps(BOOLEAN_SCENARIO).replace('"ex"', json.dumps(name)))
+    scenario_path = tmp_path / "quoted.json"
+    scenario_path.write_text(json.dumps(doc), encoding="utf-8")
+    dot_path = tmp_path / "quoted.dot"
+    code, _, _ = run_cli(["graph", str(scenario_path), "--no-cache", "--dot", str(dot_path)], capsys)
+    assert code == 0
+    vertices, edges = dot_statements(dot_path.read_text())
+    assert sorted(vertices) == sorted([name, "ey", "ez"])
+    assert len(edges) == 3
 
 
 def test_cli_ks_check(capsys):

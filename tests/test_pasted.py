@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from ctxcert.catalog import b2_pasted
 from ctxcert.errors import Incompatible, InconsistentGluing, NotAPBA, UnknownElement
-from ctxcert.pasted import CheckResult, build_pasted_pba
+from ctxcert.pasted import CheckResult, PastedPBA, build_pasted_pba
+from test_pasted_masks import FIXTURES as MASK_FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -216,14 +217,20 @@ def test_order_disagreement_is_rejected():
 
 # -- reference oracle for the order laws -----------------------------------------
 #
-# The direct definitions, evaluated element by element: exclusivity searches
-# every c for x <= c and y <= not-c.  The structure answers the same questions
-# from its order bit rows.
+# The direct definitions, evaluated element by element: x <= y when some shared
+# context holds x's subset inside y's, and exclusivity searches every c for
+# x <= c and y <= not-c.  The structure answers the same questions from order
+# bit rows that it fills per context, and finds its atoms on the local masks.
+
+
+def reference_leq(pba, a, b):
+    shared, sb = pba._contexts[a] & pba._contexts[b], pba._subsets[b]
+    return any(shared >> i & 1 and not sub & ~sb[i] for i, sub in pba._subsets[a].items())
 
 
 def reference_exclusive(pba, a, b):
     return any(
-        pba._leq_idx(a, c) and pba._leq_idx(b, pba._comp[c])
+        reference_leq(pba, a, c) and reference_leq(pba, b, pba._comp[c])
         for c in range(len(pba.element_names))
     )
 
@@ -231,12 +238,18 @@ def reference_exclusive(pba, a, b):
 def reference_laws(pba):
     names = pba.element_names
     n = len(names)
-    leq = [[pba._leq_idx(a, b) for b in range(n)] for a in range(n)]
+    leq = [[reference_leq(pba, a, b) for b in range(n)] for a in range(n)]
     zero = names.index("0")
-    atoms = tuple(
-        names[a]
+    atoms = [
+        a
         for a in range(n)
         if a != zero and not any(b not in (a, zero) and leq[b][a] for b in range(n))
+    ]
+    # Atom pairs that share a context, each pair in name order.
+    edges = frozenset(
+        tuple(sorted((names[a], names[b])))
+        for a, b in combinations(atoms, 2)
+        if pba._contexts[a] & pba._contexts[b]
     )
     lep = next(
         (
@@ -258,21 +271,36 @@ def reference_laws(pba):
         ),
         None,
     )
-    return atoms, lep, transitivity
+    return leq, tuple(names[a] for a in atoms), edges, lep, transitivity
 
 
 def assert_laws_match_reference(pba):
-    atoms, lep, transitivity = reference_laws(pba)
+    leq, atoms, edges, lep, transitivity = reference_laws(pba)
     assert pba.atoms() == atoms
+    assert pba.atom_graph().edges == edges
     assert pba.check_lep() == CheckResult(lep is None, lep)
     assert pba.check_transitivity() == CheckResult(transitivity is None, transitivity)
     names = pba.element_names
     for (a, x), (b, y) in product(enumerate(names), repeat=2):
+        assert pba.leq(x, y) == leq[a][b]
         assert pba.exclusive(x, y) == reference_exclusive(pba, a, b)
 
 
 def test_b2_laws_match_reference(b2):
     assert_laws_match_reference(b2)
+
+
+@pytest.mark.parametrize("name", sorted(MASK_FIXTURES))
+def test_atoms_and_atom_graph_build_no_order_rows(name, monkeypatch):
+    pba = MASK_FIXTURES[name]["build"]()
+    _, atoms, edges, _, _ = reference_laws(pba)
+
+    def no_order_rows(self):
+        raise AssertionError("order rows were built")
+
+    monkeypatch.setattr(PastedPBA, "_order", no_order_rows)
+    assert pba.atoms() == atoms
+    assert pba.atom_graph().edges == edges
 
 
 @st.composite

@@ -40,7 +40,6 @@ from ctxcert.linalg import (
     projector_from_vector,
     zero_projector,
 )
-from ctxcert.pasted import order_atoms
 from ctxcert.systems import DEFAULT_MAX_ELEMENTS, QuantumSystem, generate_system
 
 # -- product-based reference ----------------------------------------------------
@@ -121,6 +120,16 @@ def ref_leq_rows(system: QuantumSystem) -> list[int]:
         sum(1 << j for j, q in enumerate(els) if i == j or ref_leq(p, q))
         for i, p in enumerate(els)
     ]
+
+
+def order_atoms(rows: list[int], zero: int) -> list[int]:
+    """Atoms, the minimal nonzero elements, in index order; bit j of
+    ``rows[i]`` is set iff element i <= element j."""
+    covered = 0
+    for j, row in enumerate(rows):
+        if j != zero:
+            covered |= row & ~(1 << j)
+    return [i for i in range(len(rows)) if i != zero and not covered >> i & 1]
 
 
 def ref_edges(system: QuantumSystem) -> set:
