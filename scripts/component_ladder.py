@@ -5,8 +5,9 @@ Writes exact scenario files in R^3.  On k = 3 unrelated bases it checks the
 triangles and one per listed product state) and ``build`` (15).  The same
 rays in round-robin order give three components whose vertices interleave;
 there it checks the ``zero-one`` listing, and that the weights ``analyze``
-gives I/3 put 1/3 on every atom of that listing.  It then analyzes four
-larger files under I/3 with
+gives I/3 put 1/3 on every atom of that listing.  On k = 9 bases it checks
+the ``zero-one --format json`` listing of 3**9 = 19,683 product states.  It
+then analyzes four larger files under I/3 with
 
     python -m ctxcert.cli analyze FILE --state I/3 --format json
 
@@ -28,7 +29,9 @@ ctxcert: the closure's rays (orthogonal rays add their cross product), the
 components of their orthogonality graph, and the 0-1 states of each
 component (one 1 in every orthogonal triple).  The CLI's classification,
 exit code and ``zero_one.count`` are then asserted, and each run's wall
-time, process start included, is printed.
+time, process start included, is printed.  A ``zero-one`` listing is checked
+the same way: its count, one 1 in every orthogonal triple of every state,
+and the states' masks in ascending order.
 
 Run from the repository root:  PYTHONPATH=src python scripts/component_ladder.py
 """
@@ -224,32 +227,41 @@ def analyze(scenario, state):
     return proc.returncode, json.loads(proc.stdout), wall
 
 
-def zero_one_listing(scenario, bases, *options):
-    """``zero-one`` on the k ``bases``: 3**k distinct states, sorted by the
-    value tuple in ``atom_order``, each with one 1 per basis."""
+def zero_one_listing(scenario, rays, *options):
+    """``zero-one`` on k unrelated bases, ``rays`` named r0, r1, ... in order:
+    3**k states, each with exactly one 1 in every orthogonal triple, whose
+    masks (the value tuples in ``atom_order`` read in binary) ascend."""
     proc, wall = ctxcert("zero-one", scenario, "--format", "json", *options)
     if proc.returncode != 0:
         raise SystemExit(f"{scenario.name}: zero-one {options}: exit {proc.returncode}\n{proc.stderr}")
     listing = json.loads(proc.stdout)["zero_one"]
-    rows = [tuple(a in ones for a in listing["atom_order"]) for ones in listing["states"]]
-    one_per_basis = all(
-        sum(a in ones for a in basis) == 1 for ones in listing["states"] for basis in bases
-    )
-    want = (3 ** len(bases), True, True)
-    if (len(set(rows)), rows == sorted(rows), one_per_basis) != want:
+    order = listing["atom_order"]
+    if sorted(order) != sorted(f"r{i}" for i in range(len(rays))):
+        raise SystemExit(f"{scenario.name}: zero-one: atom order {order}")
+    bit = {a: 1 << len(order) - 1 - i for i, a in enumerate(order)}
+    masks = [sum(bit[a] for a in set(ones)) for ones in listing["states"]]
+    triples = [
+        sum(bit[f"r{i}"] for i in t)
+        for t in combinations(range(len(rays)), 3)
+        if all(dot(rays[i], rays[j]) == 0 for i, j in combinations(t, 2))
+    ]
+    one_per_triple = all((mask & t).bit_count() == 1 for mask in masks for t in triples)
+    ascending = all(a < b for a, b in zip(masks, masks[1:]))
+    want = (3 ** (len(rays) // 3), True, True)
+    if (len(masks), one_per_triple, ascending) != want:
         raise SystemExit(
-            f"{scenario.name}: zero-one: {len(set(rows))} distinct states, sorted "
-            f"{rows == sorted(rows)}, one 1 per basis {one_per_basis}; expected {want}"
+            f"{scenario.name}: zero-one: {len(masks)} states, one 1 per orthogonal triple "
+            f"{one_per_triple}, ascending {ascending}; expected {want}"
         )
     return listing, wall
 
 
-def check_zero_one_budget(scenario, bases):
+def check_zero_one_budget(scenario, rays):
     """``zero-one`` on k = 3 bases lists the 27 products of the three
     triangles for 15 component search nodes plus one node per listed state:
     it passes at ``--budget 42`` and fails at 41, while ``build``, which
     lists no product, passes at 15."""
-    _, wall = zero_one_listing(scenario, bases, "--budget", 42)
+    _, wall = zero_one_listing(scenario, rays, "--budget", 42)
     proc, _ = ctxcert("zero-one", scenario, "--format", "json", "--budget", 41)
     want = "error: search explored 42 nodes, budget 41\n"
     if (proc.returncode, proc.stderr) != (1, want):
@@ -260,11 +272,11 @@ def check_zero_one_budget(scenario, bases):
     print(f"k=3: zero-one lists 27 states at --budget 42, not at 41, {wall:.2f} s")
 
 
-def check_interleaved(scenario, bases, state):
+def check_interleaved(scenario, rays, state):
     """On interleaved components ``zero-one`` lists as on any other file, and
     the weights ``analyze`` gives I/3, keyed by position in that listing, put
     1/3 on every atom: CLASSICAL, exit 0."""
-    listing, _ = zero_one_listing(scenario, bases)
+    listing, _ = zero_one_listing(scenario, rays)
     code, report, wall = analyze(scenario, state)
     weights = {int(k): Fraction(w) for k, w in report["state_verdict"]["weights"].items()}
     mass = {
@@ -291,8 +303,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         rays = AXES + unrelated_bases(2, AXES)
         check_structure("k=3", rays, 9, [3] * 3, 27)
-        bases = [[f"r{i}" for i in range(b, b + 3)] for b in range(0, 9, 3)]
-        check_zero_one_budget(write_scenario(Path(tmp, "k=3.json"), rays), bases)
+        check_zero_one_budget(write_scenario(Path(tmp, "k=3.json"), rays), rays)
         state = Path(tmp, "mixed3.json")
         rho = [["1/3" if i == j else "0" for j in range(3)] for i in range(3)]
         state.write_text(json.dumps({"density": rho}), encoding="utf-8")
@@ -301,8 +312,11 @@ def main() -> int:
         interleaved = [[b, b + 3, b + 6] for b in range(3)]
         if components(mixed) != interleaved:
             raise SystemExit(f"k=3 round robin: components {components(mixed)}")
-        bases = [[f"r{i}" for i in part] for part in interleaved]
-        check_interleaved(write_scenario(Path(tmp, "k=3-rr.json"), mixed), bases, state)
+        check_interleaved(write_scenario(Path(tmp, "k=3-rr.json"), mixed), mixed, state)
+        rays = AXES + unrelated_bases(8, AXES)
+        check_structure("k=9", rays, 27, [3] * 9, 3**9)
+        _, wall = zero_one_listing(write_scenario(Path(tmp, "k=9.json"), rays), rays)
+        print(f"k=9: zero-one lists {3**9} states, {wall:.2f} s")
         for name, rays, atoms, sizes, states, verdict, label in rungs:
             check_structure(name, rays, atoms, sizes, states)
             code, report, wall = analyze(write_scenario(Path(tmp, f"{name}.json"), rays), state)

@@ -260,10 +260,13 @@ def cmd_zero_one(args) -> int:
     system = source.build_system()
     s01 = zero_one_states(system, args.budget)
     report["timings"]["total_s"] = time.perf_counter() - t0
+    graph = system.atom_graph()
+    # Each state's names in sorted order, read from its mask.
+    names = [(v, graph.mask([v])) for v in sorted(graph.vertices)]
     report["zero_one"] = {
         "count": len(s01),
-        "atom_order": list(system.atom_graph().vertices),
-        "states": [sorted(s.ones) for s in s01],
+        "atom_order": list(graph.vertices),
+        "states": [[v for v, bit in names if s.mask & bit] for s in s01],
     }
     _emit(args, report)
     return 0

@@ -123,8 +123,9 @@ class ExclusivityGraph:
 
     def to_dot(self, name: str = "atoms") -> str:
         """Graphviz DOT text: vertices then edges, both in lexicographic order.
-        Each vertex is a quoted ID, with ``"`` in its name escaped as ``\\"``."""
-        ids = {v: '"' + v.replace('"', '\\"') + '"' for v in self.vertices}
+        Each vertex is a quoted ID, with ``\\`` in its name escaped as ``\\\\``,
+        then ``"`` as ``\\"``."""
+        ids = {v: '"' + v.replace("\\", "\\\\").replace('"', '\\"') + '"' for v in self.vertices}
         lines = [f"graph {name} {{"]
         for v in sorted(self.vertices):
             lines.append(f"  {ids[v]};")
@@ -204,27 +205,36 @@ def is_state(
     return True
 
 
-@dataclass(frozen=True, eq=False)
+def _check_zero_one(graph: ExclusivityGraph, mask: int) -> None:
+    """Raise unless ``mask`` sets exactly one vertex of every maximal clique.
+
+    Clique counts on bitmasks.  Every edge lies in a maximal clique, so two
+    adjacent 1s also break a clique; the adjacent pair is looked for, to name
+    it, only once a clique is broken."""
+    if mask & ~graph._mask:  # a negative mask too
+        raise MissingVertex(f"mask {mask:#x} has bits outside the graph")
+    for clique, bits in zip(graph._cliques, graph._clique_masks):
+        if (bits & mask).bit_count() != 1:
+            for u, v in sorted(graph.edges):
+                if mask & graph._bit[u] and mask & graph._bit[v]:
+                    raise NotAGraphState(f"adjacent vertices {u!r}, {v!r} both set to 1")
+            raise NotAGraphState(f"clique {clique} does not contain exactly one 1")
+
+
 class ZeroOneState:
     """Deterministic state: exactly one atom fires in every maximal clique.
-    ``mask`` holds the atoms set to 1, in ``graph``'s bit order."""
+    ``mask`` holds the atoms set to 1, in ``graph``'s bit order.
 
-    graph: ExclusivityGraph
-    mask: int
+    The constructor checks every clique; ``_validated=True`` skips that, for
+    the product listing, which proves its states valid once per listing."""
 
-    def __post_init__(self):
-        # Clique counts on bitmasks.  Every edge lies in a maximal clique, so
-        # two adjacent 1s also break a clique; the adjacent pair is looked
-        # for, to name it, only once a clique is broken.
-        graph, mask = self.graph, self.mask
-        if mask & ~graph._mask:  # a negative mask too
-            raise MissingVertex(f"mask {mask:#x} has bits outside the graph")
-        for clique, bits in zip(graph._cliques, graph._clique_masks):
-            if (bits & mask).bit_count() != 1:
-                for u, v in sorted(graph.edges):
-                    if mask & graph._bit[u] and mask & graph._bit[v]:
-                        raise NotAGraphState(f"adjacent vertices {u!r}, {v!r} both set to 1")
-                raise NotAGraphState(f"clique {clique} does not contain exactly one 1")
+    __slots__ = ("graph", "mask")
+
+    def __init__(self, graph: ExclusivityGraph, mask: int, _validated: bool = False):
+        self.graph = graph
+        self.mask = mask
+        if not _validated:
+            _check_zero_one(graph, mask)
 
     @classmethod
     def from_ones(cls, graph: ExclusivityGraph, ones: Iterable[str]) -> "ZeroOneState":
@@ -235,11 +245,18 @@ class ZeroOneState:
         return frozenset(v for v, bit in self.graph._bit.items() if self.mask & bit)
 
     def __eq__(self, other) -> bool:
+        if not isinstance(other, ZeroOneState):
+            return False
+        if self.graph is other.graph:
+            return self.mask == other.mask
         # Equal graphs may give a vertex different bits, but not other names.
-        return isinstance(other, ZeroOneState) and (self.graph, self.ones) == (other.graph, other.ones)
+        return (self.graph, self.ones) == (other.graph, other.ones)
 
     def __hash__(self) -> int:
         return hash(self.ones)
+
+    def __repr__(self) -> str:
+        return f"ZeroOneState(graph={self.graph!r}, mask={self.mask})"
 
     def value(self, vertex: str) -> int:
         if vertex not in self.graph._bit:
@@ -397,7 +414,8 @@ def enumerate_zero_one_states(
     Otherwise the states are the products of one state per component
     (``component_zero_one_states``), whose mask is the sum of the factors';
     listing them costs one search node per product state beyond the
-    component nodes, charged before any is built.
+    component nodes, charged before any is built.  The factors are checked
+    states, so ``_check_components`` proves every product valid at once.
     """
     listings, spent = _component_search(graph, budget)
     if len(listings) == 1:
@@ -407,10 +425,28 @@ def enumerate_zero_one_states(
     total = spent + prod(map(len, listings))
     if total > budget:
         raise SearchBudgetExceeded(total, budget)
+    _check_components(graph)
     masks = [0]
     for listing in listings:
         masks = [mask + lam.mask for mask in masks for lam in listing]
-    return [ZeroOneState(graph, mask) for mask in sorted(masks)]
+    # _validated=True, passed by position, which is cheaper per call than a keyword.
+    return [ZeroOneState(graph, mask, True) for mask in sorted(masks)]
+
+
+def _check_components(graph: ExclusivityGraph) -> None:
+    """Raise ``NotAGraphState`` unless the components' vertex masks partition
+    the graph's and their clique masks are exactly the graph's.  Then each
+    clique lies in one component and meets only that factor's bits, so a sum
+    of one 0-1 state per component is a 0-1 state of the graph."""
+    parts = graph.components
+    covered = 0
+    for part in parts:
+        if part._mask & covered:
+            raise NotAGraphState("components share a vertex")
+        covered |= part._mask
+    cliques = sorted(bits for part in parts for bits in part._clique_masks)
+    if covered != graph._mask or cliques != sorted(graph._clique_masks):
+        raise NotAGraphState("the components' cliques are not the graph's")
 
 
 def component_zero_one_states(

@@ -33,6 +33,7 @@ from ctxcert.errors import (
     CertificateError,
     IncompleteListing,
     MissingVertex,
+    NotAGraphState,
     SearchBudgetExceeded,
 )
 from ctxcert.graphs import (
@@ -46,6 +47,7 @@ from ctxcert.linalg import DensityMatrix, ExactMatrix, projector_from_vector
 from ctxcert.simplex import OPTIMAL, solve_standard
 from ctxcert.systems import generate_system
 
+from test_graphs import set_based_zero_one_check
 from test_io_cli import run_cli
 
 # The ray generators of the CI ladder script, shared rather than copied.
@@ -192,18 +194,55 @@ def test_listing_charges_one_node_per_product_state(family, monkeypatch):
     nodes = sum(_search_zero_one(part, 10**6, 0)[1] for part in graph.components)
     if len(graph.components) > 1:
         nodes += len(s01)
-    assert enumerate_zero_one_states(graph, budget=nodes) == s01
     built = []
 
-    def recording(state_graph, ones):
+    def recording(state_graph, mask, _validated=False):
         built.append(state_graph)
-        return ZeroOneState(state_graph, ones)
+        return ZeroOneState(state_graph, mask, _validated)
 
     monkeypatch.setattr(graphs, "ZeroOneState", recording)
+    listing = enumerate_zero_one_states(graph, budget=nodes)
+    # The recorder sees every state built, the unchecked products too.
+    assert sum(g is graph for g in built) == len(s01)
+    built.clear()
     with pytest.raises(SearchBudgetExceeded) as err:
         enumerate_zero_one_states(graph, budget=nodes - 1)
     assert (err.value.nodes, err.value.budget) == (nodes, nodes - 1)
     assert all(g is not graph for g in built)
+    monkeypatch.undo()
+    assert listing == s01
+
+
+@pytest.mark.parametrize(
+    "rays",
+    [k_bases_rays(k) for k in (3, 4, 5, 6)] + [interleaved_rays(3)],
+    ids=[f"k={k}" for k in (3, 4, 5, 6)] + ["k=3-interleaved"],
+)
+def test_product_listing_passes_the_set_based_check(rays):
+    graph = _system(rays).atom_graph()
+    s01 = enumerate_zero_one_states(graph)
+    assert len(s01) == 3 ** (len(rays) // 3)
+    for lam in s01:
+        set_based_zero_one_check(graph, lam.ones)
+
+
+def test_product_listing_checks_the_components_once(monkeypatch):
+    """The products are not checked one by one, so components that do not
+    split the graph's cliques and vertices stop the listing.  Here each
+    component's own states stay valid: one component is left with no
+    cliques, or one is taken twice."""
+    graph = _system(interleaved_rays(3)).atom_graph()
+    part = graph.components[1]
+    monkeypatch.setattr(part, "_clique_masks", ())
+    with pytest.raises(NotAGraphState, match="cliques are not the graph's"):
+        enumerate_zero_one_states(graph)
+    monkeypatch.undo()
+    first = graph.components[0]
+    monkeypatch.setattr(graph, "components", (first, first) + graph.components[1:])
+    with pytest.raises(NotAGraphState, match="share a vertex"):
+        enumerate_zero_one_states(graph)
+    monkeypatch.undo()
+    assert len(enumerate_zero_one_states(graph)) == 27
 
 
 def test_product_index_is_the_index_in_the_sorted_listing(family):

@@ -266,6 +266,53 @@ def test_zero_one_state_check_matches_set_based_check(g, data):
                 ZeroOneState.from_ones(g, ones)
 
 
+@st.composite
+def disjoint_unions(draw):
+    """Two or three ``small_graphs`` on disjoint names, with their vertices
+    in a drawn order so that the parts' bits may interleave; also each
+    part's listing of the names set to 1."""
+    parts = draw(st.lists(small_graphs(), min_size=2, max_size=3))
+    verts, edges, listings = [], [], []
+    for j, part in enumerate(parts):
+        name = {v: f"g{j}{v}" for v in part.vertices}
+        verts += name.values()
+        edges += [(name[u], name[v]) for u, v in part.edges]
+        listings.append([{name[v] for v in s.ones} for s in enumerate_zero_one_states(part)])
+    return ExclusivityGraph(draw(st.permutations(verts)), edges), listings
+
+
+@given(disjoint_unions())
+@settings(max_examples=150, deadline=None)
+def test_product_listing_matches_set_based_check(union):
+    g, listings = union
+    s01 = enumerate_zero_one_states(g)
+    for s in s01:
+        set_based_zero_one_check(g, s.ones)
+    products = {frozenset().union(*choice) for choice in itertools.product(*listings)}
+    assert [s.mask for s in s01] == sorted({s.mask for s in s01})
+    assert {s.ones for s in s01} == products
+
+
+def test_zero_one_state_equality_on_one_graph_and_on_equal_graphs():
+    edges = [("a", "b"), ("c", "d")]
+    g = ExclusivityGraph("abcd", edges)
+    same = ExclusivityGraph("abcd", edges)
+    other_order = ExclusivityGraph("bacd", edges)
+    ac = ZeroOneState.from_ones(g, {"a", "c"})
+    assert ac == ZeroOneState(g, ac.mask) and ac != ZeroOneState.from_ones(g, {"b", "c"})
+    # Equal but distinct graphs compare by names, whatever their bit orders.
+    for h in (same, other_order):
+        assert h is not g and h == g
+        twin = ZeroOneState.from_ones(h, {"a", "c"})
+        assert twin == ac and hash(twin) == hash(ac)
+        assert ZeroOneState.from_ones(h, {"a", "d"}) != ac
+    bc = ZeroOneState.from_ones(other_order, {"b", "c"})
+    assert bc.mask == ac.mask and bc != ac
+    triangle = ExclusivityGraph("abc", [("a", "b"), ("b", "c"), ("a", "c")])
+    assert ZeroOneState.from_ones(triangle, {"a"}) != ZeroOneState.from_ones(g, {"a", "c"})
+    assert ac != ac.mask and ac != ac.ones
+
+
 def test_isomorphic_relabelled_cycle():
     g1 = cycle(5)
     mapping = {f"v{i}": f"w{(3 * i + 1) % 5}" for i in range(5)}
@@ -337,8 +384,10 @@ def test_dot_export_sorted_and_verbatim():
     assert lines[-1] == "}"
 
 
-# A quoted DOT ID, read as Graphviz reads it: only \" is an escape.
-DOT_ID = re.compile(r'"((?:\\"|[^"])*)"')
+# A quoted DOT ID as ``to_dot`` writes it: every backslash starts one of the
+# pairs \\ and \", each standing for its second character.
+DOT_ID = re.compile(r'"((?:\\[\\"]|[^"\\])*)"')
+DOT_ESCAPE = re.compile(r'\\([\\"])')
 
 
 def dot_statements(dot: str) -> tuple[list[str], list[tuple[str, str]]]:
@@ -348,7 +397,7 @@ def dot_statements(dot: str) -> tuple[list[str], list[tuple[str, str]]]:
     assert lines[0].startswith("graph ") and lines[-1] == "}"
     vertices, edges = [], []
     for line in lines[1:-1]:
-        ids = [m.replace('\\"', '"') for m in DOT_ID.findall(line)]
+        ids = [DOT_ESCAPE.sub(r"\1", m) for m in DOT_ID.findall(line)]
         shape = DOT_ID.sub("ID", line)
         assert shape in ("  ID;", "  ID -- ID;"), line
         if len(ids) == 1:
@@ -365,6 +414,17 @@ def test_dot_escapes_quotes_in_names():
     assert '  "a\\" -- \\"x";' in dot.splitlines()
     vertices, edges = dot_statements(dot)
     assert sorted(vertices) == sorted(g.vertices)
+    assert {frozenset(e) for e in edges} == {frozenset(e) for e in g.edges}
+
+
+def test_dot_escapes_backslashes_before_quotes():
+    names = ["a\\", "b", 'c\\"']
+    g = ExclusivityGraph(names, [("a\\", "b"), ("b", 'c\\"')])
+    lines = g.to_dot().splitlines()
+    assert lines[1:4] == ['  "a\\\\";', '  "b";', '  "c\\\\\\"";']
+    assert lines[4] == '  "a\\\\" -- "b";'
+    vertices, edges = dot_statements(g.to_dot())
+    assert vertices == names
     assert {frozenset(e) for e in edges} == {frozenset(e) for e in g.edges}
 
 
