@@ -32,7 +32,7 @@ from .graphs import (
     enumerate_zero_one_states,
 )
 from .linalg import EXACT, FLOAT
-from .simplex import OPTIMAL, solve_standard
+from .simplex import OPTIMAL, feasible_point
 from .systems import QuantumSystem
 
 RATIONALIZE_MAX_DENOMINATOR = 10**12
@@ -339,7 +339,7 @@ def _membership_lp(
     a.append([1] * m)
     b = [target[v] for v in free]
     b.append(Fraction(1))
-    res = solve_standard(a, b, [0] * m)
+    res = feasible_point(a, b)
     if res.status == OPTIMAL:
         return {k: w for k, w in enumerate(res.x) if w != 0}, None
     return None, dict(zip(free, res.farkas))

@@ -33,6 +33,7 @@ import json
 import logging
 import math
 import os
+import sys
 from collections.abc import Iterable, Sized
 from dataclasses import dataclass
 from fractions import Fraction
@@ -99,6 +100,8 @@ def parse_ratio(value, field: str) -> tuple[int, int]:
 
 
 def parse_real(value, field: str) -> float:
+    if isinstance(value, bool):  # float(True) would read it as 1.0
+        raise ScenarioFormatError(f"{field}: bad number {value!r}")
     try:
         return float(value)
     except (TypeError, ValueError) as exc:
@@ -229,6 +232,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
             raise ScenarioFormatError(f"tolerance: must be finite, got {tol!r}")
         if tol <= 0:
             raise ScenarioFormatError("tolerance: must be positive")
+        if tol < sys.float_info.min:  # a subnormal tol overflows the grid key
+            raise ScenarioFormatError(f"tolerance: must be at least {sys.float_info.min!r}, got {tol!r}")
 
     raw_vectors = doc.get("vectors", [])
     if not isinstance(raw_vectors, Iterable):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import cmath
 import math
 import operator
+import sys
 from fractions import Fraction
 from itertools import product
 from typing import Iterable, Sequence, Union
@@ -269,8 +270,8 @@ class FloatMatrix:
     __slots__ = ("dim", "entries", "tol", "_sliced")
 
     def __init__(self, dim: int, entries: tuple[complex, ...], tol: float = DEFAULT_TOL):
-        if tol <= 0:
-            raise ValueError("tolerance must be positive")
+        if not tol >= sys.float_info.min:  # NaN, <= 0, or subnormal
+            raise ValueError(f"tolerance must be at least {sys.float_info.min!r}, got {tol!r}")
         self.dim = dim
         self.entries = entries
         self.tol = tol

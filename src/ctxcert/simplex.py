@@ -1,4 +1,7 @@
-"""Two-phase primal simplex over exact rationals, on an integer tableau.
+"""Is there x >= 0 with a x = b?  Phase 1 of the primal simplex answers it
+over exact rationals, on an integer tableau: at 0 with a basic solution read
+off the final basis (an artificial still basic sits at level 0), or above 0
+with a Farkas ray.
 
 Verdicts downstream must be unconditional, so the arithmetic is exact: the
 tableau is integer-preserving (fraction-free, Edmonds 1967 / Bareiss 1968).
@@ -29,19 +32,17 @@ from typing import Sequence
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
-UNBOUNDED = "unbounded"
 
 
 @dataclass(frozen=True)
 class LPResult:
-    """``farkas`` is set on INFEASIBLE only: the phase-1 dual y, one entry per
-    row, with y.A <= 0 < y.b.  ``analyze`` reads its separating inequalities
-    from it."""
+    """``x`` is set on OPTIMAL only, ``farkas`` on INFEASIBLE only: the
+    phase-1 dual y, one entry per row, with y.A <= 0 < y.b.  ``analyze``
+    reads its separating inequalities from it."""
 
     status: str
     x: tuple[Fraction, ...] | None
-    value: Fraction | None
-    pivots: int  # phase 1, drive-out of artificials and phase 2 together
+    pivots: int  # phase 1
     farkas: tuple[Fraction, ...] | None = None
 
 
@@ -64,11 +65,6 @@ class _Tableau:
     def pivot(self, r: int, c: int) -> None:
         rows, den = self.rows, self.den
         p = rows[r][c]
-        if p < 0:
-            # Only drive-out pivots can be negative; negating the pivot row
-            # keeps the denominator, and so every sign test, positive.
-            p = -p
-            rows[r] = [-w for w in rows[r]]
         prow = rows[r]
         for i, line in enumerate(rows):
             if i == r:
@@ -82,17 +78,18 @@ class _Tableau:
         self.basis[r] = c
         self.pivots += 1
 
-    def run(self, allowed: int) -> str:
-        """Bland's rule over the first ``allowed`` columns until optimal or unbounded."""
+    def run(self) -> None:
+        """Bland's rule until optimal; the objective must be bounded below."""
         rows, basis = self.rows, self.basis
         m = len(basis)
+        width = len(rows[m]) - 1
         cost = rows[m]
         while True:
             # Basic columns have reduced cost 0, so the first negative entry
             # is the first improving nonbasic column.
-            entering = next((j for j in range(allowed) if cost[j] < 0), -1)
+            entering = next((j for j in range(width) if cost[j] < 0), -1)
             if entering < 0:
-                return OPTIMAL
+                return
             leaving = -1
             for i in range(m):
                 a = rows[i][entering]
@@ -104,23 +101,18 @@ class _Tableau:
                     lhs, rhs = rows[i][-1] * best_a, best_b * a
                     if lhs < rhs or (lhs == rhs and basis[i] < basis[leaving]):
                         leaving, best_b, best_a = i, rows[i][-1], a
-            if leaving < 0:
-                return UNBOUNDED
+            assert leaving >= 0, "the objective is unbounded below"
             self.pivot(leaving, entering)
             cost = rows[m]
 
 
-def solve_standard(
-    a: Sequence[Sequence], b: Sequence, c: Sequence, maximize: bool = False
-) -> LPResult:
-    """Solve min (or max) c.x subject to a x = b, x >= 0."""
+def feasible_point(a: Sequence[Sequence], b: Sequence) -> LPResult:
+    """A nonnegative basic solution of a x = b, or the Farkas ray showing
+    that none exists."""
     m = len(a)
-    n = len(c)
-    obj = [Fraction(v) for v in c]
-    if maximize:
-        obj = [-v for v in obj]
+    n = len(a[0]) if m else 0
 
-    # Phase 1: rows with b >= 0 scaled to integers, artificial identity basis.
+    # Rows with b >= 0 scaled to integers, artificial identity basis.
     rows: list[list[int]] = []
     scales: list[int] = []
     for i in range(m):
@@ -140,8 +132,7 @@ def solve_standard(
     cost += [0] * m + [-sum(w * line[-1] for w, line in zip(weights, rows))]
     rows.append(cost)
     tab = _Tableau(rows, [n + i for i in range(m)])
-    status = tab.run(n + m)
-    assert status == OPTIMAL, "phase 1 cannot be unbounded"
+    tab.run()  # the sum of artificials is bounded below by 0
     basis = tab.basis
     if any(basis[i] >= n and rows[i][-1] for i in range(m)):
         # At artificial i the cost row holds D * (w_i - pi_i), pi the dual of
@@ -153,39 +144,10 @@ def solve_standard(
             Fraction(s * (w * tab.den - t), den)
             for s, w, t in zip(scales, weights, rows[m][n : n + m])
         )
-        return LPResult(INFEASIBLE, None, None, tab.pivots, ray)
+        return LPResult(INFEASIBLE, None, tab.pivots, ray)
 
-    # Drive leftover zero-level artificials out of the basis; a row with no
-    # structural column available is redundant and gets dropped.
-    drop: list[int] = []
-    for i in range(m):
-        if basis[i] >= n:
-            col = next((j for j in range(n) if rows[i][j] != 0), None)
-            if col is None:
-                drop.append(i)
-            else:
-                tab.pivot(i, col)
-    for i in reversed(drop):
-        del rows[i]
-        del basis[i]
-
-    # Phase 2: original objective, artificial columns disabled.  The cost row
-    # is D times the reduced costs of the integer-scaled objective.
-    weight, _ = _integer_row(obj)
-    cost = [w * tab.den for w in weight] + [0] * (m + 1)
-    for line, col in zip(rows, basis):
-        w = weight[col] if col < n else 0
-        if w:
-            cost = [v - w * t for v, t in zip(cost, line)]
-    rows[-1] = cost
-    status = tab.run(n)
-    if status == UNBOUNDED:
-        return LPResult(UNBOUNDED, None, None, tab.pivots)
     x = [Fraction(0)] * n
     for line, col in zip(rows, basis):
         if col < n:
             x[col] = Fraction(line[-1], tab.den)
-    value = sum(o * v for o, v in zip(obj, x))
-    if maximize:
-        value = -value
-    return LPResult(OPTIMAL, tuple(x), value, tab.pivots)
+    return LPResult(OPTIMAL, tuple(x), tab.pivots)

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import pytest
 
-from ctxcert import analyze, graphs
+from ctxcert import analyze, graphs, simplex
 from ctxcert.analyze import (
     CONTEXTUAL,
     NONCONTEXTUAL,
@@ -30,7 +30,6 @@ from ctxcert.analyze import (
 )
 from ctxcert.catalog import BUILTINS, kcbs_state
 from ctxcert.errors import (
-    CertificateError,
     IncompleteListing,
     MissingVertex,
     NotAGraphState,
@@ -44,7 +43,7 @@ from ctxcert.graphs import (
     enumerate_zero_one_states,
 )
 from ctxcert.linalg import DensityMatrix, ExactMatrix, projector_from_vector
-from ctxcert.simplex import OPTIMAL, solve_standard
+from ctxcert.simplex import feasible_point
 from ctxcert.systems import generate_system
 
 from test_graphs import set_based_zero_one_check
@@ -296,12 +295,20 @@ def _separation_lp(
         c[i] = target[v]
     c[2 * nf] = -1
     c[2 * nf + 1] = 1
-    res = solve_standard(a, b, c, maximize=True)
-    if res.status != OPTIMAL:
-        raise CertificateError(f"separation LP ended with status {res.status}")
-    y = {v: res.x[i] - 1 for i, v in enumerate(free)}
-    bound = res.x[2 * nf] - res.x[2 * nf + 1]
-    violation = res.value - sum(target[v] for v in free)
+    # Every b is >= 0 and every row has its own unit column, a slack per
+    # state row and u_v per box row, so the slack basis is feasible: one
+    # phase of Bland's rule on the reduced costs of min -c, no artificials.
+    basis = [2 * nf + 2 + k for k in range(m)] + [nf + i for i in range(nf)]
+    weight, _ = simplex._integer_row(c)
+    cost = [-w for w in weight] + [0]
+    tab = simplex._Tableau([row + [rhs] for row, rhs in zip(a, b)] + [cost], basis)
+    tab.run()
+    x = [Fraction(0)] * ncols
+    for line, col in zip(tab.rows, tab.basis):
+        x[col] = Fraction(line[-1], tab.den)
+    y = {v: x[i] - 1 for i, v in enumerate(free)}
+    bound = x[2 * nf] - x[2 * nf + 1]
+    violation = sum(u * v for u, v in zip(c, x)) - sum(target[v] for v in free)
     return y, bound, violation
 
 
@@ -414,9 +421,9 @@ def test_certify_solves_one_lp_per_component_at_most(name, monkeypatch):
 
     def recording(*args):
         calls.append(args)
-        return solve_standard(*args)
+        return feasible_point(*args)
 
-    monkeypatch.setattr(analyze, "solve_standard", recording)
+    monkeypatch.setattr(analyze, "feasible_point", recording)
     result = classify_experiment(system, p)
     cert = result.certificate
     components, count, verdict, text = ONE_LP[name]

@@ -34,7 +34,7 @@ from ctxcert.io import (
     system_from_payload,
     system_to_payload,
 )
-from ctxcert.linalg import ExactMatrix, complement
+from ctxcert.linalg import ExactMatrix, FloatMatrix, complement
 from ctxcert.systems import generate_system, systems_equal
 from ctxcert.vectorsets import VectorSet
 from test_graphs import dot_statements
@@ -106,6 +106,61 @@ def test_non_finite_tolerance_is_rejected_at_parse(tmp_path, capsys, value):
     for argv in (["build", str(path)], ["build", str(plain), "--tolerance", value]):
         code, out, err = run_cli(argv, capsys)
         assert (code, out, err) == (1, "", f"error: tolerance: must be finite, got {value}\n")
+
+
+def test_subnormal_tolerance_is_rejected_at_parse(tmp_path, capsys):
+    # 64 * 1e-320 is subnormal too, and an entry over it overflows the grid key.
+    least = sys.float_info.min
+    want = f"error: tolerance: must be at least {least!r}, got 1e-320\n"
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(dict(BOOLEAN_SCENARIO, backend="float", tolerance="1e-320")))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(dict(BOOLEAN_SCENARIO, backend="float")))
+    for argv in (["build", str(path)], ["build", str(plain), "--tolerance", "1e-320"]):
+        code, out, err = run_cli([*argv, "--no-cache"], capsys)
+        assert (code, out, err) == (1, "", want)
+    code, out, err = run_cli(["build", str(plain), "--tolerance", repr(least), "--no-cache"], capsys)
+    assert (code, err) == (0, "") and "elements: 8, atoms: 3" in out
+
+
+@pytest.mark.parametrize("tol", [1e-320, float("nan"), 0.0, -1.0])
+def test_float_matrix_rejects_a_tolerance_below_the_least_normal_float(tol):
+    with pytest.raises(ValueError, match="^tolerance must be at least"):
+        FloatMatrix(1, (1j,), tol)
+    assert FloatMatrix(1, (1j,), sys.float_info.min).grid_key()
+
+
+_TRUE_SITES = {
+    "tolerance": (lambda doc: doc.update(tolerance=True), "tolerance"),
+    "vector entry": (lambda doc: doc["vectors"][0]["entries"].__setitem__(0, True), r"vectors\[0\]\.entries\[0\]\.re"),
+    "generator matrix entry": (
+        lambda doc: doc.update(generators=[{"matrix": [[True, "0"], ["0", "0"]]}]),
+        r"generators\[0\]\.matrix\[0\]\[0\]\.re",
+    ),
+}
+
+
+@pytest.mark.parametrize("site", sorted(_TRUE_SITES))
+def test_float_scenario_rejects_json_true_as_a_number(tmp_path, capsys, site):
+    """float(True) is 1.0; a JSON true is no number on either backend."""
+    doc = json.loads(json.dumps(TWO_FLOAT_RAYS))
+    edit, field = _TRUE_SITES[site]
+    edit(doc)
+    with pytest.raises(ScenarioFormatError, match=rf"^{field}: bad number True$"):
+        scenario_from_dict(doc)
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(["build", str(path), "--no-cache"], capsys)
+    assert (code, out) == (1, "") and err.startswith("error: ") and "bad number True" in err
+
+
+def test_float_state_rejects_json_true_as_an_atom_value(tmp_path, capsys):
+    scenario = tmp_path / "two.json"
+    scenario.write_text(json.dumps(TWO_FLOAT_RAYS), encoding="utf-8")
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"atoms": {"a": True, "b": "0"}}), encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(scenario), "--state", str(state), "--no-cache"], capsys)
+    assert (code, out, err) == (1, "", "error: atoms.a: bad number True\n")
 
 
 @pytest.mark.parametrize("value", [3.7, True, float("inf")])
