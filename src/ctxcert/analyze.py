@@ -281,9 +281,12 @@ def _embedding(
     atoms the state sets to 1: the bit count of the meet of the two masks.  A
     decomposition is a set of pairwise orthogonal, hence adjacent, atoms, so
     it lies in one component and the element's values are read on that
-    component's states.  Elements of two components agree on every product
-    state only if both are constant, so a constant value is one group across
-    components, and any other fingerprint a group within its component.
+    component's states.  The component and the mask of each element depend
+    on the system alone, so they are read from its table
+    (``QuantumSystem.decomposition_masks``), built once per naming.
+    Elements of two components agree on every product state only if both are
+    constant, so a constant value is one group across components, and any
+    other fingerprint a group within its component.
     """
     count = prod(map(len, listings))
     if not count:
@@ -293,13 +296,8 @@ def _embedding(
             reason="no deterministic state exists, so 0 and 1 get the same image",
             s01_count=0,
         )
-    graph = system.atom_graph()
-    component = {v: c for c, part in enumerate(graph.components) for v in part.vertices}
     groups: dict[object, list[int]] = {}
-    for i in range(len(system.elements)):
-        atoms = [system.atom_label(a) for a in system.decompose(i)]
-        c = component[atoms[0]] if atoms else 0
-        mask = graph.mask(atoms)
+    for i, (c, mask) in enumerate(system.decomposition_masks()):
         fp = tuple((mask & lam.mask).bit_count() for lam in listings[c])
         groups.setdefault(fp[0] if min(fp) == max(fp) else (c, fp), []).append(i)
     collided = [g for g in groups.values() if len(g) > 1]
@@ -335,7 +333,8 @@ def _membership_lp(
     separating inequality.
     """
     m = len(states)
-    a = [[lam.value(v) for lam in states] for v in free]
+    bits = states[0].graph._bit if states else {}
+    a = [[1 if lam.mask & bits[v] else 0 for lam in states] for v in free]
     a.append([1] * m)
     b = [target[v] for v in free]
     b.append(Fraction(1))
@@ -353,13 +352,20 @@ def _primitive_inequality(
     """Tighten the bound to the 0-1 maximum and scale to integers with gcd 1.
 
     y is scaled to integers by the lcm of its denominators first, so each
-    state's value is an integer sum over its ones.
+    state's value is an integer sum over its ones: for each coefficient, the
+    coefficient times the bit count of the state's mask on the atoms that
+    carry it.  The states share one graph, so one table of bits serves all.
     """
     scale = 1
     for w in y.values():
         scale = scale * w.denominator // gcd(scale, w.denominator)
     ints = {v: y[v].numerator * (scale // y[v].denominator) if v in y else 0 for v in atom_order}
-    bound = max(sum(c * lam.value(v) for v, c in ints.items() if c) for lam in states)
+    graph = states[0].graph
+    by_coeff: dict[int, int] = {}
+    for v, c in ints.items():
+        if c:
+            by_coeff[c] = by_coeff.get(c, 0) | graph.mask((v,))
+    bound = max(sum(c * (lam.mask & m).bit_count() for c, m in by_coeff.items()) for lam in states)
     g = 0
     for c in ints.values():
         g = gcd(g, c)
@@ -507,8 +513,16 @@ def _verify_contextual(
     target: Mapping[str, Fraction],
     original: PBAState,
 ) -> None:
+    """Check that ``ineq`` holds on every state of ``s01`` and fails on the
+    rationalized ``target`` and on a float ``original``.  Each state's value
+    is summed term by term over its own graph's bits, apart from the grouped
+    bit counts that computed the bound."""
+    graph, terms = None, ()
     for lam in s01:
-        if ineq.evaluate({v: Fraction(lam.value(v)) for v in lam.graph.vertices}) > ineq.bound:
+        if lam.graph is not graph:
+            graph = lam.graph
+            terms = [(graph.mask((v,)), c) for v, c in ineq.coeffs.items() if c]
+        if sum(c for bit, c in terms if lam.mask & bit) > ineq.bound:
             raise CertificateError("inequality fails on a 0-1 state")
     if ineq.evaluate(target) <= ineq.bound:
         raise CertificateError("inequality does not separate the rationalized state")

@@ -100,11 +100,16 @@ def parse_ratio(value, field: str) -> tuple[int, int]:
 
 
 def parse_real(value, field: str) -> float:
+    """A JSON number or numeric string as a float.  A ratio ``n/d`` of
+    ``_ratio_literal``'s grammar is read as n / d, which int true division
+    rounds correctly, so "1/3" gives the float nearest 1/3; every other
+    value goes through ``float``, as without the slash form."""
     if isinstance(value, bool):  # float(True) would read it as 1.0
         raise ScenarioFormatError(f"{field}: bad number {value!r}")
+    pair = _ratio_literal(value) if type(value) is str and "/" in value else None
     try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
+        return pair[0] / pair[1] if pair else float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ScenarioFormatError(f"{field}: bad number {value!r} ({exc})") from None
 
 

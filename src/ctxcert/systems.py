@@ -205,7 +205,8 @@ class QuantumSystem:
     closed under complement.  After that no method touches a matrix but the
     audit (``verify_epba``), the Born rule (``state_from_density``) and
     membership (``index_of``, ``contains``).  The atom graph, a view of the
-    masks under the atom names, is built on first use.
+    masks under the atom names, and the table of each element's
+    decomposition on it (``decomposition_masks``) are built on first use.
     """
 
     def __init__(self, elements: Sequence[Projector]):
@@ -246,7 +247,8 @@ class QuantumSystem:
     def _name_atoms(self, atom_labels: Mapping[str, Projector]) -> None:
         """Name the atoms: those in ``atom_labels`` first, in its order, then
         the rest e0, e1, ... in element order.  That is the atom-graph order;
-        the graph is built again on first use."""
+        the graph and the decomposition table, whose bits and first
+        decompositions follow it, are built again on first use."""
         names: dict[int, str] = {}
         for name, proj in atom_labels.items():
             idx = self.index_of(proj)
@@ -263,6 +265,7 @@ class QuantumSystem:
         self._atom_indices = list(names)
         self._labels = list(names.values())
         self._atom_graph: ExclusivityGraph | None = None
+        self._decomposition_masks: list[tuple[int, int]] | None = None
 
     # -- membership -----------------------------------------------------------
 
@@ -362,6 +365,20 @@ class QuantumSystem:
             ]
             self._atom_graph = ExclusivityGraph(self._labels, edges)
         return self._atom_graph
+
+    def decomposition_masks(self) -> list[tuple[int, int]]:
+        """For each element, in element order, the index of the atom-graph
+        component that holds its decomposition (``decompose``) and the mask
+        of that decomposition's atoms; component 0 for the empty one of 0."""
+        if self._decomposition_masks is None:
+            graph = self.atom_graph()
+            component = {v: c for c, part in enumerate(graph.components) for v in part.vertices}
+            table = []
+            for i in range(len(self.elements)):
+                atoms = [self._names[a] for a in self.decompose(i)]
+                table.append((component[atoms[0]] if atoms else 0, graph.mask(atoms)))
+            self._decomposition_masks = table
+        return self._decomposition_masks
 
     # -- naming ----------------------------------------------------------------
 

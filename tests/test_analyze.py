@@ -26,11 +26,12 @@ from ctxcert.analyze import (
     scenario_classical,
     zero_one_states,
 )
-from ctxcert.errors import MissingAtom, NotAGraphState
+from ctxcert.errors import CertificateError, MissingAtom, NotAGraphState
 from ctxcert.graphs import ExclusivityGraph, PBAState, enumerate_zero_one_states
 from ctxcert.linalg import DensityMatrix, ExactMatrix, Projector, projector_from_vector
-from ctxcert.systems import generate_system
+from ctxcert.systems import QuantumSystem, generate_system
 
+from test_components import _densities, _system, yu_oh_plus_rays
 from test_simplex import YU_OH_RAYS
 from test_systems import diag, random_pentagon_state
 
@@ -420,3 +421,98 @@ def test_primitive_inequality_matches_fraction_reference(name, kcbs_quantum_stat
         }
         got = _primitive_inequality(p.graph.vertices, y, s01)
         assert got == _fraction_primitive_inequality(p.graph.vertices, y, s01)
+
+
+# -- contextual re-verification ----------------------------------------------------
+
+
+def _yu_oh_plus(k):
+    """Yu-Oh alone (connected), or with k unrelated bases (k + 1 components)."""
+    return _system(YU_OH_RAYS if k == 0 else yu_oh_plus_rays(k))
+
+
+def _lhs(ineq, lam):
+    return sum(c * lam.value(v) for v, c in ineq.coeffs.items())
+
+
+def _tampered(ineq, bound=0, coeff=None):
+    coeffs = dict(ineq.coeffs)
+    if coeff is not None:
+        coeffs[coeff] += 1
+    return SeparatingInequality(ineq.atom_order, coeffs, ineq.bound + bound)
+
+
+@pytest.mark.parametrize("k", [0, 1], ids=["yu-oh", "yu-oh+1"])
+def test_contextual_reverification_rejects_a_tampered_inequality(monkeypatch, k):
+    """Lowering the bound by one, or raising a coefficient by one on an atom
+    that a bound-attaining 0-1 state sets, makes the inequality fail on that
+    state; the substitution check must say so, not return a verdict."""
+    system = _yu_oh_plus(k)
+    p = system.state_from_density(DensityMatrix.maximally_mixed(3))
+    ineq = is_noncontextual(p).inequality
+    assert len(p.graph.components) == k + 1
+    tight = [lam for lam in zero_one_states(system) if _lhs(ineq, lam) == ineq.bound]
+    raisable = [v for v, c in ineq.coeffs.items() if c and any(lam.value(v) for lam in tight)]
+    assert raisable
+    real = analyze._primitive_inequality
+    for change in [{"bound": -1}] + [{"coeff": v} for v in raisable]:
+        monkeypatch.setattr(
+            analyze, "_primitive_inequality", lambda *args: _tampered(real(*args), **change)
+        )
+        with pytest.raises(CertificateError, match="^inequality fails on a 0-1 state$"):
+            is_noncontextual(p)
+        with pytest.raises(CertificateError, match="^inequality fails on a 0-1 state$"):
+            classify_experiment(system, p)
+    monkeypatch.setattr(analyze, "_primitive_inequality", real)
+    assert is_noncontextual(p).inequality == ineq
+
+
+def test_inequality_bound_is_the_zero_one_maximum_on_random_yu_oh_states():
+    system = _yu_oh_plus(0)
+    s01 = zero_one_states(system)
+    for rho in _densities(random.Random(20), 20)[1:]:
+        cert = classify_experiment(system, system.state_from_density(rho)).certificate
+        assert cert.verdict == CONTEXTUAL
+        assert cert.inequality.bound == max(_lhs(cert.inequality, lam) for lam in s01)
+
+
+# -- the decomposition table -------------------------------------------------------
+
+
+def _yu_oh_linked_projectors():
+    """Yu-Oh and a basis whose rays are orthogonal to some of it: the system
+    is not embeddable, and its witness is a pair of named atoms."""
+    rays = YU_OH_RAYS + [(1, 2, 3), (2, -1, 0), (3, 6, -5)]
+    return [projector_from_vector(r) for r in rays]
+
+
+def test_decomposition_table_follows_the_atom_names():
+    projectors = _yu_oh_linked_projectors()
+    labels = {f"r{i}": p for i, p in reversed(list(enumerate(projectors)))}
+    original = generate_system(projectors)
+    rho = DensityMatrix.maximally_mixed(3)
+    before = classify_experiment(original, original.state_from_density(rho)).embedding
+    assert not before.embeddable
+    copy = original.with_atom_labels(labels)
+    fresh = generate_system(projectors).with_atom_labels(labels)
+    got = classify_experiment(copy, copy.state_from_density(rho)).embedding
+    assert got == scenario_classical(fresh)
+    assert got.witness != before.witness
+    assert scenario_classical(original) == before
+    assert copy.decomposition_masks() == fresh.decomposition_masks()
+    assert copy.decomposition_masks() != original.decomposition_masks()
+
+
+def test_classification_decomposes_each_element_once(monkeypatch):
+    system = _yu_oh_plus(0)
+    calls = []
+    real = QuantumSystem.decompositions
+
+    def counting(self, index):
+        calls.append(index)
+        return real(self, index)
+
+    monkeypatch.setattr(QuantumSystem, "decompositions", counting)
+    for rho in _densities(random.Random(5), 4):
+        classify_experiment(system, system.state_from_density(rho))
+    assert sorted(calls) == list(range(len(system)))

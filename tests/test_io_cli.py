@@ -27,6 +27,7 @@ from ctxcert.io import (
     load_cached_system,
     parse_ratio,
     parse_rational,
+    parse_real,
     scenario_from_dict,
     scenario_from_path,
     state_from_dict,
@@ -161,6 +162,46 @@ def test_float_state_rejects_json_true_as_an_atom_value(tmp_path, capsys):
     state.write_text(json.dumps({"atoms": {"a": True, "b": "0"}}), encoding="utf-8")
     code, out, err = run_cli(["analyze", str(scenario), "--state", str(state), "--no-cache"], capsys)
     assert (code, out, err) == (1, "", "error: atoms.a: bad number True\n")
+
+
+def _diagonal_density_file(path, diagonal):
+    rho = [[{"re": diagonal if i == j else "0"} for j in range(3)] for i in range(3)]
+    path.write_text(json.dumps({"density": rho}), encoding="utf-8")
+    return str(path)
+
+
+def test_float_state_reads_rational_literals(tmp_path, capsys):
+    """I/3 as "1/3" strings reads as the same floats as 0.3333333333333333."""
+    reports = []
+    for name, third in (("ratio", "1/3"), ("decimal", "0.3333333333333333")):
+        state = _diagonal_density_file(tmp_path / f"{name}.json", third)
+        code, out, err = run_cli(["analyze", "kcbs", "--state", state, "--format", "json"], capsys)
+        assert (code, err) == (0, ""), err
+        reports.append({k: v for k, v in json.loads(out).items() if k != "timings"})
+    assert reports[0] == reports[1]
+    assert reports[0]["classification"] == "CLASSICAL"
+    assert parse_real("1/3", "x") == 1 / 3 and parse_real(" -2/4 ", "x") == -0.5
+
+
+@pytest.mark.parametrize("third", ["1/0", "1/x", "1" * 400 + "/3"], ids=["zero", "letter", "overflow"])
+def test_float_state_rejects_bad_ratio_literals(tmp_path, capsys, third):
+    state = _diagonal_density_file(tmp_path / "state.json", third)
+    code, out, err = run_cli(["analyze", "kcbs", "--state", state], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: density[0][0].re: bad number '{third}'")
+    assert "Traceback" not in err
+
+
+def test_float_state_rejects_an_integer_past_the_float_range(tmp_path, capsys):
+    """float() of a JSON integer past the float range raises OverflowError."""
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"atoms": {"a": 10**400, "b": "0"}}), encoding="utf-8")
+    scenario = tmp_path / "two.json"
+    scenario.write_text(json.dumps(TWO_FLOAT_RAYS), encoding="utf-8")
+    code, out, err = run_cli(["analyze", str(scenario), "--state", str(state), "--no-cache"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: atoms.a: bad number 1000")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("value", [3.7, True, float("inf")])
