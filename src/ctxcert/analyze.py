@@ -121,15 +121,15 @@ def _eliminate(verts: tuple[str, ...], cliques: tuple[tuple[str, ...], ...]):
 
 
 def rationalize_state(p: PBAState) -> PBAState:
-    """Exact-rational stand-in for a float state.
+    """Exact-rational stand-in for a float state; an exact state, validated
+    when it was built, is returned as it is.
 
     Free coordinates are rationalized by continued fractions; dependent
     coordinates are then solved exactly from the clique equalities, so the
     result is a genuine graph state rather than an almost-state.
     """
     if p.backend == EXACT:
-        values = {v: Fraction(p.value(v)) for v in p.graph.vertices}
-        return PBAState(p.graph, values, backend=EXACT)
+        return p
     red = clique_reduction(p.graph)
     free_vals = {
         v: Fraction(float(p.value(v))).limit_denominator(RATIONALIZE_MAX_DENOMINATOR)
@@ -264,12 +264,10 @@ def _listings(
 
 
 def scenario_classical(
-    system: QuantumSystem,
-    s01: Sequence[ZeroOneState] | None = None,
-    budget: int = DEFAULT_SEARCH_BUDGET,
+    system: QuantumSystem, s01: Sequence[ZeroOneState] | None = None
 ) -> EmbeddingReport:
     """Decide Boolean embeddability by separating elements with 0-1 states."""
-    return _embedding(system, _listings(system.atom_graph(), s01, budget)[0])
+    return _embedding(system, _listings(system.atom_graph(), s01, DEFAULT_SEARCH_BUDGET)[0])
 
 
 def _embedding(

@@ -163,8 +163,12 @@ def _certificate_payload(cert) -> dict:
 def _state_for(system: QuantumSystem, spec) -> PBAState:
     if spec.density is not None:
         return system.state_from_density(spec.density)
+    graph = system.atom_graph()
+    unknown = sorted(set(spec.atom_values) - set(graph.vertices))
+    if unknown:
+        raise ScenarioFormatError(f"atoms: the system has no atoms named {unknown}")
     tol = max(system.tol, DEFAULT_TOL)
-    return PBAState(system.atom_graph(), spec.atom_values, backend=system.backend, tol=tol)
+    return PBAState(graph, spec.atom_values, backend=system.backend, tol=tol)
 
 
 def cmd_build(args) -> int:

@@ -160,6 +160,14 @@ def parse_entry_float(entry, field: str) -> complex:
     return z
 
 
+def _listed(value, field: str, what: str):
+    """``value`` if it reads as a list; a string or an object, whose
+    iteration would give its characters or keys, raises naming ``field``."""
+    if isinstance(value, (str, dict)) or not isinstance(value, Iterable):
+        raise ScenarioFormatError(f"{field}: expected a list of {what}, got {type(value).__name__}")
+    return value
+
+
 def _infer_backend(doc: dict) -> str:
     declared = doc.get("backend")
     if declared is not None:
@@ -249,7 +257,7 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
         if not isinstance(vec, dict) or "name" not in vec or "entries" not in vec:
             raise ScenarioFormatError(f"vectors[{vi}]: expected name and entries")
         name = str(vec["name"])
-        entries = vec["entries"]
+        entries = _listed(vec["entries"], f"vectors[{vi}].entries", f"{dim} entries")
         if not isinstance(entries, Sized) or len(entries) != dim:
             raise ScenarioFormatError(f"vectors[{vi}].entries: expected {dim} entries")
         if backend == EXACT:
@@ -268,12 +276,10 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
 
     bases = []
     index = {n: i for i, n in enumerate(names)}
-    raw_bases = doc.get("bases", []) or []
-    if not isinstance(raw_bases, Iterable):
-        raise ScenarioFormatError("bases: expected a list of vector-name lists")
+    raw_bases = _listed(doc.get("bases", []) or [], "bases", "vector-name lists")
     for bi, basis in enumerate(raw_bases):
         try:
-            idx = tuple(index[n] for n in basis)
+            idx = tuple(index[n] for n in _listed(basis, f"bases[{bi}]", "vector names"))
         except KeyError as exc:
             raise ScenarioFormatError(f"bases[{bi}]: unknown vector {exc.args[0]!r}") from None
         except TypeError:
@@ -285,10 +291,8 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
     raw_gens = doc.get("generators")
     if raw_gens is None:
         raw_gens = names  # every ray is a generator
-    elif not isinstance(raw_gens, Iterable):
-        raise ScenarioFormatError("generators: expected a list of generators")
     generators: list[Projector] = []
-    for gi, gen in enumerate(raw_gens):
+    for gi, gen in enumerate(_listed(raw_gens, "generators", "generators")):
         if isinstance(gen, str):
             if gen not in index:
                 raise ScenarioFormatError(f"generators[{gi}]: unknown vector {gen!r}")
@@ -356,7 +360,7 @@ def state_from_dict(doc: dict, backend: str, tol: float, dim: int) -> StateSpec:
         mat = _parse_matrix(doc["density"], backend, tol, dim, "density")
         return StateSpec(density=DensityMatrix(mat))
     if kind == "vector":
-        entries = doc["vector"]
+        entries = _listed(doc["vector"], "vector", f"{dim} entries")
         if not isinstance(entries, Sized) or len(entries) != dim:
             raise ScenarioFormatError(f"vector: expected {dim} entries")
         if backend == EXACT:

@@ -97,7 +97,7 @@ class PastedPBA:
         self._close()
         self._validate_consistency()
         self._build_catalog()
-        self._order_rows: tuple[list[int], list[int]] | None = None
+        self._order_rows: list[int] | None = None
         self.axiom_report = self._check_axiom()
 
     # -- union-find ---------------------------------------------------------
@@ -238,7 +238,7 @@ class PastedPBA:
 
     def leq(self, x: str, y: str) -> bool:
         """x <= y: some context contains both with the subset inclusion."""
-        return bool(self._order()[0][self._idx(x)] >> self._idx(y) & 1)
+        return bool(self._order()[self._idx(x)] >> self._idx(y) & 1)
 
     def compatible(self, x: str, y: str) -> bool:
         """Compatibility is co-residence in at least one context."""
@@ -263,30 +263,28 @@ class PastedPBA:
         root = self._find((i, op(self._subsets[a][i], self._subsets[b][i])))
         return self.element_names[self._root_pos[root]]
 
-    def _order(self) -> tuple[list[int], list[int]]:
-        """Order rows (bit b of row a iff a <= b) and exclusivity rows (bit c of
-        row b iff b <= not-c), ORed over the contexts: in each, the elements on
-        the supersets of a's subset and on the subsets of b's complement."""
+    def _order(self) -> list[int]:
+        """Order rows, bit b of row a iff a <= b, ORed over the contexts: in
+        each, the elements on the supersets of a's subset."""
         if self._order_rows is None:
-            rows, neg = [0] * len(self._reps), [0] * len(self._reps)
+            rows = [0] * len(self._reps)
             for i, full in enumerate(self._full):
                 elem = [self._root_pos[self._find((i, sub))] for sub in range(full + 1)]
-                up, down = [1 << k for k in elem], [1 << k for k in elem]
+                up = [1 << k for k in elem]
                 for bit in (1 << j for j in range(full.bit_length())):
                     for sub in range(full + 1):
                         if sub & bit:
-                            down[sub] |= down[sub ^ bit]
                             up[sub ^ bit] |= up[sub]
                 for sub, k in enumerate(elem):
                     rows[k] |= up[sub]
-                    neg[k] |= down[full ^ sub]
-            self._order_rows = rows, neg
+            self._order_rows = rows
         return self._order_rows
 
     def exclusive(self, x: str, y: str) -> bool:
         """Some c has x <= c and y <= not-c."""
-        rows, neg = self._order()
-        return bool(rows[self._idx(x)] & neg[self._idx(y)])
+        rows = self._order()
+        row, above_y = rows[self._idx(x)], rows[self._idx(y)]
+        return any(row >> c & 1 and above_y >> k & 1 for c, k in enumerate(self._comp))
 
     # -- law checks -----------------------------------------------------------
 
@@ -297,11 +295,11 @@ class PastedPBA:
 
     def check_lep(self) -> CheckResult:
         """First pair that is exclusive yet incompatible, in canonical order."""
-        return self._result(first_lep_violation(*self._order(), self._compatible_idx)[0])
+        return self._result(first_lep_violation(self._order(), self._comp, self._compatible_idx)[0])
 
     def check_transitivity(self) -> CheckResult:
         """First chain x <= y <= z with x not below z, in canonical order."""
-        return self._result(first_transitivity_violation(self._order()[0])[0])
+        return self._result(first_transitivity_violation(self._order())[0])
 
     def _check_axiom(self) -> AxiomReport:
         # Bounded verification of the defining axiom: every pairwise-compatible

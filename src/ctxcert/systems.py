@@ -109,7 +109,11 @@ class _Pool:
 
 @dataclass(frozen=True)
 class EpbaReport:
-    """Exhaustive exclusivity and transitivity audit of a closed system."""
+    """Exhaustive exclusivity and transitivity audit of a closed system.
+
+    ``pairs_checked`` counts the exclusive pairs i < j tested for
+    compatibility, up to the first violation; ``chains_checked`` counts the
+    pairs i <= j whose rows were compared, up to the first violation."""
 
     lep_holds: bool
     transitivity_holds: bool
@@ -126,32 +130,41 @@ class EpbaReport:
 # -- order audits on bit rows ---------------------------------------------------
 #
 # ``rows[i]`` has bit j set iff element i <= element j, and ``comp[i]`` is the
-# index of the complement of element i.  The two ``first_*_violation`` checks
-# are shared with pasted systems, which fill their exclusivity rows per context.
+# index of the complement of element i.  Both audits read only these, so they
+# serve quantum and pasted systems alike.
 
 
-def neg_image(rows: Sequence[int], comp: Sequence[int]) -> list[int]:
-    """Bit c of entry j is set iff j <= comp[c].
-
-    Elements i and j are exclusive (some c has i <= c and j <= comp[c])
-    exactly when ``rows[i] & neg_image[j]`` is nonzero.
-    """
-    return [sum(1 << c for c, k in enumerate(comp) if row >> k & 1) for row in rows]
+def _bits(mask: int):
+    """The indices of the set bits of ``mask``, in ascending order."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def first_lep_violation(
-    rows: Sequence[int], neg: Sequence[int], compatible: Callable[[int, int], bool]
+    rows: Sequence[int], comp: Sequence[int], compatible: Callable[[int, int], bool]
 ) -> tuple[tuple[int, int] | None, int]:
-    """First pair i < j, in index order, that is exclusive but not
-    ``compatible``, and the number of pairs examined up to it."""
-    n = len(rows)
+    """First pair i < j, in index order, that is exclusive (some c has
+    i <= c and j <= comp[c]) but not ``compatible``, and the number of
+    exclusive pairs tested up to it.
+
+    With ``below[k]`` the mask of the elements <= k, the exclusive partners
+    of i are the OR of ``below[comp[c]]`` over the bits c of ``rows[i]``.
+    """
+    below = [0] * len(rows)
+    for i, row in enumerate(rows):
+        for k in _bits(row):
+            below[k] |= 1 << i
     pairs = 0
-    for i in range(n):
-        row = rows[i]
-        for j in range(i + 1, n):
-            if row & neg[j] and not compatible(i, j):
-                return (i, j), pairs + j - i
-        pairs += n - 1 - i
+    for i, row in enumerate(rows):
+        partners = 0
+        for c in _bits(row):
+            partners |= below[comp[c]]
+        for j in _bits(partners & -(2 << i)):  # the partners above i
+            pairs += 1
+            if not compatible(i, j):
+                return (i, j), pairs
     return None, pairs
 
 
@@ -162,14 +175,11 @@ def first_transitivity_violation(
     number of pairs i <= j examined up to it."""
     chains = 0
     for i, row_i in enumerate(rows):
-        m = row_i
-        while m:
-            j = (m & -m).bit_length() - 1
-            m &= m - 1
+        for j in _bits(row_i):
             chains += 1
             bad = rows[j] & ~row_i
             if bad:
-                return (i, j, (bad & -bad).bit_length() - 1), chains
+                return (i, j, next(_bits(bad))), chains
     return None, chains
 
 
@@ -434,9 +444,7 @@ class QuantumSystem:
         # commutes; the product is formed here so that this audit stays
         # independent of the trace kernel that built the order rows.
         lep_violation, pairs = first_lep_violation(
-            rows,
-            neg_image(rows, self._comp),
-            lambda i, j: mats[i].mul(mats[j]).is_zero(),
+            rows, self._comp, lambda i, j: mats[i].mul(mats[j]).is_zero()
         )
         transitivity_violation, chains = first_transitivity_violation(rows)
         return EpbaReport(

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from ctxcert import analyze
+from ctxcert import analyze, graphs
 from ctxcert.analyze import (
     CLASSICAL,
     CONTEXTUAL,
@@ -85,6 +85,44 @@ def test_rationalize_float_state(q_kcbs, kcbs_quantum_state):
         assert sum(exact.value(v) for v in clique) == 1
     for v in q_kcbs.atom_graph().vertices:
         assert abs(float(exact.value(v)) - kcbs_quantum_state.value(v)) < 1e-9
+
+
+def _copying_rationalize_state(p):
+    """What ``rationalize_state`` did with an exact state before it returned
+    it as it is: copy every value into a new, re-validated state."""
+    if p.backend != "exact":
+        return rationalize_state(p)
+    values = {v: Fraction(p.value(v)) for v in p.graph.vertices}
+    return PBAState(p.graph, values, backend="exact")
+
+
+def test_rationalize_returns_an_exact_state_as_it_is():
+    p = _yu_oh_quantum_state()
+    assert p.backend == "exact"
+    assert rationalize_state(p) is p
+
+
+def test_exact_classification_does_not_revalidate_the_state(monkeypatch):
+    system = _yu_oh_plus(0)
+    p = system.state_from_density(DensityMatrix.maximally_mixed(3))
+    calls = []
+    real = graphs.is_state
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "is_state", counting)
+    assert classify_experiment(system, p).label == CONTEXTUAL
+    assert calls == []
+
+
+def test_certificates_do_not_depend_on_copying_exact_states(monkeypatch):
+    system = _yu_oh_plus(0)
+    states = [system.state_from_density(rho) for rho in _densities(random.Random(41), 119)]
+    got = [classify_experiment(system, p) for p in states]
+    monkeypatch.setattr(analyze, "rationalize_state", _copying_rationalize_state)
+    assert got == [classify_experiment(system, p) for p in states]
 
 
 # -- membership certificates -----------------------------------------------

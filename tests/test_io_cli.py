@@ -863,6 +863,59 @@ def test_cli_state_vector_not_a_list_is_a_typed_error(tmp_path, capsys):
     assert err.startswith("error: vector:")
 
 
+TWO_RAYS = {
+    "dimension": 2,
+    "vectors": [{"name": "a", "entries": ["1", "0"]}, {"name": "b", "entries": ["0", "1"]}],
+}
+
+# A string or an object where a list belongs would be read one character or
+# one key at a time; each is refused with the field named.
+TEXT_FOR_A_LIST = [
+    ({"dimension": 2, "vectors": [{"name": "a", "entries": "10"}]}, "vectors[0].entries"),
+    ({"dimension": 2, "vectors": [{"name": "a", "entries": {"re": "1"}}]}, "vectors[0].entries"),
+    ({"dimension": 2, "vectors": "ab"}, "vectors[0]"),
+    (dict(TWO_RAYS, bases=["ab"]), "bases[0]"),
+    (dict(TWO_RAYS, bases=[{"a": 1, "b": 2}]), "bases[0]"),
+    (dict(TWO_RAYS, bases="ab"), "bases"),
+    (dict(TWO_RAYS, bases={"ab": ["a", "b"]}), "bases"),
+    (dict(TWO_RAYS, generators="ab"), "generators"),
+    (dict(TWO_RAYS, generators={"a": 1}), "generators"),
+]
+
+
+@pytest.mark.parametrize("command", ["build", "ks-check"])
+@pytest.mark.parametrize("doc, field", TEXT_FOR_A_LIST)
+def test_cli_text_for_a_list_names_the_field(tmp_path, capsys, doc, field, command):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli([command, str(path), "--no-cache"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {field}:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("vector", ["100", {"a": "1", "b": "0", "c": "0"}])
+def test_cli_state_vector_as_text_names_the_field(tmp_path, capsys, vector):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"vector": vector}))
+    code, out, err = run_cli(["analyze", "kcbs", "--state", str(bad)], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: vector:") and "Traceback" not in err
+
+
+def test_cli_state_atoms_outside_the_system_are_named(tmp_path, capsys):
+    scenario = tmp_path / "two.json"
+    scenario.write_text(json.dumps(TWO_RAYS), encoding="utf-8")
+    state = tmp_path / "state.json"
+    args = ["analyze", str(scenario), "--state", str(state), "--no-cache"]
+    state.write_text(json.dumps({"atoms": {"a": "1/2", "b": "1/2", "d": "0", "c": "0"}}))
+    code, out, err = run_cli(args, capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error: atoms: the system has no atoms named ['c', 'd']")
+    state.write_text(json.dumps({"atoms": {"a": "1/2", "b": "1/2"}}))
+    code, out, _ = run_cli(args, capsys)
+    assert code == 0 and "classification: CLASSICAL" in out
+
+
 # -- a corrupt or mismatched cache is a miss -----------------------------------------
 
 

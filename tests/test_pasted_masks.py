@@ -95,6 +95,32 @@ def test_element_order_and_tables_are_pinned(name):
     assert pba.axiom_report.verified_up_to_size == 4
 
 
+def per_context_exclusivity(pba) -> list[int]:
+    """The exclusivity rows that pastings once built beside the order, per
+    context: bit c of row b iff b <= not-c, from the elements on the subsets
+    of b's local complement (a sum over subsets)."""
+    neg = [0] * len(pba.element_names)
+    for i, full in enumerate(pba._full):
+        elem = [pba._root_pos[pba._find((i, sub))] for sub in range(full + 1)]
+        down = [1 << k for k in elem]
+        for bit in (1 << j for j in range(full.bit_length())):
+            for sub in range(full + 1):
+                if sub & bit:
+                    down[sub] |= down[sub ^ bit]
+        for sub, k in enumerate(elem):
+            neg[k] |= down[full ^ sub]
+    return neg
+
+
+@pytest.mark.parametrize("name", sorted(FIXTURES))
+def test_exclusive_matches_the_per_context_table(name):
+    pba = FIXTURES[name]["build"]()
+    rows, neg, names = pba._order(), per_context_exclusivity(pba), pba.element_names
+    for a, x in enumerate(names):
+        for b, y in enumerate(names):
+            assert pba.exclusive(x, y) == bool(rows[a] & neg[b]), (x, y)
+
+
 REJECTIONS = [
     (
         [("C", ["a1", "b1", "x"])],

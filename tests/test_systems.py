@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ctxcert.catalog import ceg_set
 from ctxcert.errors import BackendMismatch, ClosureBudgetExceeded, NotAnElement, UnknownElement
@@ -24,6 +26,7 @@ from ctxcert.linalg import (
 from ctxcert.systems import (
     QuantumSystem,
     exclusive_q,
+    first_lep_violation,
     generate_system,
     leq_q,
     systems_equal,
@@ -172,6 +175,62 @@ def test_verify_epba_holds(q_kcbs, q_ceg):
     assert q_ceg.verify_epba().holds
     boolean = generate_system([diag([1, 0, 0]), diag([0, 1, 0])])
     assert boolean.verify_epba().holds
+
+
+# The LEP audit as it was before it derived exclusivity itself: a walk over
+# every pair i < j against a table whose entry j has bit c set iff
+# j <= comp[c].  Kept as the oracle of the audit on arbitrary bit rows.
+
+
+def reference_neg_image(rows, comp):
+    return [sum(1 << c for c, k in enumerate(comp) if row >> k & 1) for row in rows]
+
+
+def reference_lep_walk(rows, comp, compatible):
+    """The first exclusive, incompatible pair i < j in index order, and the
+    number of exclusive pairs up to and including it."""
+    neg = reference_neg_image(rows, comp)
+    exclusive = 0
+    for i in range(len(rows)):
+        for j in range(i + 1, len(rows)):
+            if rows[i] & neg[j]:
+                exclusive += 1
+                if not compatible(i, j):
+                    return (i, j), exclusive
+    return None, exclusive
+
+
+@st.composite
+def audit_inputs(draw):
+    n = draw(st.integers(1, 12))
+    rows = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    comp = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))  # any map
+    pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    incompatible = draw(st.frozensets(pair, max_size=n * n // 4))
+    return rows, comp, incompatible
+
+
+@given(audit_inputs())
+@settings(max_examples=300, deadline=None)
+def test_lep_audit_matches_the_pair_walk(inputs):
+    rows, comp, incompatible = inputs
+    calls, reference_calls = [], []
+
+    def compatible(log):
+        return lambda i, j: log.append((i, j)) or (i, j) not in incompatible
+
+    got = first_lep_violation(rows, comp, compatible(calls))
+    assert got == reference_lep_walk(rows, comp, compatible(reference_calls))
+    assert calls == reference_calls  # the exclusive pairs, in index order
+
+
+@pytest.mark.parametrize("fixture", ["q_kcbs", "q_ceg"])
+def test_verify_epba_counts_the_exclusive_pairs(fixture, request):
+    system = request.getfixturevalue(fixture)
+    report = system.verify_epba()
+    assert report.pairs_checked == reference_lep_walk(
+        system._leq_rows, system._comp, lambda i, j: True
+    )[1]
 
 
 def random_pentagon_state(q, rng, backend="exact"):

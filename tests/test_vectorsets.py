@@ -16,11 +16,35 @@ from ctxcert.linalg import orthogonal
 from ctxcert.vectorsets import (
     Basis,
     VectorSet,
-    brute_force_ks_assignments,
     ks_assignment_search,
     lift_ks_set,
-    verify_ks_assignment,
 )
+
+
+def brute_force_ks_assignments(vs: VectorSet) -> list[dict[str, int]]:
+    """All valid assignments by full enumeration; test oracle for small sets."""
+    n = len(vs.vectors)
+    if n > 20:
+        raise SearchBudgetExceeded(2**n, 2**20)
+    full_bases = [b.indices for b in vs.bases if b.complete]
+    out = []
+    for mask in range(2**n):
+        bits = [(mask >> i) & 1 for i in range(n)]
+        if any(bits[i] and bits[j] for i, j in vs._orth):
+            continue
+        if any(sum(bits[v] for v in basis) != 1 for basis in full_bases):
+            continue
+        out.append({vs.names[i]: bits[i] for i in range(n)})
+    return out
+
+
+def verify_ks_assignment(vs: VectorSet, assignment: dict[str, int]) -> bool:
+    bits = [assignment[name] for name in vs.names]
+    if any(bits[i] and bits[j] for i, j in vs._orth):
+        return False
+    return all(
+        sum(bits[v] for v in b.indices) == 1 for b in vs.bases if b.complete
+    )
 
 
 def test_ceg_fixture_shape():
