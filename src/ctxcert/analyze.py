@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, prod
+from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
 from .errors import CertificateError, IncompleteListing, MissingAtom, NotAGraphState
@@ -235,10 +235,10 @@ def _listings(
     graph: ExclusivityGraph,
     s01: Sequence[ZeroOneState] | None,
     budget: int,
-) -> tuple[tuple[Sequence[ZeroOneState], ...], dict[int, int] | None]:
-    """The 0-1 listing of each of ``graph.components``, and where a product
-    of one state per listing stands in ``s01``: a map from its mask to its
-    position, or None when that position is ``_product_index``.
+) -> tuple[tuple[Sequence[ZeroOneState], ...], Sequence[ZeroOneState] | None]:
+    """The 0-1 listing of each of ``graph.components``, and the listing in
+    which a product of one state per listing has its position: ``s01`` on
+    ``graph``, or None when that position is ``_product_index``.
 
     A given ``s01`` is re-expressed in ``graph``'s bit order and, on a
     connected graph, is the listing: any subset in any order.  Otherwise each
@@ -255,12 +255,12 @@ def _listings(
     if s01 is None:
         return listings, None
     count = prod(map(len, listings))
-    position = {lam.mask: i for i, lam in enumerate(s01)}
-    if len(s01) != count or len(position) != count:
+    distinct = len({lam.mask for lam in s01})
+    if len(s01) != count or distinct != count:
         raise IncompleteListing(
-            f"{len(s01)} listed 0-1 states ({len(position)} distinct); the graph has {count}"
+            f"{len(s01)} listed 0-1 states ({distinct} distinct); the graph has {count}"
         )
-    return listings, position
+    return listings, s01
 
 
 def scenario_classical(
@@ -271,6 +271,21 @@ def scenario_classical(
 
 
 def _embedding(
+    system: QuantumSystem, listings: Sequence[Sequence[ZeroOneState]]
+) -> EmbeddingReport:
+    """The report of ``_separate``, kept on the system with the masks of the
+    listings it was asked about last.  It depends on nothing else: the
+    decomposition table, the names and the masks' bit order are those of the
+    system's naming, and naming the atoms clears it
+    (``QuantumSystem._name_atoms``)."""
+    key = tuple(tuple(lam.mask for lam in listing) for listing in listings)
+    memo = system._embedding_memo
+    if memo is None or memo[0] != key:
+        memo = system._embedding_memo = (key, _separate(system, listings))
+    return memo[1]
+
+
+def _separate(
     system: QuantumSystem, listings: Sequence[Sequence[ZeroOneState]]
 ) -> EmbeddingReport:
     """Separate elements with the 0-1 states of each component.
@@ -399,7 +414,7 @@ def _certify(
     p: PBAState,
     graph: ExclusivityGraph,
     listings: Sequence[Sequence[ZeroOneState]],
-    position: Mapping[int, int] | None,
+    s01: Sequence[ZeroOneState] | None,
 ) -> NCCertificate:
     """The membership LP on each component in turn; its weights, coupled into
     weights over the graph's 0-1 states, or the first component's Farkas ray.
@@ -407,8 +422,8 @@ def _certify(
     A CONTEXTUAL certificate is the inequality of that ray, with coefficient
     0 on every other atom: an inequality valid on one component's states is
     valid on their products.  A NONCONTEXTUAL certificate's weights are
-    keyed by ``position`` of the state's mask, the sum of its factors' masks,
-    or, without it, by ``_product_index``.
+    keyed by the position in ``s01`` of the state's mask, the sum of its
+    factors' masks, or, without ``s01``, by ``_product_index``.
     """
     if not all(listings):
         # The hull is empty: no hidden-variable model exists, and no honest
@@ -416,17 +431,17 @@ def _certify(
         return NCCertificate(verdict=CONTEXTUAL, empty_s01=True)
 
     exact = rationalize_state(p)
-    target = {v: Fraction(exact.value(v)) for v in graph.vertices}
+    target = {}
+    for v in graph.vertices:
+        value = exact.value(v)
+        target[v] = value if type(value) is Fraction else Fraction(value)
     marginals = []
     for part, states in zip(graph.components, listings):
         weights, ray = _membership_lp(clique_reduction(part).free, states, target)
         if ray is not None:
             ineq = _primitive_inequality(graph.vertices, ray, states)
-            _verify_contextual(ineq, states, target, p)
-            exact_violation = ineq.evaluate(target) - ineq.bound
-            return NCCertificate(
-                verdict=CONTEXTUAL, inequality=ineq, violation=exact_violation
-            )
+            violation = _verify_contextual(ineq, states, target, p)
+            return NCCertificate(verdict=CONTEXTUAL, inequality=ineq, violation=violation)
         marginals.append(weights)
 
     coupling = _north_west_corner(marginals)
@@ -434,10 +449,11 @@ def _certify(
         (w, sum(listing[k].mask for listing, k in zip(listings, choice)))
         for choice, w in coupling
     ]
-    _verify_noncontextual(graph, mixture, exact, p)
-    if position is None:
+    _verify_noncontextual(graph, mixture, target, p)
+    if s01 is None:
         keys = [_product_index(graph, listings, choice) for choice, _ in coupling]
     else:
+        position = {lam.mask: i for i, lam in enumerate(s01)}
         keys = [position[mask] for _, mask in mixture]
     weights = dict(sorted(zip(keys, (w for w, _ in mixture))))
     return NCCertificate(verdict=NONCONTEXTUAL, weights=weights, violation=Fraction(0))
@@ -510,11 +526,12 @@ def _verify_contextual(
     s01: Sequence[ZeroOneState],
     target: Mapping[str, Fraction],
     original: PBAState,
-) -> None:
+) -> Fraction:
     """Check that ``ineq`` holds on every state of ``s01`` and fails on the
-    rationalized ``target`` and on a float ``original``.  Each state's value
-    is summed term by term over its own graph's bits, apart from the grouped
-    bit counts that computed the bound."""
+    rationalized ``target`` and on a float ``original``, and return its exact
+    violation on ``target``.  Each state's value is summed term by term over
+    its own graph's bits, apart from the grouped bit counts that computed the
+    bound."""
     graph, terms = None, ()
     for lam in s01:
         if lam.graph is not graph:
@@ -522,7 +539,8 @@ def _verify_contextual(
             terms = [(graph.mask((v,)), c) for v, c in ineq.coeffs.items() if c]
         if sum(c for bit, c in terms if lam.mask & bit) > ineq.bound:
             raise CertificateError("inequality fails on a 0-1 state")
-    if ineq.evaluate(target) <= ineq.bound:
+    violation = ineq.evaluate(target) - ineq.bound
+    if violation <= 0:
         raise CertificateError("inequality does not separate the rationalized state")
     if original.backend == FLOAT:
         float_lhs = sum(
@@ -530,27 +548,34 @@ def _verify_contextual(
         )
         if float_lhs <= ineq.bound:
             raise CertificateError("inequality does not separate the original state")
+    return violation
 
 
 def _verify_noncontextual(
     graph: ExclusivityGraph,
     mixture: Sequence[tuple[Fraction, int]],
-    exact: PBAState,
+    target: Mapping[str, Fraction],
     original: PBAState,
 ) -> None:
     """Check that the weights of the mixture, pairs of a weight and the mask
     of a 0-1 state of ``graph``, form a probability vector whose mixture
-    reproduces the state on every atom of the graph."""
-    weights = [w for w, _ in mixture]
-    if sum(weights) != 1 or any(w < 0 for w in weights):
+    reproduces the rationalized ``target`` on every atom of the graph.
+
+    The weights are read as integer numerators over their lcm ``den``, so an
+    atom's mixture is an int ``mix`` and ``mix / den``, an int true division,
+    is its correctly rounded float."""
+    den = lcm(*(w.denominator for w, _ in mixture))
+    nums = [(w.numerator * (den // w.denominator), mask) for w, mask in mixture]
+    if sum(n for n, _ in nums) != den or any(n < 0 for n, _ in nums):
         raise CertificateError("weights are not a probability vector")
     for v in graph.vertices:
         bit = graph.mask((v,))
-        mix = sum(w for w, mask in mixture if mask & bit)
-        if mix != Fraction(exact.value(v)):
+        mix = sum(n for n, mask in nums if mask & bit)
+        value = target[v]
+        if mix * value.denominator != value.numerator * den:
             raise CertificateError(f"weights fail to reproduce the state at {v!r}")
         if original.backend == FLOAT:
-            if abs(float(mix) - float(original.value(v))) > 10 * original.tol:
+            if abs(mix / den - float(original.value(v))) > 10 * original.tol:
                 raise CertificateError(
                     f"weights drift from the original float value at {v!r}"
                 )
@@ -580,5 +605,5 @@ def classify_experiment(
     graph = system.atom_graph()
     if p.graph is not graph and p.graph != graph:
         raise NotAGraphState("state is defined on a different atom graph")
-    listings, position = _listings(graph, s01, budget)
-    return Classification(_embedding(system, listings), _certify(p, graph, listings, position))
+    listings, s01 = _listings(graph, s01, budget)
+    return Classification(_embedding(system, listings), _certify(p, graph, listings, s01))

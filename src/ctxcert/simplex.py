@@ -10,12 +10,19 @@ denominator D = |det B|, plus the reduced-cost row scaled the same way, so
 a pivot on (r, c) with p = T[r][c] is the exact integer update
 (p*T[i][j] - T[i][c]*T[r][j]) // D, after which D becomes p.
 
-Each constraint row is scaled once by the lcm of its denominators.  Its
-artificial keeps the unit column and so stands for that multiple of the
-unscaled artificial; giving it the reciprocal phase-1 cost makes this the
-same LP with the same reduced-cost signs and ratios.  Bland's rule, first
-improving column and then the smallest basic index among tied ratios,
-therefore takes the pivots a rational tableau would.
+Each constraint row is scaled once by the lcm of the denominators of its
+coefficients, not of its right-hand side, and the whole right-hand side by
+one common lcm L of its own denominators.  A row's artificial keeps the
+unit column and so stands for that multiple of the unscaled artificial;
+giving it the reciprocal phase-1 cost makes this the same LP with the same
+reduced-cost signs.  Scaling b by L scales every basic level, and so every
+ratio of the ratio test, by L alike: the LP is the one in L*x.  Bland's
+rule, first improving column and then the smallest basic index among tied
+ratios, therefore takes the pivots a rational tableau would, x is the final
+rhs over D*L, and the ray, read from the artificial block of the cost row,
+does not see L at all.  On 0-1 rows with a rationalized float right-hand
+side the coefficients keep the factor 1, so D stays the size of a 0-1
+determinant; only the rhs column carries the large denominator.
 
 An infeasible LP returns the phase-1 dual y of the unscaled rows, read from
 the artificial columns of the final cost row.  Phase 1 is optimal, so every
@@ -48,6 +55,8 @@ class LPResult:
 
 def _integer_row(values: Sequence) -> tuple[list[int], int]:
     """The row times the lcm of its denominators, and that lcm."""
+    if set(map(type, values)) <= {int}:
+        return list(values), 1
     fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     scale = lcm(*(f.denominator for f in fracs))
     return [f.numerator * (scale // f.denominator) for f in fracs], scale
@@ -112,24 +121,29 @@ def feasible_point(a: Sequence[Sequence], b: Sequence) -> LPResult:
     m = len(a)
     n = len(a[0]) if m else 0
 
-    # Rows with b >= 0 scaled to integers, artificial identity basis.
+    # Rows with b >= 0 scaled to integers, artificial identity basis; the
+    # rhs is L * b, so the basic levels are those of L * x.
+    rhs, big = _integer_row(b)
     rows: list[list[int]] = []
     scales: list[int] = []
     for i in range(m):
-        line, scale = _integer_row([*a[i], b[i]])
-        if line[-1] < 0:
+        line, scale = _integer_row(a[i])
+        level = scale * rhs[i]
+        if level < 0:
             line = [-v for v in line]
-            scale = -scale  # row i is scales[i] times the unscaled row
+            level, scale = -level, -scale  # row i is scales[i] times the unscaled row
         unit = [0] * m
         unit[i] = 1
-        rows.append(line[:-1] + unit + line[-1:])
+        rows.append(line + unit + [level])
         scales.append(scale)
     # Artificial i is |scales[i]| times the unscaled one, so its cost is
     # 1/|scales[i]|; the row below is that cost times their lcm, reduced.
     common = lcm(*scales)
     weights = [common // abs(s) for s in scales]
-    cost = [-sum(w * line[j] for w, line in zip(weights, rows)) for j in range(n)]
-    cost += [0] * m + [-sum(w * line[-1] for w, line in zip(weights, rows))]
+    cost = [0] * (n + m + 1)
+    for w, line in zip(weights, rows):
+        cost = [c - w * v for c, v in zip(cost, line)]
+    cost[n : n + m] = [0] * m  # the basic artificials' reduced costs
     rows.append(cost)
     tab = _Tableau(rows, [n + i for i in range(m)])
     tab.run()  # the sum of artificials is bounded below by 0
@@ -149,5 +163,5 @@ def feasible_point(a: Sequence[Sequence], b: Sequence) -> LPResult:
     x = [Fraction(0)] * n
     for line, col in zip(rows, basis):
         if col < n:
-            x[col] = Fraction(line[-1], tab.den)
+            x[col] = Fraction(line[-1], tab.den * big)
     return LPResult(OPTIMAL, tuple(x), tab.pivots)

@@ -258,7 +258,9 @@ class QuantumSystem:
         """Name the atoms: those in ``atom_labels`` first, in its order, then
         the rest e0, e1, ... in element order.  That is the atom-graph order;
         the graph and the decomposition table, whose bits and first
-        decompositions follow it, are built again on first use."""
+        decompositions follow it, are built again on first use, and the
+        embedding report that ``analyze`` keeps for the last listing it was
+        asked about is dropped."""
         names: dict[int, str] = {}
         for name, proj in atom_labels.items():
             idx = self.index_of(proj)
@@ -276,6 +278,7 @@ class QuantumSystem:
         self._labels = list(names.values())
         self._atom_graph: ExclusivityGraph | None = None
         self._decomposition_masks: list[tuple[int, int]] | None = None
+        self._embedding_memo: tuple | None = None
 
     # -- membership -----------------------------------------------------------
 

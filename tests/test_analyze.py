@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from ctxcert import analyze, graphs
+from ctxcert import analyze, graphs, simplex
 from ctxcert.analyze import (
     CLASSICAL,
     CONTEXTUAL,
@@ -554,3 +554,75 @@ def test_classification_decomposes_each_element_once(monkeypatch):
     for rho in _densities(random.Random(5), 4):
         classify_experiment(system, system.state_from_density(rho))
     assert sorted(calls) == list(range(len(system)))
+
+
+def test_embedding_report_is_kept_per_naming_and_listing(monkeypatch):
+    """Fingerprints are computed once per naming and listing: a repeated
+    verdict reuses the report, another listing or a renamed copy does not,
+    not even a copy whose atoms keep their bits."""
+    projectors = _yu_oh_linked_projectors()
+    system = generate_system(projectors)
+    assert len(system.atom_graph().components) == 1
+    separations = []
+    real = analyze._separate
+
+    def counting(system, listings):
+        separations.append(system)
+        return real(system, listings)
+
+    monkeypatch.setattr(analyze, "_separate", counting)
+    rho = DensityMatrix.maximally_mixed(3)
+    p = system.state_from_density(rho)
+    s01 = zero_one_states(system)
+    first = classify_experiment(system, p, s01).embedding
+    assert classify_experiment(system, p, s01).embedding is first
+    assert separations == [system]
+
+    # Atoms renamed in element order keep their bits, so the listing's masks
+    # are the parent's; only the names, and so the witness, differ.
+    renamed = {f"a{k}": system.elements[i] for k, i in enumerate(system.atom_indices())}
+    copy = system.with_atom_labels(renamed)
+    same = zero_one_states(copy)
+    assert [lam.mask for lam in same] == [lam.mask for lam in s01]
+    got = classify_experiment(copy, copy.state_from_density(rho), same).embedding
+    assert separations[1:] == [copy]  # and not the parent's report
+    assert got == scenario_classical(generate_system(projectors).with_atom_labels(renamed))
+    assert got.witness != first.witness
+    assert classify_experiment(system, p, s01).embedding is first
+
+    part = s01[::2]
+    count = len(separations)
+    report = classify_experiment(system, p, part).embedding
+    assert separations[count:] == [system] and report.s01_count == len(part)
+    assert report == scenario_classical(generate_system(projectors), part)
+
+    labels = {f"r{i}": q for i, q in reversed(list(enumerate(projectors)))}
+    copy = system.with_atom_labels(labels)
+    count = len(separations)
+    got = classify_experiment(copy, copy.state_from_density(rho)).embedding
+    assert separations[count:] == [copy]
+    assert got == scenario_classical(generate_system(projectors).with_atom_labels(labels))
+    assert got.witness != first.witness
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda x: tuple(2 * w for w in x), "weights are not a probability vector"),
+        (lambda x: (x[0] - 1, x[1] + 1) + x[2:], "weights are not a probability vector"),
+        (lambda x: (Fraction(1),) + (Fraction(0),) * (len(x) - 1), "weights fail to reproduce"),
+    ],
+)
+def test_tampered_weights_end_in_certificate_error(monkeypatch, q_kcbs, tamper, message):
+    """The LP only proposes weights; substitution decides."""
+    p = q_kcbs.state_from_density(DensityMatrix.maximally_mixed(3, backend="float"))
+    assert is_noncontextual(p).verdict == NONCONTEXTUAL
+    real = analyze.feasible_point
+
+    def tampered(a, b):
+        res = real(a, b)
+        return simplex.LPResult(res.status, tamper(res.x), res.pivots)
+
+    monkeypatch.setattr(analyze, "feasible_point", tampered)
+    with pytest.raises(CertificateError, match=message):
+        is_noncontextual(p)

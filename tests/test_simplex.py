@@ -25,6 +25,8 @@ from ctxcert.linalg import DensityMatrix, ExactMatrix, projector_from_vector
 from ctxcert.simplex import INFEASIBLE, OPTIMAL, LPResult, feasible_point
 from ctxcert.systems import generate_system
 
+from test_components import _densities
+
 # -- rational-tableau reference ---------------------------------------------------
 
 
@@ -390,6 +392,69 @@ def test_certificate_lps_identical_to_reference(monkeypatch, q_kcbs, name, rays)
     statuses = [assert_same_as_reference(*lp).status for lp in calls]
     assert statuses[1] == OPTIMAL
     assert statuses[0] == (OPTIMAL if name == "three-bases" else INFEASIBLE)
+
+
+# Denominators of the kind ``rationalize_state`` produces: near its bound
+# 10**12, prime, and small.
+RATIONALIZED_DENOMINATORS = (10**12 + 39, 999983, 7, 1)
+
+
+def _membership_shaped_lp(rng):
+    """0-1 rows over the states, then sum(w) = 1, and sometimes a repeated
+    or summed row; the right-hand side over rationalized denominators."""
+    m = rng.randint(1, 6)
+    n = rng.randint(1, 12)
+    a = [[rng.randint(0, 1) for _ in range(n)] for _ in range(m)]
+    b = [Fraction(rng.randint(0, 10**6), rng.choice(RATIONALIZED_DENOMINATORS)) for _ in range(m)]
+    a.append([1] * n)
+    b.append(Fraction(1))
+    if rng.random() < 0.4:
+        i, j = rng.randrange(m), rng.randrange(m)
+        a.append([u + v for u, v in zip(a[i], a[j])])
+        b.append(b[i] + b[j])
+    return a, b
+
+
+def test_membership_shaped_lps_identical_to_reference():
+    rng = random.Random(2207)
+    seen = set()
+    for _ in range(300):
+        seen.add(assert_same_as_reference(*_membership_shaped_lp(rng)).status)
+    assert seen == {OPTIMAL, INFEASIBLE}
+
+
+def test_rationalized_certificate_lps_identical_to_reference(monkeypatch, q_kcbs):
+    """The KCBS noise grid, rationalized from floats, and random Yu-Oh
+    states: every membership LP is the reference's."""
+    psi = kcbs_state()
+    noise = DensityMatrix.maximally_mixed(3, backend="float")
+    calls = []
+    for k in range(21):
+        rho = DensityMatrix.mixture([1 - k / 20, k / 20], [psi, noise])
+        calls += _certificate_lps(monkeypatch, q_kcbs, rho)
+    yu_oh = _rays_system(YU_OH_RAYS)
+    for rho in _densities(random.Random(22), 20)[1:]:
+        calls += _certificate_lps(monkeypatch, yu_oh, rho)
+    assert any(v.denominator > 10**9 for _, b in calls for v in b)
+    statuses = {assert_same_as_reference(*lp).status for lp in calls}
+    assert statuses == {OPTIMAL, INFEASIBLE}
+
+
+def test_rationalized_rhs_keeps_the_determinant_small(monkeypatch, q_kcbs):
+    """0-1 rows keep the scale 1 whatever the right-hand side's
+    denominators, so D = |det B| is a 0-1 determinant, below 2**m."""
+    dens = []
+    run = simplex._Tableau.run
+
+    def recording(tab):
+        run(tab)
+        dens.append(tab.den)
+
+    monkeypatch.setattr(simplex._Tableau, "run", recording)
+    rho = DensityMatrix.mixture([0.7, 0.3], [kcbs_state(), DensityMatrix.maximally_mixed(3, backend="float")])
+    calls = _certificate_lps(monkeypatch, q_kcbs, rho)
+    assert max(v.denominator for v in calls[0][1]) > 10**9
+    assert len(dens) == 2 and all(0 < d < 2 ** len(a) for d, (a, _) in zip(dens, calls))
 
 
 @pytest.mark.parametrize("name, rays", CERTIFIED[:2])
