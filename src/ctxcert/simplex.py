@@ -55,7 +55,7 @@ class LPResult:
 
 def _integer_row(values: Sequence) -> tuple[list[int], int]:
     """The row times the lcm of its denominators, and that lcm."""
-    if set(map(type, values)) <= {int}:
+    if set(map(type, values)) <= {int}:  # the membership LP's 0-1 rows
         return list(values), 1
     fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
     scale = lcm(*(f.denominator for f in fracs))

@@ -442,7 +442,8 @@ def test_rationalized_certificate_lps_identical_to_reference(monkeypatch, q_kcbs
 
 def test_rationalized_rhs_keeps_the_determinant_small(monkeypatch, q_kcbs):
     """0-1 rows keep the scale 1 whatever the right-hand side's
-    denominators, so D = |det B| is a 0-1 determinant, below 2**m."""
+    denominators, so D = |det B| is the determinant of an m x m 0-1 matrix,
+    within Hadamard's bound for those, (m+1)**((m+1)/2) / 2**m."""
     dens = []
     run = simplex._Tableau.run
 
@@ -454,7 +455,10 @@ def test_rationalized_rhs_keeps_the_determinant_small(monkeypatch, q_kcbs):
     rho = DensityMatrix.mixture([0.7, 0.3], [kcbs_state(), DensityMatrix.maximally_mixed(3, backend="float")])
     calls = _certificate_lps(monkeypatch, q_kcbs, rho)
     assert max(v.denominator for v in calls[0][1]) > 10**9
-    assert len(dens) == 2 and all(0 < d < 2 ** len(a) for d, (a, _) in zip(dens, calls))
+    assert len(dens) == 2
+    for d, (a, _) in zip(dens, calls):
+        m = len(a)
+        assert 0 < d and d**2 * 4**m <= (m + 1) ** (m + 1)
 
 
 @pytest.mark.parametrize("name, rays", CERTIFIED[:2])
