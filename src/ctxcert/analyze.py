@@ -16,6 +16,7 @@ listing is never built.  A connected graph is its own only component.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -120,25 +121,24 @@ def _eliminate(verts: tuple[str, ...], cliques: tuple[tuple[str, ...], ...]):
     return tuple(cols[c] for _, c in pivots), free, tuple(rows)
 
 
-def rationalize_state(p: PBAState) -> PBAState:
-    """Exact-rational stand-in for a float state; an exact state, validated
-    when it was built, is returned as it is.
-
-    Free coordinates are rationalized by continued fractions; dependent
-    coordinates are then solved exactly from the clique equalities, so the
-    result is a genuine graph state rather than an almost-state.
-    """
+def rationalize_state(p: PBAState) -> dict[str, Fraction]:
+    """The exact atom values that certificates are checked against, one per
+    vertex of ``p.graph``: an exact state's own values.  A float state's free
+    coordinates are rationalized by continued fractions and its dependent
+    ones solved exactly from the clique equalities, so every maximal clique
+    sums to 1 exactly; they may stray outside [0, 1] by the rationalization
+    error, and the LP decides honestly either way."""
     if p.backend == EXACT:
-        return p
+        return {
+            v: x if type(x) is Fraction else Fraction(x)
+            for v, x in zip(p.graph.vertices, p.as_tuple())
+        }
     red = clique_reduction(p.graph)
     free_vals = {
         v: Fraction(float(p.value(v))).limit_denominator(RATIONALIZE_MAX_DENOMINATOR)
         for v in red.free
     }
-    values = red.solve_pivots(free_vals)
-    # Dependent coordinates may pick up boundary noise of the order of the
-    # rationalization error; the LP decides honestly either way.
-    return PBAState(p.graph, values, backend=EXACT, range_checked=False)
+    return red.solve_pivots(free_vals)
 
 
 # -- certificates ---------------------------------------------------------------
@@ -270,18 +270,21 @@ def scenario_classical(
     return _embedding(system, _listings(system.atom_graph(), s01, DEFAULT_SEARCH_BUDGET)[0])
 
 
+_embeddings: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def _embedding(
     system: QuantumSystem, listings: Sequence[Sequence[ZeroOneState]]
 ) -> EmbeddingReport:
-    """The report of ``_separate``, kept on the system with the masks of the
-    listings it was asked about last.  It depends on nothing else: the
-    decomposition table, the names and the masks' bit order are those of the
-    system's naming, and naming the atoms clears it
-    (``QuantumSystem._name_atoms``)."""
+    """The report of ``_separate``, kept in ``_embeddings`` per system object,
+    weakly, with the masks of the listings it was asked about last.  It
+    depends on nothing else: the decomposition table, the names and the
+    masks' bit order are those of the system's naming, fixed once the object
+    is built; a renamed copy is another object."""
     key = tuple(tuple(lam.mask for lam in listing) for listing in listings)
-    memo = system._embedding_memo
+    memo = _embeddings.get(system)
     if memo is None or memo[0] != key:
-        memo = system._embedding_memo = (key, _separate(system, listings))
+        memo = _embeddings[system] = (key, _separate(system, listings))
     return memo[1]
 
 
@@ -430,11 +433,7 @@ def _certify(
         # inequality can witness that, so the certificate says so explicitly.
         return NCCertificate(verdict=CONTEXTUAL, empty_s01=True)
 
-    exact = rationalize_state(p)
-    target = {}
-    for v in graph.vertices:
-        value = exact.value(v)
-        target[v] = value if type(value) is Fraction else Fraction(value)
+    target = rationalize_state(p)
     marginals = []
     for part, states in zip(graph.components, listings):
         weights, ray = _membership_lp(clique_reduction(part).free, states, target)
@@ -529,14 +528,12 @@ def _verify_contextual(
 ) -> Fraction:
     """Check that ``ineq`` holds on every state of ``s01`` and fails on the
     rationalized ``target`` and on a float ``original``, and return its exact
-    violation on ``target``.  Each state's value is summed term by term over
-    its own graph's bits, apart from the grouped bit counts that computed the
-    bound."""
-    graph, terms = None, ()
+    violation on ``target``.  The states of a listing share one graph, so each
+    state's value is summed term by term over that graph's bits, apart from
+    the grouped bit counts that computed the bound."""
+    graph = s01[0].graph
+    terms = [(graph.mask((v,)), c) for v, c in ineq.coeffs.items() if c]
     for lam in s01:
-        if lam.graph is not graph:
-            graph = lam.graph
-            terms = [(graph.mask((v,)), c) for v, c in ineq.coeffs.items() if c]
         if sum(c for bit, c in terms if lam.mask & bit) > ineq.bound:
             raise CertificateError("inequality fails on a 0-1 state")
     violation = ineq.evaluate(target) - ineq.bound

@@ -150,28 +150,22 @@ class ExclusivityGraph:
 
 @dataclass(frozen=True)
 class PBAState:
-    """Probability assignment to atoms with unit mass on every maximal clique.
-
-    ``range_checked=False`` skips the [0, 1] bound (clique sums stay enforced);
-    it exists for rationalized float states whose dependent coordinates may
-    carry boundary noise.
-    """
+    """Probability assignment to atoms with unit mass on every maximal clique:
+    every value in [0, 1], within ``tol`` on the float backend."""
 
     graph: ExclusivityGraph
     values: Mapping[str, object]
     backend: str = EXACT
     tol: float = DEFAULT_TOL
-    range_checked: bool = True
 
     def __post_init__(self):
+        slack = 0 if self.backend == EXACT else self.tol
         for v in self.graph.vertices:
             if v not in self.values:
                 raise MissingVertex(f"no value for vertex {v!r}")
-            if self.range_checked:
-                val = self.values[v]
-                slack = 0 if self.backend == EXACT else self.tol
-                if not -slack <= val <= 1 + slack:  # NaN fails too
-                    raise NotAGraphState(f"value {val} at {v!r} outside [0, 1]")
+            val = self.values[v]
+            if not -slack <= val <= 1 + slack:  # NaN fails too
+                raise NotAGraphState(f"value {val} at {v!r} outside [0, 1]")
         if not is_state(self.graph, self.values, backend=self.backend, tol=self.tol):
             raise NotAGraphState("clique sums differ from 1")
 

@@ -25,6 +25,7 @@ from .errors import (
     NoDecomposition,
     NotAGraphState,
     NotAnElement,
+    OutOfRange,
     UnknownElement,
 )
 from .graphs import ExclusivityGraph, PBAState
@@ -258,9 +259,9 @@ class QuantumSystem:
         """Name the atoms: those in ``atom_labels`` first, in its order, then
         the rest e0, e1, ... in element order.  That is the atom-graph order;
         the graph and the decomposition table, whose bits and first
-        decompositions follow it, are built again on first use, and the
-        embedding report that ``analyze`` keeps for the last listing it was
-        asked about is dropped."""
+        decompositions follow it, are built again on first use.  It runs
+        only on a new object, so what ``analyze`` keeps per system object
+        never outlives a naming."""
         names: dict[int, str] = {}
         for name, proj in atom_labels.items():
             idx = self.index_of(proj)
@@ -278,7 +279,6 @@ class QuantumSystem:
         self._labels = list(names.values())
         self._atom_graph: ExclusivityGraph | None = None
         self._decomposition_masks: list[tuple[int, int]] | None = None
-        self._embedding_memo: tuple | None = None
 
     # -- membership -----------------------------------------------------------
 
@@ -527,7 +527,8 @@ def generate_system(
     ``_Pool``, which lists each element under the grid cells near it and
     reads only the new matrix's cell instead of scanning every element; a
     cell narrows the candidates, and the float rule decides.  ``insert``
-    drops duplicate generators as it drops any other duplicate.
+    drops duplicate generators as it drops any other duplicate.  A float
+    tolerance above 1 makes 0 and the identity equal: ``OutOfRange``.
     """
     if not generators:
         raise NotAnElement("need at least one generator")
@@ -558,6 +559,8 @@ def generate_system(
 
     insert(zero_projector(dim, backend, tol).mat)
     insert(identity_projector(dim, backend, tol).mat)
+    if len(elems) == 1:
+        raise OutOfRange(f"tolerance {tol!r} makes the identity equal to 0")
     for g in sorted(generators, key=lambda p: p.sort_key()):
         insert(g.mat)
 

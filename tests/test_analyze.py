@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import gc
+import hashlib
 import math
 import random
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -26,9 +29,10 @@ from ctxcert.analyze import (
     scenario_classical,
     zero_one_states,
 )
+from ctxcert.catalog import kcbs_state
 from ctxcert.errors import CertificateError, MissingAtom, NotAGraphState
 from ctxcert.graphs import ExclusivityGraph, PBAState, enumerate_zero_one_states
-from ctxcert.linalg import DensityMatrix, ExactMatrix, Projector, projector_from_vector
+from ctxcert.linalg import DensityMatrix, ExactMatrix, FloatMatrix, Projector, projector_from_vector
 from ctxcert.systems import QuantumSystem, generate_system
 
 from test_components import _densities, _system, yu_oh_plus_rays
@@ -80,29 +84,96 @@ def test_clique_reduction_is_kept_per_vertex_order():
 
 def test_rationalize_float_state(q_kcbs, kcbs_quantum_state):
     exact = rationalize_state(kcbs_quantum_state)
-    assert exact.backend == "exact"
-    for clique in q_kcbs.atom_graph().maximal_cliques():
-        assert sum(exact.value(v) for v in clique) == 1
-    for v in q_kcbs.atom_graph().vertices:
-        assert abs(float(exact.value(v)) - kcbs_quantum_state.value(v)) < 1e-9
+    graph = q_kcbs.atom_graph()
+    assert sorted(exact) == sorted(graph.vertices)
+    assert all(type(x) is Fraction for x in exact.values())
+    for clique in graph.maximal_cliques():
+        assert sum(exact[v] for v in clique) == 1
+    for v in graph.vertices:
+        assert abs(float(exact[v]) - kcbs_quantum_state.value(v)) < 1e-9
+
+
+def _float_densities(rng, count):
+    """Full-rank float densities I/6 + (P(u) + P(v))/4, with u and v drawn
+    from the cube [-1, 1]^3: no transcendental function, so the same floats
+    on every platform."""
+    out = []
+    for _ in range(count):
+        rho = [[(i == j) / 6 for j in range(3)] for i in range(3)]
+        for _ in range(2):
+            u = [rng.uniform(-1, 1) for _ in range(3)]
+            norm = sum(x * x for x in u)
+            for i in range(3):
+                for j in range(3):
+                    rho[i][j] += u[i] * u[j] / (4 * norm)
+        out.append(DensityMatrix(FloatMatrix.from_entries(rho)))
+    return out
+
+
+def _float_target_cases(q_kcbs):
+    """The 21-point KCBS noise grid and 20 random Yu-Oh float states."""
+    psi, noise = kcbs_state(), DensityMatrix.maximally_mixed(3, backend="float")
+    states = [
+        q_kcbs.state_from_density(DensityMatrix.mixture([1 - k / 20, k / 20], [psi, noise]))
+        for k in range(21)
+    ]
+    yu_oh = generate_system([projector_from_vector(r, backend="float") for r in YU_OH_RAYS])
+    states += [yu_oh.state_from_density(rho) for rho in _float_densities(random.Random(23), 20)]
+    return states
+
+
+# sha256 of the targets of ``_float_target_cases``, each as its list of
+# (atom, numerator, denominator) in vertex order, as the values of the
+# exact ``PBAState`` that ``rationalize_state`` returned before it returned
+# the values alone.
+FLOAT_TARGETS_DIGEST = "ca0968b7222263c3250d1d7be8247e8cc66efbaa7f14652d336e66489f671d4a"
+
+
+def _targets_digest(targets):
+    digest = hashlib.sha256()
+    for graph, values in targets:
+        row = [(v, values[v].numerator, values[v].denominator) for v in graph.vertices]
+        digest.update(repr(row).encode())
+    return digest.hexdigest()
+
+
+def test_float_targets_are_exact_states(q_kcbs):
+    """Every clique sums to 1 exactly, every free atom is within 1e-9 of the
+    float, and the values are those recorded."""
+    targets = []
+    for p in _float_target_cases(q_kcbs):
+        exact = rationalize_state(p)
+        assert p.backend == "float" and sorted(exact) == sorted(p.graph.vertices)
+        assert all(type(x) is Fraction for x in exact.values())
+        for clique in p.graph.maximal_cliques():
+            assert sum(exact[v] for v in clique) == 1
+        for v in clique_reduction(p.graph).free:
+            assert abs(float(exact[v]) - p.value(v)) <= 1e-9
+        targets.append((p.graph, exact))
+    assert len(targets) == 41
+    assert _targets_digest(targets) == FLOAT_TARGETS_DIGEST
 
 
 def _copying_rationalize_state(p):
     """What ``rationalize_state`` did with an exact state before it returned
-    it as it is: copy every value into a new, re-validated state."""
+    its values as they are: copy every value into a new, re-validated state."""
     if p.backend != "exact":
         return rationalize_state(p)
     values = {v: Fraction(p.value(v)) for v in p.graph.vertices}
-    return PBAState(p.graph, values, backend="exact")
+    return PBAState(p.graph, values, backend="exact").values
 
 
 def test_rationalize_returns_an_exact_state_as_it_is():
     p = _yu_oh_quantum_state()
     assert p.backend == "exact"
-    assert rationalize_state(p) is p
+    exact = rationalize_state(p)
+    assert exact == p.values
+    assert all(exact[v] is p.value(v) for v in p.graph.vertices)
 
 
-def test_exact_classification_does_not_revalidate_the_state(monkeypatch):
+def test_exact_classification_does_not_revalidate_the_state(monkeypatch, q_kcbs, kcbs_quantum_state):
+    """Neither an exact state nor the rationalized target of a float one is
+    validated again by a verdict."""
     system = _yu_oh_plus(0)
     p = system.state_from_density(DensityMatrix.maximally_mixed(3))
     calls = []
@@ -114,6 +185,9 @@ def test_exact_classification_does_not_revalidate_the_state(monkeypatch):
 
     monkeypatch.setattr(graphs, "is_state", counting)
     assert classify_experiment(system, p).label == CONTEXTUAL
+    assert calls == []
+    assert kcbs_quantum_state.backend == "float"
+    assert classify_experiment(q_kcbs, kcbs_quantum_state).label == CONTEXTUAL
     assert calls == []
 
 
@@ -603,6 +677,20 @@ def test_embedding_report_is_kept_per_naming_and_listing(monkeypatch):
     assert separations[count:] == [copy]
     assert got == scenario_classical(generate_system(projectors).with_atom_labels(labels))
     assert got.witness != first.witness
+
+
+def test_embedding_memo_keeps_no_system_alive():
+    """The report is kept per system object, and a system dropped after its
+    verdict takes its entry with it."""
+    analyze._embeddings.clear()
+    system = generate_system(_yu_oh_linked_projectors())
+    classify_experiment(system, system.state_from_density(DensityMatrix.maximally_mixed(3)))
+    assert list(analyze._embeddings) == [system]
+    alive = weakref.ref(system)
+    del system
+    gc.collect()
+    assert alive() is None
+    assert len(analyze._embeddings) == 0
 
 
 @pytest.mark.parametrize(

@@ -88,7 +88,6 @@ def test_pba_state_rejects_out_of_range():
     g = ExclusivityGraph(["a", "b"], [("a", "b")])
     with pytest.raises(NotAGraphState):
         PBAState(g, {"a": Fraction(2), "b": Fraction(-1)})
-    PBAState(g, {"a": Fraction(2), "b": Fraction(-1)}, range_checked=False)
 
 
 def test_float_nan_value_is_not_a_state():

@@ -124,6 +124,24 @@ def test_subnormal_tolerance_is_rejected_at_parse(tmp_path, capsys):
     assert (code, err) == (0, "") and "elements: 8, atoms: 3" in out
 
 
+def test_float_tolerance_above_one_is_a_typed_error(tmp_path, capsys):
+    """Above 1, the identity is within tol of 0, so the closure would drop it
+    as a duplicate."""
+    loose = tmp_path / "loose.json"
+    loose.write_text(json.dumps(dict(TWO_FLOAT_RAYS, tolerance=10)))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(TWO_FLOAT_RAYS))
+    state = tmp_path / "state.json"
+    state.write_text(json.dumps({"atoms": {"a": "1", "b": "0"}}))
+    for scenario, options, tol in ((loose, [], "10.0"), (plain, ["--tolerance", "2"], "2.0")):
+        for command in (["build"], ["analyze", "--state", str(state)], ["graph"], ["zero-one"]):
+            argv = [command[0], str(scenario), *command[1:], *options, "--no-cache"]
+            code, out, err = run_cli(argv, capsys)
+            assert (code, out, err) == (1, "", f"error: tolerance {tol} makes the identity equal to 0\n"), argv
+    code, out, err = run_cli(["build", str(plain), "--tolerance", "1", "--no-cache"], capsys)
+    assert (code, err) == (0, "") and "elements: 4, atoms: 2" in out
+
+
 @pytest.mark.parametrize("tol", [1e-320, float("nan"), 0.0, -1.0])
 def test_float_matrix_rejects_a_tolerance_below_the_least_normal_float(tol):
     with pytest.raises(ValueError, match="^tolerance must be at least"):

@@ -367,8 +367,7 @@ def _certificate_lps(monkeypatch, system, density):
     s01 = analyze.zero_one_states(system)
     graph = s01[0].graph
     red = analyze.clique_reduction(graph)
-    state = analyze.rationalize_state(system.state_from_density(density))
-    quantum = {v: Fraction(state.value(v)) for v in graph.vertices}
+    quantum = analyze.rationalize_state(system.state_from_density(density))
     barycentre = {v: Fraction(sum(lam.value(v) for lam in s01), len(s01)) for v in graph.vertices}
     for target in (quantum, barycentre):
         analyze._membership_lp(red.free, s01, target)
