@@ -372,9 +372,7 @@ def _primitive_inequality(
     coefficient times the bit count of the state's mask on the atoms that
     carry it.  The states share one graph, so one table of bits serves all.
     """
-    scale = 1
-    for w in y.values():
-        scale = scale * w.denominator // gcd(scale, w.denominator)
+    scale = lcm(*(w.denominator for w in y.values()))
     ints = {v: y[v].numerator * (scale // y[v].denominator) if v in y else 0 for v in atom_order}
     graph = states[0].graph
     by_coeff: dict[int, int] = {}
@@ -382,10 +380,7 @@ def _primitive_inequality(
         if c:
             by_coeff[c] = by_coeff.get(c, 0) | graph.mask((v,))
     bound = max(sum(c * (lam.mask & m).bit_count() for c, m in by_coeff.items()) for lam in states)
-    g = 0
-    for c in ints.values():
-        g = gcd(g, c)
-    g = g or 1  # the bound is a sum of coefficients, so g divides it too
+    g = gcd(*ints.values()) or 1  # the bound is a sum of coefficients, so g divides it too
     return SeparatingInequality(
         atom_order=tuple(atom_order),
         coeffs={v: c // g for v, c in ints.items()},

@@ -528,7 +528,9 @@ def generate_system(
     reads only the new matrix's cell instead of scanning every element; a
     cell narrows the candidates, and the float rule decides.  ``insert``
     drops duplicate generators as it drops any other duplicate.  A float
-    tolerance above 1 makes 0 and the identity equal: ``OutOfRange``.
+    tolerance above 1 makes 0 and the identity equal, and one above 1/2 can
+    make a generator equal to an element of another rank (the projector of
+    (1, 1) to 0): both are ``OutOfRange``.
     """
     if not generators:
         raise NotAnElement("need at least one generator")
@@ -546,9 +548,11 @@ def generate_system(
     pool = _Pool(backend)
     elems: list[Projector] = []
 
-    def insert(mat) -> None:
-        if pool.lookup(mat) is not None:
-            return
+    def insert(mat) -> int | None:
+        """The index of an element equal to mat, or None after adding mat."""
+        found = pool.lookup(mat)
+        if found is not None:
+            return found
         if len(elems) >= max_elements:
             raise ClosureBudgetExceeded(max_elements)
         proj = Projector(mat)
@@ -562,7 +566,12 @@ def generate_system(
     if len(elems) == 1:
         raise OutOfRange(f"tolerance {tol!r} makes the identity equal to 0")
     for g in sorted(generators, key=lambda p: p.sort_key()):
-        insert(g.mat)
+        found = insert(g.mat)
+        if found is not None and elems[found].rank != g.rank:
+            raise OutOfRange(
+                f"tolerance {tol!r} makes a generator of rank {g.rank} "
+                f"equal to an element of rank {elems[found].rank}"
+            )
 
     ident = elems[1].mat
     idx = 0

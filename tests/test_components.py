@@ -299,13 +299,13 @@ def _separation_lp(
     # state row and u_v per box row, so the slack basis is feasible: one
     # phase of Bland's rule on the reduced costs of min -c, no artificials.
     basis = [2 * nf + 2 + k for k in range(m)] + [nf + i for i in range(nf)]
-    weight, _ = simplex._integer_row(c)
-    cost = [-w for w in weight] + [0]
-    tab = simplex._Tableau([row + [rhs] for row, rhs in zip(a, b)] + [cost], basis)
-    tab.run()
+    # The cost row of min -c, scaled to integers by the lcm of c's denominators.
+    scale = math.lcm(*(Fraction(v).denominator for v in c))
+    rows = [row + [rhs] for row, rhs in zip(a, b)] + [[-int(Fraction(v) * scale) for v in c] + [0]]
+    den, _ = simplex._bland(rows, basis)
     x = [Fraction(0)] * ncols
-    for line, col in zip(tab.rows, tab.basis):
-        x[col] = Fraction(line[-1], tab.den)
+    for line, col in zip(rows, basis):
+        x[col] = Fraction(line[-1], den)
     y = {v: x[i] - 1 for i, v in enumerate(free)}
     bound = x[2 * nf] - x[2 * nf + 1]
     violation = sum(u * v for u, v in zip(c, x)) - sum(target[v] for v in free)

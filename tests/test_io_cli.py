@@ -126,18 +126,31 @@ def test_subnormal_tolerance_is_rejected_at_parse(tmp_path, capsys):
 
 def test_float_tolerance_above_one_is_a_typed_error(tmp_path, capsys):
     """Above 1, the identity is within tol of 0, so the closure would drop it
-    as a duplicate."""
-    loose = tmp_path / "loose.json"
-    loose.write_text(json.dumps(dict(TWO_FLOAT_RAYS, tolerance=10)))
-    plain = tmp_path / "plain.json"
-    plain.write_text(json.dumps(TWO_FLOAT_RAYS))
+    as a duplicate.  Above 1/2, the projector of (1, 1) is within tol of 0,
+    so the closure would drop that generator and lose its atom."""
+    tilted = {
+        "dimension": 2,
+        "backend": "float",
+        "vectors": [{"name": "a", "entries": ["1", "0"]}, {"name": "b", "entries": ["1", "1"]}],
+    }
+    identity = "makes the identity equal to 0"
+    generator = "makes a generator of rank 1 equal to an element of rank 0"
+    cases = (
+        (dict(TWO_FLOAT_RAYS, tolerance=10), [], "10.0", identity),
+        (TWO_FLOAT_RAYS, ["--tolerance", "2"], "2.0", identity),
+        (dict(tilted, tolerance=0.6), [], "0.6", generator),
+        (tilted, ["--tolerance", "0.9"], "0.9", generator),
+    )
     state = tmp_path / "state.json"
     state.write_text(json.dumps({"atoms": {"a": "1", "b": "0"}}))
-    for scenario, options, tol in ((loose, [], "10.0"), (plain, ["--tolerance", "2"], "2.0")):
+    for k, (doc, options, tol, message) in enumerate(cases):
+        scenario = tmp_path / f"scenario{k}.json"
+        scenario.write_text(json.dumps(doc))
         for command in (["build"], ["analyze", "--state", str(state)], ["graph"], ["zero-one"]):
             argv = [command[0], str(scenario), *command[1:], *options, "--no-cache"]
             code, out, err = run_cli(argv, capsys)
-            assert (code, out, err) == (1, "", f"error: tolerance {tol} makes the identity equal to 0\n"), argv
+            assert (code, out, err) == (1, "", f"error: tolerance {tol} {message}\n"), argv
+    plain = tmp_path / "scenario1.json"  # TWO_FLOAT_RAYS with no tolerance
     code, out, err = run_cli(["build", str(plain), "--tolerance", "1", "--no-cache"], capsys)
     assert (code, err) == (0, "") and "elements: 4, atoms: 2" in out
 

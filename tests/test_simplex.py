@@ -5,7 +5,8 @@ reference kept only here.
 The reference is the dense ``Fraction`` tableau the integer-preserving one
 replaced.  Both run the same Bland pivots, so status, ``x``, the pivot count
 and the Farkas ray of an infeasible system must come out identical on every
-system.
+system.  ``feasible_point`` takes integer rows, so a random system with
+rational rows is scaled row by row to integers before either solver sees it.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -113,6 +115,13 @@ def ref_feasible_point(a, b) -> LPResult:
     return LPResult(OPTIMAL, tuple(x), tab.pivots)
 
 
+def _integer_rows(a, b):
+    """Each row of a, with its b_i, times the lcm of the row's denominators."""
+    scales = [lcm(*(Fraction(v).denominator for v in row)) for row in a]
+    rows = [[int(Fraction(v) * s) for v in row] for row, s in zip(a, scales)]
+    return rows, [Fraction(bi) * s for bi, s in zip(b, scales)]
+
+
 def assert_same_as_reference(a, b) -> LPResult:
     got = feasible_point(a, b)
     want = ref_feasible_point(a, b)
@@ -168,14 +177,15 @@ def _level_zero_artificials(monkeypatch, a, b):
     """The solution, and the rows whose artificial is still basic, at level
     0, when phase 1 ends."""
     rows = []
-    run = simplex._Tableau.run
+    bland = simplex._bland
     n = len(a[0])
 
-    def recording(tab):
-        run(tab)
-        rows.extend(i for i, col in enumerate(tab.basis) if col >= n and not tab.rows[i][-1])
+    def recording(tableau, basis):
+        out = bland(tableau, basis)
+        rows.extend(i for i, col in enumerate(basis) if col >= n and not tableau[i][-1])
+        return out
 
-    monkeypatch.setattr(simplex._Tableau, "run", recording)
+    monkeypatch.setattr(simplex, "_bland", recording)
     return assert_same_as_reference(a, b), rows
 
 
@@ -201,11 +211,20 @@ def test_degenerate_vertices_terminate():
 
 
 def test_exactness_with_awkward_fractions():
-    a = [[Fraction(1, 3), Fraction(1, 7)]]
-    b = [Fraction(1)]
+    a = [[7, 3]]
+    b = [21]
     res = feasible_point(a, b)
     assert_solves(a, b, res)
     assert res.x == (3, 0)  # the first improving column enters
+
+
+@pytest.mark.parametrize("entry", [Fraction(1, 3), Fraction(2), 0.5, 1.0, "1"], ids=repr)
+def test_rows_must_be_integers(entry):
+    """A row entry is read by ``operator.index``: a Fraction, a float or a
+    string is a TypeError, never floored or scaled."""
+    with pytest.raises(TypeError):
+        feasible_point([[1, entry]], [Fraction(1)])
+    assert feasible_point([[1, True]], [Fraction(1)]).status == OPTIMAL
 
 
 def _row_reduce(a, b):
@@ -272,6 +291,7 @@ def test_against_vertex_enumeration_oracle():
         n = rng.randint(m + 1, m + 4)
         a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         b = [Fraction(rng.randint(0, 4)) for _ in range(m)]
+        a, b = _integer_rows(a, b)
         res = feasible_point(a, b)
         assert_farkas(a, b, res)
         vertices = _basic_feasible_solutions(a, b)
@@ -312,7 +332,7 @@ def standard_lps(draw):
 @settings(max_examples=300, deadline=None)
 @given(standard_lps())
 def test_identical_to_reference(lp):
-    assert_same_as_reference(*lp)
+    assert_same_as_reference(*_integer_rows(*lp))
 
 
 def test_reference_identity_covers_every_status():
@@ -323,7 +343,7 @@ def test_reference_identity_covers_every_status():
         n = rng.randint(1, 6)
         a = [[Fraction(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)] for _ in range(m)]
         b = [Fraction(rng.randint(-3, 3), rng.choice((1, 4))) for _ in range(m)]
-        seen.add(assert_same_as_reference(a, b).status)
+        seen.add(assert_same_as_reference(*_integer_rows(a, b)).status)
     assert seen == {OPTIMAL, INFEASIBLE}
 
 
@@ -440,17 +460,18 @@ def test_rationalized_certificate_lps_identical_to_reference(monkeypatch, q_kcbs
 
 
 def test_rationalized_rhs_keeps_the_determinant_small(monkeypatch, q_kcbs):
-    """0-1 rows keep the scale 1 whatever the right-hand side's
-    denominators, so D = |det B| is the determinant of an m x m 0-1 matrix,
-    within Hadamard's bound for those, (m+1)**((m+1)/2) / 2**m."""
+    """The rows stay 0-1 whatever the right-hand side's denominators, so
+    D = |det B| is the determinant of an m x m 0-1 matrix, within Hadamard's
+    bound for those, (m+1)**((m+1)/2) / 2**m."""
     dens = []
-    run = simplex._Tableau.run
+    bland = simplex._bland
 
-    def recording(tab):
-        run(tab)
-        dens.append(tab.den)
+    def recording(rows, basis):
+        den, pivots = bland(rows, basis)
+        dens.append(den)
+        return den, pivots
 
-    monkeypatch.setattr(simplex._Tableau, "run", recording)
+    monkeypatch.setattr(simplex, "_bland", recording)
     rho = DensityMatrix.mixture([0.7, 0.3], [kcbs_state(), DensityMatrix.maximally_mixed(3, backend="float")])
     calls = _certificate_lps(monkeypatch, q_kcbs, rho)
     assert max(v.denominator for v in calls[0][1]) > 10**9
@@ -511,6 +532,7 @@ def test_against_scipy_linprog():
         # sum(x) + slack = 20 keeps the feasible region bounded.
         a = [row + [0] for row in a] + [[1] * (n + 1)]
         b = b + [Fraction(20)]
+        a, b = _integer_rows(a, b)
         res = feasible_point(a, b)
         assert_farkas(a, b, res)
         ref = linprog(
