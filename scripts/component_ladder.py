@@ -7,7 +7,7 @@ rays in round-robin order give three components whose vertices interleave;
 there it checks the ``zero-one`` listing, and that the weights ``analyze``
 gives I/3 put 1/3 on every atom of that listing.  On k = 9 bases it checks
 the ``zero-one --format json`` listing of 3**9 = 19,683 product states.  It
-then analyzes four larger files under I/3 with
+then analyzes five larger files under I/3 with
 
     python -m ctxcert.cli analyze FILE --state I/3 --format json
 
@@ -21,6 +21,10 @@ then analyzes four larger files under I/3 with
   0-1 states; I/3 is NONCONTEXTUAL and the scenario embeds (CLASSICAL).
 - Yu-Oh + 3 linked: 3 such bases chained onto the Yu-Oh ray (1, 0, 0).  One
   component of 37 atoms and 440 0-1 states; I/3 is CONTEXTUAL.
+- linked k = 7: the axes and 6 linked bases.  One component of 27 atoms and
+  987 0-1 states, the size where the certificate LP starts to dominate a
+  connected verdict; I/3 is NONCONTEXTUAL and the scenario embeds
+  (CLASSICAL).
 
 The connected rungs have one certificate LP over all their 0-1 states.
 
@@ -299,6 +303,8 @@ def main() -> int:
          "NONCONTEXTUAL", "CLASSICAL"),
         ("yu-oh+3 linked", YU_OH + linked_bases(3, yu_oh_closed, YU_OH[0]), 37, [37], 440,
          "CONTEXTUAL", "CONTEXTUAL"),
+        ("linked k=7", AXES + linked_bases(6, AXES, AXES[2]), 27, [27], 987,
+         "NONCONTEXTUAL", "CLASSICAL"),
     ]  # fmt: skip
     with tempfile.TemporaryDirectory() as tmp:
         rays = AXES + unrelated_bases(2, AXES)

@@ -135,10 +135,37 @@ def rationalize_state(p: PBAState) -> dict[str, Fraction]:
         }
     red = clique_reduction(p.graph)
     free_vals = {
-        v: Fraction(float(p.value(v))).limit_denominator(RATIONALIZE_MAX_DENOMINATOR)
+        v: _limit_denominator(float(p.value(v)), RATIONALIZE_MAX_DENOMINATOR)
         for v in red.free
     }
     return red.solve_pivots(free_vals)
+
+
+def _limit_denominator(x: float, bound: int) -> Fraction:
+    """``Fraction(x).limit_denominator(bound)`` on the integers of
+    ``x.as_integer_ratio()``: the closest fraction to x with denominator at
+    most ``bound``, found among the last convergent of x's continued fraction
+    within the bound and the best semiconvergent after it.  A tie goes to
+    the convergent, as in ``limit_denominator``; distances are compared by
+    cross-multiplication."""
+    n, d = x.as_integer_ratio()
+    if d <= bound:
+        return Fraction(n, d)
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    u, v = n, d
+    while True:
+        a = u // v
+        q2 = q0 + a * q1
+        if q2 > bound:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        u, v = v, u - a * v
+    k = (bound - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p/q - n/d| = |p*d - n*q| / (q*d), and d is common to both.
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return Fraction(p1, q1)
+    return Fraction(p2, q2)
 
 
 # -- certificates ---------------------------------------------------------------
@@ -462,8 +489,10 @@ def _north_west_corner(
     the least weight any of them has left, and step past every key whose
     weight is used up.  Each step uses up a key, and the last step all m of
     them, so the coupling has at most sum |supp_i| - (m - 1) entries, and
-    its marginals are the vectors.
+    its marginals are the vectors.  One vector is its own coupling.
     """
+    if len(marginals) == 1:
+        return [((k,), w) for k, w in marginals[0].items()]
     supports = [list(m.items()) for m in marginals]
     pos = [0] * len(supports)
     left = [support[0][1] for support in supports]

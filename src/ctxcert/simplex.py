@@ -4,19 +4,26 @@ off the final basis (an artificial still basic sits at level 0), or above 0
 with a Farkas ray.
 
 Verdicts downstream must be unconditional, so the arithmetic is exact: the
-tableau is integer-preserving (fraction-free, Edmonds 1967 / Bareiss 1968).
-It holds T = D * B^-1 [A | I | b] as Python ints with one common
-denominator D = |det B|, plus the reduced-cost row scaled the same way, so
-a pivot on (r, c) with p = T[r][c] is the exact integer update
-(p*T[i][j] - T[i][c]*T[r][j]) // D, after which D becomes p.
+tableau is integer-preserving (fraction-free, Edmonds 1967 / Bareiss 1968)
+over one common denominator D = |det B|.  It is condensed (a Tucker
+exchange tableau): the m basic columns of the full tableau D * B^-1 [A | I
+| b] are D times unit vectors and carry nothing, so each of the m rows and
+the reduced-cost row keeps one slot per nonbasic variable, ``var[j]`` naming
+the variable in slot j, plus the rhs.  A pivot on (r, c) with p = T[r][c]
+is the full tableau's exact integer update (p*T[i][j] - T[i][c]*T[r][j]) //
+D on every other row; slot c then takes the leaving variable's column,
+-T[i][c] in row i and the old D in row r, and D becomes p.  On the 0-1
+rows of a membership LP p and D are mostly 1, and the update is a
+subtraction.
 
 The rows of a are integers and b is rational, scaled once by the lcm L of
 its denominators.  That scales every basic level, and so every ratio of the
-ratio test, by L alike: the LP is the one in L*x.  Bland's rule (first
-improving column, then the smallest basic index among tied ratios) takes
-the pivots a rational tableau would, x is the final rhs over D*L, and the
-ray, read from the artificial block of the cost row, does not see L.  On
-0-1 rows D stays the size of a 0-1 determinant whatever b's denominators.
+ratio test, by L alike: the LP is the one in L*x.  Bland's rule (the
+improving variable of least index, then the smallest basic index among tied
+ratios) takes the pivots a rational full tableau would, x is the final rhs
+over D*L, and the ray, read from the cost row at the artificials, does not
+see L.  On 0-1 rows D stays the size of a 0-1 determinant whatever b's
+denominators.
 
 An infeasible LP returns the phase-1 dual y.  Phase 1 is optimal, so every
 reduced cost is nonnegative: y.A <= 0 entrywise, while y.b, the positive
@@ -47,19 +54,23 @@ class LPResult:
     farkas: tuple[Fraction, ...] | None = None
 
 
-def _bland(rows: list[list[int]], basis: list[int]) -> tuple[int, int]:
-    """Bland's rule on the constraint rows and, last, the reduced-cost row,
-    all over one denominator, until no reduced cost is negative; the
-    objective must be bounded below.  ``rows`` and ``basis`` are updated in
-    place; returns the final denominator and the number of pivots."""
+def _bland(rows: list[list[int]], basis: list[int], var: list[int]) -> tuple[int, int]:
+    """Bland's rule on the condensed constraint rows and, last, the
+    reduced-cost row, all over one denominator, until no reduced cost is
+    negative; the objective must be bounded below.  Slot j of a row is
+    nonbasic variable ``var[j]``, and the last slot is the rhs.  ``rows``,
+    ``basis`` and ``var`` are updated in place; returns the final
+    denominator and the number of pivots."""
     m = len(basis)
-    width = len(rows[m]) - 1
+    slots = range(len(rows[m]) - 1)
     den, pivots = 1, 0
     while True:
-        # Basic columns have reduced cost 0, so the first negative entry is
-        # the first improving nonbasic column.
-        cost = rows[m]
-        c = next((j for j in range(width) if cost[j] < 0), -1)
+        # Basic variables have reduced cost 0, so the improving nonbasic
+        # variable of least index is the full tableau's first negative column.
+        cost, c = rows[m], -1
+        for j in slots:
+            if cost[j] < 0 and (c < 0 or var[j] < var[c]):
+                c = j
         if c < 0:
             return den, pivots
         r = -1
@@ -80,11 +91,17 @@ def _bland(rows: list[list[int]], basis: list[int]) -> tuple[int, int]:
                 continue
             f = line[c]
             if f:
-                rows[i] = [(p * v - f * w) // den for v, w in zip(line, prow)]
+                if p == den == 1:
+                    line = [v - f * w for v, w in zip(line, prow)]
+                else:
+                    line = [(p * v - f * w) // den for v, w in zip(line, prow)]
+                line[c] = -f  # the leaving variable's column was den * e_r
+                rows[i] = line
             elif p != den:
                 rows[i] = [p * v // den for v in line]
+        prow[c] = den
         den = p
-        basis[r] = c
+        basis[r], var[c] = var[c], basis[r]
         pivots += 1
 
 
@@ -95,8 +112,8 @@ def feasible_point(a: Sequence[Sequence[int]], b: Sequence) -> LPResult:
     m = len(a)
     n = len(a[0]) if m else 0
 
-    # Rows with rhs L * b >= 0, artificial identity basis; the basic levels
-    # are those of L * x.
+    # Rows with rhs L * b >= 0 over the structural slots, artificial basis;
+    # the basic levels are those of L * x.
     big = lcm(*(v.denominator for v in b))
     rows: list[list[int]] = []
     for i in range(m):
@@ -104,17 +121,21 @@ def feasible_point(a: Sequence[Sequence[int]], b: Sequence) -> LPResult:
         level = b[i].numerator * (big // b[i].denominator)
         if level < 0:
             line, level = [-v for v in line], -level
-        rows.append(line + [int(j == i) for j in range(m)] + [level])
-    # Cost 1 on each artificial: minus the sum of the rows, 0 on the basis.
-    cost = [-sum(col) for col in zip(*rows)]
-    cost[n : n + m] = [0] * m
-    rows.append(cost)
+        line.append(level)
+        rows.append(line)
+    # Cost 1 on each artificial: minus the sum of the rows.
+    rows.append([-sum(col) for col in zip(*rows)])
     basis = [n + i for i in range(m)]
-    den, pivots = _bland(rows, basis)  # the sum of artificials is bounded below by 0
+    var = list(range(n))
+    den, pivots = _bland(rows, basis, var)  # the sum of artificials is bounded below by 0
     if any(basis[i] >= n and rows[i][-1] for i in range(m)):
-        # At artificial i the cost row holds D * (1 - y_i) for row i with b_i
-        # made nonnegative; the sign of b_i gives the dual of the given row.
-        duals = rows[m][n : n + m]
+        # At a nonbasic artificial i the cost row holds D * (1 - y_i) for row
+        # i with b_i made nonnegative, and at a basic one 0; the sign of b_i
+        # gives the dual of the given row.
+        duals = [0] * m
+        for j, v in enumerate(var):
+            if v >= n:
+                duals[v - n] = rows[m][j]
         ray = tuple(Fraction(den - t if v >= 0 else t - den, den) for v, t in zip(b, duals))
         return LPResult(INFEASIBLE, None, pivots, ray)
 

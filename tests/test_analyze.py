@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ctxcert import analyze, graphs, simplex
 from ctxcert.analyze import (
@@ -19,7 +21,9 @@ from ctxcert.analyze import (
     NONCLASSICAL_SCENARIO_ONLY,
     NONCONTEXTUAL,
     SeparatingInequality,
+    _limit_denominator,
     _membership_lp,
+    _north_west_corner,
     _primitive_inequality,
     classify_experiment,
     clique_reduction,
@@ -154,6 +158,24 @@ def test_float_targets_are_exact_states(q_kcbs):
     assert _targets_digest(targets) == FLOAT_TARGETS_DIGEST
 
 
+@settings(max_examples=500, deadline=None)
+@given(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.one_of(st.sampled_from([1, 2, 3, 7, 10**6, 10**12]), st.integers(1, 2**70)),
+)
+@example(5e-324, 10**12)  # the least subnormal
+@example(-2.2250738585072014e-308, 10**12)  # the least normal, negated
+@example(0.1, 10**12)
+@example(-0.375, 8)  # its own denominator, at the bound
+@example(0.75, 2)  # 1/2 and 1 are equally close: the convergent 1 wins
+@example(0.25, 2)  # 0 and 1/2 are equally close: the convergent 0 wins
+@example(-0.875, 4)  # -1 and -3/4 are equally close: the convergent -1 wins
+@example(1e300, 10**12)
+def test_limit_denominator_matches_fraction(x, bound):
+    got = _limit_denominator(x, bound)
+    assert type(got) is Fraction and got == Fraction(x).limit_denominator(bound)
+
+
 def _copying_rationalize_state(p):
     """What ``rationalize_state`` did with an exact state before it returned
     its values as they are: copy every value into a new, re-validated state."""
@@ -200,6 +222,49 @@ def test_certificates_do_not_depend_on_copying_exact_states(monkeypatch):
 
 
 # -- membership certificates -----------------------------------------------
+
+
+def _walked_coupling(marginals):
+    """The north-west-corner walk on one vector: a point mass as a second
+    vector takes nothing from the walk but its key."""
+    (m,) = marginals
+    return [(keys[:1], w) for keys, w in _north_west_corner([m, {0: Fraction(1)}])]
+
+
+def _yu_oh_mixtures(system, rng, count):
+    """Random mixtures of three of the Yu-Oh 0-1 states, with rational
+    weights: noncontextual states whose weights spread over several states."""
+    graph, s01 = system.atom_graph(), zero_one_states(system)
+    out = []
+    for _ in range(count):
+        picks = rng.sample(s01, 3)
+        w = [Fraction(rng.randint(1, 9)) for _ in picks]
+        total = sum(w)
+        values = {v: sum(x * lam.value(v) for x, lam in zip(w, picks)) / total for v in graph.vertices}
+        out.append(PBAState(graph, values))
+    return out
+
+
+def test_a_single_marginal_is_its_own_coupling(monkeypatch, q_kcbs):
+    """On the KCBS noise grid and 120 seeded Yu-Oh states the coupling of the
+    one component's weights is the walk's, and so is every classification."""
+    yu_oh = _yu_oh_plus(0)
+    cases = [(q_kcbs, p) for p in _float_target_cases(q_kcbs)[:21]]
+    cases += [(yu_oh, p) for p in _yu_oh_mixtures(yu_oh, random.Random(25), 120)]
+    seen = []
+
+    def recording(marginals):
+        seen.append(marginals)
+        return _north_west_corner(marginals)
+
+    monkeypatch.setattr(analyze, "_north_west_corner", recording)
+    got = [classify_experiment(system, p) for system, p in cases]
+    assert len(seen) == 12 + 120 and all(len(m) == 1 for m in seen)
+    assert sum(len(m[0]) > 1 for m in seen) > 100
+    for m in seen:
+        assert _north_west_corner(m) == _walked_coupling(m)
+    monkeypatch.setattr(analyze, "_north_west_corner", _walked_coupling)
+    assert got == [classify_experiment(system, p) for system, p in cases]
 
 
 def test_each_zero_one_state_is_noncontextual(kcbs_s01):

@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import pytest
 
-from ctxcert import analyze, graphs, simplex
+from ctxcert import analyze, graphs
 from ctxcert.analyze import (
     CONTEXTUAL,
     NONCONTEXTUAL,
@@ -257,6 +257,38 @@ def test_product_index_is_the_index_in_the_sorted_listing(family):
 # -- verdicts against the full listing ----------------------------------------------
 
 
+def _full_tableau_bland(rows: list[list[int]], basis: list[int]) -> int:
+    """Bland's rule on the full fraction-free tableau D * B^-1 [A | b] and,
+    last, its reduced-cost row, updated in place until no reduced cost is
+    negative; returns the final denominator D.  Every column is carried, the
+    basic ones as D times a unit vector, so this loop is independent of the
+    condensed one in ``simplex``."""
+    m = len(basis)
+    width = len(rows[m]) - 1
+    den = 1
+    while True:
+        # Basic columns have reduced cost 0, so the first negative entry is
+        # the first improving nonbasic column.
+        c = next((j for j in range(width) if rows[m][j] < 0), -1)
+        if c < 0:
+            return den
+        r = -1
+        for i in range(m):
+            if rows[i][c] > 0 and (
+                r < 0
+                or rows[i][-1] * rows[r][c] < rows[r][-1] * rows[i][c]
+                or (rows[i][-1] * rows[r][c] == rows[r][-1] * rows[i][c] and basis[i] < basis[r])
+            ):
+                r = i
+        assert r >= 0, "the objective is unbounded below"
+        p, prow = rows[r][c], rows[r]
+        for i, line in enumerate(rows):
+            if i != r:
+                rows[i] = [(p * v - line[c] * w) // den for v, w in zip(line, prow)]
+        den = p
+        basis[r] = c
+
+
 def _separation_lp(
     free: Sequence[str],
     states: Sequence[ZeroOneState],
@@ -302,7 +334,7 @@ def _separation_lp(
     # The cost row of min -c, scaled to integers by the lcm of c's denominators.
     scale = math.lcm(*(Fraction(v).denominator for v in c))
     rows = [row + [rhs] for row, rhs in zip(a, b)] + [[-int(Fraction(v) * scale) for v in c] + [0]]
-    den, _ = simplex._bland(rows, basis)
+    den = _full_tableau_bland(rows, basis)
     x = [Fraction(0)] * ncols
     for line, col in zip(rows, basis):
         x[col] = Fraction(line[-1], den)

@@ -180,8 +180,8 @@ def _level_zero_artificials(monkeypatch, a, b):
     bland = simplex._bland
     n = len(a[0])
 
-    def recording(tableau, basis):
-        out = bland(tableau, basis)
+    def recording(tableau, basis, var):
+        out = bland(tableau, basis, var)
         rows.extend(i for i, col in enumerate(basis) if col >= n and not tableau[i][-1])
         return out
 
@@ -356,6 +356,54 @@ def test_zero_level_artificial_stays_basic(monkeypatch):
     assert res == LPResult(OPTIMAL, (Fraction(1), Fraction(0)), 1)
 
 
+# Right-hand-side denominators up to 10**12, as ``rationalize_state`` makes.
+DIFFERENTIAL_DENOMINATORS = (1, 2, 3, 7, 10**6, 999983, 10**12, 10**12 - 11)
+
+
+def _differential_lp(rng):
+    """Up to 4 rows, 0-1 or integer in -3..3, over up to 10 columns; then up
+    to 2 more rows, each a duplicate of a row or the sum of two, on the
+    same right-hand side or one moved by 1.  The right-hand side is a x0 for
+    a random rational x0 >= 0, or drawn at random, signs included."""
+    m, n = rng.randint(1, 4), rng.randint(1, 10)
+    lo, hi = (0, 1) if rng.random() < 0.5 else (-3, 3)
+    a = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+    if rng.random() < 0.5:
+        x0 = [Fraction(rng.randint(0, 10**6), rng.choice(DIFFERENTIAL_DENOMINATORS)) for _ in range(n)]
+        b = [sum(u * v for u, v in zip(row, x0)) for row in a]
+    else:
+        b = [Fraction(rng.randint(-10**6, 10**6), rng.choice(DIFFERENTIAL_DENOMINATORS)) for _ in range(m)]
+    for _ in range(rng.randint(0, 2)):
+        i, j = rng.randrange(m), rng.randrange(m)
+        if rng.random() < 0.5:
+            a.append(list(a[i]))
+            b.append(b[i])
+        else:
+            a.append([u + v for u, v in zip(a[i], a[j])])
+            b.append(b[i] + b[j])
+        if rng.random() < 0.25:
+            b[-1] += 1
+    return a, b
+
+
+def test_seeded_differential_against_reference(monkeypatch):
+    """3,000 seeded LPs: ``feasible_point`` is the rational reference's,
+    and both statuses and a basic artificial left at level 0 occur."""
+    bland, zero_level = simplex._bland, []
+
+    def recording(rows, basis, var):
+        out = bland(rows, basis, var)
+        # Slots hold the n nonbasic variables, so artificials are n and up.
+        zero_level.append(any(col >= len(var) and not rows[i][-1] for i, col in enumerate(basis)))
+        return out
+
+    monkeypatch.setattr(simplex, "_bland", recording)
+    rng = random.Random(2510)
+    statuses = {assert_same_as_reference(*_differential_lp(rng)).status for _ in range(3000)}
+    assert statuses == {OPTIMAL, INFEASIBLE}
+    assert len(zero_level) == 3000 and any(zero_level)
+
+
 def _rays_system(rays):
     return generate_system([projector_from_vector(r) for r in rays])
 
@@ -466,8 +514,8 @@ def test_rationalized_rhs_keeps_the_determinant_small(monkeypatch, q_kcbs):
     dens = []
     bland = simplex._bland
 
-    def recording(rows, basis):
-        den, pivots = bland(rows, basis)
+    def recording(rows, basis, var):
+        den, pivots = bland(rows, basis, var)
         dens.append(den)
         return den, pivots
 
