@@ -1,9 +1,9 @@
 """Classicality and contextuality verdicts with self-verifying certificates.
 
 A state is noncontextual exactly when it is a convex mixture of the scenario's
-0-1 states.  One exact rational LP decides it: its solution is the weights,
-and when it has none, the Farkas ray of its phase 1 is a separating
-inequality.
+0-1 states.  One exact LP decides it: its solution is the weights, and when
+it has none, the Farkas ray of its phase 1 is a separating inequality.  Both
+are carried on integers, over the target's denominator, up to the report.
 A scenario is classical exactly when distinct elements are separated by 0-1
 states, i.e. the canonical map into subsets of deterministic assignments is
 injective.
@@ -29,7 +29,7 @@ from .graphs import (
     ExclusivityGraph,
     PBAState,
     ZeroOneState,
-    component_zero_one_states,
+    _component_search,
     enumerate_zero_one_states,
 )
 from .linalg import EXACT, FLOAT
@@ -60,12 +60,6 @@ class EqualityReduction:
     pivots: tuple[str, ...]
     free: tuple[str, ...]
     rows: tuple[tuple[str, tuple[tuple[str, Fraction], ...], Fraction], ...]
-
-    def solve_pivots(self, free_values: Mapping[str, Fraction]) -> dict[str, Fraction]:
-        out = dict(free_values)
-        for pivot, coeffs, const in self.rows:
-            out[pivot] = const - sum(c * out[v] for v, c in coeffs)
-        return out
 
 
 def clique_reduction(graph: ExclusivityGraph) -> EqualityReduction:
@@ -121,6 +115,16 @@ def _eliminate(verts: tuple[str, ...], cliques: tuple[tuple[str, ...], ...]):
     return tuple(cols[c] for _, c in pivots), free, tuple(rows)
 
 
+@lru_cache(maxsize=64)
+def _integer_rows(verts: tuple[str, ...], cliques: tuple[tuple[str, ...], ...]):
+    """``_eliminate``'s free coordinates, and its rows times one integer s:
+    s * value(pivot) = const - sum coeff * value(free atom), all ints."""
+    _, free, rows = _eliminate(verts, cliques)
+    s = lcm(*(x.denominator for _, coeffs, const in rows for x in (const, *dict(coeffs).values())))
+    ints = tuple((v, tuple((u, int(c * s)) for u, c in coeffs), int(const * s)) for v, coeffs, const in rows)
+    return free, s, ints
+
+
 def rationalize_state(p: PBAState) -> dict[str, Fraction]:
     """The exact atom values that certificates are checked against, one per
     vertex of ``p.graph``: an exact state's own values.  A float state's free
@@ -133,12 +137,28 @@ def rationalize_state(p: PBAState) -> dict[str, Fraction]:
             v: x if type(x) is Fraction else Fraction(x)
             for v, x in zip(p.graph.vertices, p.as_tuple())
         }
-    red = clique_reduction(p.graph)
-    free_vals = {
-        v: _limit_denominator(float(p.value(v)), RATIONALIZE_MAX_DENOMINATOR)
-        for v in red.free
-    }
-    return red.solve_pivots(free_vals)
+    t, q = _target(p)
+    return {v: Fraction(n, q) for v, n in t.items()}
+
+
+def _target(p: PBAState) -> tuple[dict[str, int], int]:
+    """``rationalize_state(p)`` as integer numerators t over one Q: the lcm
+    of an exact state's denominators, or of a float state's rounded free
+    atoms times the scale of the integer rows that give the others."""
+    if p.backend == EXACT:
+        values = rationalize_state(p)
+        q = lcm(*(x.denominator for x in values.values()))
+        return {v: x.numerator * (q // x.denominator) for v, x in values.items()}, q
+    graph = p.graph
+    free, scale, rows = _integer_rows(graph.vertices, graph.maximal_cliques())
+    rounded = [_limit_denominator(float(p.value(v)), RATIONALIZE_MAX_DENOMINATOR) for v in free]
+    q = lcm(*(x.denominator for x in rounded))
+    t = {v: x.numerator * (q // x.denominator) for v, x in zip(free, rounded)}
+    for pivot, coeffs, const in rows:
+        t[pivot] = const * q - sum(c * t[v] for v, c in coeffs)
+    for v in free:
+        t[v] *= scale
+    return t, q * scale
 
 
 def _limit_denominator(x: float, bound: int) -> Fraction:
@@ -178,12 +198,6 @@ class SeparatingInequality:
     atom_order: tuple[str, ...]
     coeffs: Mapping[str, int]
     bound: int
-
-    def coefficient_vector(self) -> tuple[int, ...]:
-        return tuple(self.coeffs.get(v, 0) for v in self.atom_order)
-
-    def evaluate(self, values: Mapping[str, object]):
-        return sum(c * values[v] for v, c in self.coeffs.items() if c != 0)
 
     def __str__(self) -> str:
         terms = []
@@ -271,6 +285,8 @@ def _listings(
     connected graph, is the listing: any subset in any order.  Otherwise each
     component's states are searched against one ``budget``, and a given
     ``s01`` must hold the product of the component counts in distinct states.
+    Searched listings are kept on the graph object (not on an equal graph,
+    whose bits may differ) with the nodes they took, for any budget as large.
     """
     if s01 is not None:
         if any(lam.graph is not graph and lam.graph != graph for lam in s01):
@@ -278,7 +294,9 @@ def _listings(
         s01 = [lam if lam.graph is graph else ZeroOneState.from_ones(graph, lam.ones) for lam in s01]
         if len(graph.components) == 1:
             return (s01,), None
-    listings = component_zero_one_states(graph, budget)
+    if graph._listings is None or budget < graph._listings[1]:
+        graph._listings = _component_search(graph, budget)
+    listings = graph._listings[0]
     if s01 is None:
         return listings, None
     count = prod(map(len, listings))
@@ -365,47 +383,48 @@ def _separate(
 def _membership_lp(
     free: Sequence[str],
     states: Sequence[ZeroOneState],
-    target: Mapping[str, Fraction],
-) -> tuple[dict[int, Fraction] | None, dict[str, Fraction] | None]:
-    """Weights w >= 0 with sum 1 whose mixture of ``states`` meets ``target``
-    on the free coordinates, and None; or, when no such weights exist, None
-    and the Farkas ray y of phase 1 over the free coordinates.
+    t: Mapping[str, int],
+    q: int,
+) -> tuple[tuple[dict[int, int], int] | None, dict[str, int] | None]:
+    """Weights w >= 0 with sum 1 whose mixture of ``states`` meets the
+    target t / q on the free coordinates, as integer numerators over their
+    denominator D * q, and None; or, when no such weights exist, None and the
+    integer Farkas ray y of phase 1 over the free coordinates.
 
-    The rows are (free atoms, 1), so y.A <= 0 < y.b reads: sum y_v lam(v) <=
-    -y_1 on every state, while sum y_v target(v) > -y_1.  The ray is a
-    separating inequality.
+    The rows are (free atoms, 1) with rhs (t, q), so y.A <= 0 < y.b reads:
+    sum y_v lam(v) <= -y_1 on every state, while sum y_v t(v) / q > -y_1.
+    The ray is a separating inequality.
     """
     m = len(states)
     bits = states[0].graph._bit if states else {}
     a = [[1 if lam.mask & bits[v] else 0 for lam in states] for v in free]
     a.append([1] * m)
-    b = [target[v] for v in free]
-    b.append(Fraction(1))
+    b = [t[v] for v in free]
+    b.append(q)
     res = feasible_point(a, b)
     if res.status == OPTIMAL:
-        return {k: w for k, w in enumerate(res.x) if w != 0}, None
+        return ({k: w for k, w in enumerate(res.x) if w}, res.den * q), None
     return None, dict(zip(free, res.farkas))
 
 
 def _primitive_inequality(
     atom_order: Sequence[str],
-    y: Mapping[str, Fraction],
+    y: Mapping[str, int],
     states: Sequence[ZeroOneState],
 ) -> SeparatingInequality:
-    """Tighten the bound to the 0-1 maximum and scale to integers with gcd 1.
+    """Tighten the integer ray y to the 0-1 maximum and divide by the gcd.
 
-    y is scaled to integers by the lcm of its denominators first, so each
-    state's value is an integer sum over its ones: for each coefficient, the
-    coefficient times the bit count of the state's mask on the atoms that
-    carry it.  The states share one graph, so one table of bits serves all.
+    Each state's value is an integer sum over its ones: for each
+    coefficient, the coefficient times the bit count of the state's mask on
+    the atoms that carry it.  The states share one graph, so one table of
+    bits serves all.
     """
-    scale = lcm(*(w.denominator for w in y.values()))
-    ints = {v: y[v].numerator * (scale // y[v].denominator) if v in y else 0 for v in atom_order}
+    ints = {v: y.get(v, 0) for v in atom_order}
     graph = states[0].graph
     by_coeff: dict[int, int] = {}
     for v, c in ints.items():
         if c:
-            by_coeff[c] = by_coeff.get(c, 0) | graph.mask((v,))
+            by_coeff[c] = by_coeff.get(c, 0) | graph._bit[v]
     bound = max(sum(c * (lam.mask & m).bit_count() for c, m in by_coeff.items()) for lam in states)
     g = gcd(*ints.values()) or 1  # the bound is a sum of coefficients, so g divides it too
     return SeparatingInequality(
@@ -455,35 +474,36 @@ def _certify(
         # inequality can witness that, so the certificate says so explicitly.
         return NCCertificate(verdict=CONTEXTUAL, empty_s01=True)
 
-    target = rationalize_state(p)
+    t, q = _target(p)
     marginals = []
     for part, states in zip(graph.components, listings):
-        weights, ray = _membership_lp(clique_reduction(part).free, states, target)
+        weights, ray = _membership_lp(clique_reduction(part).free, states, t, q)
         if ray is not None:
             ineq = _primitive_inequality(graph.vertices, ray, states)
-            violation = _verify_contextual(ineq, states, target, p)
+            violation = _verify_contextual(ineq, states, t, q, p)
             return NCCertificate(verdict=CONTEXTUAL, inequality=ineq, violation=violation)
         marginals.append(weights)
 
-    coupling = _north_west_corner(marginals)
+    coupling, den = _north_west_corner(marginals)
     mixture = [
         (w, sum(listing[k].mask for listing, k in zip(listings, choice)))
         for choice, w in coupling
     ]
-    _verify_noncontextual(graph, mixture, target, p)
+    _verify_noncontextual(graph, mixture, den, t, q, p)
     if s01 is None:
         keys = [_product_index(graph, listings, choice) for choice, _ in coupling]
     else:
         position = {lam.mask: i for i, lam in enumerate(s01)}
         keys = [position[mask] for _, mask in mixture]
-    weights = dict(sorted(zip(keys, (w for w, _ in mixture))))
+    weights = dict(sorted(zip(keys, (Fraction(w, den) for w, _ in mixture))))
     return NCCertificate(verdict=NONCONTEXTUAL, weights=weights, violation=Fraction(0))
 
 
 def _north_west_corner(
-    marginals: Sequence[Mapping[int, Fraction]],
-) -> list[tuple[tuple[int, ...], Fraction]]:
-    """Couple probability vectors by the north-west-corner rule.
+    marginals: Sequence[tuple[Mapping[int, int], int]],
+) -> tuple[list[tuple[tuple[int, ...], int]], int]:
+    """Couple probability vectors, integer numerators over a denominator
+    each, by the north-west-corner rule, over the lcm of the denominators.
 
     Walk each vector's support in key order; give the tuple of current keys
     the least weight any of them has left, and step past every key whose
@@ -492,8 +512,9 @@ def _north_west_corner(
     its marginals are the vectors.  One vector is its own coupling.
     """
     if len(marginals) == 1:
-        return [((k,), w) for k, w in marginals[0].items()]
-    supports = [list(m.items()) for m in marginals]
+        return [((k,), w) for k, w in marginals[0][0].items()], marginals[0][1]
+    den = lcm(*(d for _, d in marginals))
+    supports = [[(k, w * (den // d)) for k, w in m.items()] for m, d in marginals]
     pos = [0] * len(supports)
     left = [support[0][1] for support in supports]
     out = []
@@ -506,7 +527,7 @@ def _north_west_corner(
                 pos[c] += 1
                 if pos[c] < len(support):
                     left[c] = support[pos[c]][1]
-    return out
+    return out, den
 
 
 def _product_index(
@@ -547,21 +568,22 @@ def _product_index(
 def _verify_contextual(
     ineq: SeparatingInequality,
     s01: Sequence[ZeroOneState],
-    target: Mapping[str, Fraction],
+    t: Mapping[str, int],
+    q: int,
     original: PBAState,
 ) -> Fraction:
     """Check that ``ineq`` holds on every state of ``s01`` and fails on the
-    rationalized ``target`` and on a float ``original``, and return its exact
-    violation on ``target``.  The states of a listing share one graph, so each
-    state's value is summed term by term over that graph's bits, apart from
-    the grouped bit counts that computed the bound."""
+    rationalized target t / q and on a float ``original``, and return its
+    exact violation on the target.  The states of a listing share one graph,
+    so each state's value is summed term by term over that graph's bits,
+    apart from the grouped bit counts that computed the bound."""
     graph = s01[0].graph
-    terms = [(graph.mask((v,)), c) for v, c in ineq.coeffs.items() if c]
+    terms = [(graph._bit[v], c) for v, c in ineq.coeffs.items() if c]
     for lam in s01:
         if sum(c for bit, c in terms if lam.mask & bit) > ineq.bound:
             raise CertificateError("inequality fails on a 0-1 state")
-    violation = ineq.evaluate(target) - ineq.bound
-    if violation <= 0:
+    excess = sum(c * t[v] for v, c in ineq.coeffs.items() if c) - ineq.bound * q
+    if excess <= 0:
         raise CertificateError("inequality does not separate the rationalized state")
     if original.backend == FLOAT:
         float_lhs = sum(
@@ -569,31 +591,28 @@ def _verify_contextual(
         )
         if float_lhs <= ineq.bound:
             raise CertificateError("inequality does not separate the original state")
-    return violation
+    return Fraction(excess, q)
 
 
 def _verify_noncontextual(
     graph: ExclusivityGraph,
-    mixture: Sequence[tuple[Fraction, int]],
-    target: Mapping[str, Fraction],
+    mixture: Sequence[tuple[int, int]],
+    den: int,
+    t: Mapping[str, int],
+    q: int,
     original: PBAState,
 ) -> None:
-    """Check that the weights of the mixture, pairs of a weight and the mask
-    of a 0-1 state of ``graph``, form a probability vector whose mixture
-    reproduces the rationalized ``target`` on every atom of the graph.
-
-    The weights are read as integer numerators over their lcm ``den``, so an
-    atom's mixture is an int ``mix`` and ``mix / den``, an int true division,
-    is its correctly rounded float."""
-    den = lcm(*(w.denominator for w, _ in mixture))
-    nums = [(w.numerator * (den // w.denominator), mask) for w, mask in mixture]
-    if sum(n for n, _ in nums) != den or any(n < 0 for n, _ in nums):
+    """Check that the mixture, pairs of a weight's integer numerator over
+    ``den`` and the mask of a 0-1 state of ``graph``, is a probability
+    vector whose mixture reproduces the rationalized target t / q on every
+    atom of the graph.  An atom's mixture is an int ``mix`` over ``den``, and
+    ``mix / den``, an int true division, is its correctly rounded float."""
+    if sum(n for n, _ in mixture) != den or any(n < 0 for n, _ in mixture):
         raise CertificateError("weights are not a probability vector")
     for v in graph.vertices:
-        bit = graph.mask((v,))
-        mix = sum(n for n, mask in nums if mask & bit)
-        value = target[v]
-        if mix * value.denominator != value.numerator * den:
+        bit = graph._bit[v]
+        mix = sum(n for n, mask in mixture if mask & bit)
+        if mix * q != t[v] * den:
             raise CertificateError(f"weights fail to reproduce the state at {v!r}")
         if original.backend == FLOAT:
             if abs(mix / den - float(original.value(v))) > 10 * original.tol:

@@ -37,6 +37,7 @@ class ExclusivityGraph:
         "_bit",
         "_mask",
         "_clique_masks",
+        "_listings",
     )
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]], _bit=None):
@@ -60,6 +61,7 @@ class ExclusivityGraph:
         self._bit = _bit or {v: 1 << len(self.vertices) - 1 - i for i, v in enumerate(self.vertices)}
         self._mask = sum(self._bit.values())
         self._clique_masks = tuple(self.mask(c) for c in self._cliques)
+        self._listings = None  # analyze's memo of the component listings
         self.components = self._split()
 
     def _split(self) -> tuple["ExclusivityGraph", ...]:

@@ -16,25 +16,23 @@ D on every other row; slot c then takes the leaving variable's column,
 rows of a membership LP p and D are mostly 1, and the update is a
 subtraction.
 
-The rows of a are integers and b is rational, scaled once by the lcm L of
-its denominators.  That scales every basic level, and so every ratio of the
-ratio test, by L alike: the LP is the one in L*x.  Bland's rule (the
-improving variable of least index, then the smallest basic index among tied
-ratios) takes the pivots a rational full tableau would, x is the final rhs
-over D*L, and the ray, read from the cost row at the artificials, does not
-see L.  On 0-1 rows D stays the size of a 0-1 determinant whatever b's
-denominators.
+The rows of a and the rhs b are integers.  A rational rhs is passed as its
+numerators b over one denominator Q: that scales every basic level, and so
+every ratio of the ratio test, by Q alike, so Bland's rule (the improving
+variable of least index, then the smallest basic index among tied ratios)
+takes the pivots a rational full tableau would take on b / Q.  x is the
+final rhs, integer numerators over D (over D * Q for b / Q).  On 0-1 rows D
+stays the size of a 0-1 determinant whatever the size of b.
 
-An infeasible LP returns the phase-1 dual y.  Phase 1 is optimal, so every
-reduced cost is nonnegative: y.A <= 0 entrywise, while y.b, the positive
-phase-1 optimum, is > 0.  That is a Farkas certificate of infeasibility.
+An infeasible LP returns the phase-1 dual y times D, an integer ray.  Phase
+1 is optimal, so every reduced cost is nonnegative: y.A <= 0 entrywise,
+while y.b, the positive phase-1 optimum, is > 0.  That is a Farkas
+certificate of infeasibility.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from operator import index
 from typing import Sequence
 
@@ -44,14 +42,16 @@ INFEASIBLE = "infeasible"
 
 @dataclass(frozen=True)
 class LPResult:
-    """``x`` is set on OPTIMAL only, ``farkas`` on INFEASIBLE only: the
-    phase-1 dual y, one entry per row, with y.A <= 0 < y.b.  ``analyze``
-    reads its separating inequalities from it."""
+    """``x`` is set on OPTIMAL only: the basic solution, integer numerators
+    over ``den``.  ``farkas`` is set on INFEASIBLE only: D times the phase-1
+    dual y, one integer per row, with y.A <= 0 < y.b.  ``analyze`` reads its
+    separating inequalities from it."""
 
     status: str
-    x: tuple[Fraction, ...] | None
+    x: tuple[int, ...] | None
     pivots: int  # phase 1
-    farkas: tuple[Fraction, ...] | None = None
+    farkas: tuple[int, ...] | None = None
+    den: int = 1
 
 
 def _bland(rows: list[list[int]], basis: list[int], var: list[int]) -> tuple[int, int]:
@@ -105,20 +105,18 @@ def _bland(rows: list[list[int]], basis: list[int], var: list[int]) -> tuple[int
         pivots += 1
 
 
-def feasible_point(a: Sequence[Sequence[int]], b: Sequence) -> LPResult:
+def feasible_point(a: Sequence[Sequence[int]], b: Sequence[int]) -> LPResult:
     """A nonnegative basic solution of a x = b, or the Farkas ray showing
-    that none exists.  Every entry of a must be an integer (``operator.index``
-    reads it, so a Fraction or float is a TypeError); b is rational."""
+    that none exists.  Every entry of a and b must be an integer
+    (``operator.index`` reads it, so a Fraction or float is a TypeError)."""
     m = len(a)
     n = len(a[0]) if m else 0
 
-    # Rows with rhs L * b >= 0 over the structural slots, artificial basis;
-    # the basic levels are those of L * x.
-    big = lcm(*(v.denominator for v in b))
+    # Rows with rhs b >= 0 over the structural slots, artificial basis.
     rows: list[list[int]] = []
     for i in range(m):
         line = list(map(index, a[i]))
-        level = b[i].numerator * (big // b[i].denominator)
+        level = index(b[i])
         if level < 0:
             line, level = [-v for v in line], -level
         line.append(level)
@@ -136,11 +134,11 @@ def feasible_point(a: Sequence[Sequence[int]], b: Sequence) -> LPResult:
         for j, v in enumerate(var):
             if v >= n:
                 duals[v - n] = rows[m][j]
-        ray = tuple(Fraction(den - t if v >= 0 else t - den, den) for v, t in zip(b, duals))
-        return LPResult(INFEASIBLE, None, pivots, ray)
+        ray = tuple(den - t if v >= 0 else t - den for v, t in zip(b, duals))
+        return LPResult(INFEASIBLE, None, pivots, ray, den)
 
-    x = [Fraction(0)] * n
+    x = [0] * n
     for line, col in zip(rows, basis):
         if col < n:
-            x[col] = Fraction(line[-1], den * big)
-    return LPResult(OPTIMAL, tuple(x), pivots)
+            x[col] = line[-1]
+    return LPResult(OPTIMAL, tuple(x), pivots, None, den)

@@ -51,6 +51,7 @@ from ctxcert.linalg import (
 from ctxcert.systems import generate_system, systems_equal
 from ctxcert.vectorsets import ks_assignment_search
 
+from certificate_helpers import coefficient_vector, solve_pivots
 from test_analyze import caratheodory_member, grid_member, wheel_graph, wheel_state
 
 
@@ -127,7 +128,7 @@ def test_criterion_5_kcbs_quantum_violation():
         s01 = zero_one_states(system)
         cert = is_noncontextual(state, s01)
         assert cert.verdict == CONTEXTUAL
-        assert cert.inequality.coefficient_vector() == (1, 1, 1, 1, 1, 0, 0, 0, 0, 0)
+        assert coefficient_vector(cert.inequality) == (1, 1, 1, 1, 1, 0, 0, 0, 0, 0)
         assert cert.inequality.bound == 2
         elapsed = time.perf_counter() - t0
         assert elapsed < 1.0
@@ -180,7 +181,7 @@ def test_criterion_7_three_measurements(q_kcbs):
             state = PBAState(graph, values)
             # The generic equality solver reconstructs the same completion
             # from the pentagon marginals alone: the extension is unique.
-            solved = red.solve_pivots({v: margins[int(v[1])] for v in red.free})
+            solved = solve_pivots(red, {v: margins[int(v[1])] for v in red.free})
             assert all(solved[v] == values[v] for v in graph.vertices)
 
 

@@ -39,7 +39,8 @@ from ctxcert.graphs import ExclusivityGraph, PBAState, enumerate_zero_one_states
 from ctxcert.linalg import DensityMatrix, ExactMatrix, FloatMatrix, Projector, projector_from_vector
 from ctxcert.systems import QuantumSystem, generate_system
 
-from test_components import _densities, _system, yu_oh_plus_rays
+from certificate_helpers import coefficient_vector, evaluate, integer_ray, integer_target
+from test_components import _densities, _system, k_bases_rays, yu_oh_plus_rays
 from test_simplex import YU_OH_RAYS
 from test_systems import diag, random_pentagon_state
 
@@ -176,13 +177,17 @@ def test_limit_denominator_matches_fraction(x, bound):
     assert type(got) is Fraction and got == Fraction(x).limit_denominator(bound)
 
 
-def _copying_rationalize_state(p):
-    """What ``rationalize_state`` did with an exact state before it returned
-    its values as they are: copy every value into a new, re-validated state."""
+def _copying_target(p):
+    """The certificate target as ``rationalize_state`` made it for an exact
+    state before it returned its values as they are: every value copied
+    into a new, re-validated state."""
     if p.backend != "exact":
-        return rationalize_state(p)
+        return _TARGET(p)
     values = {v: Fraction(p.value(v)) for v in p.graph.vertices}
-    return PBAState(p.graph, values, backend="exact").values
+    return _TARGET(PBAState(p.graph, values, backend="exact"))
+
+
+_TARGET = analyze._target
 
 
 def test_rationalize_returns_an_exact_state_as_it_is():
@@ -217,8 +222,10 @@ def test_certificates_do_not_depend_on_copying_exact_states(monkeypatch):
     system = _yu_oh_plus(0)
     states = [system.state_from_density(rho) for rho in _densities(random.Random(41), 119)]
     got = [classify_experiment(system, p) for p in states]
-    monkeypatch.setattr(analyze, "rationalize_state", _copying_rationalize_state)
+    copied = []
+    monkeypatch.setattr(analyze, "_target", lambda p: copied.append(p) or _copying_target(p))
     assert got == [classify_experiment(system, p) for p in states]
+    assert len(copied) == len(states) and all(c is p for c, p in zip(copied, states))
 
 
 # -- membership certificates -----------------------------------------------
@@ -228,7 +235,8 @@ def _walked_coupling(marginals):
     """The north-west-corner walk on one vector: a point mass as a second
     vector takes nothing from the walk but its key."""
     (m,) = marginals
-    return [(keys[:1], w) for keys, w in _north_west_corner([m, {0: Fraction(1)}])]
+    coupling, den = _north_west_corner([m, ({0: 1}, 1)])
+    return [(keys[:1], w) for keys, w in coupling], den
 
 
 def _yu_oh_mixtures(system, rng, count):
@@ -260,11 +268,42 @@ def test_a_single_marginal_is_its_own_coupling(monkeypatch, q_kcbs):
     monkeypatch.setattr(analyze, "_north_west_corner", recording)
     got = [classify_experiment(system, p) for system, p in cases]
     assert len(seen) == 12 + 120 and all(len(m) == 1 for m in seen)
-    assert sum(len(m[0]) > 1 for m in seen) > 100
+    assert sum(len(m[0][0]) > 1 for m in seen) > 100
     for m in seen:
         assert _north_west_corner(m) == _walked_coupling(m)
     monkeypatch.setattr(analyze, "_north_west_corner", _walked_coupling)
     assert got == [classify_experiment(system, p) for system, p in cases]
+
+
+def _certificate_cases(q_kcbs):
+    """The 41-point KCBS float noise grid, 120 Yu-Oh quantum states, 120
+    noncontextual Yu-Oh mixtures, and I/3 and five random states on k = 3
+    unrelated bases (three components)."""
+    psi, noise = kcbs_state(), DensityMatrix.maximally_mixed(3, backend="float")
+    cases = [
+        (q_kcbs, q_kcbs.state_from_density(DensityMatrix.mixture([1 - k / 40, k / 40], [psi, noise])))
+        for k in range(41)
+    ]
+    yu_oh = _yu_oh_plus(0)
+    cases += [(yu_oh, yu_oh.state_from_density(rho)) for rho in _densities(random.Random(41), 119)]
+    cases += [(yu_oh, p) for p in _yu_oh_mixtures(yu_oh, random.Random(25), 120)]
+    k3 = _system(k_bases_rays(3))
+    cases += [(k3, k3.state_from_density(rho)) for rho in _densities(random.Random(3), 5)]
+    return cases
+
+
+# sha256 of the reprs of the classifications of ``_certificate_cases``, in
+# order, one per line: their weights, inequalities and violations.
+CERTIFICATES_DIGEST = "abde70d3ff05a65c5cde7185d0b8757e40b08d4a82460cca99566898b8d13a02"
+
+
+def test_certificates_are_those_recorded(q_kcbs):
+    cases = _certificate_cases(q_kcbs)
+    assert len(cases) == 41 + 120 + 120 + 6
+    results = [classify_experiment(system, p) for system, p in cases]
+    assert {r.certificate.verdict for r in results} == {CONTEXTUAL, NONCONTEXTUAL}
+    digest = hashlib.sha256("\n".join(map(repr, results)).encode()).hexdigest()
+    assert digest == CERTIFICATES_DIGEST
 
 
 def test_each_zero_one_state_is_noncontextual(kcbs_s01):
@@ -292,7 +331,7 @@ def test_kcbs_quantum_state_is_contextual(kcbs_s01, kcbs_quantum_state):
     cert = is_noncontextual(kcbs_quantum_state, kcbs_s01)
     assert cert.verdict == CONTEXTUAL
     ineq = cert.inequality
-    assert ineq.coefficient_vector() == (1, 1, 1, 1, 1, 0, 0, 0, 0, 0)
+    assert coefficient_vector(ineq) == (1, 1, 1, 1, 1, 0, 0, 0, 0, 0)
     assert ineq.bound == 2
     assert str(ineq) == "p(P0) + p(P1) + p(P2) + p(P3) + p(P4) <= 2"
     assert float(cert.violation) == pytest.approx(math.sqrt(5) - 2, abs=1e-9)
@@ -314,9 +353,9 @@ def test_wheel_point_outside_hull_flips_verdict():
         cert = is_noncontextual(wheel_state(t), s01)
         assert cert.verdict == CONTEXTUAL
         lam_vals = {v: Fraction(s01[0].value(v)) for v in g.vertices}
-        assert cert.inequality.evaluate(lam_vals) <= cert.inequality.bound
+        assert evaluate(cert.inequality, lam_vals) <= cert.inequality.bound
         point = {v: wheel_state(t).value(v) for v in g.vertices}
-        assert cert.inequality.evaluate(point) > cert.inequality.bound
+        assert evaluate(cert.inequality, point) > cert.inequality.bound
 
 
 def test_factorizability_of_noncontextual_weights(q_kcbs, kcbs_s01):
@@ -583,8 +622,8 @@ def _yu_oh_quantum_state():
 def test_primitive_inequality_matches_fraction_reference(name, kcbs_quantum_state):
     p = kcbs_quantum_state if name == "kcbs" else _yu_oh_quantum_state()
     s01 = enumerate_zero_one_states(p.graph)
-    target = {v: Fraction(p.value(v)) for v in p.graph.vertices}
-    weights, y = _membership_lp(clique_reduction(p.graph).free, s01, target)
+    target = integer_target({v: Fraction(p.value(v)) for v in p.graph.vertices})
+    weights, y = _membership_lp(clique_reduction(p.graph).free, s01, *target)
     assert weights is None
     got = _primitive_inequality(p.graph.vertices, y, s01)
     assert got == _fraction_primitive_inequality(p.graph.vertices, y, s01)
@@ -596,7 +635,7 @@ def test_primitive_inequality_matches_fraction_reference(name, kcbs_quantum_stat
             for v in p.graph.vertices
             if rng.random() < 0.7
         }
-        got = _primitive_inequality(p.graph.vertices, y, s01)
+        got = _primitive_inequality(p.graph.vertices, integer_ray(y), s01)
         assert got == _fraction_primitive_inequality(p.graph.vertices, y, s01)
 
 
@@ -762,19 +801,22 @@ def test_embedding_memo_keeps_no_system_alive():
     "tamper, message",
     [
         (lambda x: tuple(2 * w for w in x), "weights are not a probability vector"),
-        (lambda x: (x[0] - 1, x[1] + 1) + x[2:], "weights are not a probability vector"),
-        (lambda x: (Fraction(1),) + (Fraction(0),) * (len(x) - 1), "weights fail to reproduce"),
+        (lambda x: (x[0] - sum(x), x[1] + sum(x)) + x[2:], "weights are not a probability vector"),
+        (lambda x: (sum(x),) + (0,) * (len(x) - 1), "weights fail to reproduce"),
     ],
 )
 def test_tampered_weights_end_in_certificate_error(monkeypatch, q_kcbs, tamper, message):
-    """The LP only proposes weights; substitution decides."""
+    """The LP only proposes weights; substitution decides.  The levels are
+    numerators over D * Q, and their sum is that denominator, so ``sum(x)``
+    is a weight of 1."""
     p = q_kcbs.state_from_density(DensityMatrix.maximally_mixed(3, backend="float"))
     assert is_noncontextual(p).verdict == NONCONTEXTUAL
     real = analyze.feasible_point
 
     def tampered(a, b):
         res = real(a, b)
-        return simplex.LPResult(res.status, tamper(res.x), res.pivots)
+        assert {type(w) for w in res.x} == {int}
+        return simplex.LPResult(res.status, tamper(res.x), res.pivots, None, res.den)
 
     monkeypatch.setattr(analyze, "feasible_point", tampered)
     with pytest.raises(CertificateError, match=message):

@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from certificate_helpers import solve_pivots
 from ctxcert.analyze import zero_one_states
 from ctxcert.catalog import (
     BUILTINS,
@@ -140,7 +141,7 @@ def test_pentagon_marginals_determine_the_state(q_kcbs):
         from ctxcert.analyze import clique_reduction
 
         red = clique_reduction(g)
-        solved = red.solve_pivots(
+        solved = solve_pivots(red, 
             {v: Fraction(values[v]).limit_denominator(10**9) for v in red.free}
         )
         for v in g.vertices:

@@ -46,6 +46,7 @@ from ctxcert.linalg import DensityMatrix, ExactMatrix, projector_from_vector
 from ctxcert.simplex import feasible_point
 from ctxcert.systems import generate_system
 
+from certificate_helpers import evaluate, integer_ray, integer_target
 from test_graphs import set_based_zero_one_check
 from test_io_cli import run_cli
 
@@ -185,6 +186,57 @@ def test_component_searches_share_one_budget():
     with pytest.raises(SearchBudgetExceeded) as err:
         component_zero_one_states(graph, budget=nodes - 1)
     assert (err.value.nodes, err.value.budget) == (nodes, nodes - 1)
+
+
+def test_listing_memo_holds_every_budget(monkeypatch):
+    """A verdict keeps its graph's component listings with the nodes they
+    took.  A verdict within that budget searches no more; one below it
+    searches again and fails with the node count of a cold search, and the
+    memo outlives the failure."""
+    system = _system(k_bases_rays(3))
+    graph = system.atom_graph()
+    p = system.state_from_density(DensityMatrix.maximally_mixed(3))
+    nodes = sum(_search_zero_one(part, 10**6, 0)[1] for part in graph.components)
+    with pytest.raises(SearchBudgetExceeded) as cold:
+        classify_experiment(system, p, budget=nodes - 1)
+    assert graph._listings is None
+    first = classify_experiment(system, p, budget=nodes)
+    searched = []
+    real = graphs._search_zero_one
+
+    def counting(part, budget, spent):
+        searched.append(part)
+        return real(part, budget, spent)
+
+    monkeypatch.setattr(graphs, "_search_zero_one", counting)
+    assert classify_experiment(system, p, budget=nodes) == first
+    assert is_noncontextual(p) == first.certificate and searched == []
+    with pytest.raises(SearchBudgetExceeded) as warm:
+        classify_experiment(system, p, budget=nodes - 1)
+    assert (warm.value.nodes, warm.value.budget) == (cold.value.nodes, cold.value.budget)
+    assert (cold.value.nodes, cold.value.budget) == (nodes, nodes - 1)
+    assert searched and searched[0] is graph.components[0]
+    searched.clear()
+    assert classify_experiment(system, p, budget=nodes) == first and searched == []
+
+
+def test_listing_memo_is_kept_per_graph_object():
+    """An equal graph with its vertices, and so its bits, in another order
+    does not receive the memoised listings, and gets its own verdict."""
+    system = _system(k_bases_rays(3))
+    graph = system.atom_graph()
+    flipped = ExclusivityGraph(list(reversed(graph.vertices)), graph.edges)
+    assert flipped == graph and flipped.mask(["r0"]) != graph.mask(["r0"])
+    p = system.state_from_density(_densities(random.Random(7), 1)[1])
+    assert is_noncontextual(p).verdict == NONCONTEXTUAL and graph._listings is not None
+    assert flipped._listings is None
+    q = analyze.PBAState(flipped, dict(p.values))
+    cert = is_noncontextual(q)
+    assert [lam.graph for listing in flipped._listings[0] for lam in listing[:1]] == list(flipped.components)
+    s01 = enumerate_zero_one_states(flipped)
+    assert sum(cert.weights.values()) == 1
+    for v in flipped.vertices:
+        assert sum(w * s01[k].value(v) for k, w in cert.weights.items()) == p.value(v)
 
 
 def test_listing_charges_one_node_per_product_state(family, monkeypatch):
@@ -352,8 +404,8 @@ def _reference(system, s01, target):
     free = clique_reduction(graph).free
     y, _, violation = _separation_lp(free, s01, target)
     if violation > 0:
-        return CONTEXTUAL, analyze._primitive_inequality(graph.vertices, y, s01)
-    weights, _ = _membership_lp(free, s01, target)
+        return CONTEXTUAL, analyze._primitive_inequality(graph.vertices, integer_ray(y), s01)
+    weights, _ = _membership_lp(free, s01, *integer_target(target))
     assert weights is not None
     return NONCONTEXTUAL, None
 
@@ -399,10 +451,10 @@ def test_decomposed_verdicts_match_the_full_listing(family):
             assert list(cert.weights) == sorted(cert.weights)
         else:
             ineq = cert.inequality
-            values = [ineq.evaluate({v: Fraction(lam.value(v)) for v in graph.vertices}) for lam in s01]
+            values = [evaluate(ineq, {v: Fraction(lam.value(v)) for v in graph.vertices}) for lam in s01]
             assert max(values) == ineq.bound
-            assert ineq.evaluate(target) > ineq.bound
-            assert cert.violation == ineq.evaluate(target) - ineq.bound
+            assert evaluate(ineq, target) > ineq.bound
+            assert cert.violation == evaluate(ineq, target) - ineq.bound
             supports = [
                 i for i, part in enumerate(graph.components)
                 if any(ineq.coeffs.get(v) for v in part.vertices)

@@ -5,8 +5,11 @@ reference kept only here.
 The reference is the dense ``Fraction`` tableau the integer-preserving one
 replaced.  Both run the same Bland pivots, so status, ``x``, the pivot count
 and the Farkas ray of an infeasible system must come out identical on every
-system.  ``feasible_point`` takes integer rows, so a random system with
-rational rows is scaled row by row to integers before either solver sees it.
+system.  ``feasible_point`` takes integer rows and an integer rhs, so a
+random system with rational rows is scaled row by row to integers before
+either solver sees it, and ``solve`` passes a rational rhs as its
+numerators over one denominator and reads the integer results back as
+rationals.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from ctxcert.linalg import DensityMatrix, ExactMatrix, projector_from_vector
 from ctxcert.simplex import INFEASIBLE, OPTIMAL, LPResult, feasible_point
 from ctxcert.systems import generate_system
 
+from certificate_helpers import integer_target
 from test_components import _densities
 
 # -- rational-tableau reference ---------------------------------------------------
@@ -122,12 +126,22 @@ def _integer_rows(a, b):
     return rows, [Fraction(bi) * s for bi, s in zip(b, scales)]
 
 
+def solve(a, b) -> LPResult:
+    """``feasible_point`` on a rational rhs b, which it takes as integer
+    numerators over their lcm Q; its integer results are read back as
+    rationals: x is its levels over D * Q, and y its ray over D."""
+    q = lcm(*(Fraction(v).denominator for v in b))
+    res = feasible_point(a, [int(Fraction(v) * q) for v in b])
+    assert {type(v) for v in res.x or res.farkas} <= {int} and type(res.den) is int
+    if res.status == OPTIMAL:
+        return LPResult(OPTIMAL, tuple(Fraction(v, res.den * q) for v in res.x), res.pivots)
+    return LPResult(INFEASIBLE, None, res.pivots, tuple(Fraction(v, res.den) for v in res.farkas))
+
+
 def assert_same_as_reference(a, b) -> LPResult:
-    got = feasible_point(a, b)
+    got = solve(a, b)
     want = ref_feasible_point(a, b)
     assert got == want
-    assert want.x is None or [type(v) for v in got.x] == [type(v) for v in want.x]
-    assert want.farkas is None or {type(v) for v in got.farkas} == {Fraction}
     return got
 
 
@@ -207,24 +221,27 @@ def test_degenerate_vertices_terminate():
         [1, 1, 0, 0, 1],
     ]
     b = [1, 1, 2]
-    assert_solves(a, b, feasible_point(a, b))
+    assert_solves(a, b, solve(a, b))
 
 
 def test_exactness_with_awkward_fractions():
     a = [[7, 3]]
     b = [21]
-    res = feasible_point(a, b)
+    res = solve(a, b)
     assert_solves(a, b, res)
     assert res.x == (3, 0)  # the first improving column enters
+    assert feasible_point(a, b) == LPResult(OPTIMAL, (21, 0), 1, None, 7)
 
 
 @pytest.mark.parametrize("entry", [Fraction(1, 3), Fraction(2), 0.5, 1.0, "1"], ids=repr)
 def test_rows_must_be_integers(entry):
-    """A row entry is read by ``operator.index``: a Fraction, a float or a
-    string is a TypeError, never floored or scaled."""
+    """A row or rhs entry is read by ``operator.index``: a Fraction, a float
+    or a string is a TypeError, never floored or scaled."""
     with pytest.raises(TypeError):
-        feasible_point([[1, entry]], [Fraction(1)])
-    assert feasible_point([[1, True]], [Fraction(1)]).status == OPTIMAL
+        feasible_point([[1, entry]], [1])
+    with pytest.raises(TypeError):
+        feasible_point([[1, 1]], [entry])
+    assert feasible_point([[1, True]], [True]).status == OPTIMAL
 
 
 def _row_reduce(a, b):
@@ -292,7 +309,7 @@ def test_against_vertex_enumeration_oracle():
         a = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
         b = [Fraction(rng.randint(0, 4)) for _ in range(m)]
         a, b = _integer_rows(a, b)
-        res = feasible_point(a, b)
+        res = solve(a, b)
         assert_farkas(a, b, res)
         vertices = _basic_feasible_solutions(a, b)
         if not vertices:
@@ -435,10 +452,10 @@ def _certificate_lps(monkeypatch, system, density):
     s01 = analyze.zero_one_states(system)
     graph = s01[0].graph
     red = analyze.clique_reduction(graph)
-    quantum = analyze.rationalize_state(system.state_from_density(density))
+    quantum = analyze._target(system.state_from_density(density))
     barycentre = {v: Fraction(sum(lam.value(v) for lam in s01), len(s01)) for v in graph.vertices}
-    for target in (quantum, barycentre):
-        analyze._membership_lp(red.free, s01, target)
+    for t, q in (quantum, integer_target(barycentre)):
+        analyze._membership_lp(red.free, s01, t, q)
     return calls
 
 
@@ -502,7 +519,8 @@ def test_rationalized_certificate_lps_identical_to_reference(monkeypatch, q_kcbs
     yu_oh = _rays_system(YU_OH_RAYS)
     for rho in _densities(random.Random(22), 20)[1:]:
         calls += _certificate_lps(monkeypatch, yu_oh, rho)
-    assert any(v.denominator > 10**9 for _, b in calls for v in b)
+    # The sum row's rhs is the target's denominator Q.
+    assert any(b[-1] > 10**9 for _, b in calls)
     statuses = {assert_same_as_reference(*lp).status for lp in calls}
     assert statuses == {OPTIMAL, INFEASIBLE}
 
@@ -522,7 +540,7 @@ def test_rationalized_rhs_keeps_the_determinant_small(monkeypatch, q_kcbs):
     monkeypatch.setattr(simplex, "_bland", recording)
     rho = DensityMatrix.mixture([0.7, 0.3], [kcbs_state(), DensityMatrix.maximally_mixed(3, backend="float")])
     calls = _certificate_lps(monkeypatch, q_kcbs, rho)
-    assert max(v.denominator for v in calls[0][1]) > 10**9
+    assert calls[0][1][-1] > 10**9  # the target's denominator Q
     assert len(dens) == 2
     for d, (a, _) in zip(dens, calls):
         m = len(a)
@@ -581,7 +599,7 @@ def test_against_scipy_linprog():
         a = [row + [0] for row in a] + [[1] * (n + 1)]
         b = b + [Fraction(20)]
         a, b = _integer_rows(a, b)
-        res = feasible_point(a, b)
+        res = solve(a, b)
         assert_farkas(a, b, res)
         ref = linprog(
             [0] * (n + 1),
