@@ -17,6 +17,7 @@ listing is never built.  A connected graph is its own only component.
 from __future__ import annotations
 
 import weakref
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -28,6 +29,7 @@ from .graphs import (
     DEFAULT_SEARCH_BUDGET,
     ExclusivityGraph,
     PBAState,
+    ProductListing,
     ZeroOneState,
     _component_search,
     enumerate_zero_one_states,
@@ -267,8 +269,9 @@ class Classification:
 
 def zero_one_states(
     system: QuantumSystem, budget: int = DEFAULT_SEARCH_BUDGET
-) -> list[ZeroOneState]:
-    """Deterministic states of the system, computed on its atom graph."""
+) -> Sequence[ZeroOneState]:
+    """Deterministic states of the system, computed on its atom graph: a
+    list, or a ``ProductListing`` on a graph of several components."""
     return enumerate_zero_one_states(system.atom_graph(), budget)
 
 
@@ -287,8 +290,10 @@ def _listings(
     ``s01`` must hold the product of the component counts in distinct states.
     Searched listings are kept on the graph object (not on an equal graph,
     whose bits may differ) with the nodes they took, for any budget as large.
+    A ``ProductListing`` on ``graph`` itself is checked only for its length.
     """
-    if s01 is not None:
+    trusted = isinstance(s01, ProductListing) and s01.graph is graph
+    if s01 is not None and not trusted:
         if any(lam.graph is not graph and lam.graph != graph for lam in s01):
             raise NotAGraphState("0-1 state defined on a different graph")
         s01 = [lam if lam.graph is graph else ZeroOneState.from_ones(graph, lam.ones) for lam in s01]
@@ -300,7 +305,7 @@ def _listings(
     if s01 is None:
         return listings, None
     count = prod(map(len, listings))
-    distinct = len({lam.mask for lam in s01})
+    distinct = len(s01) if trusted else len({lam.mask for lam in s01})
     if len(s01) != count or distinct != count:
         raise IncompleteListing(
             f"{len(s01)} listed 0-1 states ({distinct} distinct); the graph has {count}"
@@ -467,7 +472,8 @@ def _certify(
     0 on every other atom: an inequality valid on one component's states is
     valid on their products.  A NONCONTEXTUAL certificate's weights are
     keyed by the position in ``s01`` of the state's mask, the sum of its
-    factors' masks, or, without ``s01``, by ``_product_index``.
+    factors' masks: found by bisection in a ``ProductListing``'s masks, and
+    confirmed there, or without ``s01`` by ``_product_index``.
     """
     if not all(listings):
         # The hull is empty: no hidden-variable model exists, and no honest
@@ -492,6 +498,10 @@ def _certify(
     _verify_noncontextual(graph, mixture, den, t, q, p)
     if s01 is None:
         keys = [_product_index(graph, listings, choice) for choice, _ in coupling]
+    elif isinstance(s01, ProductListing):
+        keys = [bisect_left(s01.masks, mask) for _, mask in mixture]
+        if [s01.masks[k] for k in keys if k < len(s01)] != [mask for _, mask in mixture]:
+            raise IncompleteListing("a 0-1 state is missing from the sorted masks")
     else:
         position = {lam.mask: i for i, lam in enumerate(s01)}
         keys = [position[mask] for _, mask in mixture]

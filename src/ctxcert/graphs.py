@@ -2,7 +2,8 @@
 
 A finite exclusive structure is determined by this graph, so scenario-level
 questions (state spaces, deterministic assignments, isomorphism) are answered
-here on plain vertex/edge data.
+here on plain vertex/edge data.  The 0-1 listing of a graph of several
+components is a ``ProductListing``: sorted masks, read as states on demand.
 """
 
 from __future__ import annotations
@@ -400,9 +401,37 @@ class ZeroOneSearch:
                 return
 
 
+class ProductListing(Sequence):
+    """The 0-1 states of a graph of several components as ``masks``, their
+    ascending masks on ``graph``.  A state is built when it is read, a slice
+    is a list of states, and the listing equals the list of its states.
+    ``analyze`` trusts the masks only of a listing on the very graph object."""
+
+    __slots__ = ("graph", "masks")
+
+    def __init__(self, graph: ExclusivityGraph, masks: list[int]):
+        self.graph = graph
+        self.masks = masks
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i):
+        # _validated=True, passed by position, which is cheaper per call than a keyword.
+        if isinstance(i, slice):
+            return [ZeroOneState(self.graph, mask, True) for mask in self.masks[i]]
+        return ZeroOneState(self.graph, self.masks[i], True)
+
+    def __iter__(self) -> Iterator[ZeroOneState]:
+        return (ZeroOneState(self.graph, mask, True) for mask in self.masks)
+
+    def __eq__(self, other) -> bool:
+        return list(self) == list(other) if isinstance(other, (list, ProductListing)) else NotImplemented
+
+
 def enumerate_zero_one_states(
     graph: ExclusivityGraph, budget: int = DEFAULT_SEARCH_BUDGET
-) -> list[ZeroOneState]:
+) -> Sequence[ZeroOneState]:
     """All 0-1 states, sorted by mask, so by the value tuple in vertex order.
 
     An empty result is meaningful: it is the defining property of a
@@ -410,8 +439,9 @@ def enumerate_zero_one_states(
     Otherwise the states are the products of one state per component
     (``component_zero_one_states``), whose mask is the sum of the factors';
     listing them costs one search node per product state beyond the
-    component nodes, charged before any is built.  The factors are checked
-    states, so ``_check_components`` proves every product valid at once.
+    component nodes, charged before any mask is built.  The factors are
+    checked states, so ``_check_components`` proves every product valid at
+    once, and the result is a ``ProductListing`` of the sorted masks.
     """
     listings, spent = _component_search(graph, budget)
     if len(listings) == 1:
@@ -425,8 +455,8 @@ def enumerate_zero_one_states(
     masks = [0]
     for listing in listings:
         masks = [mask + lam.mask for mask in masks for lam in listing]
-    # _validated=True, passed by position, which is cheaper per call than a keyword.
-    return [ZeroOneState(graph, mask, True) for mask in sorted(masks)]
+    masks.sort()
+    return ProductListing(graph, masks)
 
 
 def _check_components(graph: ExclusivityGraph) -> None:

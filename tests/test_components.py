@@ -37,6 +37,7 @@ from ctxcert.errors import (
 )
 from ctxcert.graphs import (
     ExclusivityGraph,
+    ProductListing,
     ZeroOneState,
     _search_zero_one,
     component_zero_one_states,
@@ -240,26 +241,38 @@ def test_listing_memo_is_kept_per_graph_object():
 
 
 def test_listing_charges_one_node_per_product_state(family, monkeypatch):
+    """The charge comes before any product: a failed listing reads no factor
+    listing, so it builds no product mask and no state on the graph."""
     _, _, system, s01 = family
     graph = system.atom_graph()
     nodes = sum(_search_zero_one(part, 10**6, 0)[1] for part in graph.components)
     if len(graph.components) > 1:
         nodes += len(s01)
-    built = []
+    built, read = [], []
 
     def recording(state_graph, mask, _validated=False):
         built.append(state_graph)
         return ZeroOneState(state_graph, mask, _validated)
 
+    class Listing(list):
+        def __iter__(self):
+            read.append(self)
+            return super().__iter__()
+
+    def search(component, budget, spent):
+        states, found = _search_zero_one(component, budget, spent)
+        return Listing(states), found
+
     monkeypatch.setattr(graphs, "ZeroOneState", recording)
+    monkeypatch.setattr(graphs, "_search_zero_one", search)
     listing = enumerate_zero_one_states(graph, budget=nodes)
-    # The recorder sees every state built, the unchecked products too.
-    assert sum(g is graph for g in built) == len(s01)
+    assert len(listing) == len(s01) and all(lam.graph is graph for lam in listing)
     built.clear()
+    read.clear()
     with pytest.raises(SearchBudgetExceeded) as err:
         enumerate_zero_one_states(graph, budget=nodes - 1)
     assert (err.value.nodes, err.value.budget) == (nodes, nodes - 1)
-    assert all(g is not graph for g in built)
+    assert read == [] and all(g is not graph for g in built)
     monkeypatch.undo()
     assert listing == s01
 
@@ -620,6 +633,65 @@ def test_weights_index_a_given_listing_in_its_own_order(family):
     position = {lam.ones: i for i, lam in enumerate(shuffled)}
     sorted_keys = {position[s01[k].ones]: w for k, w in is_noncontextual(p).weights.items()}
     assert cert.weights == sorted_keys
+
+
+def test_product_listing_reads_as_the_eager_list(family):
+    """The listing reads as the list of sorted product states it stands for:
+    its length, a state at either end, a slice, two iterations, and equality
+    in both directions.  Only a graph of several components lists lazily."""
+    _, _, system, s01 = family
+    graph = system.atom_graph()
+    masks = [sum(lam.mask for lam in choice) for choice in product(*component_zero_one_states(graph))]
+    eager = [ZeroOneState(graph, mask, True) for mask in sorted(masks)]
+    assert isinstance(s01, ProductListing) == (len(graph.components) > 1)
+    assert len(s01) == len(eager)
+    assert (s01[0], s01[-1], s01[2:5]) == (eager[0], eager[-1], eager[2:5])
+    assert list(s01) == eager and list(s01) == eager
+    assert s01 == eager and eager == s01
+    assert s01 != eager[:-1] and eager[1:] != s01
+    assert all(lam.graph is graph for lam in s01)
+
+
+def test_verdicts_agree_on_every_form_of_the_listing(family):
+    """The listing, a list of its states and no listing give equal reports.
+    The states are I/3 and five random densities of the form the hull-lp
+    benchmark classifies; on k = 3 bases they are its verdicts' states."""
+    name, _, system, s01 = family
+    forms = (s01, list(s01), None)
+    for rho in _densities(random.Random(name), 5):
+        p = system.state_from_density(rho)
+        first, *rest = (classify_experiment(system, p, form) for form in forms)
+        assert rest == [first, first]
+    first, *rest = (scenario_classical(system, form) for form in forms)
+    assert rest == [first, first]
+
+
+def test_only_the_graphs_own_product_listing_is_trusted():
+    """The listing of an equal graph with reversed vertices is checked state
+    by state, and its weights index it.  A hand-built listing on the graph
+    itself, with a state missing or its masks out of order, raises
+    IncompleteListing rather than key a weight to another state."""
+    system = _system(k_bases_rays(3))
+    graph = system.atom_graph()
+    s01 = zero_one_states(system)
+    p = system.state_from_density(_densities(random.Random(3), 1)[1])
+    flipped = ExclusivityGraph(list(reversed(graph.vertices)), graph.edges)
+    moved = enumerate_zero_one_states(flipped)
+    assert isinstance(moved, ProductListing) and set(moved) == set(s01) and moved != s01
+    cert = is_noncontextual(p, moved)
+    assert cert.verdict == NONCONTEXTUAL and len(cert.weights) > 1
+    assert cert == is_noncontextual(p, list(moved))
+    assert classify_experiment(system, p, moved).certificate == cert
+    for v in graph.vertices:
+        assert sum(w * moved[k].value(v) for k, w in cert.weights.items()) == p.value(v)
+    missing = ProductListing(graph, s01.masks[1:])
+    for bad in (missing, ProductListing(graph, s01.masks[::-1])):
+        with pytest.raises(IncompleteListing):
+            is_noncontextual(p, bad)
+        with pytest.raises(IncompleteListing):
+            classify_experiment(system, p, bad)
+    with pytest.raises(IncompleteListing):
+        scenario_classical(system, missing)
 
 
 @pytest.mark.parametrize("name", ["kcbs", "ceg-lift", "k=2"])
