@@ -4,6 +4,9 @@ Finite measurement scenarios are modeled as closed families of projectors (or
 abstract pasted Boolean contexts), reduced to their atom graphs, and judged by
 exact certificates: convex weights over deterministic states, or an integer
 separating inequality.
+
+``PastedPBA``, ``PastedState`` and ``build_pasted_pba`` load ``ctxcert.pasted``
+on first use, so a process that judges only quantum scenarios never loads it.
 """
 
 from .analyze import (
@@ -38,7 +41,6 @@ from .linalg import (
     projector_from_vector,
     quantum_state_eval,
 )
-from .pasted import PastedPBA, PastedState, build_pasted_pba
 from .systems import (
     QuantumSystem,
     SystemState,
@@ -93,3 +95,10 @@ __all__ = [
     "zero_one_states",
     "__version__",
 ]
+
+
+def __getattr__(name: str):
+    if name in ("PastedPBA", "PastedState", "build_pasted_pba"):
+        from . import pasted
+        return getattr(pasted, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

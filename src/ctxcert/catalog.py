@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 from .errors import CoverNotFound, DegenerateCoefficients, OrthogonalityCheckFailed
 from .io import Scenario
@@ -30,9 +30,11 @@ from .linalg import (
     join,
     orthogonal,
 )
-from .pasted import PastedPBA, build_pasted_pba
 from .systems import DEFAULT_MAX_ELEMENTS, QuantumSystem, generate_system
 from .vectorsets import Basis, VectorSet, lift_ks_set
+
+if TYPE_CHECKING:
+    from .pasted import PastedPBA
 
 # 18 rays in dimension 4, written without normalization.  Each ray sits in
 # exactly two of the nine bases; the first basis is the one generated by
@@ -240,7 +242,8 @@ def three_observables(
 
 def b2_pasted() -> PastedPBA:
     """Two three-atom contexts glued crosswise; transitivity and the
-    exclusivity principle both fail on it."""
+    exclusivity principle both fail on it.  Imports ``pasted`` on first use."""
+    from .pasted import build_pasted_pba
     return build_pasted_pba(
         contexts=[("C1", ["a1", "b1", "x"]), ("C2", ["a2", "b2", "c"])],
         gluings=[

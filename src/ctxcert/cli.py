@@ -1,12 +1,14 @@
 """Command-line front end.
 
 Subcommands: build, analyze, graph, ks-check, zero-one.  Scenarios are builtin
-names (ceg, ceg17, ceg-lift, ceg-gen12, kcbs) or JSON files; either resolves
-once to an ``io.Scenario`` and takes one build path: cache load (files only)
-or closure, atom labels, cache store after a closure.  Reports render
-as text or JSON; the text form is derived from the JSON form only, and exit
-codes are a function of the JSON report alone (0 classical, 10 nonclassical
-scenario with noncontextual state, 20 contextual, 1 error).
+names (ceg, ceg17, ceg-lift, ceg-gen12, kcbs) or JSON files: a builtin name
+wins, and a token with a directory part or a suffix is a path, so ``catalog``
+is loaded only for a bare token.  Either resolves once to an ``io.Scenario``
+and takes one build path: cache load (files only) or closure, atom labels,
+cache store after a closure.  Reports render as text or JSON; the text form is
+derived from the JSON form only, and exit codes are a function of the JSON
+report alone (0 classical, 10 nonclassical scenario with noncontextual state,
+20 contextual, 1 error).
 """
 
 from __future__ import annotations
@@ -28,7 +30,6 @@ from .analyze import (
     kcbs_value,
     zero_one_states,
 )
-from .catalog import BUILTINS
 from .errors import CtxcertError, ScenarioFormatError
 from .graphs import DEFAULT_SEARCH_BUDGET, PBAState, component_zero_one_states
 from .io import (
@@ -59,7 +60,11 @@ class _Source:
         self.token = token = args.scenario
         self.max_elements = args.max_elements
         self.cache_for: Path | None = None
-        builtin = BUILTINS.get(token)
+        path = Path(token)
+        builtin = None
+        if path.name == token and not path.suffix:  # every builtin name is bare
+            from .catalog import BUILTINS
+            builtin = BUILTINS.get(token)
         if builtin is not None:
             self.scenario = builtin.scenario()
             backend = self.scenario.vector_set.backend
@@ -71,8 +76,8 @@ class _Source:
                     "to scenario files"
                 )
             return
-        path = Path(token)
         if not path.exists():
+            from .catalog import BUILTINS
             raise ScenarioFormatError(
                 f"{token!r} is neither a builtin ({', '.join(sorted(BUILTINS))}) "
                 "nor an existing file"

@@ -315,22 +315,32 @@ class FloatMatrix:
     def commuting_mul(self, other: "FloatMatrix") -> "FloatMatrix | None":
         """The product AB if AB = BA within tolerance, else None.
 
-        Entries of AB and BA are formed in ``mul``'s order with ``mul``'s
-        dot products, and the first entry with |AB - BA| >= tol ends the
-        product; a commuting pair gets exactly ``mul``'s AB.
+        Entries of AB and BA are formed with ``mul``'s dot products into a
+        row-major list, and the first entry with |AB - BA| >= tol ends the
+        product; a commuting pair gets exactly ``mul``'s AB.  The entries
+        (i, j != i) are tested before the diagonal, which is 0 in AB - BA
+        for real symmetric A and B.
         """
+        d = self.dim
         a_rows, a_cols = self._slices()
         b_rows, b_cols = other._slices()
         tol = max(self.tol, other.tol)
         mul = operator.mul  # _dot inlined: same terms, same order
-        out = []
-        for a_row, b_row in zip(a_rows, b_rows):
-            for b_col, a_col in zip(b_cols, a_cols):
-                x = sum(map(mul, a_row, b_col))
-                if abs(x - sum(map(mul, b_row, a_col))) >= tol:
-                    return None
-                out.append(x)
-        return FloatMatrix(self.dim, tuple(out), tol)
+        out = [0j] * (d * d)
+        cols = tuple(zip(range(d), b_cols, a_cols))
+        for i, a_row, b_row in zip(range(d), a_rows, b_rows):
+            for j, b_col, a_col in cols:
+                if i != j:
+                    x = sum(map(mul, a_row, b_col))
+                    if abs(x - sum(map(mul, b_row, a_col))) >= tol:
+                        return None
+                    out[i * d + j] = x
+        for i, a_row, b_row, b_col, a_col in zip(range(d), a_rows, b_rows, b_cols, a_cols):
+            x = sum(map(mul, a_row, b_col))
+            if abs(x - sum(map(mul, b_row, a_col))) >= tol:
+                return None
+            out[i * d + i] = x
+        return FloatMatrix(d, tuple(out), tol)
 
     def mul_near(self, other: "FloatMatrix", target: "FloatMatrix") -> bool:
         """``mul(other).approx_equal(target)``, entry by entry: the entries

@@ -63,11 +63,11 @@ class _Pool:
     under every cell that the +-tol box around it touches
     (``FloatMatrix.near_keys``), so when every pooled matrix shares the
     query's tolerance only the list of the query's own cell can hold a
-    match.  A listed matrix with bit-identical entries is returned untested:
-    the closure inserts a matrix only after its lookup missed, so no other
-    pooled matrix is within tolerance of it.  Mixed tolerances, or a pooled
-    matrix with more than ``MAX_STRADDLING`` coordinates near a cell edge
-    (2**8 cells), fall back to the scan.
+    match.  Before the cell is keyed, a map from entries to index answers a
+    bit-identical query untested: the closure inserts a matrix only after
+    its lookup missed, so no other pooled matrix is within tolerance of it.
+    Mixed tolerances, or a pooled matrix with more than ``MAX_STRADDLING``
+    coordinates near a cell edge (2**8 cells), fall back to the scan.
     """
 
     MAX_STRADDLING = 8
@@ -76,6 +76,7 @@ class _Pool:
         self.backend = backend
         self._by_key: dict = {}
         self._mats: list = []
+        self._exact: dict = {}
         self._tols: set = set()
         self._scan = False
 
@@ -85,10 +86,10 @@ class _Pool:
         if self._scan or not self._tols <= {mat.tol}:
             candidates = range(len(self._mats))
         else:
+            idx = self._exact.get(mat.entries)
+            if idx is not None:
+                return idx
             candidates = self._by_key.get(mat.key(), ())
-            for idx in candidates:
-                if self._mats[idx].entries == mat.entries:
-                    return idx
         for idx in candidates:
             if mat.approx_equal(self._mats[idx]):
                 return idx
@@ -101,6 +102,7 @@ class _Pool:
             self._by_key[mat.key()] = idx
             return idx
         self._tols.add(mat.tol)
+        self._exact.setdefault(mat.entries, idx)
         keys = mat.near_keys(self.MAX_STRADDLING)
         self._scan |= keys is None
         for key in keys or ():

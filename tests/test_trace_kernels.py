@@ -645,3 +645,89 @@ def test_float_ceg_pool_checks(monkeypatch):
     checks = _pool_checks(monkeypatch)
     assert len(generate_system(generators)) == 140
     assert len(checks) == FLOAT_CEG_POOL_CHECKS
+
+
+# The float closure keyed a grid cell for every lookup: 4,320 calls, 4,022 of
+# them for a product bit-identical to an element it already held.  The pool's
+# exact map answers those, so only the misses, the near hits and the
+# system's own complement lookups are keyed.
+FLOAT_CEG_GRID_KEYS = 298
+
+
+def test_float_ceg_grid_keys(monkeypatch):
+    generators = [projector_from_vector(v, backend=FLOAT) for v in ceg_set().vectors]
+    calls, real = [], FloatMatrix.grid_key
+
+    def grid_key(self):
+        calls.append(1)
+        return real(self)
+
+    monkeypatch.setattr(FloatMatrix, "grid_key", grid_key)
+    assert len(generate_system(generators)) == 140
+    assert len(calls) == FLOAT_CEG_GRID_KEYS
+
+
+# -- commuting_mul against a row-major reference ---------------------------------
+
+
+def ref_commuting_mul(a: FloatMatrix, b: FloatMatrix) -> FloatMatrix | None:
+    """AB if every entry of AB - BA is below tol, visited in row-major order;
+    each entry is ``mul``'s dot product, the same terms in the same order."""
+    d, tol = a.dim, max(a.tol, b.tol)
+    out = []
+    for i in range(d):
+        for j in range(d):
+            x = sum(a.entries[i * d + k] * b.entries[k * d + j] for k in range(d))
+            y = sum(b.entries[i * d + k] * a.entries[k * d + j] for k in range(d))
+            if abs(x - y) >= tol:
+                return None
+            out.append(x)
+    return FloatMatrix(d, tuple(out), tol)
+
+
+def _same_outcome(a: FloatMatrix, b: FloatMatrix) -> None:
+    got, want = a.commuting_mul(b), ref_commuting_mul(a, b)
+    assert (got is None) == (want is None)
+    if want is not None:
+        assert got.entries == want.entries and got.tol == want.tol
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_commuting_mul_matches_the_row_major_reference(data):
+    """Projectors of real or complex rays with entries in -2..2, against each
+    other, themselves, their complements, 0 and the identity, with some
+    coordinates of the second moved by tol/2, so that a pair may commute only
+    within tol or miss by a hair."""
+    d = data.draw(st.integers(min_value=1, max_value=4))
+    part = st.integers(-2, 2)
+    if data.draw(st.booleans()):
+        entry = st.builds(complex, part, part)
+    else:
+        entry = st.builds(complex, part)
+    ray = st.lists(entry, min_size=d, max_size=d).filter(any)
+    a = projector_from_vector(data.draw(ray), backend=FLOAT).mat
+    one = identity_projector(d, FLOAT).mat
+    b = data.draw(
+        st.sampled_from(
+            [projector_from_vector(data.draw(ray), backend=FLOAT).mat, a, one.sub(a), one]
+        )
+    )
+    coords = [c for e in b.entries for c in (e.real, e.imag)]
+    for k in data.draw(st.lists(st.integers(0, 2 * d * d - 1), max_size=4)):
+        coords[k] += data.draw(st.sampled_from([-0.5, 0.5])) * TOL
+    b = _from_coords(d, coords)
+    _same_outcome(a, b)
+    _same_outcome(b, a)
+
+
+def test_commuting_mul_tests_the_diagonal():
+    # The projectors onto (1, 1) and (1, i) have Bloch vectors x and y, so
+    # AB - BA = (i/2) sigma_z: its off-diagonal entries are 0 and only the
+    # diagonal shows that the pair does not commute.
+    a = projector_from_vector([1, 1], backend=FLOAT).mat
+    b = projector_from_vector([1, 1j], backend=FLOAT).mat
+    ab, ba = a.mul(b).entries, b.mul(a).entries
+    assert abs(ab[1] - ba[1]) < TOL and abs(ab[2] - ba[2]) < TOL
+    assert abs(ab[0] - ba[0]) >= TOL
+    assert a.commuting_mul(b) is None and ref_commuting_mul(a, b) is None
