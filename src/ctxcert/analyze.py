@@ -11,7 +11,11 @@ injective.
 Both verdicts are decided per connected component of the atom graph.  The
 0-1 states of the graph are the products of one 0-1 state per component, so
 the hull of them is the product of the components' hulls, and the product
-listing is never built.  A connected graph is its own only component.
+listing is never built.  A connected graph is its own only component.  Each
+component's 0-1 states are its ascending masks from
+``graphs.component_listings``, searched once per graph object, and every
+step reads those masks; a ``ZeroOneState`` is built only to convert a
+listing that a caller passed in.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from .graphs import (
     PBAState,
     ProductListing,
     ZeroOneState,
-    _component_search,
+    component_listings,
     enumerate_zero_one_states,
 )
 from .linalg import EXACT, FLOAT
@@ -267,11 +271,8 @@ class Classification:
 # -- zero-one states and embeddability ------------------------------------------
 
 
-def zero_one_states(
-    system: QuantumSystem, budget: int = DEFAULT_SEARCH_BUDGET
-) -> Sequence[ZeroOneState]:
-    """Deterministic states of the system, computed on its atom graph: a
-    list, or a ``ProductListing`` on a graph of several components."""
+def zero_one_states(system: QuantumSystem, budget: int = DEFAULT_SEARCH_BUDGET) -> ProductListing:
+    """Deterministic states of the system, computed on its atom graph."""
     return enumerate_zero_one_states(system.atom_graph(), budget)
 
 
@@ -279,33 +280,33 @@ def _listings(
     graph: ExclusivityGraph,
     s01: Sequence[ZeroOneState] | None,
     budget: int,
-) -> tuple[tuple[Sequence[ZeroOneState], ...], Sequence[ZeroOneState] | None]:
-    """The 0-1 listing of each of ``graph.components``, and the listing in
-    which a product of one state per listing has its position: ``s01`` on
-    ``graph``, or None when that position is ``_product_index``.
+) -> tuple[tuple[Sequence[int], ...], ProductListing | list[int] | None]:
+    """The 0-1 masks of each of ``graph.components``, and the masks in whose
+    order a product of one state per listing has its position: those of
+    ``s01`` on ``graph``, or None when that position is ``_product_index``.
 
-    A given ``s01`` is re-expressed in ``graph``'s bit order and, on a
-    connected graph, is the listing: any subset in any order.  Otherwise each
-    component's states are searched against one ``budget``, and a given
-    ``s01`` must hold the product of the component counts in distinct states.
-    Searched listings are kept on the graph object (not on an equal graph,
-    whose bits may differ) with the nodes they took, for any budget as large.
-    A ``ProductListing`` on ``graph`` itself is checked only for its length.
+    A given ``s01`` is converted state by state to ``graph``'s bits and, on
+    a connected graph, is the listing: any subset in any order.  Otherwise
+    the components' masks are ``component_listings`` within ``budget``, and
+    a given ``s01`` must hold the product of the component counts in
+    distinct states.  A ``ProductListing`` on ``graph`` itself is checked
+    only for its length, and is returned as it is: its masks ascend.
     """
     trusted = isinstance(s01, ProductListing) and s01.graph is graph
     if s01 is not None and not trusted:
         if any(lam.graph is not graph and lam.graph != graph for lam in s01):
             raise NotAGraphState("0-1 state defined on a different graph")
-        s01 = [lam if lam.graph is graph else ZeroOneState.from_ones(graph, lam.ones) for lam in s01]
+        s01 = [
+            lam.mask if lam.graph is graph else ZeroOneState.from_ones(graph, lam.ones).mask
+            for lam in s01
+        ]
         if len(graph.components) == 1:
             return (s01,), None
-    if graph._listings is None or budget < graph._listings[1]:
-        graph._listings = _component_search(graph, budget)
-    listings = graph._listings[0]
+    listings = component_listings(graph, budget)[0]
     if s01 is None:
         return listings, None
     count = prod(map(len, listings))
-    distinct = len(s01) if trusted else len({lam.mask for lam in s01})
+    distinct = len(s01) if trusted else len(set(s01))
     if len(s01) != count or distinct != count:
         raise IncompleteListing(
             f"{len(s01)} listed 0-1 states ({distinct} distinct); the graph has {count}"
@@ -323,25 +324,21 @@ def scenario_classical(
 _embeddings: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def _embedding(
-    system: QuantumSystem, listings: Sequence[Sequence[ZeroOneState]]
-) -> EmbeddingReport:
+def _embedding(system: QuantumSystem, listings: Sequence[Sequence[int]]) -> EmbeddingReport:
     """The report of ``_separate``, kept in ``_embeddings`` per system object,
     weakly, with the masks of the listings it was asked about last.  It
     depends on nothing else: the decomposition table, the names and the
     masks' bit order are those of the system's naming, fixed once the object
     is built; a renamed copy is another object."""
-    key = tuple(tuple(lam.mask for lam in listing) for listing in listings)
+    key = tuple(map(tuple, listings))
     memo = _embeddings.get(system)
     if memo is None or memo[0] != key:
         memo = _embeddings[system] = (key, _separate(system, listings))
     return memo[1]
 
 
-def _separate(
-    system: QuantumSystem, listings: Sequence[Sequence[ZeroOneState]]
-) -> EmbeddingReport:
-    """Separate elements with the 0-1 states of each component.
+def _separate(system: QuantumSystem, listings: Sequence[Sequence[int]]) -> EmbeddingReport:
+    """Separate elements with the 0-1 masks of each component.
 
     An element's value on a 0-1 state is the number of its decomposition
     atoms the state sets to 1: the bit count of the meet of the two masks.  A
@@ -364,7 +361,7 @@ def _separate(
         )
     groups: dict[object, list[int]] = {}
     for i, (c, mask) in enumerate(system.decomposition_masks()):
-        fp = tuple((mask & lam.mask).bit_count() for lam in listings[c])
+        fp = tuple((mask & state).bit_count() for state in listings[c])
         groups.setdefault(fp[0] if min(fp) == max(fp) else (c, fp), []).append(i)
     collided = [g for g in groups.values() if len(g) > 1]
     if not collided:
@@ -386,12 +383,14 @@ def _separate(
 
 
 def _membership_lp(
+    graph: ExclusivityGraph,
+    masks: Sequence[int],
     free: Sequence[str],
-    states: Sequence[ZeroOneState],
     t: Mapping[str, int],
     q: int,
 ) -> tuple[tuple[dict[int, int], int] | None, dict[str, int] | None]:
-    """Weights w >= 0 with sum 1 whose mixture of ``states`` meets the
+    """Weights w >= 0 with sum 1 whose mixture of the 0-1 states ``masks``
+    of ``graph`` meets the
     target t / q on the free coordinates, as integer numerators over their
     denominator D * q, and None; or, when no such weights exist, None and the
     integer Farkas ray y of phase 1 over the free coordinates.
@@ -400,10 +399,8 @@ def _membership_lp(
     sum y_v lam(v) <= -y_1 on every state, while sum y_v t(v) / q > -y_1.
     The ray is a separating inequality.
     """
-    m = len(states)
-    bits = states[0].graph._bit if states else {}
-    a = [[1 if lam.mask & bits[v] else 0 for lam in states] for v in free]
-    a.append([1] * m)
+    a = [[1 if mask & graph._bit[v] else 0 for mask in masks] for v in free]
+    a.append([1] * len(masks))
     b = [t[v] for v in free]
     b.append(q)
     res = feasible_point(a, b)
@@ -413,27 +410,25 @@ def _membership_lp(
 
 
 def _primitive_inequality(
-    atom_order: Sequence[str],
-    y: Mapping[str, int],
-    states: Sequence[ZeroOneState],
+    graph: ExclusivityGraph, masks: Sequence[int], y: Mapping[str, int]
 ) -> SeparatingInequality:
-    """Tighten the integer ray y to the 0-1 maximum and divide by the gcd.
+    """Tighten the integer ray y to the maximum over the 0-1 states
+    ``masks`` of ``graph``, and divide by the gcd; the atom order is the
+    graph's.
 
     Each state's value is an integer sum over its ones: for each
     coefficient, the coefficient times the bit count of the state's mask on
-    the atoms that carry it.  The states share one graph, so one table of
-    bits serves all.
+    the atoms that carry it.
     """
-    ints = {v: y.get(v, 0) for v in atom_order}
-    graph = states[0].graph
+    ints = {v: y.get(v, 0) for v in graph.vertices}
     by_coeff: dict[int, int] = {}
     for v, c in ints.items():
         if c:
             by_coeff[c] = by_coeff.get(c, 0) | graph._bit[v]
-    bound = max(sum(c * (lam.mask & m).bit_count() for c, m in by_coeff.items()) for lam in states)
+    bound = max(sum(c * (mask & m).bit_count() for c, m in by_coeff.items()) for mask in masks)
     g = gcd(*ints.values()) or 1  # the bound is a sum of coefficients, so g divides it too
     return SeparatingInequality(
-        atom_order=tuple(atom_order),
+        atom_order=graph.vertices,
         coeffs={v: c // g for v, c in ints.items()},
         bound=bound // g,
     )
@@ -462,8 +457,8 @@ def is_noncontextual(
 def _certify(
     p: PBAState,
     graph: ExclusivityGraph,
-    listings: Sequence[Sequence[ZeroOneState]],
-    s01: Sequence[ZeroOneState] | None,
+    listings: Sequence[Sequence[int]],
+    s01: ProductListing | list[int] | None,
 ) -> NCCertificate:
     """The membership LP on each component in turn; its weights, coupled into
     weights over the graph's 0-1 states, or the first component's Farkas ray.
@@ -473,7 +468,8 @@ def _certify(
     valid on their products.  A NONCONTEXTUAL certificate's weights are
     keyed by the position in ``s01`` of the state's mask, the sum of its
     factors' masks: found by bisection in a ``ProductListing``'s masks, and
-    confirmed there, or without ``s01`` by ``_product_index``.
+    confirmed there, or in a list of masks by lookup, or without ``s01`` by
+    ``_product_index``.
     """
     if not all(listings):
         # The hull is empty: no hidden-variable model exists, and no honest
@@ -482,19 +478,16 @@ def _certify(
 
     t, q = _target(p)
     marginals = []
-    for part, states in zip(graph.components, listings):
-        weights, ray = _membership_lp(clique_reduction(part).free, states, t, q)
+    for part, masks in zip(graph.components, listings):
+        weights, ray = _membership_lp(graph, masks, clique_reduction(part).free, t, q)
         if ray is not None:
-            ineq = _primitive_inequality(graph.vertices, ray, states)
-            violation = _verify_contextual(ineq, states, t, q, p)
+            ineq = _primitive_inequality(graph, masks, ray)
+            violation = _verify_contextual(graph, masks, ineq, t, q, p)
             return NCCertificate(verdict=CONTEXTUAL, inequality=ineq, violation=violation)
         marginals.append(weights)
 
     coupling, den = _north_west_corner(marginals)
-    mixture = [
-        (w, sum(listing[k].mask for listing, k in zip(listings, choice)))
-        for choice, w in coupling
-    ]
+    mixture = [(w, sum(masks[k] for masks, k in zip(listings, choice))) for choice, w in coupling]
     _verify_noncontextual(graph, mixture, den, t, q, p)
     if s01 is None:
         keys = [_product_index(graph, listings, choice) for choice, _ in coupling]
@@ -503,7 +496,7 @@ def _certify(
         if [s01.masks[k] for k in keys if k < len(s01)] != [mask for _, mask in mixture]:
             raise IncompleteListing("a 0-1 state is missing from the sorted masks")
     else:
-        position = {lam.mask: i for i, lam in enumerate(s01)}
+        position = {mask: i for i, mask in enumerate(s01)}
         keys = [position[mask] for _, mask in mixture]
     weights = dict(sorted(zip(keys, (Fraction(w, den) for w, _ in mixture))))
     return NCCertificate(verdict=NONCONTEXTUAL, weights=weights, violation=Fraction(0))
@@ -542,10 +535,10 @@ def _north_west_corner(
 
 def _product_index(
     graph: ExclusivityGraph,
-    listings: Sequence[Sequence[ZeroOneState]],
+    listings: Sequence[Sequence[int]],
     choice: Sequence[int],
 ) -> int:
-    """The index of the product of ``listing[k] for k in choice`` in the
+    """The index of the sum of the masks ``listing[k] for k in choice`` in the
     sorted 0-1 listing of ``graph`` (``zero_one_states``), without building
     that listing.  A connected graph's state keeps its index in its listing.
 
@@ -558,8 +551,8 @@ def _product_index(
     if len(listings) == 1:
         return choice[0]
     component = {v: c for c, part in enumerate(graph.components) for v in part.vertices}
-    chosen = [listing[k].mask for listing, k in zip(listings, choice)]
-    alive = [[lam.mask for lam in listing] for listing in listings]
+    chosen = [listing[k] for listing, k in zip(listings, choice)]
+    alive = list(listings)
     total = prod(map(len, alive))
     index = 0
     for v in graph.vertices:
@@ -576,21 +569,21 @@ def _product_index(
 
 
 def _verify_contextual(
+    graph: ExclusivityGraph,
+    masks: Sequence[int],
     ineq: SeparatingInequality,
-    s01: Sequence[ZeroOneState],
     t: Mapping[str, int],
     q: int,
     original: PBAState,
 ) -> Fraction:
-    """Check that ``ineq`` holds on every state of ``s01`` and fails on the
-    rationalized target t / q and on a float ``original``, and return its
-    exact violation on the target.  The states of a listing share one graph,
-    so each state's value is summed term by term over that graph's bits,
-    apart from the grouped bit counts that computed the bound."""
-    graph = s01[0].graph
+    """Check that ``ineq`` holds on every 0-1 state ``masks`` of ``graph``
+    and fails on the rationalized target t / q and on a float ``original``,
+    and return its exact violation on the target.  Each state's value is
+    summed term by term over the graph's bits, apart from the grouped bit
+    counts that computed the bound."""
     terms = [(graph._bit[v], c) for v, c in ineq.coeffs.items() if c]
-    for lam in s01:
-        if sum(c for bit, c in terms if lam.mask & bit) > ineq.bound:
+    for mask in masks:
+        if sum(c for bit, c in terms if mask & bit) > ineq.bound:
             raise CertificateError("inequality fails on a 0-1 state")
     excess = sum(c * t[v] for v, c in ineq.coeffs.items() if c) - ineq.bound * q
     if excess <= 0:

@@ -31,7 +31,7 @@ from .analyze import (
     zero_one_states,
 )
 from .errors import CtxcertError, ScenarioFormatError
-from .graphs import DEFAULT_SEARCH_BUDGET, PBAState, component_zero_one_states
+from .graphs import DEFAULT_SEARCH_BUDGET, PBAState, component_listings
 from .io import (
     load_cached_system,
     scenario_from_path,
@@ -183,7 +183,7 @@ def cmd_build(args) -> int:
     report["timings"]["build_s"] = time.perf_counter() - t0
     report["system"] = _system_summary(system)
     t0 = time.perf_counter()
-    count = prod(map(len, component_zero_one_states(system.atom_graph(), args.budget)))
+    count = prod(map(len, component_listings(system.atom_graph(), args.budget)[0]))
     report["timings"]["zero_one_s"] = time.perf_counter() - t0
     report["zero_one"] = {"count": count}
     _emit(args, report)
@@ -275,7 +275,7 @@ def cmd_zero_one(args) -> int:
     report["zero_one"] = {
         "count": len(s01),
         "atom_order": list(graph.vertices),
-        "states": [[v for v, bit in names if s.mask & bit] for s in s01],
+        "states": [[v for v, bit in names if mask & bit] for mask in s01.masks],
     }
     _emit(args, report)
     return 0

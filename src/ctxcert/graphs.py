@@ -2,8 +2,10 @@
 
 A finite exclusive structure is determined by this graph, so scenario-level
 questions (state spaces, deterministic assignments, isomorphism) are answered
-here on plain vertex/edge data.  The 0-1 listing of a graph of several
-components is a ``ProductListing``: sorted masks, read as states on demand.
+here on plain vertex/edge data.  The 0-1 listing of a graph is one decision
+made here: each component's ascending masks are searched once per graph
+object (``component_listings``), and every graph's listing is a
+``ProductListing`` of their sorted products, read as states on demand.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ class ExclusivityGraph:
         self._bit = _bit or {v: 1 << len(self.vertices) - 1 - i for i, v in enumerate(self.vertices)}
         self._mask = sum(self._bit.values())
         self._clique_masks = tuple(self.mask(c) for c in self._cliques)
-        self._listings = None  # analyze's memo of the component listings
+        self._listings = None  # component_listings' memo
         self.components = self._split()
 
     def _split(self) -> tuple["ExclusivityGraph", ...]:
@@ -402,14 +404,14 @@ class ZeroOneSearch:
 
 
 class ProductListing(Sequence):
-    """The 0-1 states of a graph of several components as ``masks``, their
-    ascending masks on ``graph``.  A state is built when it is read, a slice
-    is a list of states, and the listing equals the list of its states.
-    ``analyze`` trusts the masks only of a listing on the very graph object."""
+    """The 0-1 states of ``graph`` as ``masks``, their ascending masks on
+    ``graph``.  A state is built when it is read, a slice is a list of
+    states, and the listing equals the list of its states.  ``analyze``
+    trusts the masks only of a listing on the very graph object."""
 
     __slots__ = ("graph", "masks")
 
-    def __init__(self, graph: ExclusivityGraph, masks: list[int]):
+    def __init__(self, graph: ExclusivityGraph, masks: Sequence[int]):
         self.graph = graph
         self.masks = masks
 
@@ -431,30 +433,29 @@ class ProductListing(Sequence):
 
 def enumerate_zero_one_states(
     graph: ExclusivityGraph, budget: int = DEFAULT_SEARCH_BUDGET
-) -> Sequence[ZeroOneState]:
+) -> ProductListing:
     """All 0-1 states, sorted by mask, so by the value tuple in vertex order.
 
     An empty result is meaningful: it is the defining property of a
-    Kochen-Specker scenario.  A connected graph returns its one listing.
-    Otherwise the states are the products of one state per component
-    (``component_zero_one_states``), whose mask is the sum of the factors';
-    listing them costs one search node per product state beyond the
-    component nodes, charged before any mask is built.  The factors are
-    checked states, so ``_check_components`` proves every product valid at
-    once, and the result is a ``ProductListing`` of the sorted masks.
+    Kochen-Specker scenario.  A connected graph lists its one component's
+    masks.  Otherwise the states are the products of one state per component
+    (``component_listings``), whose mask is the sum of the factors'; listing
+    them costs one search node per product state beyond the component nodes,
+    charged before any mask is built.  The factors are checked states, so
+    ``_check_components`` proves every product valid at once.
     """
-    listings, spent = _component_search(graph, budget)
+    listings, spent = component_listings(graph, budget)
     if len(listings) == 1:
-        return listings[0]
+        return ProductListing(graph, listings[0])
     if not all(listings):
-        return []
+        return ProductListing(graph, [])
     total = spent + prod(map(len, listings))
     if total > budget:
         raise SearchBudgetExceeded(total, budget)
     _check_components(graph)
     masks = [0]
     for listing in listings:
-        masks = [mask + lam.mask for mask in masks for lam in listing]
+        masks = [mask + factor for mask in masks for factor in listing]
     masks.sort()
     return ProductListing(graph, masks)
 
@@ -475,39 +476,41 @@ def _check_components(graph: ExclusivityGraph) -> None:
         raise NotAGraphState("the components' cliques are not the graph's")
 
 
-def component_zero_one_states(
+def component_listings(
     graph: ExclusivityGraph, budget: int = DEFAULT_SEARCH_BUDGET
-) -> tuple[list[ZeroOneState], ...]:
-    """The sorted 0-1 listing of each of ``graph.components``, on the
-    component's own graph.  The 0-1 states of the graph are the products of
-    one state per component, so their number is the product of the listing
-    lengths.  The components' search nodes add up against the one ``budget``.
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The ascending 0-1 masks of each of ``graph.components``, on the
+    graph's bits, and the search nodes they took against one ``budget``.
+    The 0-1 states of the graph are the products of one state per
+    component, so their number is the product of the listing lengths.
+
+    The result is kept on the graph object (not on an equal graph, whose
+    bits may differ) and served to any budget as large.  A smaller budget
+    searches again, so it fails as on a fresh graph, and the kept listings
+    outlive the failure.
     """
-    return _component_search(graph, budget)[0]
-
-
-def _component_search(graph: ExclusivityGraph, budget: int) -> tuple[tuple, int]:
-    """The component listings and the search nodes they took."""
-    listings, spent = [], 0
-    for component in graph.components:
-        states, nodes = _search_zero_one(component, budget, spent)
-        listings.append(states)
-        spent += nodes
-    return tuple(listings), spent
+    if graph._listings is None or budget < graph._listings[1]:
+        listings, spent = [], 0
+        for component in graph.components:
+            masks, nodes = _search_zero_one(component, budget, spent)
+            listings.append(masks)
+            spent += nodes
+        graph._listings = tuple(listings), spent
+    return graph._listings
 
 
 def _search_zero_one(
     graph: ExclusivityGraph, budget: int, spent: int
-) -> tuple[list[ZeroOneState], int]:
-    """The 0-1 states of the connected ``graph``, sorted by mask, and the
-    search nodes entered, with ``spent`` nodes of ``budget`` already used by
-    earlier searches.  Variables are decided by descending degree; every
-    node visits both values, so the node count does not depend on which
-    value comes first."""
+) -> tuple[tuple[int, ...], int]:
+    """The ascending masks of the 0-1 states of the connected ``graph``, each
+    checked by ``_check_zero_one``, and the search nodes entered, with
+    ``spent`` nodes of ``budget`` already used by earlier searches.
+    Variables are decided by descending degree; every node visits both
+    values, so the node count does not depend on which value comes first."""
     verts = graph.vertices
     n = len(verts)
     if n == 0:
-        return [], 0
+        return (), 0
     index = graph._index
     cliques = [tuple(index[v] for v in c) for c in graph.maximal_cliques()]
     adj = [sorted(index[w] for w in graph._adj[v]) for v in verts]
@@ -518,7 +521,9 @@ def _search_zero_one(
         masks = sorted(sum(b for b, x in zip(bits, found) if x) for found in search)
     except SearchBudgetExceeded as exc:
         raise SearchBudgetExceeded(spent + exc.nodes, budget) from None
-    return [ZeroOneState(graph, mask) for mask in masks], search.nodes
+    for mask in masks:
+        _check_zero_one(graph, mask)
+    return tuple(masks), search.nodes
 
 
 def _refine_colors(n: int, adj: list[set[int]], init: list[int]) -> list[int]:

@@ -15,7 +15,7 @@ import copy
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
@@ -246,12 +246,12 @@ class QuantumSystem:
 
     def with_atom_labels(self, atom_labels: Mapping[str, Projector]) -> "QuantumSystem":
         """A copy of the system with its atoms named by ``atom_labels``; the
-        other atoms take the names e0, e1, ... in element order.  This is the
-        only way to name atoms.
+        other atoms take the names e0, e1, ... in element order, skipping the
+        names that labels use.  This is the only way to name atoms.
 
         The copy shares the elements, the order rows, the atom masks and the
-        complement map, which do not depend on names.  A label on a non-atom,
-        two labels on one atom, or a label equal to a default name raise here.
+        complement map, which do not depend on names.  A label on a non-atom
+        or two labels on one atom raise here.
         """
         other = copy.copy(self)
         other._name_atoms(atom_labels)
@@ -259,11 +259,11 @@ class QuantumSystem:
 
     def _name_atoms(self, atom_labels: Mapping[str, Projector]) -> None:
         """Name the atoms: those in ``atom_labels`` first, in its order, then
-        the rest e0, e1, ... in element order.  That is the atom-graph order;
-        the graph and the decomposition table, whose bits and first
-        decompositions follow it, are built again on first use.  It runs
-        only on a new object, so what ``analyze`` keeps per system object
-        never outlives a naming."""
+        the rest e0, e1, ... in element order, skipping the labels' names.
+        That is the atom-graph order; the graph and the decomposition table,
+        whose bits and first decompositions follow it, are built again on
+        first use.  It runs only on a new object, so what ``analyze`` keeps
+        per system object never outlives a naming."""
         names: dict[int, str] = {}
         for name, proj in atom_labels.items():
             idx = self.index_of(proj)
@@ -273,9 +273,7 @@ class QuantumSystem:
                 raise UnknownElement(f"atom labeled twice: {names[idx]!r}, {name!r}")
             names[idx] = name
         rest = [i for i in self._orth if i not in names]
-        names.update((idx, f"e{k}") for k, idx in enumerate(rest))
-        if len(set(names.values())) != len(names):
-            raise UnknownElement("atom label collision")
+        names.update(zip(rest, (f"e{k}" for k in count() if f"e{k}" not in atom_labels)))
         self._names = names
         self._atom_indices = list(names)
         self._labels = list(names.values())

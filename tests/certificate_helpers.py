@@ -1,12 +1,14 @@
 """Test-side readings of certificates: an inequality as a vector and its
-value at a point, a clique reduction solved from its free atoms, and
-rational targets and rays in the integer form that the membership LP and
-``_primitive_inequality`` take."""
+value at a point, a clique reduction solved from its free atoms, rational
+targets and rays in the integer form that the membership LP and
+``_primitive_inequality`` take, and each component's 0-1 listing as states."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+
+from ctxcert.graphs import DEFAULT_SEARCH_BUDGET, ZeroOneState, component_listings
 
 
 def coefficient_vector(ineq) -> tuple[int, ...]:
@@ -32,6 +34,15 @@ def integer_target(values):
     """Rational atom values as integer numerators t over their lcm Q."""
     q = lcm(*(Fraction(x).denominator for x in values.values()))
     return {v: int(Fraction(x) * q) for v, x in values.items()}, q
+
+
+def component_zero_one_states(graph, budget=DEFAULT_SEARCH_BUDGET):
+    """The sorted 0-1 listing of each of ``graph.components`` as states on
+    the component's own graph, read from ``component_listings``."""
+    listings = component_listings(graph, budget)[0]
+    return tuple(
+        [ZeroOneState(part, mask) for mask in masks] for part, masks in zip(graph.components, listings)
+    )
 
 
 def integer_ray(y):

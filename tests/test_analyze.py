@@ -623,9 +623,9 @@ def test_primitive_inequality_matches_fraction_reference(name, kcbs_quantum_stat
     p = kcbs_quantum_state if name == "kcbs" else _yu_oh_quantum_state()
     s01 = enumerate_zero_one_states(p.graph)
     target = integer_target({v: Fraction(p.value(v)) for v in p.graph.vertices})
-    weights, y = _membership_lp(clique_reduction(p.graph).free, s01, *target)
+    weights, y = _membership_lp(p.graph, s01.masks, clique_reduction(p.graph).free, *target)
     assert weights is None
-    got = _primitive_inequality(p.graph.vertices, y, s01)
+    got = _primitive_inequality(p.graph, s01.masks, y)
     assert got == _fraction_primitive_inequality(p.graph.vertices, y, s01)
     assert got == is_noncontextual(p, s01).inequality
     rng = random.Random(11)
@@ -635,7 +635,7 @@ def test_primitive_inequality_matches_fraction_reference(name, kcbs_quantum_stat
             for v in p.graph.vertices
             if rng.random() < 0.7
         }
-        got = _primitive_inequality(p.graph.vertices, integer_ray(y), s01)
+        got = _primitive_inequality(p.graph, s01.masks, integer_ray(y))
         assert got == _fraction_primitive_inequality(p.graph.vertices, y, s01)
 
 

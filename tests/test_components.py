@@ -16,7 +16,7 @@ from typing import Mapping, Sequence
 
 import pytest
 
-from ctxcert import analyze, graphs
+from ctxcert import analyze, cli, graphs
 from ctxcert.analyze import (
     CONTEXTUAL,
     NONCONTEXTUAL,
@@ -40,14 +40,14 @@ from ctxcert.graphs import (
     ProductListing,
     ZeroOneState,
     _search_zero_one,
-    component_zero_one_states,
+    component_listings,
     enumerate_zero_one_states,
 )
 from ctxcert.linalg import DensityMatrix, ExactMatrix, projector_from_vector
 from ctxcert.simplex import feasible_point
 from ctxcert.systems import generate_system
 
-from certificate_helpers import evaluate, integer_ray, integer_target
+from certificate_helpers import component_zero_one_states, evaluate, integer_ray, integer_target
 from test_graphs import set_based_zero_one_check
 from test_io_cli import run_cli
 
@@ -233,18 +233,84 @@ def test_listing_memo_is_kept_per_graph_object():
     assert flipped._listings is None
     q = analyze.PBAState(flipped, dict(p.values))
     cert = is_noncontextual(q)
-    assert [lam.graph for listing in flipped._listings[0] for lam in listing[:1]] == list(flipped.components)
+    assert flipped._listings[0] == tuple(enumerate_zero_one_states(part).masks for part in flipped.components)
+    assert flipped._listings is not graph._listings
     s01 = enumerate_zero_one_states(flipped)
     assert sum(cert.weights.values()) == 1
     for v in flipped.vertices:
         assert sum(w * s01[k].value(v) for k, w in cert.weights.items()) == p.value(v)
 
 
+@pytest.mark.parametrize("name", ["kcbs", "k=3"])
+def test_one_search_serves_every_listing_of_a_graph(name, monkeypatch, capsys):
+    """After one listing of a system, a second listing, a verdict and the
+    CLI's build count of that system construct no search."""
+    system = BUILTINS["kcbs"].system() if name == "kcbs" else _system(k_bases_rays(3))
+    s01 = zero_one_states(system)
+    searches = []
+
+    class Counting(graphs.ZeroOneSearch):
+        def __init__(self, *args, **kwargs):
+            searches.append(args[0])
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(graphs, "ZeroOneSearch", Counting)
+    assert zero_one_states(system) == s01
+    p = system.state_from_density(DensityMatrix.maximally_mixed(3, backend=system.backend))
+    assert classify_experiment(system, p).embedding.s01_count == len(s01)
+    monkeypatch.setattr(cli._Source, "build_system", lambda source: system)
+    code, out, _ = run_cli(["build", "kcbs", "--format", "json"], capsys)
+    assert (code, json.loads(out)["zero_one"]["count"]) == (0, len(s01))
+    assert searches == []
+
+
+def test_the_search_checks_every_mask_it_keeps(monkeypatch):
+    """A search that yielded an assignment with two 1s in one triangle would
+    not be kept: each found mask is checked on every clique."""
+
+    class Broken(graphs.ZeroOneSearch):
+        def __iter__(self):
+            yield (1,) * len(self.assign)
+
+    monkeypatch.setattr(graphs, "ZeroOneSearch", Broken)
+    graph = _system(k_bases_rays(2)).atom_graph()
+    with pytest.raises(NotAGraphState, match="adjacent vertices"):
+        enumerate_zero_one_states(graph)
+    assert graph._listings is None
+
+
+@pytest.mark.parametrize("name", ["kcbs", "k=3"])
+def test_a_kept_listing_trips_each_budget_where_a_fresh_graph_does(name):
+    """Just below the kept search nodes the listing searches again and fails
+    with a fresh graph's count; on a product graph the product charge trips
+    at the budget where it trips on a fresh graph."""
+    system = BUILTINS["kcbs"].system() if name == "kcbs" else _system(k_bases_rays(3))
+    graph = system.atom_graph()
+    count = len(zero_one_states(system))
+    spent = component_listings(graph)[1]
+    charge = count if len(graph.components) > 1 else 0
+
+    def outcome(g, budget):
+        try:
+            return len(enumerate_zero_one_states(g, budget))
+        except SearchBudgetExceeded as exc:
+            return exc.nodes, exc.budget
+
+    for budget in (spent - 1, spent, spent + charge - 1, spent + charge):
+        fresh = ExclusivityGraph(graph.vertices, graph.edges)
+        assert outcome(graph, budget) == outcome(fresh, budget), budget
+    assert outcome(graph, spent - 1) == (spent, spent - 1)
+    if charge:
+        assert outcome(graph, spent + charge - 1) == (spent + charge, spent + charge - 1)
+    assert outcome(graph, spent + charge) == count
+
+
 def test_listing_charges_one_node_per_product_state(family, monkeypatch):
     """The charge comes before any product: a failed listing reads no factor
-    listing, so it builds no product mask and no state on the graph."""
+    listing, so it builds no product mask and no state on the graph.  The
+    graph is a fresh copy, so that its component searches run here."""
     _, _, system, s01 = family
-    graph = system.atom_graph()
+    graph = ExclusivityGraph(system.atom_graph().vertices, system.atom_graph().edges)
     nodes = sum(_search_zero_one(part, 10**6, 0)[1] for part in graph.components)
     if len(graph.components) > 1:
         nodes += len(s01)
@@ -313,10 +379,11 @@ def test_product_index_is_the_index_in_the_sorted_listing(family):
     _, _, system, s01 = family
     graph = system.atom_graph()
     listings = component_zero_one_states(graph)
+    masks = component_listings(graph)[0]
     where = {lam.ones: i for i, lam in enumerate(s01)}
     for choice in product(*(range(len(listing)) for listing in listings)):
         ones = frozenset().union(*(l[c].ones for l, c in zip(listings, choice)))
-        assert _product_index(graph, listings, choice) == where[ones]
+        assert _product_index(graph, masks, choice) == where[ones]
 
 
 # -- verdicts against the full listing ----------------------------------------------
@@ -417,8 +484,8 @@ def _reference(system, s01, target):
     free = clique_reduction(graph).free
     y, _, violation = _separation_lp(free, s01, target)
     if violation > 0:
-        return CONTEXTUAL, analyze._primitive_inequality(graph.vertices, integer_ray(y), s01)
-    weights, _ = _membership_lp(free, s01, *integer_target(target))
+        return CONTEXTUAL, analyze._primitive_inequality(graph, s01.masks, integer_ray(y))
+    weights, _ = _membership_lp(graph, s01.masks, free, *integer_target(target))
     assert weights is not None
     return NONCONTEXTUAL, None
 
@@ -638,12 +705,12 @@ def test_weights_index_a_given_listing_in_its_own_order(family):
 def test_product_listing_reads_as_the_eager_list(family):
     """The listing reads as the list of sorted product states it stands for:
     its length, a state at either end, a slice, two iterations, and equality
-    in both directions.  Only a graph of several components lists lazily."""
+    in both directions.  Every graph, connected or not, lists lazily."""
     _, _, system, s01 = family
     graph = system.atom_graph()
     masks = [sum(lam.mask for lam in choice) for choice in product(*component_zero_one_states(graph))]
     eager = [ZeroOneState(graph, mask, True) for mask in sorted(masks)]
-    assert isinstance(s01, ProductListing) == (len(graph.components) > 1)
+    assert isinstance(s01, ProductListing)
     assert len(s01) == len(eager)
     assert (s01[0], s01[-1], s01[2:5]) == (eager[0], eager[-1], eager[2:5])
     assert list(s01) == eager and list(s01) == eager

@@ -771,6 +771,22 @@ def test_cli_builtin_graph_names_every_labelled_atom(name, capsys):
     assert json.loads(out)["graph"]["dot"] == BUILTINS[name].system().atom_graph().to_dot()
 
 
+def test_cli_builds_rays_named_like_the_default_names(tmp_path, capsys):
+    """Rays named e0, e1, e2 beside f = (1, 1, 0): the unlabelled atom
+    (1, -1, 0) takes the first default name that no ray uses, e3."""
+    rays = {"e0": ["1", "0", "0"], "e1": ["0", "1", "0"], "e2": ["0", "0", "1"], "f": ["1", "1", "0"]}
+    path = tmp_path / "axes.json"
+    doc = {"dimension": 3, "vectors": [{"name": n, "entries": r} for n, r in rays.items()]}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code, out, err = run_cli(["graph", str(path), "--no-cache", "--format", "json"], capsys)
+    assert (code, err) == (0, "")
+    dot = json.loads(out)["graph"]["dot"]
+    vertices = [line.split('"')[1] for line in dot.splitlines() if line.endswith('";') and " -- " not in line]
+    assert vertices == ["e0", "e1", "e2", "e3", "f"]
+    code, out, _ = run_cli(["build", str(path), "--no-cache"], capsys)
+    assert code == 0 and "atoms: 5" in out
+
+
 # -- the integer parse path --------------------------------------------------------
 
 RATIONAL_EDGES = [

@@ -455,7 +455,7 @@ def _certificate_lps(monkeypatch, system, density):
     quantum = analyze._target(system.state_from_density(density))
     barycentre = {v: Fraction(sum(lam.value(v) for lam in s01), len(s01)) for v in graph.vertices}
     for t, q in (quantum, integer_target(barycentre)):
-        analyze._membership_lp(red.free, s01, t, q)
+        analyze._membership_lp(graph, s01.masks, red.free, t, q)
     return calls
 
 

@@ -62,8 +62,9 @@ def test_bad_atom_labels_raise_when_given():
         q.with_atom_labels({"a": x, "b": x})
     with pytest.raises(NotAnElement, match="^label 'xy' does not name an atom$"):
         q.with_atom_labels({"xy": join(x, y)})
-    with pytest.raises(UnknownElement, match="^atom label collision$"):
-        q.with_atom_labels({"e1": x})  # the default names of the others are e0, e1
+    # A label equal to a default name is not a bad label: the defaults skip it.
+    named = q.with_atom_labels({"e1": x})
+    assert [named.atom_label(i) for i in named.atom_indices()] == ["e1", "e0", "e2"]
 
 
 def test_named_copies_share_the_lattice(monkeypatch):
