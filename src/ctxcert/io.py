@@ -427,10 +427,10 @@ def system_from_payload(doc: dict) -> QuantumSystem:
     """The unnamed system of a ``system_to_payload`` document.
 
     Every element is validated as a projector.  Constructing the system
-    checks that each element is an orthogonal sum of atoms and that the set
-    is closed under complement; then the elements must be distinct and
-    listed in the system's order.  A payload that breaks any of these, or
-    another format version, raises a ``CtxcertError``.
+    checks that each element is an orthogonal sum of atoms, that no element
+    repeats and that the set is closed under complement; then the elements
+    must be listed in the system's order.  A payload that breaks any of
+    these, or another format version, raises a ``CtxcertError``.
     """
     if not isinstance(doc, dict) or doc.get("format") != "ctxcert-system":
         raise ScenarioFormatError("not a ctxcert system payload")
@@ -452,7 +452,7 @@ def system_from_payload(doc: dict) -> QuantumSystem:
     ]
     system = QuantumSystem(elements)
     for k, p in enumerate(elements):
-        if system.elements[k] is not p or system.index_of(p) != k:
+        if system.elements[k] is not p:
             raise ScenarioFormatError(f"elements[{k}]: repeated or out of the system's order")
     return system
 

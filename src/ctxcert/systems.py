@@ -4,7 +4,7 @@
 meet/join of commuting pairs.  A ``QuantumSystem`` is whole once constructed:
 its atoms, order, complement map and atom names are built then, and it
 extends an atom-level state to every element.  Matrices are used only to
-find the atoms, their orthogonality and the complements; the order, the atom
+find the atoms and their orthogonality; the order, the complements, the atom
 graph and the atomic decompositions are bit operations on atom masks.
 ``with_atom_labels`` renames the atoms of a copy that shares the rest.
 """
@@ -15,6 +15,7 @@ import copy
 import logging
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, count
 from typing import Callable, Mapping, Sequence
 
@@ -54,7 +55,7 @@ PROGRESS_EVERY = 1000
 
 
 class _Pool:
-    """Deduplicating index of projector matrices.
+    """Deduplicating index of projector matrices, for the closure.
 
     Exact matrices key exactly.  A float lookup returns the lowest-index
     pooled matrix within tolerance, as a scan of the whole pool would find
@@ -186,6 +187,11 @@ def first_transitivity_violation(
     return None, chains
 
 
+def _below_mask(elements: Sequence[Projector], atoms, mat) -> int:
+    """The mask of the ``atoms`` (element indices) below the matrix ``mat``."""
+    return sum(1 << a for a in atoms if matrix_leq(elements[a].mat, mat, elements[a].rank))
+
+
 def _orthogonal_sums(
     atoms: Sequence[int], orth: Mapping[int, int], ranks: Mapping[int, int], target: int
 ):
@@ -214,10 +220,10 @@ class QuantumSystem:
     The constructor builds the atoms, their below-masks and orthogonality,
     the order rows, the complement map and the default atom names (e0, e1,
     ... in element order).  It raises ``NoDecomposition`` if some element is
-    no orthogonal sum of its atoms, and ``NotAnElement`` if the set is not
-    closed under complement.  After that no method touches a matrix but the
-    audit (``verify_epba``), the Born rule (``state_from_density``) and
-    membership (``index_of``, ``contains``).  The atom graph, a view of the
+    no orthogonal sum of its atoms, and ``NotAnElement`` if one repeats or
+    the set is not closed under complement.  Then only ``verify_epba``,
+    ``state_from_density`` and membership (``index_of``, ``contains``: the
+    atoms below a projector) touch a matrix.  The atom graph, a view of the
     masks under the atom names, and the table of each element's
     decomposition on it (``decomposition_masks``) are built on first use.
     """
@@ -229,19 +235,15 @@ class QuantumSystem:
         self.backend = elements[0].backend
         self.tol = elements[0].tol
         self.elements = tuple(sorted(elements, key=lambda p: p.sort_key()))
-        self._pool = _Pool(self.backend)
-        for p in self.elements:
-            self._pool.insert(p.mat)
-        one = identity_projector(self.dim, self.backend, self.tol)
-        self.zero_index = self.index_of(zero_projector(self.dim, self.backend, self.tol))
-        self.identity_index = self.index_of(one)
         self._ensure_leq()
-        self._comp = []
-        for p in self.elements:
-            idx = self._pool.lookup(one.mat.sub(p.mat))
-            if idx is None:
-                raise NotAnElement("system is not closed under complement")
-            self._comp.append(idx)
+        self.zero_index = self._element(0, 0, "system has no 0")
+        # I - P is the sum of the atoms orthogonal to P, of rank d - rank P.
+        atoms, self._comp = sum(1 << a for a in self._orth), []
+        unclosed = "system is not closed under complement"
+        for p, mask in zip(self.elements, self._below):
+            orth = reduce(int.__and__, (self._orth[a] for a in _bits(mask)), atoms)
+            self._comp.append(self._element(orth, self.dim - p.rank, unclosed))
+        self.identity_index = self._comp[self.zero_index]
         self._name_atoms({})
 
     def with_atom_labels(self, atom_labels: Mapping[str, Projector]) -> "QuantumSystem":
@@ -282,14 +284,24 @@ class QuantumSystem:
 
     # -- membership -----------------------------------------------------------
 
-    def index_of(self, p: Projector) -> int:
-        idx = self._pool.lookup(p.mat)
-        if idx is None:
-            raise NotAnElement(f"{p!r} is not an element of this system")
+    def _element(self, mask: int, rank: int, missing: str) -> int:
+        """The element with below-mask ``mask`` and rank ``rank``: a projector
+        above every atom of element j, and of j's rank, is j."""
+        idx = self._by_below.get(mask)
+        if idx is None or self.elements[idx].rank != rank:
+            raise NotAnElement(missing)
         return idx
 
+    def index_of(self, p: Projector) -> int:
+        same = p.dim == self.dim and p.backend == self.backend  # -1 is no mask
+        mask = _below_mask(self.elements, self._orth, p.mat) if same else -1
+        return self._element(mask, p.rank, f"{p!r} is not an element of this system")
+
     def contains(self, p: Projector) -> bool:
-        return self._pool.lookup(p.mat) is not None
+        try:
+            return self.index_of(p) >= 0
+        except NotAnElement:
+            return False
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -301,32 +313,30 @@ class QuantumSystem:
 
         Built from the atoms, so matrices are used only to find them.  The
         elements are sorted by rank, and a walk in index order tests each one
-        (``matrix_leq``) only against the atoms found so far: an element with
-        no atom below it is a new atom.  Bit a of ``_below[i]`` is set iff
-        atom a <= element i.  The keys of ``_orth`` are the atoms in index
-        order, and ``_orth[a]`` holds the atoms orthogonal to atom a, one
-        ``matrix_orthogonal`` per pair of atoms.
+        (``_below_mask``) only against the atoms found so far: an element
+        with no atom below it is a new atom.  Bit a of ``_below[i]`` is set
+        iff atom a <= element i.  The keys of ``_orth`` are the atoms in
+        index order, and ``_orth[a]`` holds the atoms orthogonal to atom a,
+        one ``matrix_orthogonal`` per pair of atoms.
 
         Orthogonal atoms below an element sum to a projector below it, which
         is the element exactly when their ranks add up to its rank.  Every
         element must be such a sum, or ``NoDecomposition`` is raised; then
         i <= j iff every atom below i is below j.  So row i is the AND of the
         rows of the atoms below i (all ones for 0), and the row of atom a
-        holds the elements whose below-masks name a.
+        holds the elements whose below-masks name a.  Two such sums with one
+        below-mask are equal, so ``_by_below`` maps each mask to its element.
         """
         elements = self.elements
-        ranks = {}
+        atoms: list[int] = []
         below = []
         for i, p in enumerate(elements):
-            mask = 0
-            for a, rank in ranks.items():
-                if matrix_leq(elements[a].mat, p.mat, rank):
-                    mask |= 1 << a
+            mask = _below_mask(elements, atoms, p.mat)
             if not mask and p.rank:
-                ranks[i] = p.rank
+                atoms.append(i)
                 mask = 1 << i
             below.append(mask)
-        atoms = list(ranks)
+        ranks = {a: elements[a].rank for a in atoms}
         orth = dict.fromkeys(atoms, 0)
         for a, b in combinations(atoms, 2):
             if matrix_orthogonal(elements[a].mat, elements[b].mat):
@@ -341,13 +351,15 @@ class QuantumSystem:
                 )
             for a in under:
                 above[a] |= 1 << i
-        rows = []
-        for under in unders:
+        rows, by_below = [], {}
+        for i, under in enumerate(unders):
+            if by_below.setdefault(below[i], i) != i:
+                raise NotAnElement(f"element {i} repeats element {by_below[below[i]]}")
             row = (1 << len(elements)) - 1
             for a in under:
                 row &= above[a]
             rows.append(row)
-        self._below, self._orth, self._leq_rows = below, orth, rows
+        self._below, self._orth, self._leq_rows, self._by_below = below, orth, rows, by_below
 
     def leq_idx(self, i: int, j: int) -> bool:
         return bool(self._leq_rows[i] >> j & 1)
@@ -603,6 +615,4 @@ def systems_equal(a: QuantumSystem, b: QuantumSystem) -> bool:
         raise BackendMismatch(f"{a.backend} vs {b.backend}")
     if a.dim != b.dim or len(a) != len(b):
         return False
-    if a.backend == EXACT:
-        return {p.mat.key() for p in a.elements} == {p.mat.key() for p in b.elements}
-    return all(b.contains(p) for p in a.elements)
+    return all(b.contains(p) for p in a.elements)  # a system has no repeats

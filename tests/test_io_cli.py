@@ -39,6 +39,7 @@ from ctxcert.linalg import ExactMatrix, FloatMatrix, complement
 from ctxcert.systems import generate_system, systems_equal
 from ctxcert.vectorsets import VectorSet
 from test_graphs import dot_statements
+from test_systems import axes_and_u
 
 BOOLEAN_SCENARIO = {
     "dimension": 3,
@@ -991,7 +992,11 @@ CORRUPTIONS = {
     ),
     "repeated element": (
         lambda doc: doc["system"]["elements"].insert(1, doc["system"]["elements"][1]),
-        "elements[1]: repeated or out of the system's order",
+        "element 2 repeats element 1",
+    ),
+    "no complement of u": (
+        lambda doc: doc["system"].update(elements=[_matrix_payload(p.mat) for p in axes_and_u()]),
+        "system is not closed under complement",
     ),
     "weird backend": (
         lambda doc: doc["system"].update(backend="weird"),

@@ -649,8 +649,9 @@ def test_float_ceg_pool_checks(monkeypatch):
 
 # The float closure keyed a grid cell for every lookup: 4,320 calls, 4,022 of
 # them for a product bit-identical to an element it already held.  The pool's
-# exact map answers those, so only the misses, the near hits and the
-# system's own complement lookups are keyed.
+# exact map answers those.  Of the 298 left, 158 are the closure's: its 140
+# misses and the sort of its 18 generators.  The other 140 are the system's
+# sort of its elements (``Projector.sort_key``); it looks up no matrix.
 FLOAT_CEG_GRID_KEYS = 298
 
 
