@@ -139,12 +139,15 @@ def rationalize_state(p: PBAState) -> dict[str, Fraction]:
     sums to 1 exactly; they may stray outside [0, 1] by the rationalization
     error, and the LP decides honestly either way."""
     if p.backend == EXACT:
-        return {
-            v: x if type(x) is Fraction else Fraction(x)
-            for v, x in zip(p.graph.vertices, p.as_tuple())
-        }
+        return dict(zip(p.graph.vertices, _exact_values(p)))
     t, q = _target(p)
     return {v: Fraction(n, q) for v, n in t.items()}
+
+
+def _exact_values(p: PBAState) -> list[Fraction]:
+    """An exact state's values in vertex order, as ``Fraction``s; a value
+    that is one already is kept as it is."""
+    return [x if type(x) is Fraction else Fraction(x) for x in p.as_tuple()]
 
 
 def _target(p: PBAState) -> tuple[dict[str, int], int]:
@@ -152,9 +155,9 @@ def _target(p: PBAState) -> tuple[dict[str, int], int]:
     of an exact state's denominators, or of a float state's rounded free
     atoms times the scale of the integer rows that give the others."""
     if p.backend == EXACT:
-        values = rationalize_state(p)
-        q = lcm(*(x.denominator for x in values.values()))
-        return {v: x.numerator * (q // x.denominator) for v, x in values.items()}, q
+        values = _exact_values(p)
+        q = lcm(*(x.denominator for x in values))
+        return {v: x.numerator * (q // x.denominator) for v, x in zip(p.graph.vertices, values)}, q
     graph = p.graph
     free, scale, rows = _integer_rows(graph.vertices, graph.maximal_cliques())
     rounded = [_limit_denominator(float(p.value(v)), RATIONALIZE_MAX_DENOMINATOR) for v in free]

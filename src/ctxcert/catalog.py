@@ -295,7 +295,10 @@ class Builtin:
         return Scenario(self.name, vs, *self.events(vs))
 
     def system(self, max_elements: int = DEFAULT_MAX_ELEMENTS) -> QuantumSystem:
-        """The closure of the generators; every label must name an atom."""
+        """The closure of the generators, named by the scenario's labels
+        (``QuantumSystem.with_atom_labels``: a label outside the closure
+        would name nothing).  Every builtin label names an atom, which the
+        tests check."""
         scenario = self.scenario()
         return generate_system(scenario.generators, max_elements).with_atom_labels(scenario.labels)
 

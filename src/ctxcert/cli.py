@@ -97,8 +97,7 @@ class _Source:
             if cached is not None:
                 log.info("loaded system from cache beside %s", self.cache_for)
         system = cached or generate_system(self.scenario.generators, self.max_elements)
-        labels = {name: p for name, p in self.scenario.labels.items() if system.contains(p)}
-        system = system.with_atom_labels(labels)
+        system = system.with_atom_labels(self.scenario.labels)
         if self.cache_for is not None and cached is None:
             store_cached_system(self.cache_for, self.scenario, system)
         return system

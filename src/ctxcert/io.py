@@ -136,22 +136,6 @@ def _parse_entry_ratios(entry, field: str) -> tuple[int, int, int, int]:
     return (*parse_ratio(re_part, field + ".re"), *parse_ratio(im_part, field + ".im"))
 
 
-def _exact_vector(entries, field: str) -> tuple:
-    """Exact vector entries as (re, im) pairs, each an int, or a ``Fraction``
-    where its denominator is not 1; ``field`` names entry k as ``field[k]``.
-
-    The rays keep these values (``VectorSet.vectors``), so a fractional entry
-    still passes through one ``Fraction`` on its way to the Gaussian-integer
-    ray (``linalg.gaussian_integer_vector``)."""
-    out = []
-    for k, e in enumerate(entries):
-        re_n, re_d, im_n, im_d = _parse_entry_ratios(e, f"{field}[{k}]")
-        re = re_n if re_d == 1 else Fraction(re_n, re_d)
-        im = im_n if im_d == 1 else Fraction(im_n, im_d)
-        out.append((re, im))
-    return tuple(out)
-
-
 def parse_entry_float(entry, field: str) -> complex:
     re_part, im_part = _entry_parts(entry, field)
     z = complex(parse_real(re_part, field + ".re"), parse_real(im_part, field + ".im"))
@@ -166,6 +150,29 @@ def _listed(value, field: str, what: str):
     if isinstance(value, (str, dict)) or not isinstance(value, Iterable):
         raise ScenarioFormatError(f"{field}: expected a list of {what}, got {type(value).__name__}")
     return value
+
+
+def _vector(raw, field: str, backend: str, dim: int) -> tuple:
+    """The ``dim`` entries of the vector ``raw`` of a document; ``field``
+    names entry k as ``field[k]``.  A float entry is a complex number; an
+    exact one is an (re, im) pair, each an int, or a ``Fraction`` where its
+    denominator is not 1.
+
+    The rays keep these values (``VectorSet.vectors``), so a fractional entry
+    still passes through one ``Fraction`` on its way to the Gaussian-integer
+    ray (``linalg.gaussian_integer_vector``)."""
+    entries = _listed(raw, field, f"{dim} entries")
+    if not isinstance(entries, Sized) or len(entries) != dim:
+        raise ScenarioFormatError(f"{field}: expected {dim} entries")
+    if backend != EXACT:
+        return tuple(parse_entry_float(e, f"{field}[{k}]") for k, e in enumerate(entries))
+    out = []
+    for k, e in enumerate(entries):
+        re_n, re_d, im_n, im_d = _parse_entry_ratios(e, f"{field}[{k}]")
+        re = re_n if re_d == 1 else Fraction(re_n, re_d)
+        im = im_n if im_d == 1 else Fraction(im_n, im_d)
+        out.append((re, im))
+    return tuple(out)
 
 
 def _infer_backend(doc: dict) -> str:
@@ -257,16 +264,7 @@ def scenario_from_dict(doc: dict, source: str = "<dict>") -> Scenario:
         if not isinstance(vec, dict) or "name" not in vec or "entries" not in vec:
             raise ScenarioFormatError(f"vectors[{vi}]: expected name and entries")
         name = str(vec["name"])
-        entries = _listed(vec["entries"], f"vectors[{vi}].entries", f"{dim} entries")
-        if not isinstance(entries, Sized) or len(entries) != dim:
-            raise ScenarioFormatError(f"vectors[{vi}].entries: expected {dim} entries")
-        if backend == EXACT:
-            parsed = _exact_vector(entries, f"vectors[{vi}].entries")
-        else:
-            parsed = tuple(
-                parse_entry_float(e, f"vectors[{vi}].entries[{ei}]")
-                for ei, e in enumerate(entries)
-            )
+        parsed = _vector(vec["entries"], f"vectors[{vi}].entries", backend, dim)
         if all(e in (0, (0, 0)) for e in parsed):  # (re, im) pairs when exact
             raise ScenarioFormatError(f"vectors[{vi}].entries: the zero vector spans no ray")
         names.append(name)
@@ -360,13 +358,7 @@ def state_from_dict(doc: dict, backend: str, tol: float, dim: int) -> StateSpec:
         mat = _parse_matrix(doc["density"], backend, tol, dim, "density")
         return StateSpec(density=DensityMatrix(mat))
     if kind == "vector":
-        entries = _listed(doc["vector"], "vector", f"{dim} entries")
-        if not isinstance(entries, Sized) or len(entries) != dim:
-            raise ScenarioFormatError(f"vector: expected {dim} entries")
-        if backend == EXACT:
-            vec = _exact_vector(entries, "vector")
-        else:
-            vec = [parse_entry_float(e, f"vector[{i}]") for i, e in enumerate(entries)]
+        vec = _vector(doc["vector"], "vector", backend, dim)
         return StateSpec(density=DensityMatrix.from_pure_vector(vec, backend, tol))
     atoms = doc["atoms"]
     if not isinstance(atoms, dict) or not atoms:
@@ -453,7 +445,7 @@ def system_from_payload(doc: dict) -> QuantumSystem:
     system = QuantumSystem(elements)
     for k, p in enumerate(elements):
         if system.elements[k] is not p:
-            raise ScenarioFormatError(f"elements[{k}]: repeated or out of the system's order")
+            raise ScenarioFormatError(f"elements[{k}]: out of the system's order")
     return system
 
 

@@ -58,6 +58,12 @@ def _dot(xs: Sequence, ys: Sequence):
     return sum(map(operator.mul, xs, ys))
 
 
+def _complex_dot(ar: Sequence[int], ai: Sequence[int], br: Sequence[int], bi: Sequence[int]):
+    """(re, im) of the dot product of the Gaussian-integer vectors ar + i ai
+    and br + i bi: one entry of a complex product."""
+    return _dot(ar, br) - _dot(ai, bi), _dot(ar, bi) + _dot(ai, br)
+
+
 def _gcd_all(values: Iterable[int]) -> int:
     g = 0
     for v in values:
@@ -139,22 +145,14 @@ class ExactMatrix:
         d = self.dim
         a_rows, _, ai_rows, _ = self._slices()
         _, b_cols, _, bi_cols = other._slices()
-        out_re = [_dot(row, col) for row in a_rows for col in b_cols]
         if ai_rows is None and bi_cols is None:
+            out_re = [_dot(row, col) for row in a_rows for col in b_cols]
             return ExactMatrix(d, self.den * other.den, tuple(out_re), None)
         zero = (0,) * d
-        ai_rows = ai_rows or [zero] * d
-        bi_cols = bi_cols or [zero] * d
-        out_im = []
-        k = 0
-        for i in range(d):
-            ar, ai = a_rows[i], ai_rows[i]
-            for j in range(d):
-                br, bi = b_cols[j], bi_cols[j]
-                out_re[k] -= _dot(ai, bi)
-                out_im.append(_dot(ar, bi) + _dot(ai, br))
-                k += 1
-        return ExactMatrix(d, self.den * other.den, tuple(out_re), tuple(out_im))
+        a = list(zip(a_rows, ai_rows or [zero] * d))
+        b = list(zip(b_cols, bi_cols or [zero] * d))
+        out_re, out_im = zip(*(_complex_dot(ar, ai, br, bi) for ar, ai in a for br, bi in b))
+        return ExactMatrix(d, self.den * other.den, out_re, out_im)
 
     def hermitian_mul(self, other: "ExactMatrix") -> "ExactMatrix | None":
         """The product if it is Hermitian, else None.
@@ -179,18 +177,13 @@ class ExactMatrix:
                 out_re[i * d + i] = sum(map(mul, row, col))
             return ExactMatrix(d, self.den * other.den, tuple(out_re), None)
         zero = (0,) * d
-        ai_rows = ai_rows or [zero] * d
-        bi_cols = bi_cols or [zero] * d
-
-        def entry(i: int, j: int) -> tuple[int, int]:
-            ar, ai, br, bi = a_rows[i], ai_rows[i], b_cols[j], bi_cols[j]
-            return _dot(ar, br) - _dot(ai, bi), _dot(ar, bi) + _dot(ai, br)
-
+        a = list(zip(a_rows, ai_rows or [zero] * d))
+        b = list(zip(b_cols, bi_cols or [zero] * d))
         out_im = [0] * (d * d)
         for i in range(d):
             for j in range(i + 1):
-                xr, xi = entry(i, j)
-                yr, yi = (xr, xi) if i == j else entry(j, i)
+                xr, xi = _complex_dot(*a[i], *b[j])
+                yr, yi = (xr, xi) if i == j else _complex_dot(*a[j], *b[i])
                 if xr != yr or xi != -yi:
                     return None
                 out_re[i * d + j], out_im[i * d + j] = xr, xi

@@ -154,14 +154,15 @@ class PastedPBA:
     def _close(self) -> None:
         # Fixpoint closure: identified elements force identified complements,
         # and identified pairs within one context pair force identified
-        # meets/joins.
+        # meets/joins.  Each round reads the classes once; a round that
+        # changes nothing proves the fixpoint, and ``_union`` keeps each class
+        # minimum as its root, so the result does not depend on the order.
         changed = True
         while changed:
             changed = False
             for (i, j), pairs in self._cross_pairs().items():
                 for x, y in pairs:
                     changed |= self._union(self._complement_local((i, x)), self._complement_local((j, y)))
-            for (i, j), pairs in self._cross_pairs().items():
                 for (x1, y1), (x2, y2) in combinations(pairs, 2):
                     changed |= self._union((i, x1 & x2), (j, y1 & y2))
                     changed |= self._union((i, x1 | x2), (j, y1 | y2))

@@ -249,11 +249,14 @@ class QuantumSystem:
     def with_atom_labels(self, atom_labels: Mapping[str, Projector]) -> "QuantumSystem":
         """A copy of the system with its atoms named by ``atom_labels``; the
         other atoms take the names e0, e1, ... in element order, skipping the
-        names that labels use.  This is the only way to name atoms.
+        names given to atoms.  This is the only way to name atoms.
 
-        The copy shares the elements, the order rows, the atom masks and the
-        complement map, which do not depend on names.  A label on a non-atom
-        or two labels on one atom raise here.
+        A label whose projector is not an element of the system names
+        nothing: a scenario ray outside the closure of its generators is
+        left out.  A label on an element that is not an atom, or two labels
+        on one atom, raise here.  The copy shares the elements, the order
+        rows, the atom masks and the complement map, which do not depend on
+        names.
         """
         other = copy.copy(self)
         other._name_atoms(atom_labels)
@@ -261,24 +264,27 @@ class QuantumSystem:
 
     def _name_atoms(self, atom_labels: Mapping[str, Projector]) -> None:
         """Name the atoms: those in ``atom_labels`` first, in its order, then
-        the rest e0, e1, ... in element order, skipping the labels' names.
-        That is the atom-graph order; the graph and the decomposition table,
-        whose bits and first decompositions follow it, are built again on
-        first use.  It runs only on a new object, so what ``analyze`` keeps
-        per system object never outlives a naming."""
+        the rest e0, e1, ... in element order, skipping the names given to
+        atoms; each label is looked up once.  That is the atom-graph order;
+        the graph and the decomposition table, whose bits and first
+        decompositions follow it, are built again on first use.  It runs
+        only on a new object, so what ``analyze`` keeps per system object
+        never outlives a naming."""
         names: dict[int, str] = {}
         for name, proj in atom_labels.items():
-            idx = self.index_of(proj)
+            try:
+                idx = self.index_of(proj)
+            except NotAnElement:
+                continue  # not an element: the label names nothing
             if idx not in self._orth:  # keyed by the atoms, in element order
                 raise NotAnElement(f"label {name!r} does not name an atom")
             if idx in names:
                 raise UnknownElement(f"atom labeled twice: {names[idx]!r}, {name!r}")
             names[idx] = name
+        given = set(names.values())
         rest = [i for i in self._orth if i not in names]
-        names.update(zip(rest, (f"e{k}" for k in count() if f"e{k}" not in atom_labels)))
+        names.update(zip(rest, (f"e{k}" for k in count() if f"e{k}" not in given)))
         self._names = names
-        self._atom_indices = list(names)
-        self._labels = list(names.values())
         self._atom_graph: ExclusivityGraph | None = None
         self._decomposition_masks: list[tuple[int, int]] | None = None
 
@@ -368,17 +374,16 @@ class QuantumSystem:
 
     def atom_indices(self) -> list[int]:
         """Atom element indices, labeled atoms first (the atom-graph order)."""
-        return self._atom_indices
+        return list(self._names)
 
     def atom_label(self, index: int) -> str:
         return self._names[index]
 
     def atom_by_label(self, label: str) -> Projector:
-        try:
-            pos = self._labels.index(label)
-        except ValueError:
-            raise UnknownElement(f"no atom labeled {label!r}") from None
-        return self.elements[self._atom_indices[pos]]
+        for idx, name in self._names.items():
+            if name == label:
+                return self.elements[idx]
+        raise UnknownElement(f"no atom labeled {label!r}")
 
     def atom_graph(self) -> ExclusivityGraph:
         """Vertices are atom labels; edges join compatible distinct atoms."""
@@ -388,7 +393,7 @@ class QuantumSystem:
                 for (ia, la), (ib, lb) in combinations(self._names.items(), 2)
                 if self._orth[ia] >> ib & 1
             ]
-            self._atom_graph = ExclusivityGraph(self._labels, edges)
+            self._atom_graph = ExclusivityGraph(self._names.values(), edges)
         return self._atom_graph
 
     def decomposition_masks(self) -> list[tuple[int, int]]:
@@ -430,7 +435,7 @@ class QuantumSystem:
         atom-graph order: the orthogonal sets of atoms below it whose ranks
         add up to its rank."""
         mask = self._below[index]
-        atoms = [a for a in self._atom_indices if mask >> a & 1]
+        atoms = [a for a in self._names if mask >> a & 1]
         ranks = {a: self.elements[a].rank for a in atoms}
         return _orthogonal_sums(atoms, self._orth, ranks, self.elements[index].rank)
 

@@ -36,7 +36,7 @@ from ctxcert.io import (
     system_to_payload,
 )
 from ctxcert.linalg import ExactMatrix, FloatMatrix, complement
-from ctxcert.systems import generate_system, systems_equal
+from ctxcert.systems import QuantumSystem, generate_system, systems_equal
 from ctxcert.vectorsets import VectorSet
 from test_graphs import dot_statements
 from test_systems import axes_and_u
@@ -788,6 +788,40 @@ def test_cli_builds_rays_named_like_the_default_names(tmp_path, capsys):
     assert code == 0 and "atoms: 5" in out
 
 
+OUTSIDE_RAY = {
+    "dimension": 3,
+    "generators": ["a"],
+    "vectors": [{"name": "a", "entries": ["1", "0", "0"]}, {"name": "e0", "entries": ["0", "1", "0"]}],
+}
+
+
+@pytest.mark.parametrize("backend", ["exact", "float"])
+def test_cli_a_ray_outside_the_closure_names_nothing(tmp_path, capsys, backend):
+    """The ray e0 = (0, 1, 0) is no element of the closure of a = (1, 0, 0):
+    it names nothing, and the unlabelled atom I - a takes the name e0."""
+    path = tmp_path / "outside.json"
+    path.write_text(json.dumps(OUTSIDE_RAY), encoding="utf-8")
+    argv = [str(path), "--backend", backend, "--format", "json"]
+    code, out, err = run_cli(["build", *argv], capsys)
+    assert (code, err) == (0, "") and json.loads(out)["system"]["atoms"] == 2
+    code, out, err = run_cli(["zero-one", *argv], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["zero_one"]["atom_order"] == ["a", "e0"]
+
+
+def test_cli_build_looks_each_label_up_once(tmp_path, monkeypatch):
+    """A cold build of the CEG file looks each of its 18 labels up once."""
+    path = tmp_path / "ceg.json"
+    path.write_text(json.dumps(CEG_DOC), encoding="utf-8")
+    calls = []
+    real = QuantumSystem.index_of
+    monkeypatch.setattr(QuantumSystem, "index_of", lambda self, p: calls.append(p) or real(self, p))
+    source = cli_module._Source(cli_module.build_parser().parse_args(["build", str(path)]))
+    system = source.build_system()
+    assert cache_path_for(path).exists() and len(system.atom_indices()) == 24
+    assert len(calls) == len(source.scenario.labels) == 18
+
+
 # -- the integer parse path --------------------------------------------------------
 
 RATIONAL_EDGES = [
@@ -988,7 +1022,7 @@ CORRUPTIONS = {
     ),
     "reordered elements": (
         lambda doc: doc["system"]["elements"].reverse(),
-        "elements[0]: repeated or out of the system's order",
+        "elements[0]: out of the system's order",
     ),
     "repeated element": (
         lambda doc: doc["system"]["elements"].insert(1, doc["system"]["elements"][1]),

@@ -70,6 +70,33 @@ def test_bad_atom_labels_raise_when_given():
     assert [named.atom_label(i) for i in named.atom_indices()] == ["e1", "e0", "e2"]
 
 
+def test_a_label_outside_the_system_names_nothing():
+    """A label whose projector is no element of the system names nothing, on
+    either backend, and the default names skip only the names given to
+    atoms: the unlabelled atom I - x takes e0, though a label is named e0."""
+    for backend in (EXACT, FLOAT):
+        x, y = (projector_from_vector(v, backend=backend) for v in ([1, 0, 0], [0, 1, 0]))
+        q = generate_system([x])
+        named = q.with_atom_labels({"x": x, "e0": y})
+        assert [named.atom_label(i) for i in named.atom_indices()] == ["x", "e0"]
+        assert named.atom_label(named.index_of(complement(x))) == "e0"
+        other = projector_from_vector([1, 0], backend=backend)  # another dimension
+        named = q.with_atom_labels({"y": y, "z": other})
+        assert [named.atom_label(i) for i in named.atom_indices()] == ["e0", "e1"]
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_every_builtin_label_names_an_atom(name):
+    """A label outside the closure would name nothing, so no builtin may
+    have one: each label names its own atom."""
+    builtin = BUILTINS[name]
+    system = builtin.system()
+    labels = builtin.scenario().labels
+    assert [system.atom_label(i) for i in system.atom_indices()][: len(labels)] == list(labels)
+    for label, p in labels.items():
+        assert system.atom_label(system.index_of(p)) == label
+
+
 def test_named_copies_share_the_lattice(monkeypatch):
     """The order is built once per constructed system; a named copy shares
     the order rows, the atom masks and the complement map."""
