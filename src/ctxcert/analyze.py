@@ -11,11 +11,13 @@ injective.
 Both verdicts are decided per connected component of the atom graph.  The
 0-1 states of the graph are the products of one 0-1 state per component, so
 the hull of them is the product of the components' hulls, and the product
-listing is never built.  A connected graph is its own only component.  Each
-component's 0-1 states are its ascending masks from
-``graphs.component_listings``, searched once per graph object, and every
-step reads those masks; a ``ZeroOneState`` is built only to convert a
-listing that a caller passed in.
+listing is never built here: its count is the product of the component
+counts.  Only the graph's own ``ProductListing``, when a caller passes it,
+has its masks read, once per listing object, to key NONCONTEXTUAL weights.
+A connected graph is its own only component.  Each component's 0-1 states
+are its ascending masks from ``graphs.component_listings``, searched once
+per graph object, and every step reads those masks; a ``ZeroOneState`` is
+built only to convert a listing that a caller passed in.
 """
 
 from __future__ import annotations
@@ -293,7 +295,8 @@ def _listings(
     the components' masks are ``component_listings`` within ``budget``, and
     a given ``s01`` must hold the product of the component counts in
     distinct states.  A ``ProductListing`` on ``graph`` itself is checked
-    only for its length, and is returned as it is: its masks ascend.
+    only for its length, which reads no mask, and is returned as it is: its
+    masks ascend, and ``_certify`` reads them only to key weights.
     """
     trusted = isinstance(s01, ProductListing) and s01.graph is graph
     if s01 is not None and not trusted:
@@ -495,8 +498,9 @@ def _certify(
     if s01 is None:
         keys = [_product_index(graph, listings, choice) for choice, _ in coupling]
     elif isinstance(s01, ProductListing):
-        keys = [bisect_left(s01.masks, mask) for _, mask in mixture]
-        if [s01.masks[k] for k in keys if k < len(s01)] != [mask for _, mask in mixture]:
+        masks = s01.masks
+        keys = [bisect_left(masks, mask) for _, mask in mixture]
+        if [masks[k] for k in keys if k < len(masks)] != [mask for _, mask in mixture]:
             raise IncompleteListing("a 0-1 state is missing from the sorted masks")
     else:
         position = {mask: i for i, mask in enumerate(s01)}

@@ -5,7 +5,9 @@ questions (state spaces, deterministic assignments, isomorphism) are answered
 here on plain vertex/edge data.  The 0-1 listing of a graph is one decision
 made here: each component's ascending masks are searched once per graph
 object (``component_listings``), and every graph's listing is a
-``ProductListing`` of their sorted products, read as states on demand.
+``ProductListing`` of them.  Its length is the product of their lengths; the
+sorted product masks are built only when a state or the masks are read, and
+states only when read.
 """
 
 from __future__ import annotations
@@ -41,6 +43,7 @@ class ExclusivityGraph:
         "_mask",
         "_clique_masks",
         "_listings",
+        "_products_checked",
     )
 
     def __init__(self, vertices: Sequence[str], edges: Iterable[tuple[str, str]], _bit=None):
@@ -65,6 +68,7 @@ class ExclusivityGraph:
         self._mask = sum(self._bit.values())
         self._clique_masks = tuple(self.mask(c) for c in self._cliques)
         self._listings = None  # component_listings' memo
+        self._products_checked = False  # _check_components has passed
         self.components = self._split()
 
     def _split(self) -> tuple["ExclusivityGraph", ...]:
@@ -225,7 +229,8 @@ class ZeroOneState:
     ``mask`` holds the atoms set to 1, in ``graph``'s bit order.
 
     The constructor checks every clique; ``_validated=True`` skips that, for
-    the product listing, which proves its states valid once per listing."""
+    the product listing, whose states are proven valid once per graph
+    object."""
 
     __slots__ = ("graph", "mask")
 
@@ -407,16 +412,32 @@ class ProductListing(Sequence):
     """The 0-1 states of ``graph`` as ``masks``, their ascending masks on
     ``graph``.  A state is built when it is read, a slice is a list of
     states, and the listing equals the list of its states.  ``analyze``
-    trusts the masks only of a listing on the very graph object."""
+    trusts the masks only of a listing on the very graph object.
 
-    __slots__ = ("graph", "masks")
+    A listing of ``factors``, one ascending mask listing per component, has
+    their product's length, and builds its ``masks``, the sorted sums of one
+    mask per factor, on the first read of a state or of the masks; it keeps
+    them.  Given ``masks`` are held as they are."""
 
-    def __init__(self, graph: ExclusivityGraph, masks: Sequence[int]):
+    __slots__ = ("graph", "_masks", "_factors")
+
+    def __init__(self, graph: ExclusivityGraph, masks: Sequence[int] | None = None, factors=()):
         self.graph = graph
-        self.masks = masks
+        self._masks = masks
+        self._factors = factors
+
+    @property
+    def masks(self) -> Sequence[int]:
+        if self._masks is None:
+            masks = [0]
+            for listing in self._factors:
+                masks = [mask + factor for mask in masks for factor in listing]
+            masks.sort()
+            self._masks = masks
+        return self._masks
 
     def __len__(self) -> int:
-        return len(self.masks)
+        return prod(map(len, self._factors)) if self._masks is None else len(self._masks)
 
     def __getitem__(self, i):
         # _validated=True, passed by position, which is cheaper per call than a keyword.
@@ -441,8 +462,11 @@ def enumerate_zero_one_states(
     masks.  Otherwise the states are the products of one state per component
     (``component_listings``), whose mask is the sum of the factors'; listing
     them costs one search node per product state beyond the component nodes,
-    charged before any mask is built.  The factors are checked states, so
-    ``_check_components`` proves every product valid at once.
+    charged here, before any mask exists, whether or not a state is ever
+    read.  The listing holds the component listings and builds the product
+    masks when they are read.  The factors are checked states, so
+    ``_check_components``, run once per graph object, proves every product
+    valid at once.
     """
     listings, spent = component_listings(graph, budget)
     if len(listings) == 1:
@@ -452,12 +476,10 @@ def enumerate_zero_one_states(
     total = spent + prod(map(len, listings))
     if total > budget:
         raise SearchBudgetExceeded(total, budget)
-    _check_components(graph)
-    masks = [0]
-    for listing in listings:
-        masks = [mask + factor for mask in masks for factor in listing]
-    masks.sort()
-    return ProductListing(graph, masks)
+    if not graph._products_checked:
+        _check_components(graph)
+        graph._products_checked = True
+    return ProductListing(graph, factors=listings)
 
 
 def _check_components(graph: ExclusivityGraph) -> None:

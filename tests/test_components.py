@@ -9,6 +9,7 @@ import importlib.util
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -349,9 +350,13 @@ def test_listing_charges_one_node_per_product_state(family, monkeypatch):
     ids=[f"k={k}" for k in (3, 4, 5, 6)] + ["k=3-interleaved"],
 )
 def test_product_listing_passes_the_set_based_check(rays):
+    """The masks, built on the first read and kept, are the sorted sums of
+    one component mask per component, and each state passes the check."""
     graph = _system(rays).atom_graph()
     s01 = enumerate_zero_one_states(graph)
     assert len(s01) == 3 ** (len(rays) // 3)
+    assert s01.masks == sorted(map(sum, product(*component_listings(graph)[0])))
+    assert s01.masks is s01.masks
     for lam in s01:
         set_based_zero_one_check(graph, lam.ones)
 
@@ -373,6 +378,44 @@ def test_product_listing_checks_the_components_once(monkeypatch):
         enumerate_zero_one_states(graph)
     monkeypatch.undo()
     assert len(enumerate_zero_one_states(graph)) == 27
+
+
+def test_twelve_bases_are_counted_and_judged_without_their_listing():
+    """531,441 product states are counted, embedded and certified without a
+    product mask: the eager sorted list of them alone takes about 32 MB."""
+    system = _system(k_bases_rays(12))
+    third = system.state_from_density(DensityMatrix.maximally_mixed(3))
+    tracemalloc.start()
+    try:
+        count = len(zero_one_states(system))
+        report = scenario_classical(system, zero_one_states(system))
+        verdict = classify_experiment(system, third)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (count, report.embeddable, report.s01_count) == (3**12, True, 3**12)
+    assert verdict.certificate.verdict == NONCONTEXTUAL
+    assert peak < 2 * 2**20, peak
+
+
+def test_components_are_checked_once_per_graph_object(monkeypatch):
+    """Repeat listings of one graph check its components once; an equal
+    graph object checks its own."""
+    checked = []
+    real = graphs._check_components
+
+    def counting(graph):
+        checked.append(graph)
+        real(graph)
+
+    monkeypatch.setattr(graphs, "_check_components", counting)
+    graph = _system(k_bases_rays(3)).atom_graph()
+    for _ in range(3):
+        assert len(enumerate_zero_one_states(graph)) == 27
+    assert len(checked) == 1 and checked[0] is graph
+    fresh = ExclusivityGraph(graph.vertices, graph.edges)
+    assert enumerate_zero_one_states(fresh) == enumerate_zero_one_states(graph)
+    assert len(checked) == 2 and checked[1] is fresh
 
 
 def test_product_index_is_the_index_in_the_sorted_listing(family):
