@@ -24,13 +24,19 @@ from __future__ import annotations
 
 import weakref
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm, prod
 from typing import Mapping, Sequence
 
-from .errors import CertificateError, IncompleteListing, MissingAtom, NotAGraphState
+from .errors import (
+    CertificateError,
+    IncompleteListing,
+    MissingAtom,
+    NotAGraphState,
+    Record,
+    set_field,
+)
 from .graphs import (
     DEFAULT_SEARCH_BUDGET,
     ExclusivityGraph,
@@ -55,8 +61,7 @@ NONCONTEXTUAL = "NONCONTEXTUAL"
 # -- clique equality reduction --------------------------------------------------
 
 
-@dataclass(frozen=True)
-class EqualityReduction:
+class EqualityReduction(Record):
     """RREF of the clique normalization equalities over the atom coordinates.
 
     Pivot columns are chosen from the back of the atom order, so the free
@@ -64,10 +69,19 @@ class EqualityReduction:
     reads: value(pivot) = const - sum coeff * value(free atom).
     """
 
-    graph: ExclusivityGraph
-    pivots: tuple[str, ...]
-    free: tuple[str, ...]
-    rows: tuple[tuple[str, tuple[tuple[str, Fraction], ...], Fraction], ...]
+    __slots__ = ("graph", "pivots", "free", "rows")
+
+    def __init__(
+        self,
+        graph: ExclusivityGraph,
+        pivots: tuple[str, ...],
+        free: tuple[str, ...],
+        rows: tuple[tuple[str, tuple[tuple[str, Fraction], ...], Fraction], ...],
+    ):
+        set_field(self, "graph", graph)
+        set_field(self, "pivots", pivots)
+        set_field(self, "free", free)
+        set_field(self, "rows", rows)
 
 
 def clique_reduction(graph: ExclusivityGraph) -> EqualityReduction:
@@ -202,13 +216,15 @@ def _limit_denominator(x: float, bound: int) -> Fraction:
 # -- certificates ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SeparatingInequality:
+class SeparatingInequality(Record):
     """Integer inequality sum coeff*p(atom) <= bound valid on every 0-1 state."""
 
-    atom_order: tuple[str, ...]
-    coeffs: Mapping[str, int]
-    bound: int
+    __slots__ = ("atom_order", "coeffs", "bound")
+
+    def __init__(self, atom_order: tuple[str, ...], coeffs: Mapping[str, int], bound: int):
+        set_field(self, "atom_order", atom_order)
+        set_field(self, "coeffs", coeffs)
+        set_field(self, "bound", bound)
 
     def __str__(self) -> str:
         terms = []
@@ -226,37 +242,54 @@ class SeparatingInequality:
         return f"{lhs} <= {self.bound}"
 
 
-@dataclass(frozen=True)
-class NCCertificate:
+class NCCertificate(Record):
     """Either convex weights over 0-1 states or a separating inequality."""
 
-    verdict: str
-    weights: Mapping[int, Fraction] | None = None
-    inequality: SeparatingInequality | None = None
-    empty_s01: bool = False
-    violation: Fraction | None = None
+    __slots__ = ("verdict", "weights", "inequality", "empty_s01", "violation")
 
-    def __post_init__(self):
-        if self.verdict == NONCONTEXTUAL and self.weights is None:
+    def __init__(
+        self,
+        verdict: str,
+        weights: Mapping[int, Fraction] | None = None,
+        inequality: SeparatingInequality | None = None,
+        empty_s01: bool = False,
+        violation: Fraction | None = None,
+    ):
+        set_field(self, "verdict", verdict)
+        set_field(self, "weights", weights)
+        set_field(self, "inequality", inequality)
+        set_field(self, "empty_s01", empty_s01)
+        set_field(self, "violation", violation)
+        if verdict == NONCONTEXTUAL and weights is None:
             raise CertificateError("noncontextual verdict without weights")
-        if self.verdict == CONTEXTUAL and self.inequality is None and not self.empty_s01:
+        if verdict == CONTEXTUAL and inequality is None and not empty_s01:
             raise CertificateError("contextual verdict without inequality")
 
 
-@dataclass(frozen=True)
-class EmbeddingReport:
+class EmbeddingReport(Record):
     """Injectivity of the map from elements to their supporting 0-1 states."""
 
-    embeddable: bool
-    witness: tuple[str, str] | None = None
-    reason: str | None = None
-    s01_count: int = 0
+    __slots__ = ("embeddable", "witness", "reason", "s01_count")
+
+    def __init__(
+        self,
+        embeddable: bool,
+        witness: tuple[str, str] | None = None,
+        reason: str | None = None,
+        s01_count: int = 0,
+    ):
+        set_field(self, "embeddable", embeddable)
+        set_field(self, "witness", witness)
+        set_field(self, "reason", reason)
+        set_field(self, "s01_count", s01_count)
 
 
-@dataclass(frozen=True)
-class Classification:
-    embedding: EmbeddingReport
-    certificate: NCCertificate
+class Classification(Record):
+    __slots__ = ("embedding", "certificate")
+
+    def __init__(self, embedding: EmbeddingReport, certificate: NCCertificate):
+        set_field(self, "embedding", embedding)
+        set_field(self, "certificate", certificate)
 
     @property
     def scenario_classical(self) -> bool:

@@ -14,11 +14,16 @@ corrupting downstream verdicts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import combinations
 from typing import TYPE_CHECKING, Callable, Sequence
 
-from .errors import CoverNotFound, DegenerateCoefficients, OrthogonalityCheckFailed
+from .errors import (
+    CoverNotFound,
+    DegenerateCoefficients,
+    OrthogonalityCheckFailed,
+    Record,
+    set_field,
+)
 from .io import Scenario
 from .linalg import (
     DEFAULT_TOL,
@@ -179,32 +184,34 @@ KCBS_PENTAGON = tuple(f"P{j}" for j in range(5))
 KCBS_COMPLETIONS = tuple(f"P{j}{(j + 1) % 5}" for j in range(5))
 
 
-@dataclass(frozen=True)
-class Observable:
+class Observable(Record):
     """Real eigenvalues attached to a complete family of orthogonal projectors."""
 
-    name: str
-    eigenvalues: tuple[float, ...]
-    projectors: tuple[Projector, ...]
-    event_labels: tuple[str, ...]
+    __slots__ = ("name", "eigenvalues", "projectors", "event_labels")
 
-    def __post_init__(self):
-        if len(set(self.eigenvalues)) != len(self.eigenvalues):
-            raise DegenerateCoefficients(
-                f"observable {self.name!r} repeats an eigenvalue"
-            )
-        total = self.projectors[0]
-        for p in self.projectors[1:]:
+    def __init__(
+        self,
+        name: str,
+        eigenvalues: tuple[float, ...],
+        projectors: tuple[Projector, ...],
+        event_labels: tuple[str, ...],
+    ):
+        set_field(self, "name", name)
+        set_field(self, "eigenvalues", eigenvalues)
+        set_field(self, "projectors", projectors)
+        set_field(self, "event_labels", event_labels)
+        if len(set(eigenvalues)) != len(eigenvalues):
+            raise DegenerateCoefficients(f"observable {name!r} repeats an eigenvalue")
+        total = projectors[0]
+        for p in projectors[1:]:
             total = join(total, p)
         if not total.is_identity():
             raise OrthogonalityCheckFailed(
-                f"observable {self.name!r}: spectral projectors do not resolve identity"
+                f"observable {name!r}: spectral projectors do not resolve identity"
             )
-        for p, q in combinations(self.projectors, 2):
+        for p, q in combinations(projectors, 2):
             if not orthogonal(p, q):
-                raise OrthogonalityCheckFailed(
-                    f"observable {self.name!r}: spectral projectors overlap"
-                )
+                raise OrthogonalityCheckFailed(f"observable {name!r}: spectral projectors overlap")
 
     def events(self) -> dict[float, str]:
         return dict(zip(self.eigenvalues, self.event_labels))
@@ -280,15 +287,23 @@ def _pentagon(vs: VectorSet) -> Events:
     return generators, labels
 
 
-@dataclass(frozen=True)
-class Builtin:
+class Builtin(Record):
     """A named scenario.  ``vector_set`` builds the rays alone (no projector);
     ``scenario`` adds the generators and atom labels drawn from them."""
 
-    name: str
-    description: str
-    vector_set: Callable[[], VectorSet]
-    events: Callable[[VectorSet], Events]
+    __slots__ = ("name", "description", "vector_set", "events")
+
+    def __init__(
+        self,
+        name: str,
+        description: str,
+        vector_set: Callable[[], VectorSet],
+        events: Callable[[VectorSet], Events],
+    ):
+        set_field(self, "name", name)
+        set_field(self, "description", description)
+        set_field(self, "vector_set", vector_set)
+        set_field(self, "events", events)
 
     def scenario(self) -> Scenario:
         vs = self.vector_set()

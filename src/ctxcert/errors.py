@@ -1,6 +1,46 @@
-"""Exception hierarchy shared by all ctxcert modules."""
+"""Exception hierarchy and value-record base shared by all ctxcert modules."""
 
 from __future__ import annotations
+
+# A record's ``__init__`` sets each field through this, since the record's
+# own ``__setattr__`` refuses.
+set_field = object.__setattr__
+
+
+class Record:
+    """Base of the immutable value records.  A subclass names its fields in
+    ``__slots__``, in order, and sets them in its own ``__init__`` through
+    ``set_field``.  A record prints as ``Name(field=value!r, ...)``,
+    compares and hashes by the tuple of its fields, is equal only to a record
+    of its own class, and refuses assignment."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, f) for f in self.__slots__])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{f}={getattr(self, f)!r}" for f in self.__slots__])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # ``copy`` and ``pickle`` rebuild a record through its constructor,
+        # since restoring slots one by one would meet ``__setattr__``.
+        return type(self), self._fields()
 
 
 class CtxcertError(Exception):

@@ -12,12 +12,11 @@ states only when read.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import prod
 from typing import Iterable, Iterator, Mapping, Sequence
 
-from .errors import MissingVertex, NotAGraphState, SearchBudgetExceeded
+from .errors import MissingVertex, NotAGraphState, Record, SearchBudgetExceeded, set_field
 from .linalg import DEFAULT_TOL, EXACT, FLOAT
 
 DEFAULT_SEARCH_BUDGET = 1_000_000
@@ -157,25 +156,31 @@ class ExclusivityGraph:
         return f"ExclusivityGraph({len(self.vertices)} vertices, {len(self.edges)} edges)"
 
 
-@dataclass(frozen=True)
-class PBAState:
+class PBAState(Record):
     """Probability assignment to atoms with unit mass on every maximal clique:
     every value in [0, 1], within ``tol`` on the float backend."""
 
-    graph: ExclusivityGraph
-    values: Mapping[str, object]
-    backend: str = EXACT
-    tol: float = DEFAULT_TOL
+    __slots__ = ("graph", "values", "backend", "tol")
 
-    def __post_init__(self):
-        slack = 0 if self.backend == EXACT else self.tol
-        for v in self.graph.vertices:
-            if v not in self.values:
+    def __init__(
+        self,
+        graph: ExclusivityGraph,
+        values: Mapping[str, object],
+        backend: str = EXACT,
+        tol: float = DEFAULT_TOL,
+    ):
+        set_field(self, "graph", graph)
+        set_field(self, "values", values)
+        set_field(self, "backend", backend)
+        set_field(self, "tol", tol)
+        slack = 0 if backend == EXACT else tol
+        for v in graph.vertices:
+            if v not in values:
                 raise MissingVertex(f"no value for vertex {v!r}")
-            val = self.values[v]
+            val = values[v]
             if not -slack <= val <= 1 + slack:  # NaN fails too
                 raise NotAGraphState(f"value {val} at {v!r} outside [0, 1]")
-        if not is_state(self.graph, self.values, backend=self.backend, tol=self.tol):
+        if not is_state(graph, values, backend=backend, tol=tol):
             raise NotAGraphState("clique sums differ from 1")
 
     def value(self, vertex: str):

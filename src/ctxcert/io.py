@@ -35,11 +35,10 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Sized
-from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ClosureBudgetExceeded, CtxcertError, ScenarioFormatError
+from .errors import ClosureBudgetExceeded, CtxcertError, Record, ScenarioFormatError, set_field
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
@@ -197,19 +196,28 @@ def _infer_backend(doc: dict) -> str:
     return EXACT
 
 
-@dataclass
-class Scenario:
+class Scenario(Record):
     """A measurement scenario: named rays with optional bases, the generator
     projectors, and the atom names.  Dimension, backend and tolerance are
     those of ``vector_set``.  ``sha256`` is the digest of the file bytes the
     scenario was parsed from, the key of its cache; None when it was not
     parsed from a file."""
 
-    source: str
-    vector_set: VectorSet
-    generators: list[Projector]
-    labels: dict[str, Projector]
-    sha256: str | None = None
+    __slots__ = ("source", "vector_set", "generators", "labels", "sha256")
+
+    def __init__(
+        self,
+        source: str,
+        vector_set: VectorSet,
+        generators: list[Projector],
+        labels: dict[str, Projector],
+        sha256: str | None = None,
+    ):
+        set_field(self, "source", source)
+        set_field(self, "vector_set", vector_set)
+        set_field(self, "generators", generators)
+        set_field(self, "labels", labels)
+        set_field(self, "sha256", sha256)
 
 
 def _parse_matrix(grid, backend: str, tol: float, dim: int, field: str):
@@ -329,20 +337,25 @@ def scenario_from_path(
         doc = dict(doc, backend=backend)
     if isinstance(doc, dict) and tolerance is not None:
         doc = dict(doc, tolerance=tolerance)
-    scenario = scenario_from_dict(doc, source=str(path))
-    scenario.sha256 = content_hash(data)
-    return scenario
+    s = scenario_from_dict(doc, source=str(path))
+    return Scenario(s.source, s.vector_set, s.generators, s.labels, content_hash(data))
 
 
 # -- states -----------------------------------------------------------------
 
 
-@dataclass
-class StateSpec:
+class StateSpec(Record):
     """Exactly one of a density matrix, a pure vector, or an atom-value map."""
 
-    density: DensityMatrix | None = None
-    atom_values: dict[str, object] | None = None
+    __slots__ = ("density", "atom_values")
+
+    def __init__(
+        self,
+        density: DensityMatrix | None = None,
+        atom_values: dict[str, object] | None = None,
+    ):
+        set_field(self, "density", density)
+        set_field(self, "atom_values", atom_values)
 
 
 def state_from_dict(doc: dict, backend: str, tol: float, dim: int) -> StateSpec:

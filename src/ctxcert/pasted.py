@@ -11,14 +11,21 @@ realize, which is exactly what makes it useful as a counterexample bench.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
 from operator import and_, or_
 from typing import Iterable, Mapping, Sequence
 
-from .errors import Incompatible, InconsistentGluing, NotAGraphState, NotAPBA, UnknownElement
+from .errors import (
+    Incompatible,
+    InconsistentGluing,
+    NotAGraphState,
+    NotAPBA,
+    Record,
+    UnknownElement,
+    set_field,
+)
 from .graphs import ExclusivityGraph
 from .systems import first_lep_violation, first_transitivity_violation
 
@@ -29,21 +36,25 @@ MAX_CONTEXT_ATOMS = 12
 AXIOM_CHECK_SIZE = 4
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     """Outcome of a structural law check; violation holds the first offender."""
 
-    holds: bool
-    violation: tuple | None = None
+    __slots__ = ("holds", "violation")
+
+    def __init__(self, holds: bool, violation: tuple | None = None):
+        set_field(self, "holds", holds)
+        set_field(self, "violation", violation)
 
 
-@dataclass(frozen=True)
-class AxiomReport:
+class AxiomReport(Record):
     """How far the pairwise-compatibility axiom was verified exhaustively;
     ``subsets_checked`` counts the sets of distinct context masks tested."""
 
-    verified_up_to_size: int
-    subsets_checked: int
+    __slots__ = ("verified_up_to_size", "subsets_checked")
+
+    def __init__(self, verified_up_to_size: int, subsets_checked: int):
+        set_field(self, "verified_up_to_size", verified_up_to_size)
+        set_field(self, "subsets_checked", subsets_checked)
 
 
 class PastedPBA:

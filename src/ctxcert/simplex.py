@@ -32,26 +32,36 @@ certificate of infeasibility.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import index
 from typing import Sequence
+
+from .errors import Record, set_field
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(Record):
     """``x`` is set on OPTIMAL only: the basic solution, integer numerators
     over ``den``.  ``farkas`` is set on INFEASIBLE only: D times the phase-1
     dual y, one integer per row, with y.A <= 0 < y.b.  ``analyze`` reads its
     separating inequalities from it."""
 
-    status: str
-    x: tuple[int, ...] | None
-    pivots: int  # phase 1
-    farkas: tuple[int, ...] | None = None
-    den: int = 1
+    __slots__ = ("status", "x", "pivots", "farkas", "den")
+
+    def __init__(
+        self,
+        status: str,
+        x: tuple[int, ...] | None,
+        pivots: int,  # phase 1
+        farkas: tuple[int, ...] | None = None,
+        den: int = 1,
+    ):
+        set_field(self, "status", status)
+        set_field(self, "x", x)
+        set_field(self, "pivots", pivots)
+        set_field(self, "farkas", farkas)
+        set_field(self, "den", den)
 
 
 def _bland(rows: list[list[int]], basis: list[int], var: list[int]) -> tuple[int, int]:

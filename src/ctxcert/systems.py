@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import copy
 import logging
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count
@@ -27,7 +26,9 @@ from .errors import (
     NotAGraphState,
     NotAnElement,
     OutOfRange,
+    Record,
     UnknownElement,
+    set_field,
 )
 from .graphs import ExclusivityGraph, PBAState
 from .linalg import (
@@ -111,20 +112,37 @@ class _Pool:
         return idx
 
 
-@dataclass(frozen=True)
-class EpbaReport:
+class EpbaReport(Record):
     """Exhaustive exclusivity and transitivity audit of a closed system.
 
     ``pairs_checked`` counts the exclusive pairs i < j tested for
     compatibility, up to the first violation; ``chains_checked`` counts the
     pairs i <= j whose rows were compared, up to the first violation."""
 
-    lep_holds: bool
-    transitivity_holds: bool
-    pairs_checked: int
-    chains_checked: int
-    lep_violation: tuple | None = None
-    transitivity_violation: tuple | None = None
+    __slots__ = (
+        "lep_holds",
+        "transitivity_holds",
+        "pairs_checked",
+        "chains_checked",
+        "lep_violation",
+        "transitivity_violation",
+    )
+
+    def __init__(
+        self,
+        lep_holds: bool,
+        transitivity_holds: bool,
+        pairs_checked: int,
+        chains_checked: int,
+        lep_violation: tuple | None = None,
+        transitivity_violation: tuple | None = None,
+    ):
+        set_field(self, "lep_holds", lep_holds)
+        set_field(self, "transitivity_holds", transitivity_holds)
+        set_field(self, "pairs_checked", pairs_checked)
+        set_field(self, "chains_checked", chains_checked)
+        set_field(self, "lep_violation", lep_violation)
+        set_field(self, "transitivity_violation", transitivity_violation)
 
     @property
     def holds(self) -> bool:

@@ -8,7 +8,6 @@ applies to it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
@@ -17,7 +16,9 @@ from .errors import (
     DimensionMismatch,
     OrthogonalityCheckFailed,
     OutOfRange,
+    Record,
     UnknownElement,
+    set_field,
 )
 from .graphs import DEFAULT_SEARCH_BUDGET, ZeroOneSearch
 from .linalg import (
@@ -32,12 +33,14 @@ from .linalg import (
 )
 
 
-@dataclass(frozen=True)
-class Basis:
+class Basis(Record):
     """Indices of mutually orthogonal vectors; complete means it spans."""
 
-    indices: tuple[int, ...]
-    complete: bool = True
+    __slots__ = ("indices", "complete")
+
+    def __init__(self, indices: tuple[int, ...], complete: bool = True):
+        set_field(self, "indices", indices)
+        set_field(self, "complete", complete)
 
 
 class VectorSet:
@@ -162,12 +165,14 @@ class VectorSet:
         return f"VectorSet({len(self.vectors)} vectors, dim={self.dim}, {len(self.bases)} bases)"
 
 
-@dataclass(frozen=True)
-class KSSearchResult:
+class KSSearchResult(Record):
     """Assignment found, or a certified exhaustion of the search tree."""
 
-    assignment: dict[str, int] | None
-    nodes: int
+    __slots__ = ("assignment", "nodes")
+
+    def __init__(self, assignment: dict[str, int] | None, nodes: int):
+        set_field(self, "assignment", assignment)
+        set_field(self, "nodes", nodes)
 
     @property
     def found(self) -> bool:

@@ -2,8 +2,9 @@
 
 A CLI run on a scenario file loads neither ``catalog`` (the builtins) nor
 ``pasted`` (abstract pasted systems): each is loaded by the first use that
-needs it.  The public names of the package and the resolution of a scenario
-token are the same either way.
+needs it.  No CLI run loads ``dataclasses`` or ``inspect``: the value records
+are plain classes, which compile no code at import.  The public names of the
+package and the resolution of a scenario token are the same either way.
 """
 
 from __future__ import annotations
@@ -33,10 +34,15 @@ AXES = {
 }
 
 
+# Standard-library modules that no CLI run needs: ``dataclasses`` writes and
+# compiles code for each decorated class, and it imports ``inspect``.
+UNUSED_STDLIB = {"dataclasses", "inspect"}
+
+
 def _loaded_after(code: str) -> tuple[str, set[str]]:
-    """What ``code`` prints last, and the ctxcert modules loaded after it, in
-    a fresh interpreter."""
-    tail = "\nprint(*sorted(m for m in sys.modules if m.startswith('ctxcert')))"
+    """What ``code`` prints last, and the modules loaded after it, in a fresh
+    interpreter."""
+    tail = "\nprint(*sorted(sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-c", "import sys\n" + code + tail],
         env=dict(os.environ, PYTHONPATH=str(SRC)),
@@ -70,6 +76,7 @@ def test_analyze_on_a_file_loads_neither_catalog_nor_pasted(tmp_path, backend):
     assert code == "0"  # CLASSICAL
     assert {"ctxcert.cli", "ctxcert.analyze", "ctxcert.io"} <= modules
     assert "ctxcert.catalog" not in modules and "ctxcert.pasted" not in modules
+    assert not UNUSED_STDLIB & modules
 
 
 def test_analyze_on_a_builtin_loads_catalog_but_not_pasted(tmp_path):
@@ -78,6 +85,7 @@ def test_analyze_on_a_builtin_loads_catalog_but_not_pasted(tmp_path):
     code, modules = _cli_modules(["analyze", "ceg", "--state", str(state.resolve())])
     assert code == "20"  # CONTEXTUAL: no 0-1 state
     assert "ctxcert.catalog" in modules and "ctxcert.pasted" not in modules
+    assert not UNUSED_STDLIB & modules
 
 
 def test_the_package_loads_pasted_on_first_use():
