@@ -7,6 +7,8 @@ separating inequality.
 
 ``PastedPBA``, ``PastedState`` and ``build_pasted_pba`` load ``ctxcert.pasted``
 on first use, so a process that judges only quantum scenarios never loads it.
+Likewise ``rationalize_state`` loads ``ctxcert.certify`` (the certificate LP)
+and ``graphs_isomorphic`` loads ``ctxcert.isomorphism``.
 """
 
 from .analyze import (
@@ -17,7 +19,6 @@ from .analyze import (
     classify_experiment,
     is_noncontextual,
     kcbs_value,
-    rationalize_state,
     scenario_classical,
     zero_one_states,
 )
@@ -26,7 +27,6 @@ from .graphs import (
     PBAState,
     ZeroOneState,
     enumerate_zero_one_states,
-    graphs_isomorphic,
     is_state,
 )
 from .linalg import (
@@ -97,8 +97,20 @@ __all__ = [
 ]
 
 
+# Public names whose module is loaded on first use: name -> module.
+_LAZY = {
+    "PastedPBA": "pasted",
+    "PastedState": "pasted",
+    "build_pasted_pba": "pasted",
+    "graphs_isomorphic": "isomorphism",
+    "rationalize_state": "certify",
+}
+
+
 def __getattr__(name: str):
-    if name in ("PastedPBA", "PastedState", "build_pasted_pba"):
-        from . import pasted
-        return getattr(pasted, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    return getattr(import_module(f"{__name__}.{module}"), name)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 import time
 from math import prod
@@ -30,7 +29,7 @@ from .analyze import (
     kcbs_value,
     zero_one_states,
 )
-from .errors import CtxcertError, ScenarioFormatError
+from .errors import INFO, WARNING, CtxcertError, ScenarioFormatError, basic_config, log
 from .graphs import DEFAULT_SEARCH_BUDGET, PBAState, component_listings
 from .io import (
     load_cached_system,
@@ -43,8 +42,6 @@ from .systems import DEFAULT_MAX_ELEMENTS, QuantumSystem, generate_system
 from .vectorsets import ks_assignment_search
 
 EXIT_BY_LABEL = {CLASSICAL: 0, NONCLASSICAL_SCENARIO_ONLY: 10, CONTEXTUAL: 20}
-
-log = logging.getLogger(__name__)
 
 
 class _Source:
@@ -95,7 +92,7 @@ class _Source:
         if self.cache_for is not None:
             cached = load_cached_system(self.cache_for, self.scenario, self.max_elements)
             if cached is not None:
-                log.info("loaded system from cache beside %s", self.cache_for)
+                log(__name__, INFO, "loaded system from cache beside %s", self.cache_for)
         system = cached or generate_system(self.scenario.generators, self.max_elements)
         system = system.with_atom_labels(self.scenario.labels)
         if self.cache_for is not None and cached is None:
@@ -422,8 +419,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO if args.verbose else logging.WARNING,
+    basic_config(
+        level=INFO if args.verbose else WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
     try:

@@ -1,6 +1,9 @@
-"""Exception hierarchy and value-record base shared by all ctxcert modules."""
+"""Exception hierarchy, value-record base and log helpers shared by all
+ctxcert modules."""
 
 from __future__ import annotations
+
+import sys
 
 # A record's ``__init__`` sets each field through this, since the record's
 # own ``__setattr__`` refuses.
@@ -41,6 +44,42 @@ class Record:
         # ``copy`` and ``pickle`` rebuild a record through its constructor,
         # since restoring slots one by one would meet ``__setattr__``.
         return type(self), self._fields()
+
+
+# -- log records: ``logging`` loads with the first record that can be shown ---
+
+INFO, WARNING = 20, 30  # the levels of ``logging``
+_held: list[dict] = []  # a ``basicConfig`` held while ``logging`` is not loaded
+
+
+def basic_config(**kwargs) -> None:
+    """``logging.basicConfig(**kwargs)``.  While ``logging`` is not loaded, a
+    config at WARNING or above is held, and applied before the first record
+    that ``log`` passes on: the root logger's level is WARNING either way,
+    and only the first config could have set its handler."""
+    if "logging" in sys.modules or kwargs.get("level", WARNING) < WARNING:
+        _logging().basicConfig(**kwargs)
+    elif not _held:
+        _held.append(kwargs)
+
+
+def log(name: str, level: int, msg: str, *args) -> None:
+    """``logging.getLogger(name).log(level, msg, *args)``, attributed to the
+    caller.  While ``logging`` is not loaded, no handler and no level but
+    the root's WARNING is set, so a record below WARNING would be dropped:
+    it is dropped here, and ``logging`` stays unloaded."""
+    if level < WARNING and "logging" not in sys.modules:
+        return
+    _logging().getLogger(name).log(level, msg, *args, stacklevel=2)
+
+
+def _logging():
+    """The ``logging`` module, once the held config is applied."""
+    import logging
+
+    while _held:
+        logging.basicConfig(**_held.pop())
+    return logging
 
 
 class CtxcertError(Exception):

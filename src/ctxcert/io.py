@@ -30,7 +30,6 @@ import contextlib
 import functools
 import hashlib
 import json
-import logging
 import math
 import os
 import sys
@@ -38,7 +37,16 @@ from collections.abc import Iterable, Sized
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ClosureBudgetExceeded, CtxcertError, Record, ScenarioFormatError, set_field
+from .errors import (
+    INFO,
+    WARNING,
+    ClosureBudgetExceeded,
+    CtxcertError,
+    Record,
+    ScenarioFormatError,
+    log,
+    set_field,
+)
 from .linalg import (
     DEFAULT_TOL,
     EXACT,
@@ -52,7 +60,6 @@ from .linalg import (
 from .systems import DEFAULT_MAX_ELEMENTS, QuantumSystem
 from .vectorsets import Basis, VectorSet
 
-log = logging.getLogger(__name__)
 
 def parse_rational(value, field: str) -> Fraction:
     try:
@@ -500,7 +507,7 @@ def load_cached_system(
         system = system_from_payload(doc.get("system"))
         _check_cache_matches(system, scenario)
     except (CtxcertError, ValueError, OSError) as exc:
-        log.info("ignoring cache %s: %s", cache, exc)
+        log(__name__, INFO, "ignoring cache %s: %s", cache, exc)
         return None
     if len(system) > max_elements:
         raise ClosureBudgetExceeded(max_elements)
@@ -528,6 +535,6 @@ def store_cached_system(scenario_path: Path, scenario: Scenario, system: Quantum
         tmp.write_text(json.dumps(doc, sort_keys=True), encoding="utf-8")
         os.replace(tmp, cache)
     except OSError as exc:
-        log.warning("could not write cache %s: %s", cache, exc)
+        log(__name__, WARNING, "could not write cache %s: %s", cache, exc)
         with contextlib.suppress(OSError):
             tmp.unlink()

@@ -190,6 +190,22 @@ class ExactMatrix:
                 out_re[j * d + i], out_im[j * d + i] = yr, yi
         return ExactMatrix(d, self.den * other.den, tuple(out_re), tuple(out_im))
 
+    def mul_is_zero(self, other: "ExactMatrix") -> bool:
+        """``mul(other).is_zero()``, entry by entry: the numerator dot
+        products of each entry, real part then imaginary part, and the first
+        nonzero one ends the test.  Nothing is built or normalised."""
+        a_rows, _, ai_rows, _ = self._slices()
+        _, b_cols, _, bi_cols = other._slices()
+        if ai_rows is None and bi_cols is None:
+            return not any(_dot(row, col) for row in a_rows for col in b_cols)
+        zero = (0,) * self.dim
+        b = list(zip(b_cols, bi_cols or [zero] * self.dim))
+        for ar, ai in zip(a_rows, ai_rows or [zero] * self.dim):
+            for br, bi in b:
+                if _dot(ar, br) != _dot(ai, bi) or _dot(ar, bi) + _dot(ai, br):
+                    return False
+        return True
+
     def trace_num(self, other: "ExactMatrix") -> int:
         """Numerator of tr(A B) over ``self.den * other.den`` for Hermitian B.
 
@@ -342,6 +358,13 @@ class FloatMatrix:
         tol = max(self.tol, other.tol, target.tol)
         want = iter(target.entries)
         return all(abs(_dot(row, col) - next(want)) < tol for row in rows for col in cols)
+
+    def mul_is_zero(self, other: "FloatMatrix") -> bool:
+        """``mul(other).is_zero()``, entry by entry: the entries are
+        ``mul``'s, and the first one of modulus tol or more ends the test."""
+        rows, cols = self._slices()[0], other._slices()[1]
+        tol = max(self.tol, other.tol)
+        return all(abs(_dot(row, col)) < tol for row in rows for col in cols)
 
     def add(self, other: "FloatMatrix") -> "FloatMatrix":
         return FloatMatrix(

@@ -12,13 +12,13 @@ graph and the atomic decompositions are bit operations on atom masks.
 from __future__ import annotations
 
 import copy
-import logging
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations, count
 from typing import Callable, Mapping, Sequence
 
 from .errors import (
+    INFO,
     BackendMismatch,
     ClosureBudgetExceeded,
     DimensionMismatch,
@@ -28,6 +28,7 @@ from .errors import (
     OutOfRange,
     Record,
     UnknownElement,
+    log,
     set_field,
 )
 from .graphs import ExclusivityGraph, PBAState
@@ -48,8 +49,6 @@ from .linalg import (
     quantum_state_eval,
     zero_projector,
 )
-
-log = logging.getLogger(__name__)
 
 DEFAULT_MAX_ELEMENTS = 100_000
 PROGRESS_EVERY = 1000
@@ -479,10 +478,11 @@ class QuantumSystem:
         rows = self._leq_rows
         mats = [p.mat for p in self.elements]
         # An exclusive pair of projectors has a vanishing product, hence
-        # commutes; the product is formed here so that this audit stays
-        # independent of the trace kernel that built the order rows.
+        # commutes; the product's entries are formed here, up to the first
+        # nonzero one, so that this audit stays independent of the trace
+        # kernel that built the order rows.
         lep_violation, pairs = first_lep_violation(
-            rows, self._comp, lambda i, j: mats[i].mul(mats[j]).is_zero()
+            rows, self._comp, lambda i, j: mats[i].mul_is_zero(mats[j])
         )
         transitivity_violation, chains = first_transitivity_violation(rows)
         return EpbaReport(
@@ -594,7 +594,7 @@ def generate_system(
         pool.insert(mat)
         elems.append(proj)
         if len(elems) % PROGRESS_EVERY == 0:
-            log.info("closure reached %d elements", len(elems))
+            log(__name__, INFO, "closure reached %d elements", len(elems))
 
     insert(zero_projector(dim, backend, tol).mat)
     insert(identity_projector(dim, backend, tol).mat)

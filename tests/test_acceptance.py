@@ -23,12 +23,12 @@ from ctxcert.analyze import (
     NONCLASSICAL_SCENARIO_ONLY,
     NONCONTEXTUAL,
     classify_experiment,
-    clique_reduction,
     is_noncontextual,
     kcbs_value,
     scenario_classical,
     zero_one_states,
 )
+from ctxcert.certify import clique_reduction
 from ctxcert.catalog import (
     BUILTINS,
     b2_pasted,

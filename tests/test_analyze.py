@@ -14,26 +14,28 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ctxcert import analyze, graphs, simplex
+from ctxcert import analyze, certify, graphs, simplex
 from ctxcert.analyze import (
     CLASSICAL,
     CONTEXTUAL,
     NONCLASSICAL_SCENARIO_ONLY,
     NONCONTEXTUAL,
     SeparatingInequality,
-    _limit_denominator,
-    _membership_lp,
-    _north_west_corner,
-    _primitive_inequality,
     classify_experiment,
-    clique_reduction,
     is_noncontextual,
     kcbs_value,
-    rationalize_state,
     scenario_classical,
     zero_one_states,
 )
 from ctxcert.catalog import kcbs_state
+from ctxcert.certify import (
+    _limit_denominator,
+    _membership_lp,
+    _north_west_corner,
+    _primitive_inequality,
+    clique_reduction,
+    rationalize_state,
+)
 from ctxcert.errors import CertificateError, MissingAtom, NotAGraphState
 from ctxcert.graphs import ExclusivityGraph, PBAState, enumerate_zero_one_states
 from ctxcert.linalg import DensityMatrix, ExactMatrix, FloatMatrix, Projector, projector_from_vector
@@ -69,12 +71,12 @@ def test_clique_reduction_frees_the_pentagon(q_kcbs):
 
 
 def test_clique_reduction_eliminates_once_per_graph(kcbs_quantum_state, kcbs_s01):
-    analyze._eliminate.cache_clear()
+    certify._eliminate.cache_clear()
     for _ in range(3):
         assert is_noncontextual(kcbs_quantum_state, kcbs_s01) is not None
         rationalize_state(kcbs_quantum_state)
         clique_reduction(kcbs_quantum_state.graph)
-    assert analyze._eliminate.cache_info().misses == 1
+    assert certify._eliminate.cache_info().misses == 1
 
 
 def test_clique_reduction_is_kept_per_vertex_order():
@@ -187,7 +189,7 @@ def _copying_target(p):
     return _TARGET(PBAState(p.graph, values, backend="exact"))
 
 
-_TARGET = analyze._target
+_TARGET = certify._target
 
 
 def test_rationalize_returns_an_exact_state_as_it_is():
@@ -223,7 +225,7 @@ def test_certificates_do_not_depend_on_copying_exact_states(monkeypatch):
     states = [system.state_from_density(rho) for rho in _densities(random.Random(41), 119)]
     got = [classify_experiment(system, p) for p in states]
     copied = []
-    monkeypatch.setattr(analyze, "_target", lambda p: copied.append(p) or _copying_target(p))
+    monkeypatch.setattr(certify, "_target", lambda p: copied.append(p) or _copying_target(p))
     assert got == [classify_experiment(system, p) for p in states]
     assert len(copied) == len(states) and all(c is p for c, p in zip(copied, states))
 
@@ -265,13 +267,13 @@ def test_a_single_marginal_is_its_own_coupling(monkeypatch, q_kcbs):
         seen.append(marginals)
         return _north_west_corner(marginals)
 
-    monkeypatch.setattr(analyze, "_north_west_corner", recording)
+    monkeypatch.setattr(certify, "_north_west_corner", recording)
     got = [classify_experiment(system, p) for system, p in cases]
     assert len(seen) == 12 + 120 and all(len(m) == 1 for m in seen)
     assert sum(len(m[0][0]) > 1 for m in seen) > 100
     for m in seen:
         assert _north_west_corner(m) == _walked_coupling(m)
-    monkeypatch.setattr(analyze, "_north_west_corner", _walked_coupling)
+    monkeypatch.setattr(certify, "_north_west_corner", _walked_coupling)
     assert got == [classify_experiment(system, p) for system, p in cases]
 
 
@@ -556,7 +558,7 @@ def test_kcbs_classifies_contextual(q_kcbs, kcbs_s01, kcbs_quantum_state):
 def test_classify_invariant_under_relabelling(q_kcbs, kcbs_s01, kcbs_quantum_state):
     # The verdict depends on the structure, not on atom names: transport the
     # state through a relabelling and reclassify at graph level.
-    from ctxcert.graphs import graphs_isomorphic
+    from ctxcert.isomorphism import graphs_isomorphic
 
     g = q_kcbs.atom_graph()
     mapping = {v: f"x{i}" for i, v in enumerate(g.vertices)}
@@ -670,16 +672,16 @@ def test_contextual_reverification_rejects_a_tampered_inequality(monkeypatch, k)
     tight = [lam for lam in zero_one_states(system) if _lhs(ineq, lam) == ineq.bound]
     raisable = [v for v, c in ineq.coeffs.items() if c and any(lam.value(v) for lam in tight)]
     assert raisable
-    real = analyze._primitive_inequality
+    real = certify._primitive_inequality
     for change in [{"bound": -1}] + [{"coeff": v} for v in raisable]:
         monkeypatch.setattr(
-            analyze, "_primitive_inequality", lambda *args: _tampered(real(*args), **change)
+            certify, "_primitive_inequality", lambda *args: _tampered(real(*args), **change)
         )
         with pytest.raises(CertificateError, match="^inequality fails on a 0-1 state$"):
             is_noncontextual(p)
         with pytest.raises(CertificateError, match="^inequality fails on a 0-1 state$"):
             classify_experiment(system, p)
-    monkeypatch.setattr(analyze, "_primitive_inequality", real)
+    monkeypatch.setattr(certify, "_primitive_inequality", real)
     assert is_noncontextual(p).inequality == ineq
 
 
@@ -811,13 +813,13 @@ def test_tampered_weights_end_in_certificate_error(monkeypatch, q_kcbs, tamper, 
     is a weight of 1."""
     p = q_kcbs.state_from_density(DensityMatrix.maximally_mixed(3, backend="float"))
     assert is_noncontextual(p).verdict == NONCONTEXTUAL
-    real = analyze.feasible_point
+    real = certify.feasible_point
 
     def tampered(a, b):
         res = real(a, b)
         assert {type(w) for w in res.x} == {int}
         return simplex.LPResult(res.status, tamper(res.x), res.pivots, None, res.den)
 
-    monkeypatch.setattr(analyze, "feasible_point", tampered)
+    monkeypatch.setattr(certify, "feasible_point", tampered)
     with pytest.raises(CertificateError, match=message):
         is_noncontextual(p)

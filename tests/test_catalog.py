@@ -21,7 +21,8 @@ from ctxcert.catalog import (
     twelve_generators,
 )
 from ctxcert.errors import DegenerateCoefficients
-from ctxcert.graphs import PBAState, graphs_isomorphic
+from ctxcert.graphs import PBAState
+from ctxcert.isomorphism import graphs_isomorphic
 from ctxcert.linalg import join, quantum_state_eval
 from ctxcert.systems import systems_equal
 
@@ -138,7 +139,7 @@ def test_pentagon_marginals_determine_the_state(q_kcbs):
             with pytest.raises(Exception):
                 PBAState(g, perturbed, backend="float")
         # Re-derive through the generic clique solver and compare.
-        from ctxcert.analyze import clique_reduction
+        from ctxcert.certify import clique_reduction
 
         red = clique_reduction(g)
         solved = solve_pivots(red, 

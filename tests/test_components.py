@@ -17,19 +17,17 @@ from typing import Mapping, Sequence
 
 import pytest
 
-from ctxcert import analyze, cli, graphs
+from ctxcert import analyze, certify, cli, graphs
 from ctxcert.analyze import (
     CONTEXTUAL,
     NONCONTEXTUAL,
-    _membership_lp,
-    _product_index,
     classify_experiment,
-    clique_reduction,
     is_noncontextual,
     scenario_classical,
     zero_one_states,
 )
 from ctxcert.catalog import BUILTINS, kcbs_state
+from ctxcert.certify import _membership_lp, _product_index, clique_reduction
 from ctxcert.errors import (
     IncompleteListing,
     MissingVertex,
@@ -527,7 +525,7 @@ def _reference(system, s01, target):
     free = clique_reduction(graph).free
     y, _, violation = _separation_lp(free, s01, target)
     if violation > 0:
-        return CONTEXTUAL, analyze._primitive_inequality(graph, s01.masks, integer_ray(y))
+        return CONTEXTUAL, certify._primitive_inequality(graph, s01.masks, integer_ray(y))
     weights, _ = _membership_lp(graph, s01.masks, free, *integer_target(target))
     assert weights is not None
     return NONCONTEXTUAL, None
@@ -630,7 +628,7 @@ def test_certify_solves_one_lp_per_component_at_most(name, monkeypatch):
         calls.append(args)
         return feasible_point(*args)
 
-    monkeypatch.setattr(analyze, "feasible_point", recording)
+    monkeypatch.setattr(certify, "feasible_point", recording)
     result = classify_experiment(system, p)
     cert = result.certificate
     components, count, verdict, text = ONE_LP[name]

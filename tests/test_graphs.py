@@ -19,9 +19,9 @@ from ctxcert.graphs import (
     ZeroOneSearch,
     ZeroOneState,
     enumerate_zero_one_states,
-    graphs_isomorphic,
     is_state,
 )
+from ctxcert.isomorphism import graphs_isomorphic
 
 
 def cycle(n, prefix="v"):

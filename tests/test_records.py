@@ -19,11 +19,11 @@ import pytest
 from ctxcert.analyze import (
     Classification,
     EmbeddingReport,
-    EqualityReduction,
     NCCertificate,
     SeparatingInequality,
 )
 from ctxcert.catalog import Builtin, Observable
+from ctxcert.certify import EqualityReduction
 from ctxcert.errors import (
     CertificateError,
     DegenerateCoefficients,

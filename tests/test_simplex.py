@@ -23,7 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ctxcert import analyze, simplex
+from ctxcert import analyze, certify, simplex
 from ctxcert.catalog import kcbs_state
 from ctxcert.errors import CertificateError
 from ctxcert.linalg import DensityMatrix, ExactMatrix, projector_from_vector
@@ -448,14 +448,14 @@ def _certificate_lps(monkeypatch, system, density):
         calls.append((a, b))
         return feasible_point(a, b)
 
-    monkeypatch.setattr(analyze, "feasible_point", recording)
+    monkeypatch.setattr(certify, "feasible_point", recording)
     s01 = analyze.zero_one_states(system)
     graph = s01[0].graph
-    red = analyze.clique_reduction(graph)
-    quantum = analyze._target(system.state_from_density(density))
+    red = certify.clique_reduction(graph)
+    quantum = certify._target(system.state_from_density(density))
     barycentre = {v: Fraction(sum(lam.value(v) for lam in s01), len(s01)) for v in graph.vertices}
     for t, q in (quantum, integer_target(barycentre)):
-        analyze._membership_lp(graph, s01.masks, red.free, t, q)
+        certify._membership_lp(graph, s01.masks, red.free, t, q)
     return calls
 
 
@@ -561,7 +561,7 @@ def test_a_flipped_ray_ends_in_certificate_error(monkeypatch, q_kcbs, name, rays
 
     p = system.state_from_density(density)
     assert analyze.is_noncontextual(p).verdict == analyze.CONTEXTUAL
-    monkeypatch.setattr(analyze, "feasible_point", flipped)
+    monkeypatch.setattr(certify, "feasible_point", flipped)
     with pytest.raises(CertificateError, match="does not separate"):
         analyze.is_noncontextual(p)
 
@@ -573,7 +573,7 @@ def test_kcbs_membership_lp_pivot_count(monkeypatch, q_kcbs, kcbs_s01, kcbs_quan
         results.append(feasible_point(a, b))
         return results[-1]
 
-    monkeypatch.setattr(analyze, "feasible_point", recording)
+    monkeypatch.setattr(certify, "feasible_point", recording)
     cert = analyze.is_noncontextual(kcbs_quantum_state, kcbs_s01)
     assert cert.verdict == "CONTEXTUAL"
     assert [(r.status, r.pivots) for r in results] == [(INFEASIBLE, 11)]

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 from fractions import Fraction
 
@@ -17,6 +18,7 @@ from ctxcert.linalg import (
     FLOAT,
     DensityMatrix,
     ExactMatrix,
+    FloatMatrix,
     Projector,
     complement,
     identity_projector,
@@ -334,6 +336,72 @@ def test_verify_epba_counts_the_exclusive_pairs(fixture, request):
     assert report.pairs_checked == reference_lep_walk(
         system._leq_rows, system._comp, lambda i, j: True
     )[1]
+
+
+# The LEP audit's zero test, on copies whose order rows are forged so that a
+# pair that is not orthogonal reads as exclusive: only the products can tell.
+
+
+def _forged_exclusive(system: QuantumSystem, a: int, b: int) -> QuantumSystem:
+    """A copy of ``system`` whose order rows read a <= comp[b], so that a and
+    b read as exclusive.  With a and b atoms, every other exclusive pair is
+    one of the system's own."""
+    forged = copy.copy(system)
+    rows = list(system._leq_rows)
+    rows[a] |= 1 << system._comp[b]
+    forged._leq_rows = rows
+    return forged
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+@pytest.mark.parametrize("ray", [[1, 1], [1, (0, 1)]], ids=["real", "complex"])
+def test_verify_epba_reports_a_forged_exclusive_pair(backend, ray):
+    if backend == FLOAT:
+        ray = [complex(*x) if isinstance(x, tuple) else x for x in ray]
+    x, y = projector_from_vector([1, 0], backend), projector_from_vector(ray, backend)
+    system = generate_system([x, y])
+    a, b = system.index_of(x), system.index_of(y)
+    assert system.verify_epba().holds
+    report = _forged_exclusive(system, a, b).verify_epba()
+    assert not report.lep_holds
+    assert report.lep_violation == (min(a, b), max(a, b))
+
+
+@pytest.mark.parametrize("backend", [EXACT, FLOAT])
+def test_verify_epba_reports_a_product_with_only_imaginary_entries(backend):
+    """No two projectors have such a product, since tr(PQ) = |QP|^2 is the
+    real part of PQ's diagonal; so the matrices are forged as well.  Of the
+    six elements generated by x = (1, 0, 0) and y = (1, 1, 0), x and y
+    become sigma_x and sigma_y on the first two coordinates, whose product
+    is i sigma_z there, and their complements both become the projector onto
+    (0, 0, 1), which annihilates either.  So the system's own exclusive
+    pairs still have vanishing products, and the forged pair does not."""
+    rays = [[1, 0, 0], [1, 1, 0]]
+    system = generate_system([projector_from_vector(r, backend) for r in rays])
+    assert len(system) == 6
+    x, y = (system.index_of(projector_from_vector(r, backend)) for r in rays)
+    if backend == EXACT:
+        i, minus_i, matrix = (0, 1), (0, -1), ExactMatrix.from_entries
+    else:
+        i, minus_i, matrix = 1j, -1j, FloatMatrix.from_entries
+    e3 = matrix([[0, 0, 0], [0, 0, 0], [0, 0, 1]])
+    mats = {
+        x: matrix([[0, 1, 0], [1, 0, 0], [0, 0, 0]]),
+        y: matrix([[0, minus_i, 0], [i, 0, 0], [0, 0, 0]]),
+        system._comp[x]: e3,
+        system._comp[y]: e3,
+    }
+    product = mats[x].mul(mats[y])
+    entries = [product.entry(r, c) for r in range(3) for c in range(3)]
+    if backend == EXACT:
+        entries = [complex(*map(float, e)) for e in entries]
+    assert any(entries) and not any(e.real for e in entries)
+    forged = _forged_exclusive(system, x, y)
+    forged.elements = [
+        Projector(mats[k], _validated=True) if k in mats else p for k, p in enumerate(system.elements)
+    ]
+    report = forged.verify_epba()
+    assert report.lep_violation == (min(x, y), max(x, y))
 
 
 def random_pentagon_state(q, rng, backend="exact"):

@@ -10,6 +10,7 @@ decompositions (found by adding atom matrices) must come out identical to it.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from itertools import combinations
 
 import pytest
@@ -732,3 +733,39 @@ def test_commuting_mul_tests_the_diagonal():
     assert abs(ab[1] - ba[1]) < TOL and abs(ab[2] - ba[2]) < TOL
     assert abs(ab[0] - ba[0]) >= TOL
     assert a.commuting_mul(b) is None and ref_commuting_mul(a, b) is None
+
+
+# -- mul_is_zero against the formed product ---------------------------------------
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None)
+def test_mul_is_zero_matches_the_formed_product(data):
+    """Matrices of Gaussian integers in -1..1, mostly 0 so that products
+    vanish often, real or complex, exact over a denominator and as floats
+    scaled so that product entries fall on either side of tol."""
+    d = data.draw(st.integers(min_value=1, max_value=3))
+    part = st.sampled_from([0, 0, 0, 1, -1])
+    complex_ = data.draw(st.booleans())
+    entry = st.tuples(part, part if complex_ else st.just(0))
+    grid = st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d)
+    a, b = data.draw(grid), data.draw(grid)
+    den = data.draw(st.integers(1, 3))
+    exact = [ExactMatrix.from_entries([[(Fraction(re, den), im) for re, im in r] for r in m]) for m in (a, b)]
+    assert exact[0].mul_is_zero(exact[1]) == exact[0].mul(exact[1]).is_zero()
+    scale = data.draw(st.sampled_from([1.0, 0.3 * TOL**0.5, 3 * TOL**0.5]))
+    floats = [FloatMatrix.from_entries([[complex(re, im) * scale for re, im in r] for r in m]) for m in (a, b)]
+    assert floats[0].mul_is_zero(floats[1]) == floats[0].mul(floats[1]).is_zero()
+
+
+def test_mul_is_zero_reads_the_imaginary_part():
+    # sigma_x sigma_y = i sigma_z: the real part of every entry is 0.
+    for matrix, i, minus_i in (
+        (ExactMatrix.from_entries, (0, 1), (0, -1)),
+        (FloatMatrix.from_entries, 1j, -1j),
+    ):
+        sigma_x = matrix([[0, 1], [1, 0]])
+        sigma_y = matrix([[0, minus_i], [i, 0]])
+        assert not sigma_x.mul(sigma_y).is_zero()
+        assert not sigma_x.mul_is_zero(sigma_y)
+        assert sigma_x.mul_is_zero(matrix([[0, 0], [0, 0]]))
